@@ -46,10 +46,7 @@ from .envelope import (
     LagrangianGraph,
     SimplexLattice,
     build_lagrangian_graph,
-    envelope_gap_at,
     envelope_general,
-    lower_envelope_1d,
-    upper_envelope_1d,
 )
 from .oracle import OracleConfig, OraclePoint, oracle_boundary, oracle_exhaustive_binary
 from .sweep import (
@@ -58,7 +55,6 @@ from .sweep import (
     WitnessChannel,
     bottleneck_value,
     boundary_point_at_lambda,
-    default_lambda_grid,
     funnel_value,
     matched_channel_extract,
     matched_channel_invariance_check,
@@ -94,9 +90,7 @@ __all__ = [
     "build_lagrangian_graph",
     "conditional_f_information",
     "decompose_joint",
-    "default_lambda_grid",
     "entropy",
-    "envelope_gap_at",
     "envelope_general",
     "f_divergence",
     "f_information",
@@ -105,7 +99,6 @@ __all__ = [
     "k_frame_to_entropy",
     "k_norm",
     "load_joint",
-    "lower_envelope_1d",
     "matched_channel_extract",
     "matched_channel_invariance_check",
     "mr_gerber",
@@ -118,5 +111,4 @@ __all__ = [
     "star",
     "sweep",
     "transform_entropy_frame",
-    "upper_envelope_1d",
 ]

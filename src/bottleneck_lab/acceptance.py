@@ -1,5 +1,5 @@
 """Acceptance checks: exact closed forms and the independent oracle against
-the slope-sweep engine, plus the randomized property suite.
+the lifted-hull curves, plus the randomized property suite.
 
 Each check returns a CheckResult with the measured deviation so callers (the
 verify CLI and the test suite) can print one pass/fail line per criterion.
@@ -40,7 +40,6 @@ from .sweep import (
     BoundaryCurve,
     boundary_point_at_lambda,
     bottleneck_value,
-    default_lambda_grid,
     funnel_value,
     matched_channel_invariance_check,
     sweep,
@@ -72,24 +71,23 @@ def _quiet(fn, *args):
         return fn(*args)
 
 
-def _entropy_curve(inst: BscInstance, direction: str, resolution: int, steps: int) -> BoundaryCurve:
+def _entropy_curve(inst: BscInstance, direction: str, resolution: int) -> BoundaryCurve:
     return sweep(
         _ENTROPY,
         _ENTROPY,
         inst.channel(),
         inst.marginal(),
         direction,
-        steps=steps,
         resolution=resolution,
         problem="pf" if direction == "lower" else "ib",
         frame="entropy",
     )
 
 
-def check_mgl(resolution: int = 4096, steps: int = 256, probes: int = 101) -> CheckResult:
-    """A1: sweep lower entropy curve against the exact lower boundary."""
+def check_mgl(resolution: int = 4096, probes: int = 101) -> CheckResult:
+    """A1: lower entropy curve against the exact lower boundary."""
     inst = BscInstance(q=0.1, delta=0.1)
-    curve = _entropy_curve(inst, "lower", resolution, steps)
+    curve = _entropy_curve(inst, "lower", resolution)
     xs = np.linspace(0.0, binary_entropy(inst.q), probes)
     dev = max(
         abs(_quiet(funnel_value, curve, float(x) * LN2) / LN2 - mrs_gerber(inst, float(x)))
@@ -101,15 +99,15 @@ def check_mgl(resolution: int = 4096, steps: int = 256, probes: int = 101) -> Ch
         dev <= tol,
         dev,
         tol,
-        f"{probes} probes, N={resolution}, {steps} slopes, bits",
+        f"{probes} probes, N={resolution}, {len(curve.points)} curve points, bits",
     )
 
 
-def check_mr_gerber(resolution: int = 4096, steps: int = 256, probes: int = 101) -> CheckResult:
-    """A2: sweep upper entropy curve against the exact parametric upper
-    boundary, vertical distance after x-interpolation."""
+def check_mr_gerber(resolution: int = 4096, probes: int = 101) -> CheckResult:
+    """A2: upper entropy curve against the exact parametric upper boundary,
+    vertical distance after x-interpolation."""
     inst = BscInstance(q=0.1, delta=0.1)
-    curve = _entropy_curve(inst, "upper", resolution, steps)
+    curve = _entropy_curve(inst, "upper", resolution)
     dev = 0.0
     for alpha in np.linspace(0.0, 1.0, probes):
         point = mr_gerber_point(inst, float(alpha))
@@ -121,23 +119,21 @@ def check_mr_gerber(resolution: int = 4096, steps: int = 256, probes: int = 101)
         dev <= tol,
         dev,
         tol,
-        f"{probes} parametric probes, N={resolution}, {steps} slopes, bits",
+        f"{probes} parametric probes, N={resolution}, {len(curve.points)} curve points, bits",
     )
 
 
-def check_arimoto(
-    beta: float = 2.0, resolution: int = 4096, steps: int = 256, probes: int = 101
-) -> CheckResult:
-    """A3: norm-kernel sweeps against the exact K-frame boundaries."""
+def check_arimoto(beta: float = 2.0, resolution: int = 4096, probes: int = 101) -> CheckResult:
+    """A3: norm-kernel curves against the exact K-frame boundaries."""
     inst = BscInstance(q=0.4, delta=0.2)
     kern = DivergenceKernel.norm_beta(beta)
     lower = sweep(
         kern, kern, inst.channel(), inst.marginal(), "lower",
-        steps=steps, resolution=resolution, problem="arimoto", frame="K", beta=beta,
+        resolution=resolution, problem="arimoto", frame="K", beta=beta,
     )
     upper = sweep(
         kern, kern, inst.channel(), inst.marginal(), "upper",
-        steps=steps, resolution=resolution, problem="arimoto", frame="K", beta=beta,
+        resolution=resolution, problem="arimoto", frame="K", beta=beta,
     )
     dev = 0.0
     for p in np.linspace(0.0, inst.q, probes):
@@ -159,15 +155,15 @@ def check_arimoto(
 def check_oracle_cross(
     seed: int = 7, resolution: int = 512, n_x: int = 21, sweep_resolution: int = 4096
 ) -> CheckResult:
-    """A4: exhaustive binary oracle against sweeps (one-sided) and against
-    the closed forms (two-sided, entropy case)."""
+    """A4: exhaustive binary oracle against the curves (one-sided) and
+    against the closed forms (two-sided, entropy case)."""
     inst = BscInstance(q=0.1, delta=0.1)
     tol = 5e-3
     worst = 0.0
     details = []
 
-    lower_h = _entropy_curve(inst, "lower", sweep_resolution, 256)
-    upper_h = _entropy_curve(inst, "upper", sweep_resolution, 256)
+    lower_h = _entropy_curve(inst, "lower", sweep_resolution)
+    upper_h = _entropy_curve(inst, "upper", sweep_resolution)
     xs_nats = np.linspace(0.0, binary_entropy(inst.q) * LN2, n_x)
     funnel = oracle_exhaustive_binary(
         _ENTROPY, _ENTROPY, inst.delta, inst.q, xs_nats, "lower", resolution
@@ -183,22 +179,22 @@ def check_oracle_cross(
         sweep_y = _quiet(bottleneck_value, upper_h, pt.x_target)
         worst = max(worst, (pt.best_y - sweep_y) / LN2)  # oracle must not overshoot
         worst = max(worst, abs(pt.best_y / LN2 - mr_gerber(inst, pt.x_target / LN2)))
-    details.append("entropy vs sweeps and closed forms")
+    details.append("entropy vs curves and closed forms")
 
     lower_c = sweep(
         _CHI2, _CHI2, inst.channel(), inst.marginal(), "lower",
-        steps=256, resolution=sweep_resolution, problem="epf",
+        resolution=sweep_resolution, problem="epf",
     )
     upper_c = sweep(
         _CHI2, _CHI2, inst.channel(), inst.marginal(), "upper",
-        steps=256, resolution=sweep_resolution, problem="eb",
+        resolution=sweep_resolution, problem="eb",
     )
     xs_chi = np.linspace(0.0, 1.0, n_x)
     for pt in oracle_exhaustive_binary(_CHI2, _CHI2, inst.delta, inst.q, xs_chi, "lower", resolution):
         worst = max(worst, _quiet(funnel_value, lower_c, pt.x_target) - pt.best_y)
     for pt in oracle_exhaustive_binary(_CHI2, _CHI2, inst.delta, inst.q, xs_chi, "upper", resolution):
         worst = max(worst, pt.best_y - _quiet(bottleneck_value, upper_c, pt.x_target))
-    details.append("chi2 vs sweeps")
+    details.append("chi2 vs curves")
 
     return CheckResult(
         "A4 oracle cross-validation (BSC 0.1/0.1)",
@@ -209,16 +205,14 @@ def check_oracle_cross(
     )
 
 
-def check_matched(
-    n_points: int = 10, perturb: float = 0.01, resolution: int = 4096, steps: int = 256
-) -> CheckResult:
+def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4096) -> CheckResult:
     """A5: matched channels transported to a perturbed marginal agree with a
-    fresh sweep at that marginal and keep the same atom set."""
+    fresh support query at that marginal and keep the same atom set."""
     inst = BscInstance(q=0.1, delta=0.1)
     lattice = SimplexLattice.build(2, resolution)
     curve = sweep(
         _ENTROPY, _ENTROPY, inst.channel(), inst.marginal(), "lower",
-        steps=steps, lattice=lattice, problem="pf", frame="entropy",
+        lattice=lattice, problem="pf", frame="entropy",
     )
     q0 = float(curve.marginal.probs[1])
     margin = perturb + 0.005
@@ -266,17 +260,17 @@ def check_matched(
     )
 
 
-def check_chi2_endpoints(resolution: int = 4000, steps: int = 256) -> CheckResult:
+def check_chi2_endpoints(resolution: int = 4000) -> CheckResult:
     """A6: chi-squared curves hit (0, 0) and the exact full-information
     endpoint, and never exceed the m-1 bound."""
     inst = BscInstance(q=0.1, delta=0.1)
     lower = sweep(
         _CHI2, _CHI2, inst.channel(), inst.marginal(), "lower",
-        steps=steps, resolution=resolution, problem="epf",
+        resolution=resolution, problem="epf",
     )
     upper = sweep(
         _CHI2, _CHI2, inst.channel(), inst.marginal(), "upper",
-        steps=steps, resolution=resolution, problem="eb",
+        resolution=resolution, problem="eb",
     )
     m = 2
     joint = joint_from_marginal_channel(lower.marginal, lower.channel)
@@ -324,6 +318,26 @@ def _lattice_line_groups(lattice: SimplexLattice) -> list[list[int]]:
     return groups
 
 
+def _slope_grid(x_values: np.ndarray, y_values: np.ndarray, steps: int) -> np.ndarray:
+    """Slopes A7 draws from: zero, a uniform ramp and a geometric tail up to
+    twice the largest chord slope from either x-extreme of the graph cloud
+    (an upper bound on the slopes that produce new tangencies)."""
+    x = np.asarray(x_values, dtype=float)
+    y = np.asarray(y_values, dtype=float)
+    top = 0.0
+    for anchor in (int(np.argmin(x)), int(np.argmax(x))):
+        dx = x - x[anchor]
+        dy = y - y[anchor]
+        mask = np.abs(dx) > 1e-12
+        if np.any(mask):
+            top = max(top, float(np.max(np.abs(dy[mask] / dx[mask]))))
+    lam_max = 2.0 * top if top > 0.0 else 1.0
+    n_geo = steps // 3
+    uniform = np.linspace(0.0, lam_max, steps - n_geo + 1)[1:]
+    geometric = lam_max * np.logspace(-8.0, 0.0, max(n_geo, 1))
+    return np.unique(np.concatenate([[0.0], uniform, geometric]))
+
+
 def run_property_suite(n_seeds: int = 200) -> list[str]:
     """A7: randomized envelope/witness/DPI/cardinality/closed-form checks.
     Returns a list of violation descriptions (empty means a clean pass)."""
@@ -354,7 +368,7 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
             graph0 = build_lagrangian_graph(
                 kernel, kernel, T, 0.0, lattice, f_reference=ref, g_reference=g_ref
             )
-            grid = default_lambda_grid(graph0.x_values, graph0.y_values, steps=16)
+            grid = _slope_grid(graph0.x_values, graph0.y_values, steps=16)
             lam = float(grid[int(rng.integers(0, grid.size))])
             graph = build_lagrangian_graph(
                 kernel, kernel, T, lam, lattice, f_reference=ref, g_reference=g_ref
@@ -438,10 +452,24 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
     return violations
 
 
+def check_properties(n_seeds: int = 200) -> CheckResult:
+    """A7 as one result: the violation count is the deviation."""
+    violations = run_property_suite(n_seeds)
+    return CheckResult(
+        "A7 property suites",
+        not violations,
+        float(len(violations)),
+        0.0,
+        f"{n_seeds} seeds" + (f", first: {violations[0]}" if violations else ""),
+    )
+
+
 SUITES = {
     "mgl": check_mgl,
     "mrgl": check_mr_gerber,
     "arimoto": check_arimoto,
     "oracle-cross": check_oracle_cross,
     "matched": check_matched,
+    "chi2-endpoints": check_chi2_endpoints,
+    "properties": check_properties,
 }

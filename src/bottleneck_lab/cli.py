@@ -1,5 +1,6 @@
-"""Command-line front end: ingest distributions, run sweeps, closed forms,
-and verification suites, and emit CSV curves with reproducible manifests."""
+"""Command-line front end: ingest distributions, compute boundary curves,
+closed forms and verification suites, and emit CSV curves with reproducible
+manifests."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from . import __version__
 from .acceptance import SUITES
 from .closed_forms import CLOSED_FORM_CSV_HEADER, BscInstance, closed_form_table
 from .core import bsc_joint, decompose_joint, load_joint
-from .sweep import CURVE_CSV_HEADER, curve_csv_rows, problem_curve
+from .envelope import DEFAULT_RESOLUTION
+from .sweep import CURVE_CSV_HEADER, PROBLEM_FRAMES, curve_csv_rows, problem_curve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -26,19 +28,6 @@ EXIT_INFEASIBLE = 3
 
 class ConfigError(Exception):
     """Flag combination that cannot be run (exit code 3)."""
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("BOTTLENECK_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BOTTLENECK_LAB_THREADS must be a positive integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"BOTTLENECK_LAB_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -113,38 +102,36 @@ def _resolve_source(args) -> tuple:
 
 def cmd_curve(args) -> int:
     marginal, channel, digest = _resolve_source(args)
-    if args.problem == "arimoto" and marginal.m > 2:
-        raise ConfigError("the arimoto problem is only available for binary sources")
+    if args.frame is not None and args.frame not in PROBLEM_FRAMES[args.problem]:
+        raise ConfigError(f"frame {args.frame!r} is not available for problem {args.problem!r}")
     if args.beta is not None and args.problem != "arimoto":
         raise ConfigError(f"--beta does not apply to problem {args.problem!r}")
     if args.beta is not None and args.beta < 2.0:
         raise ValueError("--beta must be >= 2")
+    if args.resolution is not None and args.resolution < 2:
+        raise ValueError("--resolution must be >= 2")
+    if args.problem == "arimoto" and marginal.m > 2:
+        raise ConfigError("the arimoto problem is only available for binary sources")
+    if args.resolution is None and marginal.m not in DEFAULT_RESOLUTION:
+        raise ConfigError(f"no default lattice for m = {marginal.m}; pass --resolution")
     directions = ["lower", "upper"] if args.direction == "both" else [args.direction]
-    workers = _threads_from_env()
     rows: list[list[str]] = []
     for direction in directions:
-        try:
-            curve = problem_curve(
-                marginal,
-                channel,
-                args.problem,
-                direction,
-                beta=args.beta,
-                frame=args.frame,
-                lambda_steps=args.lambda_steps,
-                resolution=args.resolution,
-                workers=workers,
-            )
-        except ValueError as exc:
-            # Frame/problem mismatches are configuration, not data, problems.
-            raise ConfigError(str(exc)) from exc
+        curve = problem_curve(
+            marginal,
+            channel,
+            args.problem,
+            direction,
+            beta=args.beta,
+            frame=args.frame,
+            resolution=args.resolution,
+        )
         rows.extend(curve_csv_rows(curve))
     params = {
         "problem": args.problem,
         "direction": args.direction,
         "frame": args.frame,
         "beta": args.beta,
-        "lambda_steps": args.lambda_steps,
         "resolution": args.resolution,
         "input": args.input,
         "bsc": args.bsc,
@@ -189,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    curve = sub.add_parser("curve", help="sweep a boundary curve and export CSV")
+    curve = sub.add_parser("curve", help="compute a boundary curve and export CSV")
     curve.add_argument("--input", help="joint distribution JSON file")
     curve.add_argument("--bsc", help="binary symmetric shorthand: q,delta")
     curve.add_argument(
@@ -199,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     curve.add_argument("--beta", type=float, default=None)
     curve.add_argument("--direction", choices=["lower", "upper", "both"], default="both")
-    curve.add_argument("--lambda-steps", type=int, default=256)
     curve.add_argument("--resolution", type=int, default=None)
     curve.add_argument("--frame", choices=["finfo", "entropy", "K"], default=None)
     curve.add_argument("--output", required=True)

@@ -1,16 +1,23 @@
-"""Discretized simplex lattices and convex/concave envelopes of the
-slope-adjusted objective g(Tp) - lambda * f(p).
+"""Discretized simplex lattices and the achievable region read off one
+convex hull of lifted lattice points.
 
-The boundary machinery only ever needs the envelope value at one marginal
-point together with the lattice points whose convex combination achieves it
-(the support set), but full per-point envelopes are cheap and kept so that
-dominance, convexity, and refinement properties can be checked directly.
+For a marginal q on the lattice, the achievable pairs (E[f(p_w)], E[g(T p_w)])
+over mixtures of lattice points with mean q form the slice, at p = q, of the
+convex hull of the lifted points (p_1..p_{m-1}, f(p), g(Tp))
+(Witsenhausen & Wyner 1975).  region_slice computes that 2-D polygon with
+one qhull call; every vertex carries the at most m lattice points and
+weights that span it.
+
+envelope_general keeps the per-slope view: the lower convex (upper concave)
+envelope of g(Tp) - lambda * f(p) over the whole lattice.  It is the
+independent reference the property suite checks the slice against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -18,13 +25,20 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .core import Channel, Distribution, DivergenceKernel, resolve_functional
 
-# Gap below which the envelope is considered to touch the objective at the
-# queried marginal (the trivial case of the slope-sweep algorithm).
-TRIVIAL_GAP_TOL = 1e-7
-
-_CROSS_TOL = 1e-12  # strict-turn test; collinear hull points are dropped
 _TOUCH_TOL = 1e-10
-_BARY_TOL = 1e-9
+# Barycentric weights down to -_BARY_TOL count as a ridge containing q;
+# weights at or below _ATOM_TOL are dropped from the witness.
+_BARY_TOL = 1e-12
+_ATOM_TOL = 1e-12
+# A polygon vertex whose two edges turn by less than this (sine of the
+# angle) is dropped.  Such vertices carry no area, and their normal cones
+# are too thin for a slope query to land on them reliably; the edges of
+# real vertices on a 4096-point binary lattice turn by 1e-5 or more.
+_TURN_TOL = 1e-9
+# Singular values of the non-affine part of (f, g) below this share of
+# max(|f|, |g|, 1) * sqrt(lattice size) mark a flat lifted set (for example
+# a product joint, where g(Tp) is 0 everywhere).
+_FLAT_TOL = 1e-10
 
 DEFAULT_RESOLUTION = {2: 4096, 3: 128, 4: 32}
 
@@ -164,70 +178,6 @@ class EnvelopeResult:
     touches: np.ndarray
 
 
-def _lower_hull_indices(t: np.ndarray, v: np.ndarray) -> list[int]:
-    # Andrew's monotone chain over points sorted by strictly increasing t,
-    # keeping the minimal vertex set (collinear middles are dropped).
-    hull: list[int] = []
-    push = hull.append
-    pop = hull.pop
-    for i in range(t.size):
-        ti = t[i]
-        vi = v[i]
-        while len(hull) >= 2:
-            a = hull[-2]
-            b = hull[-1]
-            cross = (t[b] - t[a]) * (vi - v[a]) - (v[b] - v[a]) * (ti - t[a])
-            if cross <= _CROSS_TOL:
-                pop()
-            else:
-                break
-        push(i)
-    return hull
-
-
-def _envelope_1d(graph: LagrangianGraph, direction: str) -> EnvelopeResult:
-    if graph.lattice.m != 2:
-        raise ValueError("the 1-D envelope path requires m = 2")
-    t = graph.lattice.points[:, 0]
-    sign = 1.0 if direction == "lower" else -1.0
-    hull = _lower_hull_indices(t, sign * graph.values)
-    th = t[hull]
-    vh = graph.values[hull]
-    env = np.interp(t, th, vh)
-    if direction == "lower":
-        env = np.minimum(env, graph.values)
-    else:
-        env = np.maximum(env, graph.values)
-    touches = np.abs(graph.values - env) <= _TOUCH_TOL
-    right = np.searchsorted(th, t, side="left")
-    supports: list[tuple[int, ...]] = []
-    for i in range(t.size):
-        if touches[i]:
-            supports.append((i,))
-        else:
-            j = right[i]
-            supports.append((hull[j - 1], hull[j]))
-    env.setflags(write=False)
-    touches.setflags(write=False)
-    return EnvelopeResult(
-        direction=direction,
-        envelope_values=env,
-        support_sets=tuple(supports),
-        touches=touches,
-    )
-
-
-def lower_envelope_1d(graph: LagrangianGraph) -> EnvelopeResult:
-    """Exact lower convex hull of the m = 2 graph, interpolated back onto
-    every lattice abscissa."""
-    return _envelope_1d(graph, "lower")
-
-
-def upper_envelope_1d(graph: LagrangianGraph) -> EnvelopeResult:
-    """Upper concave mirror of lower_envelope_1d."""
-    return _envelope_1d(graph, "upper")
-
-
 def _flat_result(graph: LagrangianGraph, direction: str) -> EnvelopeResult:
     env = graph.values.copy()
     env.setflags(write=False)
@@ -240,9 +190,9 @@ def _flat_result(graph: LagrangianGraph, direction: str) -> EnvelopeResult:
 def envelope_general(graph: LagrangianGraph, direction: str) -> EnvelopeResult:
     """Envelope via the convex hull of the lifted points (p, value).
 
-    Works for 2 <= m <= 4; the m = 2 case agrees with the dedicated 1-D path
-    and exists for differential testing.  A degenerate (affine) graph is its
-    own envelope.
+    Works for 2 <= m <= 4.  It recomputes a hull for every slope, so it
+    serves as the reference for region_slice rather than for curves.  A
+    degenerate (affine) graph is its own envelope.
     """
     if direction not in ("lower", "upper"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -305,75 +255,172 @@ def envelope_general(graph: LagrangianGraph, direction: str) -> EnvelopeResult:
     return EnvelopeResult(direction, env, tuple(supports), touches)
 
 
-def barycentric_weights(points: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Nonnegative weights expressing target as a convex combination of the
-    rows of points; residual beyond 1e-9 raises."""
-    k = points.shape[0]
-    if k == 1:
-        weights = np.array([1.0])
-    else:
-        A = np.vstack([points.T, np.ones(k)])
-        b = np.append(target, 1.0)
-        weights, *_ = np.linalg.lstsq(A, b, rcond=None)
-        weights = np.clip(weights, 0.0, None)
-        total = weights.sum()
-        if total <= 0.0:
-            raise ValueError("degenerate support set")
-        weights = weights / total
-    resid = float(np.abs(weights @ points - target).max())
-    if resid > _BARY_TOL:
-        raise ValueError(f"support set does not span the query point (residual {resid:.3e})")
-    return weights
+@dataclass(frozen=True, eq=False)
+class RegionSlice:
+    """Convex polygon of the (x, y) pairs achievable at the lattice marginal
+    q = lattice.points[q_index].
+
+    Vertex k is x[k] = weights[k] @ X[atoms[k]] (likewise y), a mixture of the
+    lattice points atoms[k] with mean q; unused slots hold atom -1 with
+    weight 0.
+    lower and upper list the vertices of the two boundary chains, x strictly
+    increasing, each running between the x-extremes of the polygon.
+    """
+
+    lattice: SimplexLattice
+    q_index: int
+    x: np.ndarray
+    y: np.ndarray
+    atoms: np.ndarray
+    weights: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def chain(self, direction: str) -> np.ndarray:
+        if direction == "lower":
+            return self.lower
+        if direction == "upper":
+            return self.upper
+        raise ValueError(f"unknown direction {direction!r}")
+
+    def support(self, lam: float, direction: str) -> int:
+        """Vertex minimizing (lower) or maximizing (upper) y - lam * x; on a
+        tie the one with the smaller x."""
+        chain = self.chain(direction)
+        vals = self.y[chain] - lam * self.x[chain]
+        return int(chain[np.argmin(vals) if direction == "lower" else np.argmax(vals)])
 
 
-def envelope_gap_at(
-    result: EnvelopeResult,
-    graph: LagrangianGraph,
-    q: Distribution | np.ndarray,
-    *,
-    gap_tol: float = TRIVIAL_GAP_TOL,
-) -> tuple[float, list[tuple[float, Distribution]]]:
-    """Gap between the objective and its envelope at q (snapped to the
-    lattice) plus the weighted support achieving the envelope there.
+def _half_hull(xs: list[float], ys: list[float], order) -> list[int]:
+    # One monotone-chain pass keeping left turns of more than _TURN_TOL, so
+    # duplicate and (nearly) collinear points drop out.
+    out: list[int] = []
+    for i in order:
+        xi, yi = xs[i], ys[i]
+        while len(out) >= 2:
+            a, b = out[-2], out[-1]
+            ux, uy = xs[b] - xs[a], ys[b] - ys[a]
+            vx, vy = xi - xs[b], yi - ys[b]
+            if ux * vy - uy * vx <= _TURN_TOL * math.hypot(ux, uy) * math.hypot(vx, vy):
+                out.pop()
+            else:
+                break
+        out.append(i)
+    return out
 
-    A gap within gap_tol is the trivial case: the support collapses to q
-    itself with weight one.
+
+def _boundary_chains(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper hull chains of the points, both x-increasing and both
+    running from the lowest (lower) or highest (upper) of the leftmost points
+    to the same of the rightmost points."""
+    order = np.lexsort((y, x)).tolist()
+    # Turns are measured in the bounding box scaled to a unit square, so a
+    # thin region keeps its vertices.
+    xs = ((x - x.min()) / max(float(np.ptp(x)), 1e-300)).tolist()
+    ys = ((y - y.min()) / max(float(np.ptp(y)), 1e-300)).tolist()
+    lower = _half_hull(xs, ys, order)
+    upper = _half_hull(xs, ys, order[::-1])[::-1]
+    # A vertical edge at either end belongs to one chain only.
+    if len(lower) > 1 and xs[lower[-2]] == xs[lower[-1]]:
+        lower.pop()
+    if len(upper) > 1 and xs[upper[0]] == xs[upper[1]]:
+        upper.pop(0)
+    return np.array(lower, dtype=int), np.array(upper, dtype=int)
+
+
+def _flat_rank(points: np.ndarray, z: np.ndarray) -> tuple[int, np.ndarray]:
+    """Number of directions in which the (f, g) values are not affine in p,
+    and those directions' coordinates.  Subtracting an affine function of p
+    is an invertible affine map of the lifted points, so the hull keeps its
+    faces."""
+    design = np.column_stack([points[:, :-1], np.ones(points.shape[0])])
+    coef, *_ = np.linalg.lstsq(design, z, rcond=None)
+    resid = z - design @ coef
+    _, sing, vt = np.linalg.svd(resid, full_matrices=False)
+    scale = max(float(np.abs(z).max()), 1.0) * math.sqrt(points.shape[0])
+    rank = int(np.sum(sing > _FLAT_TOL * scale))
+    return rank, resid @ vt.T
+
+
+def _ridges_around(simplices: np.ndarray, counts: np.ndarray, qc: np.ndarray) -> np.ndarray:
+    """Distinct m-vertex faces of the facets whose lattice counts box q."""
+    m = counts.shape[1]
+    inside = np.ones(simplices.shape[0], dtype=bool)
+    for j in range(m):
+        cj = counts[simplices, j]
+        inside &= (cj.min(axis=1) <= qc[j]) & (cj.max(axis=1) >= qc[j])
+    facets = simplices[inside]
+    subsets = list(combinations(range(facets.shape[1]), m))
+    ridges = np.sort(facets[:, subsets].reshape(-1, m), axis=1)
+    box = counts[ridges]
+    inside = np.all((box.min(axis=1) <= qc) & (box.max(axis=1) >= qc), axis=1)
+    return np.unique(ridges[inside], axis=0)
+
+
+def _face_witnesses(
+    ridges: np.ndarray, counts: np.ndarray, qc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric weights of q in each face that contains it, one batched
+    solve of the m x m count systems; one row per distinct point."""
+    m = counts.shape[1]
+    systems = counts[ridges].transpose(0, 2, 1).astype(float)
+    regular = np.abs(np.linalg.det(systems)) > 0.5  # integer determinants
+    atoms, systems = ridges[regular], systems[regular]
+    rhs = np.broadcast_to(qc.astype(float), (atoms.shape[0], m))[..., None]
+    weights = np.linalg.solve(systems, rhs)[..., 0]
+    spans = np.all(weights >= -_BARY_TOL, axis=1)
+    atoms, weights = atoms[spans], weights[spans]
+    weights = np.where(weights > _ATOM_TOL, weights, 0.0)
+    weights /= weights.sum(axis=1, keepdims=True)
+    # Faces meeting q on a shared sub-face span the same point: keep one per
+    # set of atoms actually used (unused slots become -1).
+    atoms = np.where(weights > 0.0, atoms, -1)
+    order = np.argsort(atoms, axis=1)
+    atoms = np.take_along_axis(atoms, order, axis=1)
+    weights = np.take_along_axis(weights, order, axis=1)
+    _, first = np.unique(atoms, axis=0, return_index=True)
+    return atoms[first], weights[first]
+
+
+def region_slice(graph: LagrangianGraph, q_index: int) -> RegionSlice:
+    """Slice at q of the convex hull of the lifted lattice points.
+
+    One qhull call in dimension m + 1 (m when the lifted set is flat).
+    The polygon's vertices lie on the hull's m-vertex faces whose p-part
+    contains q; each such face gives one candidate point, with its
+    barycentric weights as the witness, and a 2-D hull of the candidates
+    keeps the vertices.
     """
     lattice = graph.lattice
-    idx = lattice.snap(q)
-    gap = float(abs(graph.values[idx] - result.envelope_values[idx]))
-    if gap <= gap_tol or result.touches[idx]:
-        return gap, [(1.0, Distribution(lattice.points[idx]))]
-    support = result.support_sets[idx]
-    pts = lattice.points[list(support)]
-    weights = barycentric_weights(pts, lattice.points[idx])
-    out = [
-        (float(w), Distribution(pts[i]))
-        for i, w in enumerate(weights)
-        if w > 1e-12
-    ]
-    return gap, out
+    m = lattice.m
+    X = np.asarray(graph.x_values, dtype=float)
+    Y = np.asarray(graph.y_values, dtype=float)
+    counts = np.rint(lattice.points * lattice.resolution).astype(np.int64)
+    qc = counts[q_index]
 
+    rank, extra = _flat_rank(lattice.points, np.column_stack([X, Y]))
+    if rank == 0:
+        # (f, g) affine in p: every mixture with mean q lands on one point.
+        atoms = np.full((1, m), -1)
+        atoms[0, 0] = q_index
+        weights = np.zeros((1, m))
+        weights[0, 0] = 1.0
+    else:
+        lifted = np.column_stack([lattice.points[:, : m - 1], extra[:, :rank]])
+        simplices = ConvexHull(lifted, qhull_options="Qt QbB").simplices
+        atoms, weights = _face_witnesses(_ridges_around(simplices, counts, qc), counts, qc)
 
-def dump_envelope_csv(graph: LagrangianGraph, result: EnvelopeResult, path: str) -> None:
-    """Debug dump: one row per lattice point with coordinates, f, g, the
-    slope-adjusted objective, the envelope, and the touch flag."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        m = graph.lattice.m
-        writer.writerow(
-            [f"p_{i + 1}" for i in range(m)] + ["f", "g", "phi", "envelope", "touches"]
-        )
-        for i in range(graph.lattice.size):
-            writer.writerow(
-                [repr(float(c)) for c in graph.lattice.points[i]]
-                + [
-                    repr(float(graph.x_values[i])),
-                    repr(float(graph.y_values[i])),
-                    repr(float(graph.values[i])),
-                    repr(float(result.envelope_values[i])),
-                    str(bool(result.touches[i])),
-                ]
-            )
+    cx = np.einsum("ki,ki->k", weights, X[atoms])
+    cy = np.einsum("ki,ki->k", weights, Y[atoms])
+    lower, upper = _boundary_chains(cx, cy)
+    keep, inverse = np.unique(np.concatenate([lower, upper]), return_inverse=True)
+    arrays = [cx[keep], cy[keep], atoms[keep], weights[keep]]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return RegionSlice(
+        lattice,
+        int(q_index),
+        *arrays,
+        lower=inverse[: lower.size],
+        upper=inverse[lower.size :],
+    )

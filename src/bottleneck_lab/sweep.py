@@ -1,12 +1,15 @@
 """Boundary curves of the achievable (E[f(p_w)], E[g(T p_w)]) region.
 
-For a fixed channel T and marginal q, the achievable pairs over all finite
-mixtures sum_w alpha_w p_w = q form a convex set whose lower and upper
-boundaries are traced by sweeping a slope parameter: at slope lam, the lower
-(upper) envelope of g(Tp) - lam * f(p) at q either touches the objective,
-yielding the single-atom point (f(q), g(Tq)), or is achieved by a convex
-combination of lattice points, yielding a boundary point together with an
-explicit witness channel.
+For a fixed channel T and marginal q (snapped to a simplex lattice), the
+achievable pairs over all finite mixtures sum_w alpha_w p_w = q form a convex
+polygon: the slice at p = q of the convex hull of the lifted lattice points
+(envelope.region_slice).  A curve is one boundary chain of that polygon,
+from one x-extreme to the other: for convex f these are the single-atom
+point at q and the deterministic refinement onto the alphabet vertices
+(swapped for the concave entropy frame).  Between them it keeps the
+vertices whose supporting slopes include some lam >= 0.  Every vertex comes
+with an explicit witness channel of at most m atoms, and the point at a
+given slope is a support-function query on the same polygon.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import nnls
@@ -30,17 +32,12 @@ from .core import (
 )
 from .envelope import (
     DEFAULT_RESOLUTION,
-    TRIVIAL_GAP_TOL,
-    LagrangianGraph,
+    RegionSlice,
     SimplexLattice,
-    barycentric_weights,
     build_lagrangian_graph,
-    envelope_general,
-    lower_envelope_1d,
-    upper_envelope_1d,
+    region_slice,
 )
 
-_DEDUP_X_TOL = 1e-12
 _WITNESS_TOL = 1e-9
 
 
@@ -140,52 +137,56 @@ def _resolve_pair(
     return resolve_functional(f_kernel, f_ref), resolve_functional(g_kernel, g_ref)
 
 
-def _envelope_for(graph: LagrangianGraph, direction: str):
-    if direction not in ("lower", "upper"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if graph.lattice.m == 2:
-        return lower_envelope_1d(graph) if direction == "lower" else upper_envelope_1d(graph)
-    return envelope_general(graph, direction)
+def boundary_slice(
+    f_kernel: DivergenceKernel,
+    g_kernel: DivergenceKernel,
+    T: Channel | np.ndarray,
+    q: Distribution | np.ndarray,
+    *,
+    lattice: SimplexLattice | None = None,
+    resolution: int | None = None,
+) -> RegionSlice:
+    """Achievable-region polygon at q snapped to the lattice, with f, g (and
+    divergence references) evaluated at the snapped marginal."""
+    channel = _as_channel(T)
+    lattice = lattice or _default_lattice(channel.m, resolution)
+    q_idx = lattice.snap(q)
+    f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, lattice.points[q_idx], channel)
+    graph = build_lagrangian_graph(f_fn, g_fn, channel, 0.0, lattice)
+    return region_slice(graph, q_idx)
 
 
-def _point_from_graph(
-    graph: LagrangianGraph,
-    q_idx: int,
-    direction: str,
-    marginal_free: bool,
-) -> BoundaryPoint:
-    lattice = graph.lattice
-    result = _envelope_for(graph, direction)
-    q_point = lattice.points[q_idx]
-    gap = float(abs(graph.values[q_idx] - result.envelope_values[q_idx]))
-    if gap <= TRIVIAL_GAP_TOL or result.touches[q_idx]:
+def _boundary_points(
+    region: RegionSlice, vertices: list[int], lams: list[float], free: bool
+) -> list[BoundaryPoint]:
+    """Boundary points for the given polygon vertices and slopes.  The
+    witnesses share one Distribution per lattice point."""
+    points = region.lattice.points
+    marginal = Distribution(points[region.q_index])
+    ids = np.unique(region.atoms[vertices])
+    dists = {i: Distribution(points[i]) for i in ids[ids >= 0].tolist()}
+    out = []
+    for k, lam in zip(vertices, lams):
+        weights = region.weights[k]
+        used = weights > 0.0
         witness = WitnessChannel(
-            atoms=((1.0, Distribution(q_point)),), marginal=Distribution(q_point)
+            atoms=tuple(
+                (float(w), dists[i])
+                for w, i in zip(weights[used].tolist(), region.atoms[k][used].tolist())
+            ),
+            marginal=marginal,
         )
-        return BoundaryPoint(
-            lam=graph.lam,
-            x=float(graph.x_values[q_idx]),
-            y=float(graph.y_values[q_idx]),
-            witness=witness,
-            trivial=True,
-            marginal_free=marginal_free,
+        out.append(
+            BoundaryPoint(
+                lam=lam,
+                x=float(region.x[k]),
+                y=float(region.y[k]),
+                witness=witness,
+                trivial=len(witness.atoms) == 1,
+                marginal_free=free,
+            )
         )
-    support = result.support_sets[q_idx]
-    pts = lattice.points[list(support)]
-    weights = barycentric_weights(pts, q_point)
-    keep = weights > 1e-12
-    idxs = [s for s, k in zip(support, keep) if k]
-    w = weights[keep]
-    w = w / w.sum()
-    x = float(w @ graph.x_values[idxs])
-    y = float(w @ graph.y_values[idxs])
-    witness = WitnessChannel(
-        atoms=tuple((float(a), Distribution(lattice.points[i])) for a, i in zip(w, idxs)),
-        marginal=Distribution(q_point),
-    )
-    return BoundaryPoint(
-        lam=graph.lam, x=x, y=y, witness=witness, trivial=False, marginal_free=marginal_free
-    )
+    return out
 
 
 def boundary_point_at_lambda(
@@ -199,17 +200,12 @@ def boundary_point_at_lambda(
     lattice: SimplexLattice | None = None,
     resolution: int | None = None,
 ) -> BoundaryPoint:
-    """Boundary point at supporting slope lam: the trivial point (f(q), g(Tq))
-    when the envelope touches the objective at q, otherwise the point spanned
-    by the envelope's support atoms, with q snapped to the lattice."""
-    channel = _as_channel(T)
-    lattice = lattice or _default_lattice(channel.m, resolution)
-    q_idx = lattice.snap(q)
-    q_tilde = lattice.points[q_idx]
-    f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, q_tilde, channel)
-    graph = build_lagrangian_graph(f_fn, g_fn, channel, lam, lattice)
+    """Boundary point at supporting slope lam: the polygon vertex minimizing
+    (lower) or maximizing (upper) y - lam * x, with q snapped to the
+    lattice.  It is trivial when its witness is the single atom q."""
+    region = boundary_slice(f_kernel, g_kernel, T, q, lattice=lattice, resolution=resolution)
     free = f_kernel.marginal_free and g_kernel.marginal_free
-    return _point_from_graph(graph, q_idx, direction, free)
+    return _boundary_points(region, [region.support(lam, direction)], [float(lam)], free)[0]
 
 
 def _default_lattice(m: int, resolution: int | None) -> SimplexLattice:
@@ -220,175 +216,55 @@ def _default_lattice(m: int, resolution: int | None) -> SimplexLattice:
     return SimplexLattice.build(m, resolution)
 
 
-def default_lambda_grid(
-    x_values: np.ndarray,
-    y_values: np.ndarray,
-    *,
-    steps: int = 256,
-    landmarks: Sequence[float] = (),
-) -> np.ndarray:
-    """Slope schedule: zero, a uniform ramp, a geometric tail for the small-
-    slope regime, and any problem-specific landmark slopes.
-
-    The top of the ramp is twice the largest chord slope from either x-extreme
-    of the graph cloud, which upper-bounds the supporting slopes that can
-    produce new tangencies.
-    """
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    x = np.asarray(x_values, dtype=float)
-    y = np.asarray(y_values, dtype=float)
-    top = 0.0
-    for anchor in (int(np.argmin(x)), int(np.argmax(x))):
-        dx = x - x[anchor]
-        dy = y - y[anchor]
-        mask = np.abs(dx) > 1e-12
-        if np.any(mask):
-            top = max(top, float(np.max(np.abs(dy[mask] / dx[mask]))))
-    for lm in landmarks:
-        top = max(top, float(lm))
-    lam_max = 2.0 * top if top > 0.0 else 1.0
-    n_geo = steps // 3
-    n_uni = steps - n_geo
-    uniform = np.linspace(0.0, lam_max, n_uni + 1)[1:]
-    geometric = lam_max * np.logspace(-8.0, 0.0, max(n_geo, 1))
-    grid = np.unique(
-        np.concatenate([[0.0], uniform, geometric, np.asarray(landmarks, dtype=float)])
-    )
-    return grid
-
-
-def _symmetric_binary_landmarks(channel: Channel) -> tuple[float, ...]:
-    # For a binary symmetric channel the objective switches between globally
-    # convex/concave and mixed regimes at slope (1 - 2 delta)^2.
-    mat = channel.matrix
-    if mat.shape != (2, 2):
-        return ()
-    if abs(mat[0, 1] - mat[1, 0]) > 1e-12:
-        return ()
-    delta = float(mat[1, 0])
-    return ((1.0 - 2.0 * delta) ** 2,)
-
-
-def _vertex_indices(lattice: SimplexLattice) -> list[int]:
-    out = []
-    for j in range(lattice.m):
-        counts = [0] * lattice.m
-        counts[j] = lattice.resolution
-        out.append(lattice.index_of(counts))
-    return out
-
-
 def sweep(
     f_kernel: DivergenceKernel,
     g_kernel: DivergenceKernel,
     T: Channel | np.ndarray,
     q: Distribution | np.ndarray,
     direction: str,
-    lambda_grid: Sequence[float] | np.ndarray | None = None,
     *,
-    steps: int = 256,
     resolution: int | None = None,
     lattice: SimplexLattice | None = None,
     problem: str = "generic",
     frame: str = "finfo",
     beta: float | None = None,
-    workers: int | None = None,
 ) -> BoundaryCurve:
-    """Sweep supporting slopes and assemble one boundary curve.
+    """One boundary curve: the lower or upper chain of the region polygon.
 
-    The curve always contains two forced endpoints: the single-atom witness
-    at q and the deterministic refinement whose atoms are the alphabet
-    vertices weighted by q.  Duplicate x values keep the extremal y for the
-    requested direction.
+    Both x-extremes are kept as forced endpoints (lam = nan).  An interior
+    vertex is kept when its range of supporting slopes meets lam >= 0, with
+    lam set to the midpoint of its two edge slopes, clipped to >= 0: a slope
+    strictly inside its normal cone, at which boundary_point_at_lambda
+    returns the same vertex.
     """
     channel = _as_channel(T)
-    lattice = lattice or _default_lattice(channel.m, resolution)
-    q_idx = lattice.snap(q)
-    q_tilde = lattice.points[q_idx]
-    q_dist = Distribution(q_tilde)
-    f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, q_tilde, channel)
-    base = build_lagrangian_graph(f_fn, g_fn, channel, 0.0, lattice)
-    X, Y = base.x_values, base.y_values
+    region = boundary_slice(f_kernel, g_kernel, channel, q, lattice=lattice, resolution=resolution)
+    chain = region.chain(direction)
     free = f_kernel.marginal_free and g_kernel.marginal_free
-
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(
-            X, Y, steps=steps, landmarks=_symmetric_binary_landmarks(channel)
-        )
-    grid = np.asarray(lambda_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("lambda grid must be non-empty")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("lambda grid must be sorted")
-
-    def job(lam: float) -> BoundaryPoint:
-        graph = LagrangianGraph(
-            lattice=lattice, lam=float(lam), values=Y - lam * X, x_values=X, y_values=Y
-        )
-        return _point_from_graph(graph, q_idx, direction, free)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(job, grid))
-    else:
-        points = [job(lam) for lam in grid]
-
-    points.append(_trivial_point(X, Y, q_idx, q_dist, free))
-    vertex = _vertex_point(X, Y, lattice, q_dist, free)
-    if vertex is not None:
-        points.append(vertex)
-
-    points.sort(key=lambda p: (p.x, p.y))
-    merged: list[BoundaryPoint] = []
-    for p in points:
-        if merged and abs(p.x - merged[-1].x) <= _DEDUP_X_TOL:
-            keep_new = p.y < merged[-1].y if direction == "lower" else p.y > merged[-1].y
-            if keep_new:
-                merged[-1] = p
-        else:
-            merged.append(p)
-
+    slopes = np.diff(region.y[chain]) / np.diff(region.x[chain])
+    left, right = slopes[:-1], slopes[1:]
+    # Edge slopes rise along the lower chain and fall along the upper one, so
+    # the largest slope supporting vertex i is its right (lower) or left
+    # (upper) edge slope.
+    steepest = right if direction == "lower" else left
+    lams = np.maximum(0.5 * (left + right), 0.0)
+    inner = np.flatnonzero(steepest >= 0.0)
+    vertices = [int(chain[0]), *chain[inner + 1].tolist()]
+    slopes_at = [math.nan, *lams[inner].tolist()]
+    if chain.size > 1:
+        vertices.append(int(chain[-1]))
+        slopes_at.append(math.nan)
+    points = _boundary_points(region, vertices, slopes_at, free)
     return BoundaryCurve(
         direction=direction,
-        points=tuple(merged),
+        points=tuple(points),
         problem=problem,
         frame=frame,
-        marginal=q_dist,
+        marginal=points[0].witness.marginal,
         channel=channel,
         f_kernel=f_kernel,
         g_kernel=g_kernel,
         beta=beta,
-    )
-
-
-def _trivial_point(X, Y, q_idx, q_dist, free) -> BoundaryPoint:
-    witness = WitnessChannel(atoms=((1.0, q_dist),), marginal=q_dist)
-    return BoundaryPoint(
-        lam=float("nan"),
-        x=float(X[q_idx]),
-        y=float(Y[q_idx]),
-        witness=witness,
-        trivial=True,
-        marginal_free=free,
-    )
-
-
-def _vertex_point(X, Y, lattice, q_dist, free) -> BoundaryPoint | None:
-    idxs = _vertex_indices(lattice)
-    weights = q_dist.probs
-    if not np.all(np.isfinite(X[idxs])) or not np.all(np.isfinite(Y[idxs])):
-        return None
-    atoms = tuple(
-        (float(w), Distribution(lattice.points[i]))
-        for w, i in zip(weights, idxs)
-        if w > 1e-12
-    )
-    witness = WitnessChannel(atoms=atoms, marginal=q_dist)
-    x = float(sum(w * X[i] for w, i in zip(weights, idxs) if w > 1e-12))
-    y = float(sum(w * Y[i] for w, i in zip(weights, idxs) if w > 1e-12))
-    return BoundaryPoint(
-        lam=float("nan"), x=x, y=y, witness=witness, trivial=False, marginal_free=free
     )
 
 
@@ -458,7 +334,7 @@ def matched_channel_extract(point: BoundaryPoint) -> WitnessChannel | None:
     if not point.marginal_free:
         raise ValueError(
             "matched channels require functionals independent of the input "
-            "marginal (entropy or norm kernels); divergence-framed sweeps "
+            "marginal (entropy or norm kernels); divergence-framed curves "
             "have none"
         )
     if len(point.witness.atoms) >= 2:
@@ -483,7 +359,7 @@ def matched_channel_invariance_check(
 
     Raises when q_prime lies outside the convex hull of the atoms or when the
     witness has a single atom.  With verify=True the supporting line at the
-    original slope is re-checked against a fresh envelope at q_prime.
+    original slope is re-checked against the region polygon at q_prime.
     """
     if not (f_kernel.marginal_free and g_kernel.marginal_free):
         raise ValueError("matched-channel transport needs marginal-free functionals")
@@ -518,19 +394,19 @@ def matched_channel_invariance_check(
         lam=point.lam, x=x, y=y, witness=witness, trivial=False, marginal_free=True
     )
     if verify and math.isfinite(point.lam):
-        lattice = lattice or _default_lattice(channel.m, resolution)
-        f2, g2 = _resolve_pair(f_kernel, g_kernel, qv, channel)
-        graph = build_lagrangian_graph(f2, g2, channel, point.lam, lattice)
-        # The transported point must support one of the two envelopes at
+        # The transported point must support one of the two boundaries at
         # q_prime with the original slope.
-        q_idx = lattice.snap(qv)
+        region = boundary_slice(
+            f_kernel, g_kernel, channel, qv, lattice=lattice, resolution=resolution
+        )
         line = y - point.lam * x
-        lo = _envelope_for(graph, "lower").envelope_values[q_idx]
-        hi = _envelope_for(graph, "upper").envelope_values[q_idx]
-        if min(abs(line - lo), abs(line - hi)) > tol:
+        dev = min(
+            abs(line - (region.y[k] - point.lam * region.x[k]))
+            for k in (region.support(point.lam, d) for d in ("lower", "upper"))
+        )
+        if dev > tol:
             raise ValueError(
-                f"transported point misses the boundary at q_prime "
-                f"(deviation {min(abs(line - lo), abs(line - hi)):.3e})"
+                f"transported point misses the boundary at q_prime (deviation {dev:.3e})"
             )
     return new_point
 
@@ -544,7 +420,7 @@ _PROBLEM_KERNELS = {
     "generic": "kl",
 }
 
-_PROBLEM_FRAMES = {
+PROBLEM_FRAMES = {
     "ib": ("finfo", "entropy"),
     "pf": ("finfo", "entropy"),
     "eb": ("finfo",),
@@ -562,10 +438,8 @@ def problem_curve(
     *,
     beta: float | None = None,
     frame: str | None = None,
-    lambda_steps: int = 256,
     resolution: int | None = None,
     lattice: SimplexLattice | None = None,
-    workers: int | None = None,
 ) -> BoundaryCurve:
     """Boundary curve for one named problem instantiation.
 
@@ -575,7 +449,7 @@ def problem_curve(
     """
     if problem not in _PROBLEM_KERNELS:
         raise ValueError(f"unknown problem {problem!r}")
-    frames = _PROBLEM_FRAMES[problem]
+    frames = PROBLEM_FRAMES[problem]
     frame = frame or frames[0]
     if frame not in frames:
         raise ValueError(f"frame {frame!r} is not available for problem {problem!r}")
@@ -592,13 +466,11 @@ def problem_curve(
         T,
         q,
         direction,
-        steps=lambda_steps,
         resolution=resolution,
         lattice=lattice,
         problem=problem,
         frame=frame,
         beta=kernel.beta,
-        workers=workers,
     )
 
 

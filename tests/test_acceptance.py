@@ -10,7 +10,7 @@ from bottleneck_lab.acceptance import (
     check_mgl,
     check_mr_gerber,
     check_oracle_cross,
-    run_property_suite,
+    check_properties,
 )
 
 
@@ -24,16 +24,16 @@ def report(result, elapsed=None, budget=None):
 
 def test_a1_lower_boundary_exactness():
     t0 = time.perf_counter()
-    result = check_mgl(resolution=4096, steps=256, probes=101)
+    result = check_mgl(resolution=4096, probes=101)
     report(result, time.perf_counter() - t0, budget=10.0)
 
 
 def test_a2_upper_boundary_exactness():
-    report(check_mr_gerber(resolution=4096, steps=256, probes=101))
+    report(check_mr_gerber(resolution=4096, probes=101))
 
 
 def test_a3_arimoto_k_frame():
-    report(check_arimoto(beta=2.0, resolution=4096, steps=256, probes=101))
+    report(check_arimoto(beta=2.0, resolution=4096, probes=101))
 
 
 def test_a4_oracle_cross_validation():
@@ -51,12 +51,4 @@ def test_a6_chi2_endpoints_and_bounds():
 
 
 def test_a7_property_suites():
-    violations = run_property_suite(n_seeds=200)
-    line = (
-        f"A7 property suites: {'PASS' if not violations else 'FAIL'} "
-        f"({len(violations)} violations over 200 seeds)"
-    )
-    print(line)
-    for v in violations[:20]:
-        print("  ", v)
-    assert not violations
+    report(check_properties(n_seeds=200))

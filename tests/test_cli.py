@@ -17,8 +17,7 @@ def read_csv(path):
 def run_curve(tmp_path, name, *extra):
     out = tmp_path / name
     code = main(
-        ["curve", "--bsc", "0.1,0.1", "--output", str(out), "--lambda-steps", "16",
-         "--resolution", "128", *extra]
+        ["curve", "--bsc", "0.1,0.1", "--output", str(out), "--resolution", "128", *extra]
     )
     return code, out
 
@@ -49,7 +48,7 @@ class TestCurveCommand:
         out = tmp_path / "flat.csv"
         code = main(
             ["curve", "--input", str(src), "--problem", "ib", "--direction", "both",
-             "--output", str(out), "--lambda-steps", "16", "--resolution", "128"]
+             "--output", str(out), "--resolution", "128"]
         )
         assert code == EXIT_OK
         ys = [float(r[4]) for r in read_csv(out)[1:]]
@@ -89,6 +88,21 @@ class TestCurveCommand:
         )
         assert code == EXIT_INFEASIBLE
 
+    def test_alphabet_without_default_lattice_is_infeasible(self, tmp_path):
+        src = tmp_path / "quinary.json"
+        src.write_text(json.dumps({"p_xy": np.full((5, 2), 0.1).tolist()}))
+        code = main(["curve", "--input", str(src), "--problem", "ib",
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("resolution", ["0", "1"])
+    def test_tiny_resolution_is_bad_input(self, tmp_path, resolution):
+        out = tmp_path / "x.csv"
+        code = main(["curve", "--bsc", "0.1,0.1", "--problem", "ib",
+                     "--resolution", resolution, "--output", str(out)])
+        assert code == EXIT_BAD_INPUT
+        assert not out.exists()
+
     def test_small_beta_is_bad_input(self, tmp_path):
         code, _ = run_curve(
             tmp_path, "x.csv", "--problem", "arimoto", "--beta", "1.5"
@@ -106,8 +120,7 @@ class TestCurveCommand:
         out = tmp_path / "arimoto.csv"
         code = main(
             ["curve", "--bsc", "0.4,0.2", "--problem", "arimoto", "--beta", "2",
-             "--direction", "both", "--output", str(out),
-             "--lambda-steps", "32", "--resolution", "512"]
+             "--direction", "both", "--output", str(out), "--resolution", "512"]
         )
         assert code == EXIT_OK
         rows = read_csv(out)[1:]
@@ -115,15 +128,6 @@ class TestCurveCommand:
         assert math.isclose(max(xs), 1.0, abs_tol=1e-12)
         assert min(xs) >= k_norm(0.4, 2.0) - 1e-3
         assert {r[1] for r in rows} == {"lower", "upper"}
-
-    def test_threads_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BOTTLENECK_LAB_THREADS", "2")
-        code, _ = run_curve(tmp_path, "t.csv", "--problem", "ib", "--direction", "lower")
-        assert code == EXIT_OK
-        monkeypatch.setenv("BOTTLENECK_LAB_THREADS", "zero")
-        code = main(["curve", "--bsc", "0.1,0.1", "--problem", "ib",
-                     "--output", str(tmp_path / "u.csv")])
-        assert code == EXIT_BAD_INPUT
 
 
 class TestClosedFormCommand:
@@ -178,3 +182,9 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "PASS" in out
+
+    def test_chi2_endpoint_suite_passes(self, capsys):
+        code = main(["verify", "--suite", "chi2-endpoints"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert out.startswith("A6") and "PASS" in out

@@ -8,13 +8,11 @@ from bottleneck_lab import (
     Channel,
     DivergenceKernel,
     SimplexLattice,
+    boundary_point_at_lambda,
     build_lagrangian_graph,
-    envelope_gap_at,
     envelope_general,
-    lower_envelope_1d,
-    upper_envelope_1d,
 )
-from bottleneck_lab.envelope import LagrangianGraph, barycentric_weights, compositions
+from bottleneck_lab.envelope import LagrangianGraph, compositions
 
 
 def bsc(delta):
@@ -33,6 +31,15 @@ ENTROPY = DivergenceKernel.entropy_functional()
 def entropy_graph(delta, lam, resolution):
     lattice = SimplexLattice.build(2, resolution)
     return build_lagrangian_graph(ENTROPY, ENTROPY, bsc(delta), lam, lattice)
+
+
+def convex_weights(points, target):
+    """Least-squares weights of the rows of points that mix to target."""
+    A = np.vstack([points.T, np.ones(points.shape[0])])
+    w, *_ = np.linalg.lstsq(A, np.append(target, 1.0), rcond=None)
+    assert w.min() >= -1e-9
+    assert np.abs(w @ points - target).max() <= 1e-9
+    return w
 
 
 class TestSimplexLattice:
@@ -114,7 +121,7 @@ class TestLowerEnvelope1d:
         delta = 0.1
         lam = (1.0 - 2.0 * delta) ** 2
         graph = entropy_graph(delta, lam, 256)
-        result = lower_envelope_1d(graph)
+        result = envelope_general(graph, "lower")
         assert bool(result.touches.all())
         assert_allclose(result.envelope_values, graph.values, atol=1e-12)
 
@@ -125,28 +132,27 @@ class TestLowerEnvelope1d:
         graph = build_lagrangian_graph(
             ENTROPY, ENTROPY, np.eye(2), 0.0, lattice
         )
-        result = lower_envelope_1d(graph)
+        result = envelope_general(graph, "lower")
         assert_allclose(result.envelope_values, 0.0, atol=1e-15)
         assert not result.touches[1:-1].any()
         assert result.touches[0] and result.touches[-1]
 
     def test_two_point_lattice(self):
         graph = entropy_graph(0.2, 0.5, 1)
-        result = lower_envelope_1d(graph)
+        result = envelope_general(graph, "lower")
         assert bool(result.touches.all())
         assert_allclose(result.envelope_values, graph.values, atol=0)
 
     def test_dominance_and_support_validity(self):
         graph = entropy_graph(0.1, 0.3, 128)
-        result = lower_envelope_1d(graph)
+        result = envelope_general(graph, "lower")
         assert np.all(result.envelope_values <= graph.values + 1e-12)
         pts = graph.lattice.points
         for i in range(graph.lattice.size):
             support = list(result.support_sets[i])
             assert len(support) <= 2
-            w = barycentric_weights(pts[support], pts[i])
+            w = convex_weights(pts[support], pts[i])
             assert abs(w @ graph.values[support] - result.envelope_values[i]) <= 1e-9
-            assert np.abs(w @ pts[support] - pts[i]).max() <= 1e-9
 
 
 class TestUpperEnvelope1d:
@@ -155,7 +161,7 @@ class TestUpperEnvelope1d:
         # Derived check: discrete second differences are nonpositive.
         second = np.diff(graph.values, 2)
         assert np.all(second <= 1e-12)
-        result = upper_envelope_1d(graph)
+        result = envelope_general(graph, "upper")
         assert bool(result.touches.all())
 
     def test_low_slope_chord_between_endpoints(self):
@@ -165,11 +171,11 @@ class TestUpperEnvelope1d:
         lam = 0.6
         graph = entropy_graph(delta, lam, 64)
         assert graph.values[32] < h_nats(delta)
-        result = upper_envelope_1d(graph)
+        result = envelope_general(graph, "upper")
         assert_allclose(result.envelope_values, h_nats(delta), atol=1e-12)
         assert result.touches[0] and result.touches[-1]
         assert not result.touches[1:-1].any()
-        assert result.support_sets[32] == (0, 64)
+        assert sorted(result.support_sets[32]) == [0, 64]
 
     def test_mirror_of_lower(self):
         graph = entropy_graph(0.15, 0.25, 64)
@@ -180,8 +186,8 @@ class TestUpperEnvelope1d:
             x_values=graph.x_values,
             y_values=-graph.y_values,
         )
-        up = upper_envelope_1d(graph)
-        lo = lower_envelope_1d(flipped)
+        up = envelope_general(graph, "upper")
+        lo = envelope_general(flipped, "lower")
         assert_allclose(up.envelope_values, -lo.envelope_values, atol=1e-14)
 
 
@@ -213,13 +219,21 @@ class TestEnvelopeGeneral:
             assert len(result.support_sets[i]) <= 3
 
     def test_binary_general_matches_1d_path(self):
+        # Reference 1-D envelope: at each abscissa, the best chord between a
+        # lattice point on its left and one on its right.
         graph = entropy_graph(0.1, 0.3, 64)
-        general = envelope_general(graph, "lower")
-        direct = lower_envelope_1d(graph)
-        assert_allclose(general.envelope_values, direct.envelope_values, atol=1e-12)
-        general_up = envelope_general(graph, "upper")
-        direct_up = upper_envelope_1d(graph)
-        assert_allclose(general_up.envelope_values, direct_up.envelope_values, atol=1e-12)
+        t = graph.lattice.points[:, 0]
+        v = graph.values
+        for direction, pick in (("lower", np.min), ("upper", np.max)):
+            ref = np.empty_like(v)
+            for i in range(t.size):
+                a, b = np.meshgrid(np.arange(i + 1), np.arange(i, t.size), indexing="ij")
+                a, b = a.ravel(), b.ravel()
+                span = np.where(b > a, t[b] - t[a], 1.0)
+                share = np.where(b > a, (t[i] - t[a]) / span, 0.0)
+                ref[i] = pick((1.0 - share) * v[a] + share * v[b])
+            general = envelope_general(graph, direction)
+            assert_allclose(general.envelope_values, ref, atol=1e-12)
 
     def test_degenerate_hull_falls_back_to_values(self):
         lattice = SimplexLattice.build(3, 3)
@@ -260,55 +274,57 @@ class TestEnvelopeGeneral:
         for i in range(lattice.size):
             support = list(result.support_sets[i])
             assert len(support) <= 3
-            w = barycentric_weights(pts[support], pts[i])
+            w = convex_weights(pts[support], pts[i])
             assert abs(w @ graph.values[support] - result.envelope_values[i]) <= 1e-9
 
 
 class TestEnvelopeGapAt:
+    """The gap between the objective and its envelope at q, read off the
+    support point at slope lam: phi(q) - (y - lam * x)."""
+
     def test_trivial_case(self):
         delta = 0.1
+        lam = (1.0 - 2.0 * delta) ** 2
         # Resolution chosen so [0.9, 0.1] sits exactly on the lattice.
-        graph = entropy_graph(delta, (1.0 - 2.0 * delta) ** 2, 200)
-        result = lower_envelope_1d(graph)
-        gap, support = envelope_gap_at(result, graph, [0.9, 0.1])
-        assert gap <= 1e-12
-        assert len(support) == 1
-        w, atom = support[0]
+        graph = entropy_graph(delta, lam, 200)
+        point = boundary_point_at_lambda(
+            ENTROPY, ENTROPY, bsc(delta), [0.9, 0.1], lam, "lower", lattice=graph.lattice
+        )
+        idx = graph.lattice.snap([0.9, 0.1])
+        assert abs(graph.values[idx] - (point.y - lam * point.x)) <= 1e-12
+        assert point.trivial and len(point.witness.atoms) == 1
+        w, atom = point.witness.atoms[0]
         assert w == 1.0
         assert_allclose(atom.probs, [0.9, 0.1], atol=1e-15)
 
     def test_nontrivial_mixture_reaches_marginal(self):
         graph = entropy_graph(0.1, 0.3, 4096)
-        result = lower_envelope_1d(graph)
-        gap, support = envelope_gap_at(result, graph, [0.9, 0.1])
-        assert gap > 1e-7
-        assert len(support) == 2
-        snapped = graph.lattice.points[graph.lattice.snap([0.9, 0.1])]
-        mix = sum(w * atom.probs for w, atom in support)
-        assert np.abs(mix - snapped).max() <= 1e-9
+        point = boundary_point_at_lambda(
+            ENTROPY, ENTROPY, bsc(0.1), [0.9, 0.1], 0.3, "lower", lattice=graph.lattice
+        )
+        idx = graph.lattice.snap([0.9, 0.1])
+        assert graph.values[idx] - (point.y - 0.3 * point.x) > 1e-7
+        assert len(point.witness.atoms) == 2
+        mix = sum(w * atom.probs for w, atom in point.witness.atoms)
+        assert np.abs(mix - graph.lattice.points[idx]).max() <= 1e-9
 
     def test_chi2_straddle_at_reference(self):
         # Past the slope where the objective turns concave, the envelope
-        # dips below zero at the reference and is spanned by the vertices.
+        # dips below zero at the reference and is spanned by points on
+        # either side of it.
         lattice = SimplexLattice.build(2, 64)
-        q = np.array([0.9, 0.1])
+        q = lattice.points[lattice.snap([0.9, 0.1])]
         chi = DivergenceKernel.chi_squared()
-        channel = bsc(0.1)
-        graph = build_lagrangian_graph(
-            chi, chi, channel, 1.0, lattice,
-            f_reference=q, g_reference=channel.matrix @ q,
-        )
-        result = lower_envelope_1d(graph)
-        gap, support = envelope_gap_at(result, graph, q)
-        assert gap > 1e-7
-        firsts = sorted(atom.probs[0] for _, atom in support)
-        assert firsts[0] < 0.9 < firsts[-1]
+        point = boundary_point_at_lambda(chi, chi, bsc(0.1), q, 1.0, "lower", lattice=lattice)
+        assert point.y - 1.0 * point.x < -1e-7  # the objective is 0 at q
+        firsts = sorted(atom.probs[0] for _, atom in point.witness.atoms)
+        assert firsts[0] < q[0] < firsts[-1]
 
 
 class TestEnvelopeProperties:
     def test_idempotence(self):
         graph = entropy_graph(0.1, 0.3, 256)
-        result = lower_envelope_1d(graph)
+        result = envelope_general(graph, "lower")
         regraph = LagrangianGraph(
             lattice=graph.lattice,
             lam=0.0,
@@ -316,19 +332,19 @@ class TestEnvelopeProperties:
             x_values=np.zeros(graph.lattice.size),
             y_values=result.envelope_values,
         )
-        again = lower_envelope_1d(regraph)
+        again = envelope_general(regraph, "lower")
         assert_allclose(again.envelope_values, result.envelope_values, atol=1e-12)
         assert bool(again.touches.all())
 
     def test_lower_envelope_convexity(self):
         graph = entropy_graph(0.1, 0.3, 512)
-        result = lower_envelope_1d(graph)
+        result = envelope_general(graph, "lower")
         second = np.diff(result.envelope_values, 2)
         assert np.all(second >= -1e-9)
 
     def test_upper_envelope_concavity(self):
         graph = entropy_graph(0.1, 0.3, 512)
-        result = upper_envelope_1d(graph)
+        result = envelope_general(graph, "upper")
         second = np.diff(result.envelope_values, 2)
         assert np.all(second <= 1e-9)
 
@@ -336,20 +352,6 @@ class TestEnvelopeProperties:
         for lam in (0.1, 0.3, 0.5):
             coarse_graph = entropy_graph(0.1, lam, 64)
             fine_graph = entropy_graph(0.1, lam, 128)
-            coarse = lower_envelope_1d(coarse_graph).envelope_values
-            fine = lower_envelope_1d(fine_graph).envelope_values
+            coarse = envelope_general(coarse_graph, "lower").envelope_values
+            fine = envelope_general(fine_graph, "lower").envelope_values
             assert np.all(fine[::2] <= coarse + 1e-9)
-
-    def test_debug_csv_dump(self, tmp_path):
-        import csv
-
-        from bottleneck_lab.envelope import dump_envelope_csv
-
-        graph = entropy_graph(0.1, 0.3, 8)
-        result = lower_envelope_1d(graph)
-        path = tmp_path / "envelope.csv"
-        dump_envelope_csv(graph, result, str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["p_1", "p_2", "f", "g", "phi", "envelope", "touches"]
-        assert len(rows) == 1 + graph.lattice.size

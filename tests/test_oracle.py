@@ -155,8 +155,8 @@ class TestOracleBoundary:
         T = rng.exponential(size=(3, 3)) + 0.2
         T = T / T.sum(axis=0, keepdims=True)
         q = np.array([0.5, 0.3, 0.2])
-        upper = sweep(KL, KL, T, q, "upper", steps=24, resolution=32)
-        lower = sweep(KL, KL, T, q, "lower", steps=24, resolution=32)
+        upper = sweep(KL, KL, T, q, "upper", resolution=32)
+        lower = sweep(KL, KL, T, q, "lower", resolution=32)
         cfg = OracleConfig(atom_budget=4, grid_resolution=32, restarts=100, seed=4)
         for frac in (0.1, 0.4, 0.7):
             x = frac * float(upper.xs[-1])

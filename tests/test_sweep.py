@@ -16,7 +16,6 @@ from bottleneck_lab import (
     boundary_point_at_lambda,
     bsc_joint,
     conditional_f_information,
-    default_lambda_grid,
     entropy,
     f_information,
     funnel_value,
@@ -30,8 +29,10 @@ from bottleneck_lab import (
     sweep,
     transform_entropy_frame,
 )
-from bottleneck_lab.core import LN2
-from bottleneck_lab.sweep import curve_csv_rows
+from bottleneck_lab.acceptance import _slope_grid
+from bottleneck_lab.core import LN2, resolve_functional
+from bottleneck_lab.envelope import build_lagrangian_graph, envelope_general, region_slice
+from bottleneck_lab.sweep import boundary_slice, curve_csv_rows
 
 ENTROPY = DivergenceKernel.entropy_functional()
 KL = DivergenceKernel.kl()
@@ -48,17 +49,14 @@ def quiet(fn, *args):
 
 @pytest.fixture(scope="module")
 def kl_curves():
-    lower = sweep(KL, KL, INST.channel(), INST.marginal(), "lower",
-                  steps=64, resolution=512, problem="pf")
-    upper = sweep(KL, KL, INST.channel(), INST.marginal(), "upper",
-                  steps=64, resolution=512, problem="ib")
+    lower = sweep(KL, KL, INST.channel(), INST.marginal(), "lower", resolution=512, problem="pf")
+    upper = sweep(KL, KL, INST.channel(), INST.marginal(), "upper", resolution=512, problem="ib")
     return lower, upper
 
 
 @pytest.fixture(scope="module")
 def entropy_lower_fine():
-    return sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower",
-                 steps=128, resolution=4096, frame="entropy", problem="pf")
+    return sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", resolution=4096, frame="entropy", problem="pf")
 
 
 class TestBoundaryPointAtLambda:
@@ -99,26 +97,33 @@ class TestBoundaryPointAtLambda:
 
 class TestSweep:
     def test_lower_tracks_exact_boundary_coarsely(self):
-        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower",
-                      steps=64, resolution=512, frame="entropy")
+        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", resolution=512, frame="entropy")
         for x in np.linspace(0.0, binary_entropy(INST.q), 33):
             got = quiet(funnel_value, curve, float(x) * LN2) / LN2
             assert abs(got - mrs_gerber(INST, float(x))) <= 5e-3
 
     def test_explicit_log_spaced_grid(self):
-        # A caller-supplied schedule of 200 log-spaced slopes up to the
-        # convexity threshold also reproduces the exact lower boundary.
+        # Support queries at 200 log-spaced slopes up to the convexity
+        # threshold land on vertices of the lower curve and reproduce the
+        # exact lower boundary.
         lam_max = (1.0 - 2.0 * INST.delta) ** 2
         grid = np.concatenate([[0.0], np.geomspace(1e-8 * lam_max, lam_max, 200)])
+        lattice = SimplexLattice.build(2, 2048)
         curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower",
-                      lambda_grid=grid, resolution=2048, frame="entropy")
+                      lattice=lattice, frame="entropy")
+        region = boundary_slice(ENTROPY, ENTROPY, INST.channel(), INST.marginal(),
+                                lattice=lattice)
+        picked = sorted({region.support(float(lam), "lower") for lam in grid},
+                        key=lambda k: region.x[k])
+        xs, ys = region.x[picked], region.y[picked]
+        on_curve = set(zip(curve.xs.tolist(), curve.ys.tolist()))
+        assert set(zip(xs.tolist(), ys.tolist())) <= on_curve
         for x in np.linspace(0.0, binary_entropy(INST.q), 50):
-            got = quiet(funnel_value, curve, float(x) * LN2) / LN2
+            got = float(np.interp(x * LN2, xs, ys)) / LN2
             assert abs(got - mrs_gerber(INST, float(x))) <= 2e-3
 
     def test_upper_tracks_exact_boundary_coarsely(self):
-        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "upper",
-                      steps=64, resolution=512, frame="entropy")
+        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "upper", resolution=512, frame="entropy")
         for alpha in np.linspace(0.0, 1.0, 33):
             pt = mr_gerber_point(INST, float(alpha))
             got = quiet(bottleneck_value, curve, pt.x * LN2) / LN2
@@ -179,7 +184,7 @@ class TestSweep:
 
         q, T = decompose_joint(JointDistribution(joint))
         for direction in ("lower", "upper"):
-            curve = sweep(KL, KL, T, q, direction, steps=32, resolution=256)
+            curve = sweep(KL, KL, T, q, direction, resolution=256)
             assert np.abs(curve.ys).max() <= 1e-12
 
     def test_total_variation_region_is_a_segment(self):
@@ -187,10 +192,8 @@ class TestSweep:
         # (1 - 2 delta) times the input deviation, so the whole region
         # collapses to a line through the origin with that slope.
         tv = DivergenceKernel.total_variation()
-        lower = sweep(tv, tv, INST.channel(), INST.marginal(), "lower",
-                      steps=32, resolution=512)
-        upper = sweep(tv, tv, INST.channel(), INST.marginal(), "upper",
-                      steps=32, resolution=512)
+        lower = sweep(tv, tv, INST.channel(), INST.marginal(), "lower", resolution=512)
+        upper = sweep(tv, tv, INST.channel(), INST.marginal(), "upper", resolution=512)
         slope = 1.0 - 2.0 * INST.delta
         for curve in (lower, upper):
             for p in curve.points:
@@ -198,25 +201,8 @@ class TestSweep:
 
     def test_degenerate_channel_flat_entropy_curve(self):
         inst = BscInstance(q=0.2, delta=0.5)
-        curve = sweep(ENTROPY, ENTROPY, inst.channel(), inst.marginal(), "lower",
-                      steps=32, resolution=512, frame="entropy")
+        curve = sweep(ENTROPY, ENTROPY, inst.channel(), inst.marginal(), "lower", resolution=512, frame="entropy")
         assert np.allclose(curve.ys, math.log(2.0), atol=1e-12)
-
-    def test_rejects_empty_or_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            sweep(KL, KL, INST.channel(), INST.marginal(), "lower",
-                  lambda_grid=[], resolution=64)
-        with pytest.raises(ValueError):
-            sweep(KL, KL, INST.channel(), INST.marginal(), "lower",
-                  lambda_grid=[1.0, 0.5], resolution=64)
-
-    def test_workers_do_not_change_result(self):
-        a = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower",
-                  steps=24, resolution=256, frame="entropy")
-        b = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower",
-                  steps=24, resolution=256, frame="entropy", workers=4)
-        assert_allclose(a.xs, b.xs, atol=0)
-        assert_allclose(a.ys, b.ys, atol=0)
 
 
 class TestValueQueries:
@@ -288,10 +274,8 @@ class TestTransformEntropyFrame:
         # The transformed entropy-frame lower curve and the directly swept
         # mutual-information upper curve describe the same boundary.
         lattice = SimplexLattice.build(2, 512)
-        ent = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower",
-                    steps=64, lattice=lattice, frame="entropy")
-        mi = sweep(KL, KL, INST.channel(), INST.marginal(), "upper",
-                   steps=64, lattice=lattice)
+        ent = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", lattice=lattice, frame="entropy")
+        mi = sweep(KL, KL, INST.channel(), INST.marginal(), "upper", lattice=lattice)
         moved = transform_entropy_frame(ent)
         for x in np.linspace(0.0, float(mi.xs[-1]), 21):
             assert abs(moved.interpolate(float(x)) - quiet(bottleneck_value, mi, float(x))) <= 2e-3
@@ -306,7 +290,7 @@ class TestTransformEntropyFrame:
         T = rng.exponential(size=(3, 3)) + 0.3
         T = T / T.sum(axis=0, keepdims=True)
         q = np.array([0.45, 0.35, 0.2])
-        raw = sweep(ENTROPY, ENTROPY, T, q, "lower", steps=24, resolution=32,
+        raw = sweep(ENTROPY, ENTROPY, T, q, "lower", resolution=32,
                     frame="entropy")
         moved = transform_entropy_frame(raw)
         assert abs(moved.xs[0]) <= 1e-12 and abs(moved.ys[0]) <= 1e-12
@@ -405,16 +389,17 @@ class TestMatchedChannels:
 
 
 class TestLambdaGrid:
-    def test_contains_zero_and_landmarks(self):
+    """The slope grid the property suite (A7) draws from."""
+
+    def test_starts_at_zero_and_increases(self):
         x = np.linspace(0.0, 1.0, 11)
-        y = x**2
-        grid = default_lambda_grid(x, y, steps=32, landmarks=(0.64,))
+        grid = _slope_grid(x, x**2, steps=32)
         assert grid[0] == 0.0
-        assert 0.64 in grid
         assert np.all(np.diff(grid) > 0)
+        assert math.isclose(grid[-1], 3.8)  # twice the steepest chord, from x = 1 to 0.9
 
     def test_constant_x_falls_back(self):
-        grid = default_lambda_grid(np.zeros(5), np.linspace(0, 1, 5), steps=16)
+        grid = _slope_grid(np.zeros(5), np.linspace(0, 1, 5), steps=16)
         assert grid.size > 1 and np.isfinite(grid).all()
 
 
@@ -431,7 +416,7 @@ class TestProblemCurve:
 
     def test_arimoto_uses_k_frame(self):
         curve = problem_curve(INST.marginal(), INST.channel(), "arimoto", "lower",
-                              beta=2.0, lambda_steps=32, resolution=256)
+                              beta=2.0, resolution=256)
         assert curve.frame == "K"
         assert curve.beta == 2.0
         # K-frame x spans [K(q), 1].
@@ -442,14 +427,13 @@ class TestProblemCurve:
 
         inst = BscInstance(q=0.4, delta=0.2)
         curve = problem_curve(inst.marginal(), inst.channel(), "arimoto", "lower",
-                              beta=4.0, lambda_steps=64, resolution=512)
+                              beta=4.0, resolution=512)
         for p in np.linspace(0.0, inst.q, 17):
             x, y = arimoto_mrs_gerber(inst, 4.0, float(p))
             assert abs(quiet(funnel_value, curve, x) - y) <= 5e-3
 
     def test_csv_rows_schema(self):
-        curve = problem_curve(INST.marginal(), INST.channel(), "eb", "upper",
-                              lambda_steps=16, resolution=128)
+        curve = problem_curve(INST.marginal(), INST.channel(), "eb", "upper", resolution=128)
         rows = curve_csv_rows(curve)
         assert all(len(r) == 7 for r in rows)
         assert rows[0][0] == "eb" and rows[0][1] == "upper"
@@ -458,10 +442,97 @@ class TestProblemCurve:
     def test_witness_json_schema(self):
         import json
 
-        curve = problem_curve(INST.marginal(), INST.channel(), "eb", "upper",
-                              lambda_steps=16, resolution=128)
+        curve = problem_curve(INST.marginal(), INST.channel(), "eb", "upper", resolution=128)
         payload = json.loads(curve.points[-1].witness.to_json())
         assert set(payload) == {"atoms"}
         for atom in payload["atoms"]:
             assert set(atom) == {"alpha", "p"}
             assert isinstance(atom["p"], list) and len(atom["p"]) == 2
+
+
+def seeded_source(m, resolution, seed):
+    """Marginal on the lattice with full support, and a random channel."""
+    rng = np.random.default_rng([seed, m, resolution])
+    counts = 1 + rng.multinomial(resolution - m, np.full(m, 1.0 / m))
+    T = rng.dirichlet(np.ones(m), size=m).T  # column j is P(Y | X = j)
+    return counts / resolution, T
+
+
+class TestHullSlice:
+    @pytest.mark.parametrize("m,resolution", [(2, 64), (3, 12), (4, 6)])
+    @pytest.mark.parametrize("kernel", [KL, ENTROPY], ids=["kl", "entropy"])
+    def test_support_matches_reference_envelope(self, m, resolution, kernel):
+        q, T = seeded_source(m, resolution, 11)
+        lattice = SimplexLattice.build(m, resolution)
+        q_idx = lattice.snap(q)
+        ref = q if kernel.is_divergence else None
+        f_fn = resolve_functional(kernel, ref)
+        g_fn = resolve_functional(kernel, T @ q if kernel.is_divergence else None)
+        for lam in (0.0, 0.25, 0.7, 1.5, 4.0):
+            graph = build_lagrangian_graph(f_fn, g_fn, T, lam, lattice)
+            for direction in ("lower", "upper"):
+                env = envelope_general(graph, direction).envelope_values[q_idx]
+                point = boundary_point_at_lambda(
+                    kernel, kernel, T, q, lam, direction, lattice=lattice
+                )
+                assert abs((point.y - lam * point.x) - env) <= 1e-9
+                assert len(point.witness.atoms) <= m
+                x_re = point.witness.expectation(f_fn)
+                y_re = point.witness.expectation(lambda P: g_fn(P @ T.T))
+                assert abs(x_re - point.x) <= 1e-9 and abs(y_re - point.y) <= 1e-9
+
+    @pytest.mark.parametrize("m,resolution", [(2, 256), (3, 12)])
+    def test_csv_lambda_requery_returns_same_atoms(self, m, resolution):
+        q, T = seeded_source(m, resolution, 3)
+        lattice = SimplexLattice.build(m, resolution)
+        for direction in ("lower", "upper"):
+            curve = problem_curve(q, T, "ib", direction, lattice=lattice)
+            rows = curve_csv_rows(curve)
+            assert sum(r[2] != "" for r in rows) >= len(rows) - 2
+            for row, point in zip(rows, curve.points):
+                if row[2] == "":
+                    continue
+                again = boundary_point_at_lambda(
+                    KL, KL, T, q, float(row[2]), direction, lattice=lattice
+                )
+                assert again.witness.to_json() == point.witness.to_json()
+
+    def test_ternary_curve_has_many_points_and_exact_endpoints(self):
+        q, T = seeded_source(3, 48, 5)
+        joint = joint_from_marginal_channel(q, T)
+        far = (entropy(q), f_information(KL, joint))
+        for direction in ("lower", "upper"):
+            curve = problem_curve(q, T, "ib", direction, resolution=48)
+            assert len(curve.points) >= 20
+            first, last = curve.points[0], curve.points[-1]
+            assert first.trivial and (first.x, first.y) == (0.0, 0.0)
+            assert abs(last.x - far[0]) <= 1e-12 and abs(last.y - far[1]) <= 1e-12
+            assert math.isnan(first.lam) and math.isnan(last.lam)
+            assert all(p.lam >= 0.0 for p in curve.points[1:-1])
+
+    def test_flat_lifted_set_gives_a_curve(self):
+        # Y independent of X: g(Tp) is 0 on the whole lattice, so the lifted
+        # points span one dimension less.
+        q = np.array([0.5, 0.3, 0.2])
+        T = np.tile([[0.6], [0.4]], (1, 3))
+        for direction in ("lower", "upper"):
+            curve = sweep(KL, KL, T, q, direction, resolution=12)
+            assert len(curve.points) == 2
+            assert np.abs(curve.ys).max() <= 1e-12
+            assert math.isclose(curve.xs[-1], entropy(curve.marginal), abs_tol=1e-12)
+
+    def test_affine_functionals_give_one_point(self):
+        lattice = SimplexLattice.build(3, 6)
+        graph = build_lagrangian_graph(
+            lambda P: P @ np.array([0.2, 0.5, 0.9]),
+            lambda P: P @ np.array([1.0, 0.0, 0.3]),
+            np.eye(3),
+            0.0,
+            lattice,
+        )
+        q_idx = lattice.snap([0.5, 0.5, 0.0])
+        region = region_slice(graph, q_idx)
+        assert region.x.tolist() == [0.35] and region.y.tolist() == [0.5]
+        assert region.lower.tolist() == region.upper.tolist() == [0]
+        assert region.atoms[0, 0] == q_idx and region.weights[0, 0] == 1.0
+
