@@ -23,11 +23,11 @@ from .closed_forms import (
 )
 from .core import (
     LN2,
+    Channel,
     DivergenceKernel,
     binary_entropy,
     f_information,
     joint_from_marginal_channel,
-    resolve_functional,
 )
 from .envelope import (
     LagrangianGraph,
@@ -38,6 +38,7 @@ from .envelope import (
 from .oracle import oracle_exhaustive_binary
 from .sweep import (
     BoundaryCurve,
+    _resolve_pair,
     boundary_point_at_lambda,
     bottleneck_value,
     funnel_value,
@@ -153,7 +154,7 @@ def check_arimoto(beta: float = 2.0, resolution: int = 4096, probes: int = 101) 
 
 
 def check_oracle_cross(
-    seed: int = 7, resolution: int = 512, n_x: int = 21, sweep_resolution: int = 4096
+    resolution: int = 512, n_x: int = 21, sweep_resolution: int = 4096
 ) -> CheckResult:
     """A4: exhaustive binary oracle against the curves (one-sided) and
     against the closed forms (two-sided, entropy case)."""
@@ -201,7 +202,7 @@ def check_oracle_cross(
         worst <= tol,
         worst,
         tol,
-        f"{n_x} x-points, oracle grid {resolution}, seed {seed}; " + "; ".join(details),
+        f"{n_x} x-points, oracle grid {resolution}; " + "; ".join(details),
     )
 
 
@@ -352,7 +353,7 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
         m = int(rng.integers(2, 4))
         n = int(rng.integers(2, 4))
         T = rng.exponential(size=(n, m)) + 0.05
-        T = T / T.sum(axis=0, keepdims=True)
+        channel = Channel(T / T.sum(axis=0, keepdims=True))
         q = rng.exponential(size=m)
         # Blend toward uniform so the snapped marginal keeps full support.
         q = 0.6 * q / q.sum() + 0.4 / m
@@ -362,17 +363,14 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
         lattice = SimplexLattice.build(m, resolution)
         q_idx = lattice.snap(q)
         q_tilde = lattice.points[q_idx]
-        ref = q_tilde if kernel.is_divergence else None
-        g_ref = (T @ q_tilde) if kernel.is_divergence else None
         try:
-            graph0 = build_lagrangian_graph(
-                kernel, kernel, T, 0.0, lattice, f_reference=ref, g_reference=g_ref
-            )
+            # One resolution for the reference envelope and the witness
+            # re-evaluation, against the channel the slice uses.
+            f_fn, g_fn = _resolve_pair(kernel, kernel, q_tilde, channel)
+            graph0 = build_lagrangian_graph(f_fn, g_fn, channel, 0.0, lattice)
             grid = _slope_grid(graph0.x_values, graph0.y_values, steps=16)
             lam = float(grid[int(rng.integers(0, grid.size))])
-            graph = build_lagrangian_graph(
-                kernel, kernel, T, lam, lattice, f_reference=ref, g_reference=g_ref
-            )
+            graph = build_lagrangian_graph(f_fn, g_fn, channel, lam, lattice)
             result = envelope_general(graph, direction)
         except Exception as exc:  # any crash is a violation
             violations.append(f"seed {seed}: envelope construction failed: {exc}")
@@ -407,17 +405,15 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
 
         try:
             point = boundary_point_at_lambda(
-                kernel, kernel, T, q_tilde, lam, direction, lattice=lattice
+                kernel, kernel, channel, q_tilde, lam, direction, lattice=lattice
             )
         except Exception as exc:
             violations.append(f"seed {seed}: boundary point failed: {exc}")
             continue
         if len(point.witness.atoms) > m + 1:
             violations.append(f"seed {seed}: witness has {len(point.witness.atoms)} atoms")
-        f_call = resolve_functional(kernel, ref)
-        g_call = resolve_functional(kernel, g_ref)
-        x_re = point.witness.expectation(f_call)
-        y_re = point.witness.expectation(lambda P: g_call(P @ np.asarray(T).T))
+        x_re = point.witness.expectation(f_fn)
+        y_re = point.witness.expectation(lambda P: g_fn(P @ channel.matrix.T))
         if abs(x_re - point.x) > 1e-9 or abs(y_re - point.y) > 1e-9:
             violations.append(f"seed {seed}: witness does not reproduce its point")
         support_line = point.y - lam * point.x
@@ -428,7 +424,7 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
                 f"{abs(support_line - env_at_q):.2e}"
             )
         if kernel.is_divergence:
-            joint = joint_from_marginal_channel(q_tilde, T)
+            joint = joint_from_marginal_channel(q_tilde, channel)
             dpi = f_information(kernel, joint)
             if point.y > dpi + 1e-7:
                 violations.append(

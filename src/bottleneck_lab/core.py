@@ -5,10 +5,16 @@ Conventions used throughout the package:
 - Entropies and divergences are computed in nats, except ``binary_entropy``
   and ``binary_entropy_inv`` which use bits (so that the binary entropy of
   one half equals one).  Conversions are explicit at call sites.
-- ``0 * log 0 = 0`` and, for divergences, ``0 * f(0/0) = 0``.  A point with
-  mass where the reference has none is a hard error, never ``inf``.
 - Vectors that are within 1e-9 of summing to one are renormalized on
   construction; anything further off is rejected.
+
+Every information functional evaluates one kernel table,
+``_KERNEL_TABLE``: per kernel kind (see ``DivergenceKernel``) an elementwise
+term t(p, r) that is summed over the alphabet, and for tv, entropy and norm a
+map of that sum.  ``_evaluate`` applies the zero convention once, for every
+kind: a term that comes out as 0 * inf or 0 / 0 where p = 0 counts as 0,
+which is 0 log 0 = 0 and, for divergences, 0 * f(0/0) = 0.  Mass where the
+reference has none is a hard error in the public functions, never ``inf``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, nnls
 
 LN2 = math.log(2.0)
 
@@ -203,11 +209,48 @@ class DivergenceKernel:
         return self.kind in _FUNCTIONAL_KINDS
 
 
+# kind -> (elementwise term t(p, r, beta), map of the row sum or None).
+_KERNEL_TABLE = {
+    "kl": (lambda p, r, beta: p * np.log(p / r), None),
+    "chi2": (lambda p, r, beta: np.square(p - r) / r, None),
+    "tv": (lambda p, r, beta: np.abs(p - r), lambda s, beta: 0.5 * s),
+    "entropy": (lambda p, r, beta: p * np.log(p), lambda s, beta: -s),
+    "norm": (lambda p, r, beta: p**beta, lambda s, beta: s ** (1.0 / beta)),
+}
+
+
+def _evaluate(
+    kernel: DivergenceKernel, P: np.ndarray, r: np.ndarray | None = None
+) -> np.ndarray:
+    """The kernel's functional of each row of P (alphabet on the last axis),
+    against the reference r for divergence kinds."""
+    term, finish = _KERNEL_TABLE[kernel.kind]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = term(P, r, kernel.beta)
+    # 0 log 0 = 0 and 0 * f(0/0) = 0: a p = 0 term of 0 * inf or 0 / 0 is 0.
+    total = np.where((P == 0.0) & np.isnan(terms), 0.0, terms).sum(axis=-1)
+    return total if finish is None else finish(total, kernel.beta)
+
+
+def _require_divergence(kernel: DivergenceKernel) -> None:
+    if not kernel.is_divergence:
+        raise ValueError(f"kernel kind {kernel.kind!r} does not define an f-divergence")
+
+
+def _check_continuity(P: np.ndarray, r: np.ndarray) -> None:
+    """Refuse mass where the reference has none, naming the first such index."""
+    bad = (P > 0.0) & (r == 0.0)
+    if np.any(bad):
+        at = np.argwhere(bad)[0].tolist()
+        raise ValueError(
+            f"absolute continuity violated: p{at} = {P[tuple(at)]} but r[{at[-1]}] = 0"
+        )
+
+
 def entropy(p: Distribution | Sequence[float] | np.ndarray) -> float:
     """Shannon entropy in nats, with 0 log 0 = 0.  Result lies in [0, log m]."""
     vec = p.probs if isinstance(p, Distribution) else _as_prob_vector(p)
-    pos = vec[vec > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    return float(_evaluate(DivergenceKernel.entropy_functional(), vec))
 
 
 def _check_unit_interval(value: float, name: str) -> float:
@@ -246,24 +289,6 @@ def star(a: float, b: float) -> float:
     return (1.0 - a) * b + (1.0 - b) * a
 
 
-def _divergence_terms(kind: str, p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # Caller guarantees: no index with p > 0 and r == 0.
-    if kind == "kl":
-        out = np.zeros_like(p)
-        mask = p > 0.0
-        out[mask] = p[mask] * np.log(p[mask] / r[mask])
-        return out
-    if kind == "chi2":
-        out = np.zeros_like(p)
-        mask = r > 0.0
-        d = p[mask] - r[mask]
-        out[mask] = d * d / r[mask]
-        return out
-    if kind == "tv":
-        return 0.5 * np.abs(p - r)
-    raise ValueError(f"kernel kind {kind!r} does not define an f-divergence")
-
-
 def f_divergence(
     kernel: DivergenceKernel,
     p: Distribution | np.ndarray,
@@ -274,28 +299,23 @@ def f_divergence(
     Requires p absolutely continuous with respect to r; an index with
     p > 0 but r = 0 raises, identifying the offending index.
     """
+    _require_divergence(kernel)
     pv = p.probs if isinstance(p, Distribution) else _as_prob_vector(p, "p")
     rv = r.probs if isinstance(r, Distribution) else _as_prob_vector(r, "r")
     if pv.size != rv.size:
         raise ValueError("p and r must share an alphabet")
-    bad = (pv > 0.0) & (rv == 0.0)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise ValueError(
-            f"absolute continuity violated: p[{idx}] = {pv[idx]} but r[{idx}] = 0"
-        )
-    return float(_divergence_terms(kernel.kind, pv, rv).sum())
+    _check_continuity(pv, rv)
+    return float(_evaluate(kernel, pv, rv))
 
 
 def f_information(kernel: DivergenceKernel, joint: JointDistribution) -> float:
     """f-information between X and Y: the divergence of the joint pmf from the
     product of its marginals.  Zero when X and Y are independent."""
-    px = joint.marginal_x()
-    py = joint.marginal_y()
-    prod = np.outer(px, py)
+    _require_divergence(kernel)
+    prod = np.outer(joint.marginal_x(), joint.marginal_y())
     # Cells where the product vanishes carry no joint mass, so the
     # 0 * f(0/0) = 0 convention applies and no continuity check can trip.
-    return float(_divergence_terms(kernel.kind, joint.p_xy.ravel(), prod.ravel()).sum())
+    return float(_evaluate(kernel, joint.p_xy.ravel(), prod.ravel()))
 
 
 def _validate_mixture(
@@ -336,12 +356,10 @@ def conditional_f_information(
     P = _stack_conditionals(conditionals)
     q = marginal.probs if isinstance(marginal, Distribution) else _as_prob_vector(marginal, "marginal")
     _validate_mixture(w, P, q)
-    total = 0.0
-    for alpha, row in zip(w, P):
-        if alpha <= 0.0:
-            continue
-        total += alpha * f_divergence(kernel, row, q)
-    return float(total)
+    _require_divergence(kernel)
+    live = w > 0.0
+    _check_continuity(np.where(live[:, None], P, 0.0), q)
+    return float(w[live] @ _evaluate(kernel, P[live], q))
 
 
 def beta_norm(beta: float, p: Distribution | np.ndarray) -> float:
@@ -352,7 +370,7 @@ def beta_norm(beta: float, p: Distribution | np.ndarray) -> float:
     if not math.isfinite(beta) or beta < 2.0:
         raise ValueError("beta must be >= 2")
     vec = p.probs if isinstance(p, Distribution) else _as_prob_vector(p)
-    return float((vec**beta).sum() ** (1.0 / beta))
+    return float(_evaluate(DivergenceKernel.norm_beta(beta), vec))
 
 
 def arimoto_conditional_entropy(
@@ -367,7 +385,7 @@ def arimoto_conditional_entropy(
     w = np.asarray(weights, dtype=float)
     P = _stack_conditionals(conditionals)
     _validate_mixture(w, P, None)
-    k = float(w @ (P**beta).sum(axis=1) ** (1.0 / beta))
+    k = float(w @ _evaluate(DivergenceKernel.norm_beta(beta), P))
     return beta / (1.0 - beta) * math.log(k)
 
 
@@ -420,57 +438,27 @@ def resolve_functional(
     The returned callable accepts a (k, m) array of row-distributions and
     returns a length-k vector.
     """
+    ref = None
     if kernel.is_divergence:
         if reference is None:
             raise ValueError(f"{kernel.kind} kernel needs a reference distribution")
         ref = reference.probs if isinstance(reference, Distribution) else np.asarray(reference, dtype=float)
         if np.any(ref <= 0.0):
             raise ValueError("divergence reference must have full support")
-        kind = kernel.kind
 
-        if kind == "kl":
+    def functional(P: np.ndarray) -> np.ndarray:
+        return _evaluate(kernel, np.atleast_2d(P), ref)
 
-            def fn(P: np.ndarray) -> np.ndarray:
-                P = np.atleast_2d(P)
-                terms = np.zeros_like(P)
-                mask = P > 0.0
-                ratio = np.where(mask, P, 1.0) / ref[None, :]
-                terms[mask] = (P * np.log(ratio))[mask]
-                return terms.sum(axis=1)
+    return functional
 
-        elif kind == "chi2":
 
-            def fn(P: np.ndarray) -> np.ndarray:
-                P = np.atleast_2d(P)
-                d = P - ref[None, :]
-                return (d * d / ref[None, :]).sum(axis=1)
-
-        else:  # tv
-
-            def fn(P: np.ndarray) -> np.ndarray:
-                P = np.atleast_2d(P)
-                return 0.5 * np.abs(P - ref[None, :]).sum(axis=1)
-
-        return fn
-
-    if kernel.kind == "entropy":
-
-        def fn(P: np.ndarray) -> np.ndarray:
-            P = np.atleast_2d(P)
-            terms = np.zeros_like(P)
-            mask = P > 0.0
-            terms[mask] = (P * np.log(np.where(mask, P, 1.0)))[mask]
-            return -terms.sum(axis=1)
-
-        return fn
-
-    beta = float(kernel.beta)  # norm
-
-    def fn(P: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(P)
-        return (P**beta).sum(axis=1) ** (1.0 / beta)
-
-    return fn
+def mixture_weights(P: np.ndarray, marginal: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nonnegative weights w for the rows of P that best satisfy w @ P =
+    marginal and sum(w) = 1 in least squares (nnls), with the residual norm.
+    Callers decide what residual still counts as a mixture."""
+    A = np.vstack([P.T, np.ones(P.shape[0])])
+    weights, residual = nnls(A, np.append(marginal, 1.0))
+    return weights, float(residual)
 
 
 def load_joint(source: str | Path | dict) -> JointDistribution:

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .core import Channel, Distribution, DivergenceKernel, resolve_functional
+from .core import Channel, Distribution
 
 _TOUCH_TOL = 1e-10
 # Barycentric weights down to -_BARY_TOL count as a ridge containing q;
@@ -119,38 +119,24 @@ class LagrangianGraph:
     y_values: np.ndarray
 
 
-def _as_functional(
-    fn: Callable[[np.ndarray], np.ndarray] | DivergenceKernel,
-    reference: np.ndarray | None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(fn, DivergenceKernel):
-        return resolve_functional(fn, reference)
-    return fn
-
-
 def build_lagrangian_graph(
-    f: Callable[[np.ndarray], np.ndarray] | DivergenceKernel,
-    g: Callable[[np.ndarray], np.ndarray] | DivergenceKernel,
+    f: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
     T: Channel | np.ndarray,
     lam: float,
     lattice: SimplexLattice,
-    *,
-    f_reference: np.ndarray | None = None,
-    g_reference: np.ndarray | None = None,
 ) -> LagrangianGraph:
     """Evaluate f, g over the lattice and assemble the graph at slope lam.
 
-    f and g may be vectorized callables or kernels (divergence kernels need
-    their reference distribution).  Evaluation must be finite at every
-    lattice point; a failure aborts identifying the point.
+    f and g are vectorized functionals of (k, m) and (k, n) row arrays, such
+    as the pair sweep resolves from two kernels.  Evaluation must be finite
+    at every lattice point; a failure aborts identifying the point.
     """
     matrix = T.matrix if isinstance(T, Channel) else np.asarray(T, dtype=float)
     if matrix.shape[1] != lattice.m:
         raise ValueError("channel input alphabet does not match the lattice")
-    f_fn = _as_functional(f, f_reference)
-    g_fn = _as_functional(g, g_reference)
-    x_vals = np.asarray(f_fn(lattice.points), dtype=float)
-    y_vals = np.asarray(g_fn(lattice.points @ matrix.T), dtype=float)
+    x_vals = np.asarray(f(lattice.points), dtype=float)
+    y_vals = np.asarray(g(lattice.points @ matrix.T), dtype=float)
     for name, vals in (("f", x_vals), ("g", y_vals)):
         bad = ~np.isfinite(vals)
         if np.any(bad):

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import nnls
 
-from .core import Channel, Distribution, DivergenceKernel, resolve_functional
+from .core import Channel, Distribution, DivergenceKernel, mixture_weights
 from .sweep import WitnessChannel, _as_channel, _resolve_pair
 
 _FEAS_EPS = 1e-12
@@ -344,18 +343,6 @@ def _random_grid_atom(rng: np.random.Generator, m: int, resolution: int) -> np.n
     return base / float(resolution)
 
 
-def _nnls_weights(P: np.ndarray, marginal: np.ndarray, tol: float) -> np.ndarray | None:
-    A = np.vstack([P.T, np.ones(P.shape[0])])
-    b = np.append(marginal, 1.0)
-    w, resid = nnls(A, b)
-    if resid > tol:
-        return None
-    total = w.sum()
-    if total <= 0.0:
-        return None
-    return w / total
-
-
 def oracle_boundary(
     f_kernel: DivergenceKernel,
     g_kernel: DivergenceKernel,
@@ -432,9 +419,10 @@ def oracle_boundary(
         atoms = pool[trial * (m + 1) : trial * (m + 1) + m + 1]
         for size in range(1, budget + 1):
             P = np.vstack(atoms[:size])
-            w = _nnls_weights(P, qv, cfg.tolerance)
-            if w is None:
+            w, residual = mixture_weights(P, qv)
+            if residual > cfg.tolerance or w.sum() <= 0.0:
                 continue
+            w = w / w.sum()
             keep = w > 1e-13
             if not np.any(keep):
                 continue

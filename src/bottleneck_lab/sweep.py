@@ -21,13 +21,13 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import (
     Channel,
     Distribution,
     DivergenceKernel,
     entropy,
+    mixture_weights,
     resolve_functional,
 )
 from .envelope import (
@@ -132,6 +132,8 @@ def _resolve_pair(
     q: np.ndarray,
     T: Channel,
 ) -> tuple[Callable, Callable]:
+    """f and g as vectorized functionals, divergences taken from q and T q.
+    Every caller that turns kernels into functionals goes through here."""
     f_ref = q if f_kernel.is_divergence else None
     g_ref = T.matrix @ q if g_kernel.is_divergence else None
     return resolve_functional(f_kernel, f_ref), resolve_functional(g_kernel, g_ref)
@@ -369,16 +371,13 @@ def matched_channel_invariance_check(
     channel = _as_channel(T)
     qv = q_prime.probs if isinstance(q_prime, Distribution) else np.asarray(q_prime, dtype=float)
     P = np.vstack([p.probs for _, p in atoms])
-    A = np.vstack([P.T, np.ones(P.shape[0])])
-    b = np.append(qv, 1.0)
-    weights, residual = nnls(A, b)
+    weights, residual = mixture_weights(P, qv)
     if residual > 1e-9:
         raise ValueError(
             f"q_prime is outside the convex hull of the matched channel "
             f"(residual {residual:.3e})"
         )
-    f_fn = resolve_functional(f_kernel, None)
-    g_fn = resolve_functional(g_kernel, None)
+    f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, qv, channel)
     fv = np.asarray(f_fn(P), dtype=float)
     gv = np.asarray(g_fn(P @ channel.matrix.T), dtype=float)
     x = float(weights @ fv)

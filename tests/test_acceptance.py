@@ -38,7 +38,7 @@ def test_a3_arimoto_k_frame():
 
 def test_a4_oracle_cross_validation():
     t0 = time.perf_counter()
-    result = check_oracle_cross(seed=7, resolution=512, n_x=21)
+    result = check_oracle_cross(resolution=512, n_x=21)
     report(result, time.perf_counter() - t0, budget=60.0)
 
 

@@ -116,6 +116,22 @@ class TestCurveCommand:
         assert code == EXIT_INFEASIBLE
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"p_xy": [[0.25, 0.25], [0.25,',
+            b'{"p_xy": [[0.25, 0.25], [0.25, 0.25]], "n": "\xff"}',
+        ],
+        ids=["truncated", "not-utf8"],
+    )
+    def test_unreadable_input_is_bad_input(self, tmp_path, payload):
+        src = tmp_path / "joint.json"
+        src.write_bytes(payload)
+        code = main(["curve", "--input", str(src), "--problem", "ib",
+                     "--output", str(tmp_path / "x.csv"), "--resolution", "16"])
+        assert code == EXIT_BAD_INPUT
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["joint.json"]
+
     def test_arimoto_both_directions_dataset(self, tmp_path):
         out = tmp_path / "arimoto.csv"
         code = main(

@@ -21,6 +21,7 @@ from bottleneck_lab import (
     f_information,
     joint_from_marginal_channel,
     load_joint,
+    resolve_functional,
     star,
 )
 from bottleneck_lab.core import LN2
@@ -33,6 +34,11 @@ ALL_DIVERGENCES = [
     DivergenceKernel.kl(),
     DivergenceKernel.chi_squared(),
     DivergenceKernel.total_variation(),
+]
+ALL_KERNELS = ALL_DIVERGENCES + [
+    DivergenceKernel.entropy_functional(),
+    DivergenceKernel.norm_beta(2.0),
+    DivergenceKernel.norm_beta(3.0),
 ]
 
 
@@ -206,6 +212,34 @@ class TestFDivergence:
             f_divergence(DivergenceKernel.entropy_functional(), [0.5, 0.5], [0.5, 0.5])
 
 
+class TestKernelTable:
+    @pytest.mark.parametrize(
+        "kernel", ALL_KERNELS, ids=lambda k: k.kind + ("" if k.beta is None else f"{k.beta:g}")
+    )
+    def test_batched_rows_match_single_vector_functions(self, kernel):
+        # Dyadic rows sum to exactly 1, so the single-vector functions do not
+        # renormalize them; sparse Dirichlet draws put zeros in many rows.
+        rng = np.random.default_rng(6)
+        rows = np.array(
+            [rng.multinomial(32, rng.dirichlet(np.full(4, 0.4))) for _ in range(60)]
+        ) / 32.0
+        assert (rows == 0.0).sum() >= 40
+        ref = (1 + rng.multinomial(60, np.full(4, 0.25))) / 64.0
+        batched = resolve_functional(kernel, ref if kernel.is_divergence else None)(rows)
+        for row, got in zip(rows, batched):
+            if kernel.kind == "entropy":
+                want = entropy(row)
+            elif kernel.kind == "norm":
+                want = beta_norm(kernel.beta, row)
+            else:
+                want = f_divergence(kernel, row, ref)
+            assert abs(got - want) <= 1e-15
+
+    def test_reference_needs_full_support(self):
+        with pytest.raises(ValueError, match="full support"):
+            resolve_functional(DivergenceKernel.kl(), [0.5, 0.5, 0.0])
+
+
 class TestFInformation:
     @pytest.mark.parametrize("kernel", ALL_DIVERGENCES, ids=lambda k: k.kind)
     def test_product_joint_is_zero(self, kernel):
@@ -220,6 +254,15 @@ class TestFInformation:
         joint = JointDistribution(np.diag(q))
         got = f_information(DivergenceKernel.chi_squared(), joint)
         assert math.isclose(got, m - 1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("kernel", ALL_DIVERGENCES, ids=lambda k: k.kind)
+    def test_zero_x_row_is_dropped(self, kernel):
+        # The product of the marginals vanishes on the zero row: 0 * f(0/0).
+        p = np.array([[0.3, 0.1, 0.05], [0.0, 0.0, 0.0], [0.1, 0.15, 0.3]])
+        got = f_information(kernel, JointDistribution(p))
+        want = f_information(kernel, JointDistribution(p[[0, 2]]))
+        assert math.isfinite(got) and want > 0.0
+        assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-15)
 
     def test_kl_bsc_matches_direct_sum_and_entropy_identity(self):
         q, delta = 0.1, 0.1
@@ -266,6 +309,26 @@ class TestConditionalFInformation:
         with pytest.raises(ValueError, match="marginal"):
             conditional_f_information(
                 DivergenceKernel.kl(), [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], [0.7, 0.3]
+            )
+
+    @pytest.mark.parametrize("kernel", ALL_DIVERGENCES, ids=lambda k: k.kind)
+    def test_marginal_with_zero_coordinate(self, kernel):
+        q = [0.6, 0.4, 0.0]
+        conditionals = [[1.0, 0.0, 0.0], [0.2, 0.8, 0.0]]
+        got = conditional_f_information(kernel, [0.5, 0.5], conditionals, q)
+        joint = JointDistribution(0.5 * np.array(conditionals))
+        assert math.isfinite(got)
+        assert math.isclose(got, f_information(kernel, joint), rel_tol=1e-12)
+
+    def test_atom_off_the_marginal_support_names_index(self):
+        # The mixture misses q[2] = 0 by 5e-11, inside the mixture tolerance,
+        # but the second atom still puts mass there.
+        with pytest.raises(ValueError, match=r"absolute continuity.*r\[2\] = 0"):
+            conditional_f_information(
+                DivergenceKernel.kl(),
+                [0.5, 0.5],
+                [[0.5, 0.5, 0.0], [0.5, 0.5 - 1e-10, 1e-10]],
+                [0.5, 0.5, 0.0],
             )
 
     @pytest.mark.parametrize("kernel", ALL_DIVERGENCES, ids=lambda k: k.kind)

@@ -11,6 +11,7 @@ from bottleneck_lab import (
     boundary_point_at_lambda,
     build_lagrangian_graph,
     envelope_general,
+    resolve_functional,
 )
 from bottleneck_lab.envelope import LagrangianGraph, compositions
 
@@ -26,11 +27,12 @@ def h_nats(p):
 
 
 ENTROPY = DivergenceKernel.entropy_functional()
+H = resolve_functional(ENTROPY)
 
 
 def entropy_graph(delta, lam, resolution):
     lattice = SimplexLattice.build(2, resolution)
-    return build_lagrangian_graph(ENTROPY, ENTROPY, bsc(delta), lam, lattice)
+    return build_lagrangian_graph(H, H, bsc(delta), lam, lattice)
 
 
 def convex_weights(points, target):
@@ -99,8 +101,9 @@ class TestBuildGraph:
         chi = DivergenceKernel.chi_squared()
         channel = bsc(0.1)
         graph = build_lagrangian_graph(
-            chi, chi, channel, 0.8, lattice,
-            f_reference=q, g_reference=channel.matrix @ q,
+            resolve_functional(chi, q),
+            resolve_functional(chi, channel.matrix @ q),
+            channel, 0.8, lattice,
         )
         idx = lattice.snap(q)
         assert abs(graph.values[idx]) < 1e-14
@@ -110,7 +113,7 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="not finite"):
             with np.errstate(divide="ignore"):
                 build_lagrangian_graph(
-                    lambda P: np.log(P[:, 0]), ENTROPY, bsc(0.1), 0.0, lattice
+                    lambda P: np.log(P[:, 0]), H, bsc(0.1), 0.0, lattice
                 )
 
 
@@ -130,7 +133,7 @@ class TestLowerEnvelope1d:
         # envelope over [0, 1] is the zero chord between the vertices.
         lattice = SimplexLattice.build(2, 4)
         graph = build_lagrangian_graph(
-            ENTROPY, ENTROPY, np.eye(2), 0.0, lattice
+            H, H, np.eye(2), 0.0, lattice
         )
         result = envelope_general(graph, "lower")
         assert_allclose(result.envelope_values, 0.0, atol=1e-15)
@@ -210,7 +213,7 @@ class TestEnvelopeGeneral:
         # Entropy at slope 0 is concave; the lower envelope at N = 2 is the
         # plane through the three vertices, identically zero.
         lattice = SimplexLattice.build(3, 2)
-        graph = build_lagrangian_graph(ENTROPY, ENTROPY, np.eye(3), 0.0, lattice)
+        graph = build_lagrangian_graph(H, H, np.eye(3), 0.0, lattice)
         result = envelope_general(graph, "lower")
         assert_allclose(result.envelope_values, 0.0, atol=1e-12)
         interior = [i for i in range(lattice.size) if (lattice.points[i] > 0).sum() > 1]
@@ -250,7 +253,7 @@ class TestEnvelopeGeneral:
 
     def test_m4_concave_entropy_envelope(self):
         lattice = SimplexLattice.build(4, 8)
-        graph = build_lagrangian_graph(ENTROPY, ENTROPY, np.eye(4), 0.0, lattice)
+        graph = build_lagrangian_graph(H, H, np.eye(4), 0.0, lattice)
         result = envelope_general(graph, "lower")
         assert_allclose(result.envelope_values, 0.0, atol=1e-12)
         for i in range(lattice.size):
@@ -258,7 +261,7 @@ class TestEnvelopeGeneral:
 
     def test_rejects_m5(self):
         lattice = SimplexLattice.build(5, 2)
-        graph = build_lagrangian_graph(ENTROPY, ENTROPY, np.eye(5), 0.0, lattice)
+        graph = build_lagrangian_graph(H, H, np.eye(5), 0.0, lattice)
         with pytest.raises(ValueError, match="m"):
             envelope_general(graph, "lower")
 
@@ -267,7 +270,7 @@ class TestEnvelopeGeneral:
         rng = np.random.default_rng(5)
         T = rng.exponential(size=(3, 3)) + 0.1
         T = T / T.sum(axis=0, keepdims=True)
-        graph = build_lagrangian_graph(ENTROPY, ENTROPY, T, 1.2, lattice)
+        graph = build_lagrangian_graph(H, H, T, 1.2, lattice)
         result = envelope_general(graph, "lower")
         assert np.all(result.envelope_values <= graph.values + 1e-12)
         pts = lattice.points
