@@ -40,9 +40,11 @@ from .sweep import (
     BoundaryCurve,
     _resolve_pair,
     boundary_point_at_lambda,
+    boundary_slice,
     bottleneck_value,
     funnel_value,
     matched_channel_invariance_check,
+    slice_point,
     sweep,
 )
 
@@ -210,9 +212,10 @@ def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4
     """A5: matched channels transported to a perturbed marginal agree with a
     fresh support query at that marginal and keep the same atom set."""
     inst = BscInstance(q=0.1, delta=0.1)
+    channel = inst.channel()
     lattice = SimplexLattice.build(2, resolution)
     curve = sweep(
-        _ENTROPY, _ENTROPY, inst.channel(), inst.marginal(), "lower",
+        _ENTROPY, _ENTROPY, channel, inst.marginal(), "lower",
         lattice=lattice, problem="pf", frame="entropy",
     )
     q0 = float(curve.marginal.probs[1])
@@ -235,17 +238,15 @@ def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4
     tol = 5e-3
     worst = 0.0
     atom_mismatch = 0
-    for point in picks:
-        for dq in (perturb, -perturb):
-            q_new = np.array([1.0 - (q0 + dq), q0 + dq])
+    for dq in (perturb, -perturb):
+        q_new = np.array([1.0 - (q0 + dq), q0 + dq])
+        # One slice per perturbed marginal serves every picked slope.
+        region = boundary_slice(_ENTROPY, _ENTROPY, channel, q_new, lattice=lattice)
+        for point in picks:
             moved = matched_channel_invariance_check(
-                point, q_new, _ENTROPY, _ENTROPY, inst.channel(),
-                lattice=lattice, verify=False,
+                point, q_new, _ENTROPY, _ENTROPY, channel, lattice=lattice, verify=False
             )
-            fresh = boundary_point_at_lambda(
-                _ENTROPY, _ENTROPY, inst.channel(), q_new, point.lam, "lower",
-                lattice=lattice,
-            )
+            fresh = slice_point(region, point.lam, "lower", marginal_free=True)
             worst = max(worst, abs(moved.x - fresh.x) / LN2, abs(moved.y - fresh.y) / LN2)
             got = sorted(a.probs[1] for _, a in moved.witness.atoms)
             want = sorted(a.probs[1] for _, a in fresh.witness.atoms)

@@ -157,9 +157,13 @@ def cmd_closed_form(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    result = SUITES[args.suite]()
-    print(result.line())
-    return EXIT_OK if result.passed else EXIT_CHECK_FAILED
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    passed = True
+    for name in names:
+        result = SUITES[name]()
+        print(result.line(), flush=True)
+        passed = passed and result.passed
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     closed.add_argument("--output", required=True)
     closed.set_defaults(func=cmd_closed_form)
 
-    verify = sub.add_parser("verify", help="run one acceptance suite")
-    verify.add_argument("--suite", choices=sorted(SUITES), required=True)
+    verify = sub.add_parser("verify", help="run one acceptance suite, or all of them")
+    verify.add_argument("--suite", choices=[*sorted(SUITES), "all"], required=True)
     verify.set_defaults(func=cmd_verify)
 
     return parser

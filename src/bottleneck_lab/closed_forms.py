@@ -70,6 +70,17 @@ def _binary(p1: float) -> Distribution:
     return Distribution([1.0 - p1, p1])
 
 
+def _mr_gerber_xy(inst: BscInstance, alpha: float) -> tuple[float, float, float]:
+    """(ratio, x, y) of the upper-boundary point at mixture alpha, with
+    z = max(alpha, 2q) and ratio = q/z: scalars only, no witness."""
+    q, delta = inst.q, inst.delta
+    z = max(alpha, 2.0 * q)
+    ratio = 0.5 if z == 0.0 else min(q / z, 1.0)
+    x = alpha * binary_entropy(ratio)
+    y = alpha * binary_entropy(star(delta, ratio)) + (1.0 - alpha) * binary_entropy(delta)
+    return ratio, float(x), float(y)
+
+
 def mr_gerber_point(inst: BscInstance, alpha: float) -> GerberPoint:
     """Upper-boundary point at mixture parameter alpha in [0, 1].
 
@@ -83,11 +94,8 @@ def mr_gerber_point(inst: BscInstance, alpha: float) -> GerberPoint:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    q, delta = inst.q, inst.delta
-    z = max(alpha, 2.0 * q)
-    ratio = 0.5 if z == 0.0 else min(q / z, 1.0)
-    x = alpha * binary_entropy(ratio)
-    y = alpha * binary_entropy(star(delta, ratio)) + (1.0 - alpha) * binary_entropy(delta)
+    q = inst.q
+    ratio, x, y = _mr_gerber_xy(inst, alpha)
     marginal = inst.marginal()
     if alpha >= 2.0 * q:
         pairs = [(1.0 - alpha, _binary(0.0)), (alpha, _binary(ratio))]
@@ -99,27 +107,31 @@ def mr_gerber_point(inst: BscInstance, alpha: float) -> GerberPoint:
         ]
     atoms = tuple((w, p) for w, p in pairs if w > 1e-15)
     witness = WitnessChannel(atoms=atoms, marginal=marginal)
-    return GerberPoint(x=float(x), y=float(y), alpha=float(alpha), witness=witness)
+    return GerberPoint(x=x, y=y, alpha=float(alpha), witness=witness)
 
 
 def mr_gerber(inst: BscInstance, x: float) -> float:
     """Upper boundary in bits as a function of x, by monotone inversion of
     the alpha parametrization (x is continuous non-decreasing in alpha).
-    Concave on [0, h(q)]."""
+    Concave on [0, h(q)].
+
+    The inversion is scalar: brentq runs on the x-coordinate alone and no
+    witness is built; mr_gerber_point gives the point with its witness.
+    """
     hq = binary_entropy(inst.q)
     if x < -1e-12 or x > hq + 1e-9:
         raise ValueError(f"x = {x} outside [0, {hq}]")
     x = min(max(x, 0.0), hq)
     if x == 0.0:
-        return mr_gerber_point(inst, 0.0).y
+        return _mr_gerber_xy(inst, 0.0)[2]
     if x >= hq:
-        return mr_gerber_point(inst, 1.0).y
+        return _mr_gerber_xy(inst, 1.0)[2]
 
     def gap(alpha: float) -> float:
-        return mr_gerber_point(inst, alpha).x - x
+        return _mr_gerber_xy(inst, alpha)[1] - x
 
     alpha = brentq(gap, 0.0, 1.0, xtol=1e-13, rtol=9e-16)
-    return mr_gerber_point(inst, float(alpha)).y
+    return _mr_gerber_xy(inst, float(alpha))[2]
 
 
 def k_norm(p: float, beta: float) -> float:

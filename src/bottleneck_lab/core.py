@@ -435,19 +435,28 @@ def resolve_functional(
 
     Divergence kinds close over a full-support reference distribution and map
     p to D_f(p || reference); entropy and norm kinds ignore the reference.
-    The returned callable accepts a (k, m) array of row-distributions and
-    returns a length-k vector.
+    The reference is checked but never rescaled.  The returned callable
+    accepts a (k, m) array of row-distributions and returns a length-k
+    vector; for a divergence, m must be the size of the reference.
     """
     ref = None
     if kernel.is_divergence:
         if reference is None:
             raise ValueError(f"{kernel.kind} kernel needs a reference distribution")
-        ref = reference.probs if isinstance(reference, Distribution) else np.asarray(reference, dtype=float)
+        if isinstance(reference, Distribution):
+            ref = reference.probs
+        else:
+            ref = np.asarray(reference, dtype=float)
+            # Validated only: a rescaled copy would move the curve bits.
+            _as_prob_vector(ref, "divergence reference")
         if np.any(ref <= 0.0):
             raise ValueError("divergence reference must have full support")
 
     def functional(P: np.ndarray) -> np.ndarray:
-        return _evaluate(kernel, np.atleast_2d(P), ref)
+        P = np.atleast_2d(P)
+        if ref is not None and P.shape[-1] != ref.size:
+            raise ValueError(f"rows have {P.shape[-1]} entries; the reference has {ref.size}")
+        return _evaluate(kernel, P, ref)
 
     return functional
 

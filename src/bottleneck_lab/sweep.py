@@ -202,12 +202,23 @@ def boundary_point_at_lambda(
     lattice: SimplexLattice | None = None,
     resolution: int | None = None,
 ) -> BoundaryPoint:
-    """Boundary point at supporting slope lam: the polygon vertex minimizing
-    (lower) or maximizing (upper) y - lam * x, with q snapped to the
-    lattice.  It is trivial when its witness is the single atom q."""
+    """Boundary point at supporting slope lam with q snapped to the lattice:
+    slice_point on a fresh boundary_slice."""
     region = boundary_slice(f_kernel, g_kernel, T, q, lattice=lattice, resolution=resolution)
     free = f_kernel.marginal_free and g_kernel.marginal_free
-    return _boundary_points(region, [region.support(lam, direction)], [float(lam)], free)[0]
+    return slice_point(region, lam, direction, marginal_free=free)
+
+
+def slice_point(
+    region: RegionSlice, lam: float, direction: str, *, marginal_free: bool
+) -> BoundaryPoint:
+    """Boundary point of a region polygon at supporting slope lam: the vertex
+    minimizing (lower) or maximizing (upper) y - lam * x.  It is trivial
+    when its witness is the single atom at the slice's marginal.  Querying
+    one slice at many slopes builds its hull once."""
+    return _boundary_points(
+        region, [region.support(lam, direction)], [float(lam)], marginal_free
+    )[0]
 
 
 def _default_lattice(m: int, resolution: int | None) -> SimplexLattice:

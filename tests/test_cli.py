@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from bottleneck_lab import binary_entropy, k_norm, star
-from bottleneck_lab.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, EXIT_OK, main
+from bottleneck_lab import cli
+from bottleneck_lab.acceptance import CheckResult
+from bottleneck_lab.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_INFEASIBLE, EXIT_OK, main
 
 
 def read_csv(path):
@@ -204,3 +206,31 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.startswith("A6") and "PASS" in out
+
+    @pytest.mark.parametrize(
+        "outcomes, expected",
+        [
+            ((True, True), EXIT_OK),
+            ((False, True), EXIT_CHECK_FAILED),
+            ((True, False), EXIT_CHECK_FAILED),
+        ],
+    )
+    def test_all_runs_every_suite_in_order(self, monkeypatch, capsys, outcomes, expected):
+        calls = []
+        results = [
+            CheckResult(f"fake {i}", ok, 0.0 if ok else 1.0, 0.5, "stub")
+            for i, ok in enumerate(outcomes)
+        ]
+
+        def suite(result):
+            def check():
+                calls.append(result.criterion)
+                return result
+
+            return check
+
+        monkeypatch.setattr(cli, "SUITES", {r.criterion: suite(r) for r in results})
+        code = main(["verify", "--suite", "all"])
+        assert code == expected
+        assert calls == [r.criterion for r in results]
+        assert capsys.readouterr().out.splitlines() == [r.line() for r in results]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from bottleneck_lab import (
     BscInstance,
@@ -9,6 +10,7 @@ from bottleneck_lab import (
     arimoto_mrs_gerber,
     beta_norm,
     binary_entropy,
+    closed_forms,
     k_frame_to_entropy,
     k_norm,
     mr_gerber,
@@ -19,6 +21,28 @@ from bottleneck_lab import (
 from bottleneck_lab.core import LN2, resolve_functional, DivergenceKernel
 
 INST = BscInstance(q=0.1, delta=0.1)
+# The default instance plus the degenerate corners of the parametrization.
+EDGE_INSTS = [
+    INST,
+    BscInstance(q=0.1, delta=0.5),
+    BscInstance(q=0.1, delta=0.0),
+    BscInstance(q=0.5, delta=0.1),
+]
+
+
+def point_inversion(inst, x):
+    """mr_gerber as an inversion of mr_gerber_point: the same clamping,
+    bracket and tolerances, one witnessed point per evaluation."""
+    hq = binary_entropy(inst.q)
+    x = min(max(x, 0.0), hq)
+    if x == 0.0:
+        return mr_gerber_point(inst, 0.0).y
+    if x >= hq:
+        return mr_gerber_point(inst, 1.0).y
+    alpha = brentq(
+        lambda a: mr_gerber_point(inst, a).x - x, 0.0, 1.0, xtol=1e-13, rtol=9e-16
+    )
+    return mr_gerber_point(inst, float(alpha)).y
 
 
 class TestBscInstance:
@@ -113,8 +137,6 @@ class TestMrGerber:
         for x in np.linspace(0.0, binary_entropy(INST.q), 41):
             y = mr_gerber(INST, float(x))
             # find alpha whose point matches y, then check its x
-            from scipy.optimize import brentq
-
             alpha = brentq(
                 lambda a: mr_gerber_point(INST, a).x - float(x), 0.0, 1.0, xtol=1e-14
             )
@@ -145,6 +167,28 @@ class TestMrGerber:
         inst = BscInstance(q=0.3, delta=0.0)
         for x in np.linspace(0.0, binary_entropy(0.3), 11):
             assert math.isclose(mrs_gerber(inst, float(x)), float(x), abs_tol=1e-10)
+
+    def test_builds_no_witness(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mr_gerber built a witness object")
+
+        monkeypatch.setattr(closed_forms, "WitnessChannel", refuse)
+        monkeypatch.setattr(closed_forms, "Distribution", refuse)
+        with pytest.raises(AssertionError):
+            mr_gerber_point(INST, 0.5)
+        for inst in EDGE_INSTS:
+            for x in np.linspace(0.0, binary_entropy(inst.q), 33):
+                mr_gerber(inst, float(x))
+
+    def test_bit_identical_to_point_inversion(self):
+        rng = np.random.default_rng(2024)
+        draws = [
+            BscInstance(q=float(rng.uniform(0.05, 0.5)), delta=float(rng.uniform(0.0, 0.5)))
+            for _ in range(50)
+        ]
+        for inst in EDGE_INSTS + draws:
+            for x in np.linspace(0.0, binary_entropy(inst.q), 17):
+                assert mr_gerber(inst, float(x)) == point_inversion(inst, float(x))
 
 
 class TestArimotoClosedForms:

@@ -239,6 +239,35 @@ class TestKernelTable:
         with pytest.raises(ValueError, match="full support"):
             resolve_functional(DivergenceKernel.kl(), [0.5, 0.5, 0.0])
 
+    @pytest.mark.parametrize("kernel", ALL_DIVERGENCES, ids=lambda k: k.kind)
+    @pytest.mark.parametrize(
+        "reference, match",
+        [
+            ([math.nan, 0.5], "non-finite"),
+            ([math.inf, 0.5], "non-finite"),
+            ([[0.5, 0.5]], "1-D"),
+            (0.5, "1-D"),
+            ([0.5, 0.7, 0.2], "sums to"),
+            ([0.3, 0.3], "sums to"),
+        ],
+    )
+    def test_reference_must_be_a_distribution(self, kernel, reference, match):
+        with pytest.raises(ValueError, match=match):
+            resolve_functional(kernel, reference)
+
+    @pytest.mark.parametrize("kernel", ALL_DIVERGENCES, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("rows", [[[1.0]], [[0.5, 0.5]], [[0.2, 0.3, 0.4, 0.1]]])
+    def test_rows_must_match_the_reference_size(self, kernel, rows):
+        fn = resolve_functional(kernel, [0.5, 0.3, 0.2])
+        with pytest.raises(ValueError, match="reference has 3"):
+            fn(np.array(rows))
+
+    def test_reference_within_tolerance_is_not_rescaled(self):
+        # chi2 of (1, 0) from r is (1 - r_0)^2 / r_0 + r_1: 1 + 5e-10 for the
+        # raw r, 1 + 1e-9 had r been divided by its sum.
+        chi2 = resolve_functional(DivergenceKernel.chi_squared(), [0.5, 0.5 + 5e-10])
+        assert chi2(np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0 + 5e-10, abs=1e-13)
+
 
 class TestFInformation:
     @pytest.mark.parametrize("kernel", ALL_DIVERGENCES, ids=lambda k: k.kind)

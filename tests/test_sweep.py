@@ -32,7 +32,7 @@ from bottleneck_lab import (
 from bottleneck_lab.acceptance import _slope_grid
 from bottleneck_lab.core import LN2, resolve_functional
 from bottleneck_lab.envelope import build_lagrangian_graph, envelope_general, region_slice
-from bottleneck_lab.sweep import boundary_slice, curve_csv_rows
+from bottleneck_lab.sweep import boundary_slice, curve_csv_rows, slice_point
 
 ENTROPY = DivergenceKernel.entropy_functional()
 KL = DivergenceKernel.kl()
@@ -496,6 +496,35 @@ class TestHullSlice:
                     KL, KL, T, q, float(row[2]), direction, lattice=lattice
                 )
                 assert again.witness.to_json() == point.witness.to_json()
+
+    @pytest.mark.parametrize(
+        "m,resolution,kernel", [(2, 4096, ENTROPY), (3, 24, KL)], ids=["m2-entropy", "m3-kl"]
+    )
+    def test_slice_point_equals_per_call_path(self, m, resolution, kernel):
+        if m == 2:
+            q, T = INST.marginal().probs, INST.channel().matrix
+        else:
+            q, T = seeded_source(m, resolution, 7)
+        lattice = SimplexLattice.build(m, resolution)
+        region = boundary_slice(kernel, kernel, T, q, lattice=lattice)
+        for direction in ("lower", "upper"):
+            # Slopes spread over the chain's positive edge slopes reach ~20
+            # distinct vertices; the extremes sit exactly on an edge (a tie).
+            chain = region.chain(direction)
+            edges = np.diff(region.y[chain]) / np.diff(region.x[chain])
+            lams = [0.0, *np.quantile(edges[edges > 0.0], np.linspace(0.0, 1.0, 19))]
+            for lam in lams:
+                got = slice_point(region, lam, direction, marginal_free=kernel.marginal_free)
+                want = boundary_point_at_lambda(
+                    kernel, kernel, T, q, lam, direction, lattice=lattice
+                )
+                assert (got.x, got.y, got.lam, got.trivial, got.marginal_free) == (
+                    want.x, want.y, want.lam, want.trivial, want.marginal_free
+                )
+                assert got.witness.weights().tolist() == want.witness.weights().tolist()
+                assert (
+                    got.witness.conditionals().tolist() == want.witness.conditionals().tolist()
+                )
 
     def test_ternary_curve_has_many_points_and_exact_endpoints(self):
         q, T = seeded_source(3, 48, 5)
