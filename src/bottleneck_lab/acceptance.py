@@ -87,6 +87,23 @@ def _entropy_curve(inst: BscInstance, direction: str, resolution: int) -> Bounda
     )
 
 
+def _curve_pair(
+    kernel: DivergenceKernel,
+    inst: BscInstance,
+    resolution: int,
+    problems: tuple[str, str],
+    **labels,
+) -> tuple[BoundaryCurve, BoundaryCurve]:
+    """Lower and upper curves (labelled with problems, in that order) read
+    off one boundary_slice."""
+    channel, q = inst.channel(), inst.marginal()
+    region = boundary_slice(kernel, kernel, channel, q, resolution=resolution)
+    return tuple(
+        sweep(kernel, kernel, channel, q, side, region=region, problem=problem, **labels)
+        for side, problem in zip(("lower", "upper"), problems)
+    )
+
+
 def check_mgl(resolution: int = 4096, probes: int = 101) -> CheckResult:
     """A1: lower entropy curve against the exact lower boundary."""
     inst = BscInstance(q=0.1, delta=0.1)
@@ -130,13 +147,8 @@ def check_arimoto(beta: float = 2.0, resolution: int = 4096, probes: int = 101) 
     """A3: norm-kernel curves against the exact K-frame boundaries."""
     inst = BscInstance(q=0.4, delta=0.2)
     kern = DivergenceKernel.norm_beta(beta)
-    lower = sweep(
-        kern, kern, inst.channel(), inst.marginal(), "lower",
-        resolution=resolution, problem="arimoto", frame="K", beta=beta,
-    )
-    upper = sweep(
-        kern, kern, inst.channel(), inst.marginal(), "upper",
-        resolution=resolution, problem="arimoto", frame="K", beta=beta,
+    lower, upper = _curve_pair(
+        kern, inst, resolution, ("arimoto", "arimoto"), frame="K", beta=beta
     )
     dev = 0.0
     for p in np.linspace(0.0, inst.q, probes):
@@ -165,8 +177,9 @@ def check_oracle_cross(
     worst = 0.0
     details = []
 
-    lower_h = _entropy_curve(inst, "lower", sweep_resolution)
-    upper_h = _entropy_curve(inst, "upper", sweep_resolution)
+    lower_h, upper_h = _curve_pair(
+        _ENTROPY, inst, sweep_resolution, ("pf", "ib"), frame="entropy"
+    )
     xs_nats = np.linspace(0.0, binary_entropy(inst.q) * LN2, n_x)
     funnel = oracle_exhaustive_binary(
         _ENTROPY, _ENTROPY, inst.delta, inst.q, xs_nats, "lower", resolution
@@ -184,14 +197,7 @@ def check_oracle_cross(
         worst = max(worst, abs(pt.best_y / LN2 - mr_gerber(inst, pt.x_target / LN2)))
     details.append("entropy vs curves and closed forms")
 
-    lower_c = sweep(
-        _CHI2, _CHI2, inst.channel(), inst.marginal(), "lower",
-        resolution=sweep_resolution, problem="epf",
-    )
-    upper_c = sweep(
-        _CHI2, _CHI2, inst.channel(), inst.marginal(), "upper",
-        resolution=sweep_resolution, problem="eb",
-    )
+    lower_c, upper_c = _curve_pair(_CHI2, inst, sweep_resolution, ("epf", "eb"))
     xs_chi = np.linspace(0.0, 1.0, n_x)
     for pt in oracle_exhaustive_binary(_CHI2, _CHI2, inst.delta, inst.q, xs_chi, "lower", resolution):
         worst = max(worst, _quiet(funnel_value, lower_c, pt.x_target) - pt.best_y)
@@ -266,14 +272,7 @@ def check_chi2_endpoints(resolution: int = 4000) -> CheckResult:
     """A6: chi-squared curves hit (0, 0) and the exact full-information
     endpoint, and never exceed the m-1 bound."""
     inst = BscInstance(q=0.1, delta=0.1)
-    lower = sweep(
-        _CHI2, _CHI2, inst.channel(), inst.marginal(), "lower",
-        resolution=resolution, problem="epf",
-    )
-    upper = sweep(
-        _CHI2, _CHI2, inst.channel(), inst.marginal(), "upper",
-        resolution=resolution, problem="eb",
-    )
+    lower, upper = _curve_pair(_CHI2, inst, resolution, ("epf", "eb"))
     m = 2
     joint = joint_from_marginal_channel(lower.marginal, lower.channel)
     chi_xy = f_information(_CHI2, joint)

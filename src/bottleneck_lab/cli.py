@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -30,11 +31,24 @@ class ConfigError(Exception):
     """Flag combination that cannot be run (exit code 3)."""
 
 
+def _file_mode(path: Path) -> int:
+    """Mode for writing path: an existing file's own, else what open()
+    would give a new file under the current umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    mode = _file_mode(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fh.fileno(), mode)  # mkstemp makes it 0600 whatever the umask
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -115,19 +129,18 @@ def cmd_curve(args) -> int:
         raise ConfigError("the arimoto problem is only available for binary sources")
     if args.resolution is None and marginal.m not in DEFAULT_RESOLUTION:
         raise ConfigError(f"no default lattice for m = {marginal.m}; pass --resolution")
-    directions = ["lower", "upper"] if args.direction == "both" else [args.direction]
-    rows: list[list[str]] = []
-    for direction in directions:
-        curve = problem_curve(
-            marginal,
-            channel,
-            args.problem,
-            direction,
-            beta=args.beta,
-            frame=args.frame,
-            resolution=args.resolution,
-        )
-        rows.extend(curve_csv_rows(curve))
+    curves = problem_curve(
+        marginal,
+        channel,
+        args.problem,
+        args.direction,
+        beta=args.beta,
+        frame=args.frame,
+        resolution=args.resolution,
+    )
+    if args.direction != "both":
+        curves = (curves,)
+    rows = [row for curve in curves for row in curve_csv_rows(curve)]
     params = {
         "problem": args.problem,
         "direction": args.direction,
@@ -147,6 +160,8 @@ def cmd_closed_form(args) -> int:
     if args.law.startswith("arimoto"):
         if args.beta is None or args.beta < 2.0:
             raise ValueError("arimoto laws need --beta >= 2")
+    elif args.beta is not None:
+        raise ConfigError(f"--beta does not apply to law {args.law!r}")
     rows = closed_form_table(inst, args.law, beta=args.beta, points=args.points)
     digest = hashlib.sha256(f"bsc:{args.bsc}".encode()).hexdigest()
     params = {"law": args.law, "beta": args.beta, "points": args.points, "bsc": args.bsc}

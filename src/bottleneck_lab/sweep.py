@@ -238,6 +238,7 @@ def sweep(
     *,
     resolution: int | None = None,
     lattice: SimplexLattice | None = None,
+    region: RegionSlice | None = None,
     problem: str = "generic",
     frame: str = "finfo",
     beta: float | None = None,
@@ -249,9 +250,21 @@ def sweep(
     lam set to the midpoint of its two edge slopes, clipped to >= 0: a slope
     strictly inside its normal cone, at which boundary_point_at_lambda
     returns the same vertex.
+
+    region, a boundary_slice of the same kernels, T and q, is read instead
+    of building a new slice, so both chains can come from one hull.  It
+    excludes lattice and resolution, and a slice at another (snapped)
+    marginal is refused.
     """
     channel = _as_channel(T)
-    region = boundary_slice(f_kernel, g_kernel, channel, q, lattice=lattice, resolution=resolution)
+    if region is None:
+        region = boundary_slice(
+            f_kernel, g_kernel, channel, q, lattice=lattice, resolution=resolution
+        )
+    elif lattice is not None or resolution is not None:
+        raise ValueError("region excludes lattice and resolution")
+    elif region.lattice.snap(q) != region.q_index:
+        raise ValueError("region is a slice at another marginal")
     chain = region.chain(direction)
     free = f_kernel.marginal_free and g_kernel.marginal_free
     slopes = np.diff(region.y[chain]) / np.diff(region.x[chain])
@@ -450,13 +463,16 @@ def problem_curve(
     frame: str | None = None,
     resolution: int | None = None,
     lattice: SimplexLattice | None = None,
-) -> BoundaryCurve:
+) -> BoundaryCurve | tuple[BoundaryCurve, BoundaryCurve]:
     """Boundary curve for one named problem instantiation.
 
     ib/pf use mutual-information kernels (or the conditional-entropy frame),
     eb/epf use chi-squared kernels, arimoto uses l^beta norm kernels in the
-    multiplicative K frame.
+    multiplicative K frame.  direction "both" returns (lower, upper), both
+    read off one boundary_slice; "lower" or "upper" returns one curve.
     """
+    if direction not in ("lower", "upper", "both"):
+        raise ValueError(f"unknown direction {direction!r}")
     if problem not in _PROBLEM_KERNELS:
         raise ValueError(f"unknown problem {problem!r}")
     frames = PROBLEM_FRAMES[problem]
@@ -470,18 +486,15 @@ def problem_curve(
         kernel = DivergenceKernel.norm_beta(beta if beta is not None else 2.0)
     else:
         kernel = DivergenceKernel(kind)
-    return sweep(
-        kernel,
-        kernel,
-        T,
-        q,
-        direction,
-        resolution=resolution,
-        lattice=lattice,
-        problem=problem,
-        frame=frame,
-        beta=kernel.beta,
+    channel = _as_channel(T)
+    region = boundary_slice(kernel, kernel, channel, q, lattice=lattice, resolution=resolution)
+    sides = ("lower", "upper") if direction == "both" else (direction,)
+    curves = tuple(
+        sweep(kernel, kernel, channel, q, side, region=region, problem=problem,
+              frame=frame, beta=kernel.beta)
+        for side in sides
     )
+    return curves if direction == "both" else curves[0]
 
 
 CURVE_CSV_HEADER = ["problem", "direction", "lambda", "x", "y", "trivial", "witness_json"]

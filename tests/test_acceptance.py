@@ -52,3 +52,9 @@ def test_a6_chi2_endpoints_and_bounds():
 
 def test_a7_property_suites():
     report(check_properties(n_seeds=200))
+
+
+def test_a4_reads_both_chains_off_one_slice_per_kernel(hull_calls):
+    result = check_oracle_cross(resolution=64, n_x=5, sweep_resolution=1024)
+    assert result.passed, result.line()
+    assert len(hull_calls) == 2  # one entropy slice, one chi2 slice

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -16,12 +18,28 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def write_seeded_joint(path, m, resolution, seed=3):
+    """m x m joint whose x-marginal has full support on the lattice."""
+    rng = np.random.default_rng([seed, m, resolution])
+    counts = 1 + rng.multinomial(resolution - m, np.full(m, 1.0 / m))
+    rows = rng.dirichlet(np.ones(m), size=m)  # row x is P(Y | X = x)
+    path.write_text(json.dumps({"p_xy": (counts[:, None] * rows / resolution).tolist()}))
+    return str(path)
+
+
 def run_curve(tmp_path, name, *extra):
     out = tmp_path / name
     code = main(
         ["curve", "--bsc", "0.1,0.1", "--output", str(out), "--resolution", "128", *extra]
     )
     return code, out
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
 
 
 class TestCurveCommand:
@@ -134,6 +152,63 @@ class TestCurveCommand:
         assert code == EXIT_BAD_INPUT
         assert sorted(p.name for p in tmp_path.iterdir()) == ["joint.json"]
 
+    @pytest.mark.parametrize(
+        "source, args",
+        [
+            (None, ["--bsc", "0.1,0.1", "--problem", "ib"]),
+            ((3, 48), ["--problem", "ib", "--resolution", "48"]),
+            ((4, 12), ["--problem", "eb", "--resolution", "12"]),
+            (None, ["--bsc", "0.4,0.2", "--problem", "arimoto", "--beta", "2"]),
+        ],
+        ids=["bsc-ib", "ternary-ib", "quaternary-eb", "bsc-arimoto"],
+    )
+    def test_both_is_lower_then_upper_bytewise(self, tmp_path, source, args):
+        if source is not None:
+            args = ["--input", write_seeded_joint(tmp_path / "joint.json", *source), *args]
+        text = {}
+        for direction in ("both", "lower", "upper"):
+            out = tmp_path / f"{direction}.csv"
+            assert main(["curve", *args, "--direction", direction, "--output", str(out)]) == EXIT_OK
+            text[direction] = out.read_bytes()
+        header, upper_rows = text["upper"].split(b"\n", 1)
+        assert text["lower"].startswith(header + b"\n")
+        assert text["both"] == text["lower"] + upper_rows
+
+    def test_both_builds_one_hull(self, tmp_path, hull_calls):
+        code, _ = run_curve(tmp_path, "x.csv", "--problem", "ib", "--direction", "both")
+        assert code == EXIT_OK
+        assert len(hull_calls) == 1
+
+    @pytest.mark.usefixtures("umask_022")
+    def test_new_output_follows_umask(self, tmp_path):
+        code, out = run_curve(tmp_path, "new.csv", "--problem", "ib", "--direction", "upper")
+        assert code == EXIT_OK
+        for path in (out, tmp_path / "new.csv.manifest.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "new.csv.manifest.json"]
+
+    @pytest.mark.usefixtures("umask_022")
+    def test_existing_output_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "old.csv"
+        manifest = tmp_path / "old.csv.manifest.json"
+        for path, mode in ((out, 0o600), (manifest, 0o664)):
+            path.write_text("stale\n")
+            path.chmod(mode)
+        code, _ = run_curve(tmp_path, "old.csv", "--problem", "ib", "--direction", "upper")
+        assert code == EXIT_OK
+        assert out.read_text().startswith("problem,")
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert stat.S_IMODE(manifest.stat().st_mode) == 0o664
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, _ = run_curve(tmp_path, "x.csv", "--problem", "ib", "--direction", "upper")
+        assert code == EXIT_BAD_INPUT
+        assert list(tmp_path.iterdir()) == []
+
     def test_arimoto_both_directions_dataset(self, tmp_path):
         out = tmp_path / "arimoto.csv"
         code = main(
@@ -188,6 +263,13 @@ class TestClosedFormCommand:
         by_x = dict(zip(xs, ys))
         assert math.isclose(by_x[max(xs)], k_norm(0.2, 2.0), abs_tol=1e-12)
         assert math.isclose(by_x[min(xs)], k_norm(star(0.4, 0.2), 2.0), abs_tol=1e-12)
+
+    @pytest.mark.parametrize("law", ["mgl", "mrgl"])
+    def test_beta_with_entropy_law_is_infeasible(self, tmp_path, capsys, law):
+        code, out = self.run(tmp_path, "x.csv", "--law", law, "--beta", "3")
+        assert code == EXIT_INFEASIBLE
+        assert f"--beta does not apply to law '{law}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_arimoto_rejects_small_beta(self, tmp_path):
         code, _ = self.run(tmp_path, "bad.csv", "--law", "arimoto-mrgl", "--beta", "1.5")

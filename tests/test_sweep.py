@@ -403,7 +403,62 @@ class TestLambdaGrid:
         assert grid.size > 1 and np.isfinite(grid).all()
 
 
+def assert_same_curve(got, want):
+    """Field-for-field equality of two BoundaryCurves, witnesses included."""
+    assert (got.direction, got.problem, got.frame, got.beta) == (
+        want.direction, want.problem, want.frame, want.beta
+    )
+    assert (got.f_kernel, got.g_kernel) == (want.f_kernel, want.g_kernel)
+    assert got.marginal.probs.tolist() == want.marginal.probs.tolist()
+    assert got.channel.matrix.tolist() == want.channel.matrix.tolist()
+    assert len(got.points) == len(want.points)
+    for a, b in zip(got.points, want.points):
+        assert (a.x, a.y, a.trivial, a.marginal_free) == (b.x, b.y, b.trivial, b.marginal_free)
+        assert a.lam == b.lam or (math.isnan(a.lam) and math.isnan(b.lam))
+        assert a.witness.to_json() == b.witness.to_json()
+        assert a.witness.marginal.probs.tolist() == b.witness.marginal.probs.tolist()
+
+
+class TestSweepRegion:
+    @pytest.mark.parametrize(
+        "m,resolution,kernel", [(2, 512, KL), (3, 24, ENTROPY)], ids=["m2-kl", "m3-entropy"]
+    )
+    def test_equals_sweep_without_region(self, m, resolution, kernel):
+        q, T = seeded_source(m, resolution, 9)
+        region = boundary_slice(kernel, kernel, T, q, resolution=resolution)
+        for direction in ("lower", "upper"):
+            got = sweep(kernel, kernel, T, q, direction, region=region, problem="ib")
+            want = sweep(kernel, kernel, T, q, direction, resolution=resolution, problem="ib")
+            assert_same_curve(got, want)
+
+    def test_slice_of_another_marginal_is_refused(self):
+        lattice = SimplexLattice.build(2, 64)
+        region = boundary_slice(KL, KL, INST.channel(), [0.8, 0.2], lattice=lattice)
+        with pytest.raises(ValueError, match="another marginal"):
+            sweep(KL, KL, INST.channel(), INST.marginal(), "lower", region=region)
+
+    @pytest.mark.parametrize("where", ["lattice", "resolution"])
+    def test_region_with_lattice_or_resolution_is_refused(self, where):
+        lattice = SimplexLattice.build(2, 64)
+        region = boundary_slice(KL, KL, INST.channel(), INST.marginal(), lattice=lattice)
+        extra = {"lattice": lattice} if where == "lattice" else {"resolution": 64}
+        with pytest.raises(ValueError, match="region excludes"):
+            sweep(KL, KL, INST.channel(), INST.marginal(), "lower", region=region, **extra)
+
+
 class TestProblemCurve:
+    def test_both_equals_one_call_per_direction(self, hull_calls):
+        q, T = seeded_source(3, 24, 4)
+        lower, upper = problem_curve(q, T, "eb", "both", resolution=24)
+        assert len(hull_calls) == 1
+        assert_same_curve(lower, problem_curve(q, T, "eb", "lower", resolution=24))
+        assert_same_curve(upper, problem_curve(q, T, "eb", "upper", resolution=24))
+
+    def test_unknown_direction_rejected_before_the_hull(self, hull_calls):
+        with pytest.raises(ValueError, match="direction"):
+            problem_curve(INST.marginal(), INST.channel(), "ib", "sideways", resolution=64)
+        assert hull_calls == []
+
     def test_eb_rejects_entropy_frame(self):
         with pytest.raises(ValueError, match="frame"):
             problem_curve(INST.marginal(), INST.channel(), "eb", "upper",
