@@ -56,11 +56,9 @@ from .sweep import (
     bottleneck_value,
     boundary_point_at_lambda,
     funnel_value,
-    matched_channel_extract,
     matched_channel_invariance_check,
     problem_curve,
     sweep,
-    transform_entropy_frame,
 )
 
 __all__ = [
@@ -99,7 +97,6 @@ __all__ = [
     "k_frame_to_entropy",
     "k_norm",
     "load_joint",
-    "matched_channel_extract",
     "matched_channel_invariance_check",
     "mr_gerber",
     "mr_gerber_point",
@@ -110,5 +107,4 @@ __all__ = [
     "resolve_functional",
     "star",
     "sweep",
-    "transform_entropy_frame",
 ]

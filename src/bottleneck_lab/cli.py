@@ -18,7 +18,7 @@ from . import __version__
 from .acceptance import SUITES
 from .closed_forms import CLOSED_FORM_CSV_HEADER, BscInstance, closed_form_table
 from .core import bsc_joint, decompose_joint, load_joint
-from .envelope import DEFAULT_RESOLUTION
+from .envelope import DEFAULT_RESOLUTION, MAX_LATTICE_POINTS, lattice_size
 from .sweep import CURVE_CSV_HEADER, PROBLEM_FRAMES, curve_csv_rows, problem_curve
 
 EXIT_OK = 0
@@ -129,6 +129,13 @@ def cmd_curve(args) -> int:
         raise ConfigError("the arimoto problem is only available for binary sources")
     if args.resolution is None and marginal.m not in DEFAULT_RESOLUTION:
         raise ConfigError(f"no default lattice for m = {marginal.m}; pass --resolution")
+    resolution = args.resolution or DEFAULT_RESOLUTION[marginal.m]
+    size = lattice_size(marginal.m, resolution)
+    if size > MAX_LATTICE_POINTS:
+        raise ConfigError(
+            f"the lattice at --resolution {resolution} has {size} points; "
+            f"at most {MAX_LATTICE_POINTS} are supported"
+        )
     curves = problem_curve(
         marginal,
         channel,

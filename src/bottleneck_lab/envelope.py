@@ -1,12 +1,21 @@
-"""Discretized simplex lattices and the achievable region read off one
-convex hull of lifted lattice points.
+"""Discretized simplex lattices and the achievable region at a marginal.
 
 For a marginal q on the lattice, the achievable pairs (E[f(p_w)], E[g(T p_w)])
 over mixtures of lattice points with mean q form the slice, at p = q, of the
 convex hull of the lifted points (p_1..p_{m-1}, f(p), g(Tp))
-(Witsenhausen & Wyner 1975).  region_slice computes that 2-D polygon with
-one qhull call; every vertex carries the at most m lattice points and
-weights that span it.
+(Witsenhausen & Wyner 1975).  region_slice computes that 2-D polygon; every
+vertex carries the at most m lattice points and weights that span it.  The
+candidate vertices come from one of two routes, chosen by m:
+
+- m = 2: the faces of one qhull hull of the lifted points that contain q.
+  A hull in dimension 3 is cheaper than the walk, which takes one pivot
+  per vertex and has one vertex per few lattice points here.
+- m >= 3: two parametric simplex walks, one per boundary chain, over the
+  LP min (lower) or max (upper) of sum a_i (g_i - lambda f_i) s.t.
+  sum a_i p_i = q, a >= 0; each vertex is its optimal basis over a range
+  of lambda.  Each pivot is an m x m solve and two pricing products over
+  the lattice, while a hull in dimension m + 1 grows far faster with m
+  and N.
 
 envelope_general keeps the per-slope view: the lower convex (upper concave)
 envelope of g(Tp) - lambda * f(p) over the whole lattice.  It is the
@@ -39,8 +48,33 @@ _TURN_TOL = 1e-9
 # max(|f|, |g|, 1) * sqrt(lattice size) mark a flat lifted set (for example
 # a product joint, where g(Tp) is 0 everywhere).
 _FLAT_TOL = 1e-10
+# Reduced costs of the simplex walk within this share of max(|X|, |Y|, 1)
+# count as zero when pricing.  They are rounded differences of values of
+# that size: at 1e-15 the walk pivots on rounding noise and cycles until
+# its pivot cap (A7), while at 1e-3 columns with a real breakpoint are
+# passed over and vertices are lost (test_walk_matches_hull[m3-kl]).
+_PRICE_TOL = 1e-11
+# A walk basis is a vertex when the next breakpoint's reduced cost at the
+# basis's own slope exceeds this share of max(|X|, |Y|, 1); below it the
+# two breakpoints coincide up to rounding.  At 1e-16 a product joint's
+# noise-level breakpoints become vertices (test_flat_lifted_set_gives_a_curve);
+# at 1e-12 a vertex whose normal cone is 7e-11 wide is lost
+# (test_walk_matches_hull[thin-cone]).
+_BREAK_TOL = 1e-14
 
 DEFAULT_RESOLUTION = {2: 4096, 3: 128, 4: 32}
+# Largest lattice a curve is computed on.  Peak RSS of a binary
+# `curve --direction both` grows by ~3.1 KiB per lattice point (qhull and
+# one output row per two points; 220 MiB at N = 65 536 and 862 MiB at
+# N = 262 144, x86-64 Linux, numpy 2.4, scipy 1.17), so this keeps a run
+# under ~1 GiB.  The m >= 3 walk adds ~0.15 KiB per point.
+MAX_LATTICE_POINTS = 1 << 18
+
+
+def lattice_size(m: int, resolution: int) -> int:
+    """Number of points of the m-letter simplex lattice at resolution N:
+    C(N + m - 1, m - 1)."""
+    return math.comb(resolution + m - 1, m - 1)
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -247,8 +281,8 @@ class RegionSlice:
     q = lattice.points[q_index].
 
     Vertex k is x[k] = weights[k] @ X[atoms[k]] (likewise y), a mixture of the
-    lattice points atoms[k] with mean q; unused slots hold atom -1 with
-    weight 0.
+    lattice points atoms[k] (increasing) with mean q; unused slots come
+    last and hold atom -1 with weight 0.
     lower and upper list the vertices of the two boundary chains, x strictly
     increasing, each running between the x-extremes of the polygon.
     """
@@ -359,31 +393,22 @@ def _face_witnesses(
     weights = np.where(weights > _ATOM_TOL, weights, 0.0)
     weights /= weights.sum(axis=1, keepdims=True)
     # Faces meeting q on a shared sub-face span the same point: keep one per
-    # set of atoms actually used (unused slots become -1).
+    # set of atoms actually used (unused slots become -1, sorted last).
     atoms = np.where(weights > 0.0, atoms, -1)
-    order = np.argsort(atoms, axis=1)
+    order = np.argsort(np.where(atoms < 0, counts.shape[0], atoms), axis=1)
     atoms = np.take_along_axis(atoms, order, axis=1)
     weights = np.take_along_axis(weights, order, axis=1)
     _, first = np.unique(atoms, axis=0, return_index=True)
     return atoms[first], weights[first]
 
 
-def region_slice(graph: LagrangianGraph, q_index: int) -> RegionSlice:
-    """Slice at q of the convex hull of the lifted lattice points.
-
-    One qhull call in dimension m + 1 (m when the lifted set is flat).
-    The polygon's vertices lie on the hull's m-vertex faces whose p-part
-    contains q; each such face gives one candidate point, with its
-    barycentric weights as the witness, and a 2-D hull of the candidates
-    keeps the vertices.
-    """
-    lattice = graph.lattice
+def _hull_faces(
+    lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, counts: np.ndarray, q_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Witnesses of the lifted hull's m-vertex faces that contain q: one
+    qhull call in dimension m + 1 (m when the lifted set is flat)."""
     m = lattice.m
-    X = np.asarray(graph.x_values, dtype=float)
-    Y = np.asarray(graph.y_values, dtype=float)
-    counts = np.rint(lattice.points * lattice.resolution).astype(np.int64)
     qc = counts[q_index]
-
     rank, extra = _flat_rank(lattice.points, np.column_stack([X, Y]))
     if rank == 0:
         # (f, g) affine in p: every mixture with mean q lands on one point.
@@ -391,10 +416,144 @@ def region_slice(graph: LagrangianGraph, q_index: int) -> RegionSlice:
         atoms[0, 0] = q_index
         weights = np.zeros((1, m))
         weights[0, 0] = 1.0
-    else:
-        lifted = np.column_stack([lattice.points[:, : m - 1], extra[:, :rank]])
-        simplices = ConvexHull(lifted, qhull_options="Qt QbB").simplices
-        atoms, weights = _face_witnesses(_ridges_around(simplices, counts, qc), counts, qc)
+        return atoms, weights
+    lifted = np.column_stack([lattice.points[:, : m - 1], extra[:, :rank]])
+    simplices = ConvexHull(lifted, qhull_options="Qt QbB").simplices
+    return _face_witnesses(_ridges_around(simplices, counts, qc), counts, qc)
+
+
+def _pivot_cap(points: int) -> int:
+    """Most pivots one walk may take over a lattice of this many points.
+    A walk visits each basis at most once.  Measured walks take up to 1.1
+    pivots per point on the smallest lattices (m = 3, N = 3) and under
+    0.05 at the default ones (see test_walk_pivots_stay_under_cap)."""
+    return 4 * points + 64
+
+
+def _adjugate(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integer adjugate and determinant of an integer matrix, signed so
+    that the determinant is positive: M @ adj == det * I exactly."""
+    Mf = M.astype(float)
+    det = round(float(np.linalg.det(Mf)))
+    adj = np.rint(det * np.linalg.inv(Mf)).astype(np.int64)
+    if not np.array_equal(M @ adj, det * np.eye(M.shape[0], dtype=np.int64)):
+        raise RuntimeError(f"basis adjugate is not exact (determinant {det})")
+    return (adj, det) if det > 0 else (-adj, -det)
+
+
+def _lex_leaving(adj: np.ndarray, qc: np.ndarray, start: np.ndarray, u: np.ndarray) -> int:
+    """Lexicographic ratio test: the row r with u[r] > 0 whose row of
+    [weights, B^-1 B_0] / u[r] is smallest, compared exactly in integers.
+    Rows of B^-1 B_0 are independent, so the minimum is unique, and
+    degenerate pivots cannot cycle (B_0 is the start basis)."""
+    rows = np.flatnonzero(u > 0)
+    if rows.size == 1:
+        return int(rows[0])
+    keys = np.column_stack([adj @ qc, adj @ start])[rows].tolist()
+    us = u[rows].tolist()
+    best = 0
+    for k in range(1, rows.size):
+        for a, b in zip(keys[k], keys[best]):
+            if a * us[best] != b * us[k]:
+                if a * us[best] < b * us[k]:
+                    best = k
+                break
+    return int(rows[best])
+
+
+def _walk(X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int]) -> list[list[int]]:
+    """Optimal bases of the parametric LP
+    min sum a_i (Y_i - lam X_i)  s.t.  sum a_i counts_i = counts_q, a >= 0
+    as lam runs from -inf to +inf, one per vertex of the lower chain, from
+    the feasible basis start.
+
+    At lam = -inf the objective is X, ties broken by Y.  From there each
+    pivot brings in the column with the smallest breakpoint dY_j / dX_j
+    over dX_j > 0, and lam moves up to it.  A basis whose next breakpoint
+    lies past its own lam is a vertex; bases visited at one breakpoint
+    span points on that edge and are not kept.  Weights and ratios are
+    exact integer adjugate products, so degenerate pivots are recognised
+    exactly, and the lexicographic ratio test keeps them from cycling.
+    """
+    K = counts.shape[0]
+    CT = counts.T.astype(float)
+    XY = np.vstack([X, Y])
+    qc = counts[start[0]]
+    B0 = counts[start].T
+    scale = max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
+    tol, brk = _PRICE_TOL * scale, _BREAK_TOL * scale
+    cap = _pivot_cap(K)
+    basis = list(start)
+    vertices = []
+    lam = -math.inf
+    for _ in range(cap + 1):
+        adj, det = _adjugate(counts[basis].T)
+        dX, dY = XY - (XY[:, basis] @ (adj / det)) @ CT
+        rising = dX > tol
+        j = -1
+        if lam == -math.inf:
+            # Lexicographic (X, Y) pricing until the basis is optimal.
+            flat = (dX <= tol) & (dY < -tol)
+            if dX.min() < -tol:
+                j = int(np.argmin(dX))
+            elif flat.any():
+                j = int(np.argmin(np.where(flat, dY, np.inf)))
+        if j < 0:
+            if not rising.any():
+                vertices.append(list(basis))
+                return vertices
+            ratios = np.where(rising, dY, np.inf) / np.where(rising, dX, 1.0)
+            j = int(np.argmin(ratios))
+            # Optimal from lam up to a later breakpoint: a vertex.
+            if lam == -math.inf or dY[j] - lam * dX[j] > brk:
+                vertices.append(list(basis))
+            lam = max(lam, float(ratios[j]))
+        basis[_lex_leaving(adj, qc, B0, adj @ counts[j])] = j
+    raise RuntimeError(f"simplex walk took more than {cap} pivots on {K} lattice points")
+
+
+def _walk_faces(
+    lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, counts: np.ndarray, q_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Witnesses of the vertex bases of two parametric simplex walks, one
+    for the lower chain (Y) and one for the upper chain (-Y)."""
+    qc = counts[q_index]
+    # q and the alphabet vertices other than q's largest coordinate: a
+    # basis whose only weighted atom is q.
+    top = int(np.argmax(qc))
+    start = [int(q_index)]
+    for k in range(lattice.m):
+        if k != top:
+            vertex = np.zeros(lattice.m, dtype=int)
+            vertex[k] = lattice.resolution
+            start.append(lattice.index_of(vertex))
+    bases = _walk(X, Y, counts, start) + _walk(X, -Y, counts, start)
+    return _face_witnesses(np.unique(np.sort(bases, axis=1), axis=0), counts, qc)
+
+
+def region_slice(graph: LagrangianGraph, q_index: int) -> RegionSlice:
+    """Slice at q of the convex hull of the lifted lattice points.
+
+    The polygon's vertices are mixtures with mean q of at most m lattice
+    points.  For m = 2 they come from the m-vertex faces of one qhull
+    hull that contain q (a 3-D hull is cheaper than one walk pivot per
+    vertex).  For m >= 3 they are the vertex bases of two parametric
+    simplex walks (see _walk): a hull in dimension m + 1 grows far faster
+    than the walks.  Each candidate's barycentric weights are its
+    witness, and a 2-D hull of the candidates keeps the vertices.
+    """
+    faces = _hull_faces if graph.lattice.m == 2 else _walk_faces
+    return _slice(graph, q_index, faces)
+
+
+def _slice(graph: LagrangianGraph, q_index: int, faces) -> RegionSlice:
+    """region_slice with the candidate faces from faces(lattice, X, Y,
+    counts, q_index), which returns their atoms and weights."""
+    lattice = graph.lattice
+    X = np.asarray(graph.x_values, dtype=float)
+    Y = np.asarray(graph.y_values, dtype=float)
+    counts = np.rint(lattice.points * lattice.resolution).astype(np.int64)
+    atoms, weights = faces(lattice, X, Y, counts, q_index)
 
     cx = np.einsum("ki,ki->k", weights, X[atoms])
     cy = np.einsum("ki,ki->k", weights, Y[atoms])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,6 @@ from .core import (
     Channel,
     Distribution,
     DivergenceKernel,
-    entropy,
     mixture_weights,
     resolve_functional,
 )
@@ -215,7 +214,7 @@ def slice_point(
     """Boundary point of a region polygon at supporting slope lam: the vertex
     minimizing (lower) or maximizing (upper) y - lam * x.  It is trivial
     when its witness is the single atom at the slice's marginal.  Querying
-    one slice at many slopes builds its hull once."""
+    one slice at many slopes builds the slice once."""
     return _boundary_points(
         region, [region.support(lam, direction)], [float(lam)], marginal_free
     )[0]
@@ -252,7 +251,7 @@ def sweep(
     returns the same vertex.
 
     region, a boundary_slice of the same kernels, T and q, is read instead
-    of building a new slice, so both chains can come from one hull.  It
+    of building a new slice, so both chains can come from one slice.  It
     excludes lattice and resolution, and a slice at another (snapped)
     marginal is refused.
     """
@@ -320,52 +319,6 @@ def funnel_value(curve: BoundaryCurve, x: float) -> float:
     """Smallest achievable y subject to the x-floor, read off the lower
     curve (out-of-domain x is clamped)."""
     return _interp_on(curve, x, "lower")
-
-
-def transform_entropy_frame(
-    curve: BoundaryCurve,
-    q: Distribution | np.ndarray | None = None,
-    T: Channel | np.ndarray | None = None,
-) -> BoundaryCurve:
-    """Map a conditional-entropy-frame curve (x, y) -> (H(X) - x, H(Y) - y),
-    converting it to mutual-information coordinates (and back: the map is an
-    involution).  Bottleneck solutions come from lower entropy curves,
-    funnel solutions from upper ones."""
-    if curve.frame not in ("entropy", "entropy-mi"):
-        raise ValueError("transform applies to entropy-frame curves only")
-    if curve.f_kernel is None or curve.f_kernel.kind != "entropy" or (
-        curve.g_kernel is None or curve.g_kernel.kind != "entropy"
-    ):
-        raise ValueError("transform applies to curves swept with entropy kernels")
-    q_dist = curve.marginal if q is None else (
-        q if isinstance(q, Distribution) else Distribution(q)
-    )
-    channel = curve.channel if T is None else _as_channel(T)
-    hx = entropy(q_dist)
-    hy = entropy(channel.push_forward(q_dist))
-    new_points = tuple(
-        sorted(
-            (replace(p, x=hx - p.x, y=hy - p.y) for p in curve.points),
-            key=lambda p: (p.x, p.y),
-        )
-    )
-    new_frame = "entropy-mi" if curve.frame == "entropy" else "entropy"
-    return replace(curve, points=new_points, frame=new_frame)
-
-
-def matched_channel_extract(point: BoundaryPoint) -> WitnessChannel | None:
-    """The witness as a matched channel when it has at least two atoms,
-    None otherwise.  Only meaningful when the generating functionals do not
-    depend on the input marginal."""
-    if not point.marginal_free:
-        raise ValueError(
-            "matched channels require functionals independent of the input "
-            "marginal (entropy or norm kernels); divergence-framed curves "
-            "have none"
-        )
-    if len(point.witness.atoms) >= 2:
-        return point.witness
-    return None
 
 
 def matched_channel_invariance_check(

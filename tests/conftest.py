@@ -1,6 +1,11 @@
+import importlib
+
 import pytest
 
 from bottleneck_lab import envelope
+
+# The package's `sweep` attribute is the function, not the module.
+sweep_module = importlib.import_module("bottleneck_lab.sweep")
 
 
 @pytest.fixture
@@ -15,4 +20,19 @@ def hull_calls(monkeypatch):
         return real(points, *args, **kwargs)
 
     monkeypatch.setattr(envelope, "ConvexHull", counting)
+    return calls
+
+
+@pytest.fixture
+def slice_builds(monkeypatch):
+    """List that gets one entry (the marginal's lattice index) per
+    region_slice that sweep builds, whatever route the slice takes."""
+    calls = []
+    real = sweep_module.region_slice
+
+    def counting(graph, q_index):
+        calls.append(q_index)
+        return real(graph, q_index)
+
+    monkeypatch.setattr(sweep_module, "region_slice", counting)
     return calls

@@ -7,8 +7,8 @@ import stat
 import numpy as np
 import pytest
 
-from bottleneck_lab import binary_entropy, k_norm, star
-from bottleneck_lab import cli
+from bottleneck_lab import SimplexLattice, binary_entropy, k_norm, star
+from bottleneck_lab import cli, envelope
 from bottleneck_lab.acceptance import CheckResult
 from bottleneck_lab.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_INFEASIBLE, EXIT_OK, main
 
@@ -114,6 +114,42 @@ class TestCurveCommand:
         code = main(["curve", "--input", str(src), "--problem", "ib",
                      "--output", str(tmp_path / "x.csv")])
         assert code == EXIT_INFEASIBLE
+
+    def test_oversized_lattice_is_refused_before_it_is_built(self, tmp_path, monkeypatch, capsys):
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(SimplexLattice, "build", no_lattice)
+        out = tmp_path / "x.csv"
+        code = main(["curve", "--bsc", "0.1,0.1", "--problem", "ib",
+                     "--resolution", "100000000000", "--output", str(out)])
+        assert code == EXIT_INFEASIBLE
+        assert "100000000001 points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_symmetric_ternary_source_gets_a_curve(self, tmp_path):
+        # Uniform marginal through a symmetric channel: a qhull hull of the
+        # lifted points fails with a precision error at the default lattice.
+        T = np.full((3, 3), 0.075)
+        np.fill_diagonal(T, 0.85)
+        src = tmp_path / "symmetric.json"
+        src.write_text(json.dumps({"q": [1 / 3, 1 / 3, 1 / 3], "T": T.tolist()}))
+        out = tmp_path / "eb.csv"
+        assert main(["curve", "--input", str(src), "--problem", "eb", "--output", str(out)]) == EXIT_OK
+        rows = read_csv(out)[1:]
+        for direction in ("lower", "upper"):
+            xs = [float(r[3]) for r in rows if r[1] == direction]
+            assert xs[0] == 0.0 and abs(xs[-1] - 2.0) <= 1e-12  # chi2 information of X is m - 1
+
+    def test_walk_past_its_pivot_cap_is_an_internal_fault(self, tmp_path, monkeypatch):
+        # Not bad input: the error propagates instead of mapping to exit 2.
+        monkeypatch.setattr(envelope, "_pivot_cap", lambda points: 1)
+        src = write_seeded_joint(tmp_path / "joint.json", 3, 12)
+        out = tmp_path / "x.csv"
+        with pytest.raises(RuntimeError, match="pivots"):
+            main(["curve", "--input", src, "--problem", "ib", "--resolution", "12",
+                  "--output", str(out)])
+        assert not out.exists()
 
     @pytest.mark.parametrize("resolution", ["0", "1"])
     def test_tiny_resolution_is_bad_input(self, tmp_path, resolution):

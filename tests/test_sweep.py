@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from bottleneck_lab import (
     BscInstance,
@@ -20,17 +21,16 @@ from bottleneck_lab import (
     f_information,
     funnel_value,
     joint_from_marginal_channel,
-    matched_channel_extract,
     matched_channel_invariance_check,
     mr_gerber_point,
     mrs_gerber,
     problem_curve,
     star,
     sweep,
-    transform_entropy_frame,
 )
 from bottleneck_lab.acceptance import _slope_grid
 from bottleneck_lab.core import LN2, resolve_functional
+from bottleneck_lab import envelope
 from bottleneck_lab.envelope import build_lagrangian_graph, envelope_general, region_slice
 from bottleneck_lab.sweep import boundary_slice, curve_csv_rows, slice_point
 
@@ -250,40 +250,40 @@ class TestValueQueries:
         assert math.isclose(value, float(lower.ys[-1]), abs_tol=1e-12)
 
 
+def to_mi_frame(curve):
+    """(x, y) -> (H(X) - x, H(Y) - y): a conditional-entropy-frame curve in
+    mutual-information coordinates."""
+    hx = entropy(curve.marginal)
+    hy = entropy(curve.channel.push_forward(curve.marginal))
+    return hx - curve.xs, hy - curve.ys
+
+
 class TestTransformEntropyFrame:
+    """The conditional-entropy frame is the mutual-information frame under
+    the affine map (x, y) -> (H(X) - x, H(Y) - y)."""
+
     def test_trivial_point_maps_to_origin(self, entropy_lower_fine):
-        curve = transform_entropy_frame(entropy_lower_fine)
-        assert abs(curve.xs[0]) <= 1e-12
-        assert abs(curve.ys[0]) <= 1e-12
+        xs, ys = to_mi_frame(entropy_lower_fine)
+        assert abs(xs[-1]) <= 1e-12
+        assert abs(ys[-1]) <= 1e-12
 
     def test_deterministic_endpoint_maps_to_full_information(self, entropy_lower_fine):
-        curve = transform_entropy_frame(entropy_lower_fine)
+        xs, ys = to_mi_frame(entropy_lower_fine)
         q = entropy_lower_fine.marginal
-        hx = entropy(q)
         joint = joint_from_marginal_channel(q, entropy_lower_fine.channel)
-        mutual = f_information(KL, joint)
-        assert math.isclose(float(curve.xs[-1]), hx, abs_tol=1e-12)
-        assert math.isclose(float(curve.ys[-1]), mutual, abs_tol=1e-9)
-
-    def test_involution(self, entropy_lower_fine):
-        back = transform_entropy_frame(transform_entropy_frame(entropy_lower_fine))
-        assert_allclose(back.xs, entropy_lower_fine.xs, atol=1e-12)
-        assert_allclose(back.ys, entropy_lower_fine.ys, atol=1e-12)
+        assert math.isclose(float(xs[0]), entropy(q), abs_tol=1e-12)
+        assert math.isclose(float(ys[0]), f_information(KL, joint), abs_tol=1e-9)
 
     def test_matches_divergence_frame_sweep(self):
-        # The transformed entropy-frame lower curve and the directly swept
+        # The mapped entropy-frame lower curve and the directly swept
         # mutual-information upper curve describe the same boundary.
         lattice = SimplexLattice.build(2, 512)
         ent = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", lattice=lattice, frame="entropy")
         mi = sweep(KL, KL, INST.channel(), INST.marginal(), "upper", lattice=lattice)
-        moved = transform_entropy_frame(ent)
+        xs, ys = to_mi_frame(ent)
         for x in np.linspace(0.0, float(mi.xs[-1]), 21):
-            assert abs(moved.interpolate(float(x)) - quiet(bottleneck_value, mi, float(x))) <= 2e-3
-
-    def test_rejects_divergence_frame_curves(self, kl_curves):
-        lower, _ = kl_curves
-        with pytest.raises(ValueError):
-            transform_entropy_frame(lower)
+            moved = float(np.interp(x, xs[::-1], ys[::-1]))
+            assert abs(moved - quiet(bottleneck_value, mi, float(x))) <= 2e-3
 
     def test_ternary_transform_endpoints(self):
         rng = np.random.default_rng(1)
@@ -292,34 +292,27 @@ class TestTransformEntropyFrame:
         q = np.array([0.45, 0.35, 0.2])
         raw = sweep(ENTROPY, ENTROPY, T, q, "lower", resolution=32,
                     frame="entropy")
-        moved = transform_entropy_frame(raw)
-        assert abs(moved.xs[0]) <= 1e-12 and abs(moved.ys[0]) <= 1e-12
+        xs, ys = to_mi_frame(raw)
+        assert abs(xs[-1]) <= 1e-12 and abs(ys[-1]) <= 1e-12
         joint = joint_from_marginal_channel(raw.marginal, raw.channel)
-        assert math.isclose(float(moved.ys[-1]), f_information(KL, joint), abs_tol=1e-9)
+        assert math.isclose(float(ys[0]), f_information(KL, joint), abs_tol=1e-9)
 
 
 class TestMatchedChannels:
-    def test_trivial_point_has_no_matched_channel(self):
-        lam = (1.0 - 2.0 * INST.delta) ** 2
-        point = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, INST.channel(), INST.marginal(), lam, "lower",
-            resolution=512,
-        )
-        assert matched_channel_extract(point) is None
-
     def test_nontrivial_point_yields_witness(self):
         point = boundary_point_at_lambda(
             ENTROPY, ENTROPY, INST.channel(), INST.marginal(), 0.3, "lower",
             resolution=512,
         )
-        witness = matched_channel_extract(point)
-        assert witness is not None and len(witness.atoms) == 2
+        assert not point.trivial and len(point.witness.atoms) == 2
 
     def test_divergence_frame_rejected(self, kl_curves):
         lower, _ = kl_curves
         nontrivial = next(p for p in lower.points if not p.trivial)
         with pytest.raises(ValueError, match="marginal"):
-            matched_channel_extract(nontrivial)
+            matched_channel_invariance_check(
+                nontrivial, [0.89, 0.11], KL, KL, INST.channel(), resolution=512
+            )
 
     def test_norm_kernel_two_atom_witness(self):
         # Past the convexity threshold the K-frame tangency is a symmetric
@@ -330,9 +323,8 @@ class TestMatchedChannels:
             norm, norm, inst.channel(), inst.marginal(), 0.40, "lower",
             resolution=2048,
         )
-        witness = matched_channel_extract(point)
-        assert witness is not None and len(witness.atoms) == 2
-        ps = sorted(a.probs[1] for _, a in witness.atoms)
+        assert len(point.witness.atoms) == 2
+        ps = sorted(a.probs[1] for _, a in point.witness.atoms)
         assert abs(ps[0] + ps[1] - 1.0) <= 2.0 / 2048
 
     def test_same_marginal_recovers_point(self):
@@ -447,17 +439,17 @@ class TestSweepRegion:
 
 
 class TestProblemCurve:
-    def test_both_equals_one_call_per_direction(self, hull_calls):
+    def test_both_equals_one_call_per_direction(self, slice_builds):
         q, T = seeded_source(3, 24, 4)
         lower, upper = problem_curve(q, T, "eb", "both", resolution=24)
-        assert len(hull_calls) == 1
+        assert len(slice_builds) == 1
         assert_same_curve(lower, problem_curve(q, T, "eb", "lower", resolution=24))
         assert_same_curve(upper, problem_curve(q, T, "eb", "upper", resolution=24))
 
-    def test_unknown_direction_rejected_before_the_hull(self, hull_calls):
+    def test_unknown_direction_rejected_before_the_hull(self, slice_builds):
         with pytest.raises(ValueError, match="direction"):
             problem_curve(INST.marginal(), INST.channel(), "ib", "sideways", resolution=64)
-        assert hull_calls == []
+        assert slice_builds == []
 
     def test_eb_rejects_entropy_frame(self):
         with pytest.raises(ValueError, match="frame"):
@@ -511,6 +503,26 @@ def seeded_source(m, resolution, seed):
     counts = 1 + rng.multinomial(resolution - m, np.full(m, 1.0 / m))
     T = rng.dirichlet(np.ones(m), size=m).T  # column j is P(Y | X = j)
     return counts / resolution, T
+
+
+def walk_and_hull(kernel, q, T, resolution):
+    """The slice of one source from the simplex walk and from qhull."""
+    lattice = SimplexLattice.build(len(q), resolution)
+    q_idx = lattice.snap(q)
+    ref = lattice.points[q_idx]
+    f_fn = resolve_functional(kernel, ref if kernel.is_divergence else None)
+    g_fn = resolve_functional(kernel, T @ ref if kernel.is_divergence else None)
+    graph = build_lagrangian_graph(f_fn, g_fn, T, 0.0, lattice)
+    return (
+        envelope._slice(graph, q_idx, envelope._walk_faces),
+        envelope._slice(graph, q_idx, envelope._hull_faces),
+    )
+
+
+def symmetric_channel(m, eps):
+    T = np.full((m, m), eps / (m - 1))
+    np.fill_diagonal(T, 1.0 - eps)
+    return T
 
 
 class TestHullSlice:
@@ -620,3 +632,98 @@ class TestHullSlice:
         assert region.lower.tolist() == region.upper.tolist() == [0]
         assert region.atoms[0, 0] == q_idx and region.weights[0, 0] == 1.0
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            *[(m, n, k) for m, n in ((3, 48), (4, 8)) for k in ("kl", "chi2", "entropy")],
+            "symmetric", "product", "zero-coordinate", "thin-cone",
+        ],
+        ids=lambda c: c if isinstance(c, str) else f"m{c[0]}-{c[2]}",
+    )
+    def test_walk_matches_hull(self, case):
+        kernels = {"kl": KL, "chi2": CHI2, "entropy": ENTROPY}
+        if case == "symmetric":  # tied breakpoints
+            kernel, q, T, resolution = KL, np.full(3, 1.0 / 3.0), symmetric_channel(3, 0.1), 30
+        elif case == "product":  # g(Tp) = 0: a flat lifted set
+            kernel, q, T, resolution = KL, np.array([0.5, 0.3, 0.2]), np.tile([[0.6], [0.4]], (1, 3)), 12
+        elif case == "zero-coordinate":  # degenerate start
+            kernel, resolution = ENTROPY, 12
+            q, T = np.array([0.5, 0.5, 0.0]), np.random.default_rng(1).dirichlet(np.ones(3), size=3).T
+        elif case == "thin-cone":  # a lower vertex optimal for slopes 7e-11 apart
+            kernel, resolution, q = ENTROPY, 36, np.array([0.5, 0.5, 0.0])
+            T = np.array([[0.14440039, 0.10626361, 0.57412008],
+                          [0.36319544, 0.33291781, 0.37440498],
+                          [0.49240417, 0.56081857, 0.05147494]])
+            T = T / T.sum(axis=0)
+        else:
+            m, resolution, name = case
+            kernel = kernels[name]
+            q, T = seeded_source(m, resolution, 0)
+        walk, hull = walk_and_hull(kernel, q, T, resolution)
+        for direction in ("lower", "upper"):
+            a, b = walk.chain(direction), hull.chain(direction)
+            assert a.size == b.size
+            assert walk.atoms[a].tolist() == hull.atoms[b].tolist()
+            assert_allclose(walk.x[a], hull.x[b], rtol=0, atol=1e-12)
+            assert_allclose(walk.y[a], hull.y[b], rtol=0, atol=1e-12)
+            assert_allclose(walk.weights[a], hull.weights[b], rtol=0, atol=1e-12)
+
+    def test_walk_support_matches_linprog(self):
+        # A uniform marginal through a symmetric channel, where qhull gives
+        # up on the lifted points (a wide-merge precision error at N = 43):
+        # every support value of the walk's slice is the LP optimum that
+        # HiGHS finds independently.
+        q, T, resolution = np.full(3, 1.0 / 3.0), symmetric_channel(3, 0.15), 43
+        lattice = SimplexLattice.build(3, resolution)
+        q_idx = lattice.snap(q)
+        ref = lattice.points[q_idx]
+        graph = build_lagrangian_graph(
+            resolve_functional(CHI2, ref), resolve_functional(CHI2, T @ ref), T, 0.0, lattice
+        )
+        region = region_slice(graph, q_idx)
+        X, Y = graph.x_values, graph.y_values
+        for lam in np.linspace(-1.0, 4.0, 11):
+            for sign, direction in ((1.0, "lower"), (-1.0, "upper")):
+                lp = linprog(sign * (Y - lam * X), A_eq=lattice.points.T, b_eq=ref,
+                             bounds=(0.0, None), method="highs")
+                k = region.support(lam, direction)
+                assert abs(sign * lp.fun - (region.y[k] - lam * region.x[k])) <= 1e-9
+
+    def test_region_slice_takes_the_walk_from_m3(self, hull_calls):
+        for m, resolution in ((2, 16), (3, 8), (4, 4)):
+            q, T = seeded_source(m, resolution, 2)
+            boundary_slice(KL, KL, T, q, resolution=resolution)
+        assert [shape[1] for shape in hull_calls] == [3]  # the m = 2 slice only
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(envelope, "_pivot_cap", lambda points: 1)
+        q, T = seeded_source(3, 12, 1)
+        with pytest.raises(RuntimeError, match="more than 1 pivots"):
+            boundary_slice(KL, KL, T, q, resolution=12)
+
+    def test_walk_pivots_stay_under_cap(self, monkeypatch):
+        # The smallest lattices need the most pivots per point; every walk
+        # here stays under half its cap.
+        pivots = []
+        real = envelope._lex_leaving
+
+        def counting(*args):
+            pivots[-1] += 1
+            return real(*args)
+
+        walk = envelope._walk
+
+        def per_walk(X, Y, counts, start):
+            pivots.append(0)
+            result = walk(X, Y, counts, start)
+            assert pivots[-1] <= envelope._pivot_cap(counts.shape[0]) // 2
+            return result
+
+        monkeypatch.setattr(envelope, "_lex_leaving", counting)
+        monkeypatch.setattr(envelope, "_walk", per_walk)
+        for seed in range(5):
+            for m, resolution in ((3, 3), (3, 6), (4, 4), (5, 5), (4, 12)):
+                q, T = seeded_source(m, resolution, seed)
+                for kernel in (KL, CHI2, ENTROPY):
+                    boundary_slice(kernel, kernel, T, q, resolution=resolution)
+        assert len(pivots) == 2 * 5 * 5 * 3
