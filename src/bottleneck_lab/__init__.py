@@ -42,11 +42,9 @@ from .core import (
     star,
 )
 from .envelope import (
-    EnvelopeResult,
     LagrangianGraph,
     SimplexLattice,
     build_lagrangian_graph,
-    envelope_general,
 )
 from .oracle import OracleConfig, OraclePoint, oracle_boundary, oracle_exhaustive_binary
 from .sweep import (
@@ -68,7 +66,6 @@ __all__ = [
     "Channel",
     "Distribution",
     "DivergenceKernel",
-    "EnvelopeResult",
     "GerberPoint",
     "JointDistribution",
     "LagrangianGraph",
@@ -89,7 +86,6 @@ __all__ = [
     "conditional_f_information",
     "decompose_joint",
     "entropy",
-    "envelope_general",
     "f_divergence",
     "f_information",
     "funnel_value",

@@ -29,12 +29,7 @@ from .core import (
     f_information,
     joint_from_marginal_channel,
 )
-from .envelope import (
-    LagrangianGraph,
-    SimplexLattice,
-    build_lagrangian_graph,
-    envelope_general,
-)
+from .envelope import SimplexLattice, build_lagrangian_graph, envelope_at
 from .oracle import oracle_exhaustive_binary
 from .sweep import (
     BoundaryCurve,
@@ -299,26 +294,6 @@ def check_chi2_endpoints(resolution: int = 4000) -> CheckResult:
     )
 
 
-def _lattice_line_groups(lattice: SimplexLattice) -> list[list[int]]:
-    """Index groups forming straight evenly spaced lines across the lattice,
-    one family per coordinate pair."""
-    m = lattice.m
-    counts = np.round(lattice.points * lattice.resolution).astype(int)
-    groups: list[list[int]] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            others = [k for k in range(m) if k not in (i, j)]
-            keys: dict[tuple, list[tuple[int, int]]] = {}
-            for idx in range(lattice.size):
-                key = tuple(counts[idx, k] for k in others)
-                keys.setdefault(key, []).append((counts[idx, i], idx))
-            for members in keys.values():
-                if len(members) >= 3:
-                    members.sort()
-                    groups.append([idx for _, idx in members])
-    return groups
-
-
 def _slope_grid(x_values: np.ndarray, y_values: np.ndarray, steps: int) -> np.ndarray:
     """Slopes A7 draws from: zero, a uniform ramp and a geometric tail up to
     twice the largest chord slope from either x-extreme of the graph cloud
@@ -367,41 +342,14 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
             # One resolution for the reference envelope and the witness
             # re-evaluation, against the channel the slice uses.
             f_fn, g_fn = _resolve_pair(kernel, kernel, q_tilde, channel)
-            graph0 = build_lagrangian_graph(f_fn, g_fn, channel, 0.0, lattice)
-            grid = _slope_grid(graph0.x_values, graph0.y_values, steps=16)
+            graph = build_lagrangian_graph(f_fn, g_fn, channel, lattice)
+            grid = _slope_grid(graph.x_values, graph.y_values, steps=16)
             lam = float(grid[int(rng.integers(0, grid.size))])
-            graph = build_lagrangian_graph(f_fn, g_fn, channel, lam, lattice)
-            result = envelope_general(graph, direction)
+            phi = graph.y_values - lam * graph.x_values
+            env_at_q = envelope_at(lattice, phi, q_idx, direction)
         except Exception as exc:  # any crash is a violation
             violations.append(f"seed {seed}: envelope construction failed: {exc}")
             continue
-
-        sign = 1.0 if direction == "lower" else -1.0
-        dom = float(np.max(sign * (result.envelope_values - graph.values)))
-        if dom > 1e-12:
-            violations.append(f"seed {seed}: envelope dominance violated by {dom:.2e}")
-
-        regraph = LagrangianGraph(
-            lattice=lattice,
-            lam=0.0,
-            values=result.envelope_values,
-            x_values=np.zeros(lattice.size),
-            y_values=result.envelope_values,
-        )
-        again = envelope_general(regraph, direction)
-        idem = float(np.max(np.abs(again.envelope_values - result.envelope_values)))
-        if idem > 1e-9:
-            violations.append(f"seed {seed}: envelope not idempotent ({idem:.2e})")
-
-        for line in _lattice_line_groups(lattice):
-            vals = result.envelope_values[line]
-            second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-            worst = float(np.min(sign * second))
-            if worst < -1e-9:
-                violations.append(
-                    f"seed {seed}: envelope loses {direction} curvature ({worst:.2e})"
-                )
-                break
 
         try:
             point = boundary_point_at_lambda(
@@ -417,7 +365,12 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
         if abs(x_re - point.x) > 1e-9 or abs(y_re - point.y) > 1e-9:
             violations.append(f"seed {seed}: witness does not reproduce its point")
         support_line = point.y - lam * point.x
-        env_at_q = float(result.envelope_values[q_idx])
+        # The single atom at q is feasible, so the support value never
+        # passes phi_lam(q).
+        sign = 1.0 if direction == "lower" else -1.0
+        dom = sign * (support_line - float(phi[q_idx]))
+        if dom > 1e-12:
+            violations.append(f"seed {seed}: support value passes phi_lam(q) by {dom:.2e}")
         if abs(support_line - env_at_q) > 1e-7:
             violations.append(
                 f"seed {seed}: supporting line off the envelope by "

@@ -18,7 +18,7 @@ from . import __version__
 from .acceptance import SUITES
 from .closed_forms import CLOSED_FORM_CSV_HEADER, BscInstance, closed_form_table
 from .core import bsc_joint, decompose_joint, load_joint
-from .envelope import DEFAULT_RESOLUTION, MAX_LATTICE_POINTS, lattice_size
+from .envelope import DEFAULT_RESOLUTION, MAX_LATTICE_POINTS, lattice_size, snap_counts
 from .sweep import CURVE_CSV_HEADER, PROBLEM_FRAMES, curve_csv_rows, problem_curve
 
 EXIT_OK = 0
@@ -135,6 +135,12 @@ def cmd_curve(args) -> int:
         raise ConfigError(
             f"the lattice at --resolution {resolution} has {size} points; "
             f"at most {MAX_LATTICE_POINTS} are supported"
+        )
+    counts = snap_counts(marginal.probs, resolution)
+    if ((counts == 0) & (marginal.probs > 0.0)).any():
+        raise ConfigError(
+            f"the marginal snaps to {(counts / resolution).tolist()} at --resolution "
+            f"{resolution}, which drops a symbol of the source; raise --resolution"
         )
     curves = problem_curve(
         marginal,

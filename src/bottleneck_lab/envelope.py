@@ -17,9 +17,10 @@ candidate vertices come from one of two routes, chosen by m:
   the lattice, while a hull in dimension m + 1 grows far faster with m
   and N.
 
-envelope_general keeps the per-slope view: the lower convex (upper concave)
-envelope of g(Tp) - lambda * f(p) over the whole lattice.  It is the
-independent reference the property suite checks the slice against.
+envelope_at keeps the per-slope view: the lower convex (upper concave)
+envelope of g(Tp) - lambda * f(p) over the lattice, read at q only.  Its
+value is each chain's support function at lambda, so the property suite
+checks the slice against it as an independent reference.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .core import Channel, Distribution
 
-_TOUCH_TOL = 1e-10
 # Barycentric weights down to -_BARY_TOL count as a ridge containing q;
 # weights at or below _ATOM_TOL are dropped from the witness.
 _BARY_TOL = 1e-12
@@ -88,6 +88,18 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+def snap_counts(q: np.ndarray, resolution: int) -> np.ndarray:
+    """Lattice counts of the point nearest to the distribution q at this
+    resolution: largest-remainder rounding of q * resolution."""
+    scaled = np.asarray(q, dtype=float) * resolution
+    base = np.floor(scaled).astype(int)
+    short = resolution - int(base.sum())
+    if short:
+        order = np.argsort(scaled - base)[::-1]
+        base[order[:short]] += 1
+    return base
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexLattice:
     """All compositions (k_1, ..., k_m) / N of the simplex, in a canonical
@@ -127,28 +139,19 @@ class SimplexLattice:
         return idx
 
     def snap(self, q: Distribution | np.ndarray) -> int:
-        """Index of the lattice point nearest to q (largest-remainder
-        rounding of the scaled coordinates)."""
+        """Index of the lattice point nearest to q (see snap_counts)."""
         vec = q.probs if isinstance(q, Distribution) else np.asarray(q, dtype=float)
         if vec.size != self.m:
             raise ValueError("q does not live on this lattice's simplex")
-        scaled = vec * self.resolution
-        base = np.floor(scaled).astype(int)
-        short = self.resolution - int(base.sum())
-        if short:
-            order = np.argsort(scaled - base)[::-1]
-            base[order[:short]] += 1
-        return self.index_of(base)
+        return self.index_of(snap_counts(vec, self.resolution))
 
 
 @dataclass(frozen=True, eq=False)
 class LagrangianGraph:
-    """Values of g(Tp) - lam * f(p) over a lattice, with the f and g
-    coordinates kept alongside (values = y_values - lam * x_values)."""
+    """f(p) and g(Tp) over a lattice; the Lagrangian g(Tp) - lam * f(p) at
+    any slope lam is y_values - lam * x_values."""
 
     lattice: SimplexLattice
-    lam: float
-    values: np.ndarray
     x_values: np.ndarray
     y_values: np.ndarray
 
@@ -157,10 +160,9 @@ def build_lagrangian_graph(
     f: Callable[[np.ndarray], np.ndarray],
     g: Callable[[np.ndarray], np.ndarray],
     T: Channel | np.ndarray,
-    lam: float,
     lattice: SimplexLattice,
 ) -> LagrangianGraph:
-    """Evaluate f, g over the lattice and assemble the graph at slope lam.
+    """Evaluate f and g over the lattice.
 
     f and g are vectorized functionals of (k, m) and (k, n) row arrays, such
     as the pair sweep resolves from two kernels.  Evaluation must be finite
@@ -178,101 +180,35 @@ def build_lagrangian_graph(
             raise ValueError(
                 f"{name} is not finite at lattice point {lattice.points[idx].tolist()}"
             )
-    values = y_vals - lam * x_vals
-    for arr in (values, x_vals, y_vals):
+    for arr in (x_vals, y_vals):
         arr.setflags(write=False)
-    return LagrangianGraph(
-        lattice=lattice, lam=float(lam), values=values, x_values=x_vals, y_values=y_vals
-    )
+    return LagrangianGraph(lattice=lattice, x_values=x_vals, y_values=y_vals)
 
 
-@dataclass(frozen=True, eq=False)
-class EnvelopeResult:
-    """Envelope values over the lattice with, per point, the lattice indices
-    whose convex combination achieves the envelope there.  Points where the
-    envelope meets the objective are flagged and support themselves."""
+def envelope_at(
+    lattice: SimplexLattice, values: np.ndarray, q_index: int, direction: str
+) -> float:
+    """Lower convex (upper concave) envelope of values over the lattice, at
+    the lattice point q_index.
 
-    direction: str
-    envelope_values: np.ndarray
-    support_sets: tuple[tuple[int, ...], ...]
-    touches: np.ndarray
-
-
-def _flat_result(graph: LagrangianGraph, direction: str) -> EnvelopeResult:
-    env = graph.values.copy()
-    env.setflags(write=False)
-    touches = np.ones(graph.lattice.size, dtype=bool)
-    touches.setflags(write=False)
-    supports = tuple((i,) for i in range(graph.lattice.size))
-    return EnvelopeResult(direction, env, supports, touches)
-
-
-def envelope_general(graph: LagrangianGraph, direction: str) -> EnvelopeResult:
-    """Envelope via the convex hull of the lifted points (p, value).
-
-    Works for 2 <= m <= 4.  It recomputes a hull for every slope, so it
-    serves as the reference for region_slice rather than for curves.  A
-    degenerate (affine) graph is its own envelope.
+    One hull of the lifted points (p_1..p_{m-1}, ±values): the envelope at
+    q is the highest of its downward-facing facet planes there, and never
+    passes values[q_index].  A degenerate (affine) graph is its own
+    envelope.
     """
     if direction not in ("lower", "upper"):
         raise ValueError(f"unknown direction {direction!r}")
-    m = graph.lattice.m
-    if not 2 <= m <= 4:
-        raise ValueError("general envelopes support 2 <= m <= 4")
-    coords = graph.lattice.points[:, : m - 1]
-    lifted = np.column_stack([coords, graph.values])
-    try:
-        hull = ConvexHull(lifted, qhull_options="Qt")
-    except QhullError:
-        return _flat_result(graph, direction)
-
     sign = 1.0 if direction == "lower" else -1.0
-    normals = hull.equations[:, :-1]
-    offsets = hull.equations[:, -1]
-    last = normals[:, -1]
-    keep = sign * last < -1e-12
-    if not np.any(keep):
-        return _flat_result(graph, direction)
-    normals = normals[keep]
-    offsets = offsets[keep]
-    simplices = hull.simplices[keep]
-
-    # A convex piecewise-linear envelope is the max of its facet planes
-    # (min for the concave case), so the best facet at each lattice point is
-    # both the envelope value and the support simplex.
-    npts = coords.shape[0]
-    best = np.full(npts, -np.inf if direction == "lower" else np.inf)
-    best_facet = np.zeros(npts, dtype=int)
-    chunk = max(1, 2_000_000 // max(npts, 1))
-    for start in range(0, normals.shape[0], chunk):
-        ns = normals[start : start + chunk]
-        ds = offsets[start : start + chunk]
-        plane_vals = -(coords @ ns[:, :-1].T + ds[None, :]) / ns[:, -1][None, :]
-        if direction == "lower":
-            cand = plane_vals.argmax(axis=1)
-            vals = plane_vals[np.arange(npts), cand]
-            better = vals > best
-        else:
-            cand = plane_vals.argmin(axis=1)
-            vals = plane_vals[np.arange(npts), cand]
-            better = vals < best
-        best[better] = vals[better]
-        best_facet[better] = cand[better] + start
-
-    if direction == "lower":
-        env = np.minimum(best, graph.values)
-    else:
-        env = np.maximum(best, graph.values)
-    touches = np.abs(graph.values - env) <= _TOUCH_TOL
-    supports: list[tuple[int, ...]] = []
-    for i in range(npts):
-        if touches[i]:
-            supports.append((i,))
-        else:
-            supports.append(tuple(int(v) for v in simplices[best_facet[i]]))
-    env.setflags(write=False)
-    touches.setflags(write=False)
-    return EnvelopeResult(direction, env, tuple(supports), touches)
+    coords = lattice.points[:, : lattice.m - 1]
+    signed = sign * np.asarray(values, dtype=float)
+    try:
+        planes = ConvexHull(np.column_stack([coords, signed]), qhull_options="Qt").equations
+    except QhullError:
+        return float(values[q_index])
+    planes = planes[planes[:, -2] < -1e-12]
+    at_q = -(planes[:, :-2] @ coords[q_index] + planes[:, -1]) / planes[:, -2]
+    best = float(at_q.max()) if at_q.size else math.inf
+    return sign * min(best, float(signed[q_index]))
 
 
 @dataclass(frozen=True, eq=False)

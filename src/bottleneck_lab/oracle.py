@@ -450,34 +450,3 @@ def oracle_boundary(
         x_achieved=best_x,
     )
 
-
-ORACLE_CSV_HEADER = [
-    "x_target",
-    "direction",
-    "best_y",
-    "feasible",
-    "witness_json",
-    "budget",
-    "resolution",
-    "seed",
-]
-
-
-def oracle_csv_rows(
-    points: list[OraclePoint], budget: int, resolution: int, seed: int | None
-) -> list[list[str]]:
-    rows = []
-    for p in points:
-        rows.append(
-            [
-                repr(float(p.x_target)),
-                p.direction,
-                repr(float(p.best_y)),
-                str(bool(p.feasible)),
-                p.witness.to_json(),
-                str(int(budget)),
-                str(int(resolution)),
-                "" if seed is None else str(int(seed)),
-            ]
-        )
-    return rows

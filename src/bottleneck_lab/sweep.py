@@ -153,7 +153,7 @@ def boundary_slice(
     lattice = lattice or _default_lattice(channel.m, resolution)
     q_idx = lattice.snap(q)
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, lattice.points[q_idx], channel)
-    graph = build_lagrangian_graph(f_fn, g_fn, channel, 0.0, lattice)
+    graph = build_lagrangian_graph(f_fn, g_fn, channel, lattice)
     return region_slice(graph, q_idx)
 
 

@@ -3,6 +3,7 @@ pass/fail line each.  Run with -s to see the lines."""
 
 import time
 
+from bottleneck_lab import envelope
 from bottleneck_lab.acceptance import (
     check_arimoto,
     check_chi2_endpoints,
@@ -11,6 +12,7 @@ from bottleneck_lab.acceptance import (
     check_mr_gerber,
     check_oracle_cross,
     check_properties,
+    run_property_suite,
 )
 
 
@@ -58,3 +60,12 @@ def test_a4_reads_both_chains_off_one_slice_per_kernel(hull_calls):
     result = check_oracle_cross(resolution=64, n_x=5, sweep_resolution=1024)
     assert result.passed, result.line()
     assert len(hull_calls) == 2  # one entropy slice, one chi2 slice
+
+
+def test_a7_reference_envelope_catches_a_lossy_slice(monkeypatch):
+    # Dropping polygon vertices that turn by less than 3e-2 moves the
+    # support value of two of the first 70 draws off the envelope at q.
+    monkeypatch.setattr(envelope, "_TURN_TOL", 3e-2)
+    violations = run_property_suite(70)
+    assert [v.split(":")[0] for v in violations] == ["seed 31", "seed 69"]
+    assert all("supporting line off the envelope" in v for v in violations)

@@ -151,6 +151,31 @@ class TestCurveCommand:
                   "--output", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "source, args",
+        [
+            (None, ["--bsc", "0.1,0.1", "--problem", "ib", "--resolution", "3"]),
+            ({"q": [0.9999, 0.0001], "T": [[0.9, 0.1], [0.1, 0.9]]}, ["--problem", "ib"]),
+            (
+                {"q": [0.9999, 0.0001], "T": [[0.9, 0.1], [0.1, 0.9]]},
+                ["--problem", "ib", "--frame", "entropy"],
+            ),
+        ],
+        ids=["bsc-resolution-3", "small-coordinate", "small-coordinate-entropy"],
+    )
+    def test_snap_that_drops_a_symbol_is_infeasible(self, tmp_path, capsys, source, args):
+        # The lattice point nearest to q has a zero where q does not, so any
+        # curve would be for another marginal.
+        if source is not None:
+            src = tmp_path / "joint.json"
+            src.write_text(json.dumps(source))
+            args = ["--input", str(src), *args]
+        out = tmp_path / "x.csv"
+        assert main(["curve", *args, "--output", str(out)]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "snaps to [1.0, 0.0]" in err and "--resolution" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["joint.json"] if source else [])
+
     @pytest.mark.parametrize("resolution", ["0", "1"])
     def test_tiny_resolution_is_bad_input(self, tmp_path, resolution):
         out = tmp_path / "x.csv"

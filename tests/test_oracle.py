@@ -17,7 +17,7 @@ from bottleneck_lab import (
     oracle_exhaustive_binary,
 )
 from bottleneck_lab.core import LN2
-from bottleneck_lab.oracle import OracleConfig, oracle_csv_rows
+from bottleneck_lab.oracle import OracleConfig
 
 ENTROPY = DivergenceKernel.entropy_functional()
 KL = DivergenceKernel.kl()
@@ -181,11 +181,3 @@ class TestOracleBoundary:
         )
         assert not pt.feasible
 
-
-class TestCsv:
-    def test_row_schema(self):
-        pts = oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.1, 0.2], "lower", 64)
-        rows = oracle_csv_rows(pts, budget=3, resolution=64, seed=None)
-        assert all(len(r) == 8 for r in rows)
-        assert rows[0][1] == "lower"
-        assert rows[0][7] == ""

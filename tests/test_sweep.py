@@ -31,7 +31,7 @@ from bottleneck_lab import (
 from bottleneck_lab.acceptance import _slope_grid
 from bottleneck_lab.core import LN2, resolve_functional
 from bottleneck_lab import envelope
-from bottleneck_lab.envelope import build_lagrangian_graph, envelope_general, region_slice
+from bottleneck_lab.envelope import build_lagrangian_graph, envelope_at, region_slice
 from bottleneck_lab.sweep import boundary_slice, curve_csv_rows, slice_point
 
 ENTROPY = DivergenceKernel.entropy_functional()
@@ -512,7 +512,7 @@ def walk_and_hull(kernel, q, T, resolution):
     ref = lattice.points[q_idx]
     f_fn = resolve_functional(kernel, ref if kernel.is_divergence else None)
     g_fn = resolve_functional(kernel, T @ ref if kernel.is_divergence else None)
-    graph = build_lagrangian_graph(f_fn, g_fn, T, 0.0, lattice)
+    graph = build_lagrangian_graph(f_fn, g_fn, T, lattice)
     return (
         envelope._slice(graph, q_idx, envelope._walk_faces),
         envelope._slice(graph, q_idx, envelope._hull_faces),
@@ -535,10 +535,11 @@ class TestHullSlice:
         ref = q if kernel.is_divergence else None
         f_fn = resolve_functional(kernel, ref)
         g_fn = resolve_functional(kernel, T @ q if kernel.is_divergence else None)
+        graph = build_lagrangian_graph(f_fn, g_fn, T, lattice)
         for lam in (0.0, 0.25, 0.7, 1.5, 4.0):
-            graph = build_lagrangian_graph(f_fn, g_fn, T, lam, lattice)
+            values = graph.y_values - lam * graph.x_values
             for direction in ("lower", "upper"):
-                env = envelope_general(graph, direction).envelope_values[q_idx]
+                env = envelope_at(lattice, values, q_idx, direction)
                 point = boundary_point_at_lambda(
                     kernel, kernel, T, q, lam, direction, lattice=lattice
                 )
@@ -623,7 +624,6 @@ class TestHullSlice:
             lambda P: P @ np.array([0.2, 0.5, 0.9]),
             lambda P: P @ np.array([1.0, 0.0, 0.3]),
             np.eye(3),
-            0.0,
             lattice,
         )
         q_idx = lattice.snap([0.5, 0.5, 0.0])
@@ -678,7 +678,7 @@ class TestHullSlice:
         q_idx = lattice.snap(q)
         ref = lattice.points[q_idx]
         graph = build_lagrangian_graph(
-            resolve_functional(CHI2, ref), resolve_functional(CHI2, T @ ref), T, 0.0, lattice
+            resolve_functional(CHI2, ref), resolve_functional(CHI2, T @ ref), T, lattice
         )
         region = region_slice(graph, q_idx)
         X, Y = graph.x_values, graph.y_values
