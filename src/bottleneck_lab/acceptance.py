@@ -114,7 +114,7 @@ def check_mgl(resolution: int = 4096, probes: int = 101) -> CheckResult:
         dev <= tol,
         dev,
         tol,
-        f"{probes} probes, N={resolution}, {len(curve.points)} curve points, bits",
+        f"{probes} probes, N={resolution}, {curve.xs.size} curve points, bits",
     )
 
 
@@ -134,7 +134,7 @@ def check_mr_gerber(resolution: int = 4096, probes: int = 101) -> CheckResult:
         dev <= tol,
         dev,
         tol,
-        f"{probes} parametric probes, N={resolution}, {len(curve.points)} curve points, bits",
+        f"{probes} parametric probes, N={resolution}, {curve.xs.size} curve points, bits",
     )
 
 

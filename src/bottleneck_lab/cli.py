@@ -136,12 +136,10 @@ def cmd_curve(args) -> int:
             f"the lattice at --resolution {resolution} has {size} points; "
             f"at most {MAX_LATTICE_POINTS} are supported"
         )
-    counts = snap_counts(marginal.probs, resolution)
-    if ((counts == 0) & (marginal.probs > 0.0)).any():
-        raise ConfigError(
-            f"the marginal snaps to {(counts / resolution).tolist()} at --resolution "
-            f"{resolution}, which drops a symbol of the source; raise --resolution"
-        )
+    try:
+        snap_counts(marginal.probs, resolution)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; raise --resolution") from None
     curves = problem_curve(
         marginal,
         channel,

@@ -40,16 +40,32 @@ def _as_prob_vector(values, name: str = "probs") -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.any(arr < -_NEG_TOL):
-        idx = int(np.argmin(arr))
-        raise ValueError(f"{name}[{idx}] = {arr[idx]} is negative")
+    return _as_prob_rows(arr[None, :], name)[0]
+
+
+def _as_prob_rows(rows: np.ndarray, name: str = "probs") -> np.ndarray:
+    """Each row of a 2-D array checked and renormalized as a probability
+    vector, in one batched pass; a new read-only array.  An error names
+    the first bad row (by index when there is more than one)."""
+    arr = np.asarray(rows, dtype=float)
+    label = (lambda r: f"{name}[{r}]") if arr.shape[0] > 1 else (lambda r: name)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{label(int(np.argmin(finite)))} contains non-finite entries")
+    negative = (arr < -_NEG_TOL).any(axis=1)
+    if negative.any():
+        r = int(np.argmax(negative))
+        idx = int(np.argmin(arr[r]))
+        raise ValueError(f"{label(r)}[{idx}] = {arr[r, idx]} is negative")
     arr = np.clip(arr, 0.0, None)
-    total = float(arr.sum())
-    if abs(total - 1.0) > _SUM_TOL:
-        raise ValueError(f"{name} sums to {total}, not 1 (tolerance {_SUM_TOL})")
-    arr = arr / total
+    totals = arr.sum(axis=1)
+    off = np.abs(totals - 1.0) > _SUM_TOL
+    if off.any():
+        r = int(np.argmax(off))
+        raise ValueError(
+            f"{label(r)} sums to {float(totals[r])}, not 1 (tolerance {_SUM_TOL})"
+        )
+    arr = arr / totals[:, None]
     arr.setflags(write=False)
     return arr
 
@@ -72,6 +88,18 @@ class Distribution:
 
     def __repr__(self) -> str:
         return f"Distribution({self.probs.tolist()})"
+
+
+def _row_distributions(rows: np.ndarray) -> list[Distribution]:
+    """One Distribution per row of an _as_prob_rows result, sharing its
+    values.  The rows are checked and normalized already, and normalizing
+    them a second time could move their last bits."""
+    out = []
+    for row in rows:
+        dist = object.__new__(Distribution)
+        object.__setattr__(dist, "probs", row)
+        out.append(dist)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,13 +90,21 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def snap_counts(q: np.ndarray, resolution: int) -> np.ndarray:
     """Lattice counts of the point nearest to the distribution q at this
-    resolution: largest-remainder rounding of q * resolution."""
-    scaled = np.asarray(q, dtype=float) * resolution
+    resolution: largest-remainder rounding of q * resolution.  Raises when
+    the rounding zeroes a symbol that q has, since any answer at that point
+    would be for a source without the symbol."""
+    q = np.asarray(q, dtype=float)
+    scaled = q * resolution
     base = np.floor(scaled).astype(int)
     short = resolution - int(base.sum())
     if short:
         order = np.argsort(scaled - base)[::-1]
         base[order[:short]] += 1
+    if ((base == 0) & (q > 0.0)).any():
+        raise ValueError(
+            f"the marginal snaps to {(base / resolution).tolist()} at resolution "
+            f"{resolution}, which drops a symbol of the source"
+        )
     return base
 
 
@@ -139,7 +147,8 @@ class SimplexLattice:
         return idx
 
     def snap(self, q: Distribution | np.ndarray) -> int:
-        """Index of the lattice point nearest to q (see snap_counts)."""
+        """Index of the lattice point nearest to q; refuses a q that loses
+        a symbol there (see snap_counts)."""
         vec = q.probs if isinstance(q, Distribution) else np.asarray(q, dtype=float)
         if vec.size != self.m:
             raise ValueError("q does not live on this lattice's simplex")

@@ -18,6 +18,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -26,6 +27,8 @@ from .core import (
     Channel,
     Distribution,
     DivergenceKernel,
+    _as_prob_rows,
+    _row_distributions,
     mixture_weights,
     resolve_functional,
 )
@@ -40,6 +43,35 @@ from .envelope import (
 _WITNESS_TOL = 1e-9
 
 
+def _check_witnesses(
+    weights: np.ndarray, atoms: np.ndarray, rows: np.ndarray, marginal: np.ndarray
+) -> None:
+    """Refuse a batch of witnesses unless each mixes at least one and at
+    most m + 1 atoms, with positive weights summing to 1, into the
+    marginal.  Witness k mixes rows[atoms[k, j]] with weight weights[k, j]
+    over its slots with atoms[k, j] >= 0.  The error is the first refusal
+    in that order that any witness of the batch meets."""
+    used = atoms >= 0
+    sizes = used.sum(axis=1)
+    m = marginal.size
+    if not sizes.all():
+        raise ValueError("witness needs at least one atom")
+    if (sizes > m + 1).any():
+        raise ValueError(f"witness has {int(sizes.max())} atoms; at most {m + 1} allowed")
+    if not ((weights > 0.0) | ~used).all():
+        raise ValueError("witness weights must be strictly positive")
+    weights = np.where(used, weights, 0.0)
+    totals = weights.sum(axis=1)
+    near = np.abs(totals - 1.0) <= _WITNESS_TOL
+    if not near.all():
+        raise ValueError(f"witness weights sum to {totals[np.argmin(near)]}")
+    mix = (weights[:, None, :] @ rows[np.where(used, atoms, 0)])[:, 0]
+    err = np.abs(mix - marginal).max(axis=1)
+    near = err <= _WITNESS_TOL
+    if not near.all():
+        raise ValueError(f"witness mixture misses its marginal by {err[np.argmin(near)]:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class WitnessChannel:
     """Finite mixture {(alpha_i, p_i)} with sum alpha_i p_i = marginal,
@@ -49,20 +81,9 @@ class WitnessChannel:
     marginal: Distribution
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValueError("witness needs at least one atom")
-        m = self.marginal.m
-        if len(self.atoms) > m + 1:
-            raise ValueError(f"witness has {len(self.atoms)} atoms; at most {m + 1} allowed")
-        weights = np.array([a for a, _ in self.atoms], dtype=float)
-        if np.any(weights <= 0.0):
-            raise ValueError("witness weights must be strictly positive")
-        if abs(float(weights.sum()) - 1.0) > _WITNESS_TOL:
-            raise ValueError(f"witness weights sum to {weights.sum()}")
-        mix = weights @ self.conditionals()
-        err = float(np.abs(mix - self.marginal.probs).max())
-        if err > _WITNESS_TOL:
-            raise ValueError(f"witness mixture misses its marginal by {err:.3e}")
+        n = len(self.atoms)
+        rows = self.conditionals() if n else np.empty((0, self.marginal.m))
+        _check_witnesses(self.weights()[None], np.arange(n)[None], rows, self.marginal.probs)
 
     def weights(self) -> np.ndarray:
         return np.array([a for a, _ in self.atoms], dtype=float)
@@ -97,25 +118,36 @@ class BoundaryPoint:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryCurve:
-    """x-sorted boundary points for one side of the achievable region."""
+    """x-sorted boundary points for one side of the achievable region, held
+    as read-only arrays.  Point k is (xs[k], ys[k]) at supporting slope
+    lams[k] (nan at a forced endpoint).  Its witness mixes rows[atoms[k, j]]
+    with weight weights[k, j] over the slots with atoms[k, j] >= 0 (unused
+    slots hold -1 and weight 0); rows holds each normalized lattice point
+    the witnesses use once.  points, the same chain as BoundaryPoint
+    objects, is built on first access."""
 
     direction: str
-    points: tuple[BoundaryPoint, ...]
     problem: str
     frame: str
     marginal: Distribution
     channel: Channel
+    lams: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    atoms: np.ndarray
+    weights: np.ndarray
+    rows: np.ndarray
+    marginal_free: bool
     f_kernel: DivergenceKernel | None = None
     g_kernel: DivergenceKernel | None = None
     beta: float | None = None
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points])
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.array([p.y for p in self.points])
+    @cached_property
+    def points(self) -> tuple[BoundaryPoint, ...]:
+        return _points(
+            self.lams, self.xs, self.ys, self.atoms, self.weights, self.rows,
+            self.marginal, self.marginal_free,
+        )
 
     def interpolate(self, x: float) -> float:
         return float(np.interp(x, self.xs, self.ys))
@@ -157,37 +189,62 @@ def boundary_slice(
     return region_slice(graph, q_idx)
 
 
-def _boundary_points(
-    region: RegionSlice, vertices: list[int], lams: list[float], free: bool
-) -> list[BoundaryPoint]:
-    """Boundary points for the given polygon vertices and slopes.  The
-    witnesses share one Distribution per lattice point."""
+def _chain_arrays(
+    region: RegionSlice, vertices: list[int], lams: list[float]
+) -> tuple[Distribution, dict[str, np.ndarray]]:
+    """The slice's marginal, and the read-only arrays of BoundaryCurve for
+    the given polygon vertices and slopes.  The lattice points the
+    witnesses use are normalized in one batched call and every witness is
+    checked in one more."""
     points = region.lattice.points
     marginal = Distribution(points[region.q_index])
-    ids = np.unique(region.atoms[vertices])
-    dists = {i: Distribution(points[i]) for i in ids[ids >= 0].tolist()}
+    lattice_ids = region.atoms[vertices]
+    used = lattice_ids >= 0
+    ids, inverse = np.unique(lattice_ids[used], return_inverse=True)
+    atoms = np.full(lattice_ids.shape, -1)
+    atoms[used] = inverse
+    arrays = {
+        "lams": np.array(lams, dtype=float),
+        "xs": region.x[vertices],
+        "ys": region.y[vertices],
+        "atoms": atoms,
+        "weights": region.weights[vertices],
+        "rows": _as_prob_rows(points[ids]),
+    }
+    _check_witnesses(arrays["weights"], atoms, arrays["rows"], marginal.probs)
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return marginal, arrays
+
+
+def _points(
+    lams: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    atoms: np.ndarray,
+    weights: np.ndarray,
+    rows: np.ndarray,
+    marginal: Distribution,
+    free: bool,
+) -> tuple[BoundaryPoint, ...]:
+    """BoundaryPoint objects for the arrays of a chain (see BoundaryCurve);
+    the witnesses share one Distribution per row."""
+    dists = _row_distributions(rows)
     out = []
-    for k, lam in zip(vertices, lams):
-        weights = region.weights[k]
-        used = weights > 0.0
+    for lam, x, y, slots, alphas in zip(
+        lams.tolist(), xs.tolist(), ys.tolist(), atoms.tolist(), weights.tolist()
+    ):
         witness = WitnessChannel(
-            atoms=tuple(
-                (float(w), dists[i])
-                for w, i in zip(weights[used].tolist(), region.atoms[k][used].tolist())
-            ),
+            atoms=tuple((a, dists[j]) for a, j in zip(alphas, slots) if j >= 0),
             marginal=marginal,
         )
         out.append(
             BoundaryPoint(
-                lam=lam,
-                x=float(region.x[k]),
-                y=float(region.y[k]),
-                witness=witness,
-                trivial=len(witness.atoms) == 1,
-                marginal_free=free,
+                lam=lam, x=x, y=y, witness=witness,
+                trivial=len(witness.atoms) == 1, marginal_free=free,
             )
         )
-    return out
+    return tuple(out)
 
 
 def boundary_point_at_lambda(
@@ -215,9 +272,8 @@ def slice_point(
     minimizing (lower) or maximizing (upper) y - lam * x.  It is trivial
     when its witness is the single atom at the slice's marginal.  Querying
     one slice at many slopes builds the slice once."""
-    return _boundary_points(
-        region, [region.support(lam, direction)], [float(lam)], marginal_free
-    )[0]
+    marginal, arrays = _chain_arrays(region, [region.support(lam, direction)], [lam])
+    return _points(**arrays, marginal=marginal, free=marginal_free)[0]
 
 
 def _default_lattice(m: int, resolution: int | None) -> SimplexLattice:
@@ -279,14 +335,15 @@ def sweep(
     if chain.size > 1:
         vertices.append(int(chain[-1]))
         slopes_at.append(math.nan)
-    points = _boundary_points(region, vertices, slopes_at, free)
+    marginal, arrays = _chain_arrays(region, vertices, slopes_at)
     return BoundaryCurve(
         direction=direction,
-        points=tuple(points),
         problem=problem,
         frame=frame,
-        marginal=points[0].witness.marginal,
+        marginal=marginal,
         channel=channel,
+        **arrays,
+        marginal_free=free,
         f_kernel=f_kernel,
         g_kernel=g_kernel,
         beta=beta,
@@ -298,7 +355,7 @@ def _interp_on(curve: BoundaryCurve, x: float, expected_direction: str) -> float
         raise ValueError(
             f"value query needs the {expected_direction} curve, got {curve.direction}"
         )
-    if not curve.points:
+    if not curve.xs.size:
         raise ValueError("curve is empty")
     xs = curve.xs
     lo, hi = float(xs[0]), float(xs[-1])
@@ -454,18 +511,28 @@ CURVE_CSV_HEADER = ["problem", "direction", "lambda", "x", "y", "trivial", "witn
 
 
 def curve_csv_rows(curve: BoundaryCurve) -> list[list[str]]:
-    """Rows for the curve export schema (forced endpoints have no slope)."""
+    """Rows for the curve export schema (forced endpoints have no slope),
+    formatted from the curve's arrays.  The witness text is what
+    WitnessChannel.to_json writes; each row's "p" list is formatted once."""
+    p_text = ["[" + ",".join(map(repr, row)) + "]" for row in curve.rows.tolist()]
+    sizes = (curve.atoms >= 0).sum(axis=1).tolist()
     rows = []
-    for p in curve.points:
+    for lam, x, y, size, slots, alphas in zip(
+        curve.lams.tolist(), curve.xs.tolist(), curve.ys.tolist(), sizes,
+        curve.atoms.tolist(), curve.weights.tolist(),
+    ):
+        witness = ",".join(
+            f'{{"alpha":{a!r},"p":{p_text[j]}}}' for a, j in zip(alphas, slots) if j >= 0
+        )
         rows.append(
             [
                 curve.problem,
                 curve.direction,
-                "" if math.isnan(p.lam) else repr(float(p.lam)),
-                repr(float(p.x)),
-                repr(float(p.y)),
-                str(bool(p.trivial)),
-                p.witness.to_json(),
+                "" if math.isnan(lam) else repr(lam),
+                repr(x),
+                repr(y),
+                str(size == 1),
+                f'{{"atoms":[{witness}]}}',
             ]
         )
     return rows

@@ -1,16 +1,22 @@
 import csv
+import importlib
 import json
 import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bottleneck_lab
 from bottleneck_lab import SimplexLattice, binary_entropy, k_norm, star
 from bottleneck_lab import cli, envelope
 from bottleneck_lab.acceptance import CheckResult
 from bottleneck_lab.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_INFEASIBLE, EXIT_OK, main
+
+# The package's `sweep` attribute is the function, not the module.
+sweep_module = importlib.import_module("bottleneck_lab.sweep")
 
 
 def read_csv(path):
@@ -55,6 +61,30 @@ class TestCurveCommand:
         assert manifest["tool_version"]
         assert manifest["parameters"]["problem"] == "eb"
         assert len(manifest["input_digest"]) == 64
+
+    def test_builds_no_witness(self, tmp_path, monkeypatch):
+        # The CSV rows come from the curve's arrays, so a curve run builds
+        # no witness object; the patch does reach the lazily built points.
+        def refuse(*args, **kwargs):
+            raise AssertionError("curve built a witness object")
+
+        monkeypatch.setattr(sweep_module, "WitnessChannel", refuse)
+        with pytest.raises(AssertionError):
+            sweep_module.problem_curve([0.9, 0.1], np.eye(2), "ib", "lower", resolution=16).points
+        code, out = run_curve(tmp_path, "ib.csv", "--problem", "ib", "--direction", "both")
+        assert code == EXIT_OK and len(read_csv(out)) > 3
+        src = write_seeded_joint(tmp_path / "joint.json", 3, 12)
+        code = main(["curve", "--input", src, "--problem", "eb", "--direction", "both",
+                     "--resolution", "12", "--output", str(tmp_path / "m3.csv")])
+        assert code == EXIT_OK
+
+    def test_manifest_version_is_the_project_version(self):
+        # The manifest records __version__ as tool_version.
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        assert project["name"] == "bottleneck-lab"
+        assert bottleneck_lab.__version__ == project["version"]
 
     def test_deterministic_reruns(self, tmp_path):
         _, first = run_curve(tmp_path, "a.csv", "--problem", "ib", "--direction", "upper")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,8 +10,10 @@ from scipy.optimize import linprog
 from bottleneck_lab import (
     BscInstance,
     Channel,
+    Distribution,
     DivergenceKernel,
     SimplexLattice,
+    WitnessChannel,
     binary_entropy,
     binary_entropy_inv,
     bottleneck_value,
@@ -495,6 +498,138 @@ class TestProblemCurve:
         for atom in payload["atoms"]:
             assert set(atom) == {"alpha", "p"}
             assert isinstance(atom["p"], list) and len(atom["p"]) == 2
+
+
+class TestSnapRefusal:
+    """The library answers only for the marginal it was given: a snap that
+    zeroes a symbol of q is refused, as the CLI refuses it with exit 3."""
+
+    def test_problem_curve_refuses(self):
+        with pytest.raises(ValueError, match=r"snaps to \[1.0, 0.0\].*drops a symbol"):
+            problem_curve([0.9999, 0.0001], INST.channel(), "ib", "upper", frame="entropy")
+
+    def test_coarse_resolution_refuses(self):
+        with pytest.raises(ValueError, match="at resolution 3, which drops a symbol"):
+            problem_curve(INST.marginal(), INST.channel(), "ib", "both", resolution=3)
+        with pytest.raises(ValueError, match="drops a symbol"):
+            boundary_slice(KL, KL, INST.channel(), INST.marginal(), resolution=3)
+
+    def test_sweep_region_refuses(self):
+        # q snaps to the point the slice is at, but loses its second symbol.
+        region = boundary_slice(ENTROPY, ENTROPY, INST.channel(), [1.0, 0.0], resolution=64)
+        sweep(ENTROPY, ENTROPY, INST.channel(), [1.0, 0.0], "lower", region=region)
+        with pytest.raises(ValueError, match="drops a symbol"):
+            sweep(ENTROPY, ENTROPY, INST.channel(), [0.9999, 0.0001], "lower", region=region)
+
+
+def _two_atom_vertex(region):
+    """A chain endpoint of the region whose witness has two atoms."""
+    ends = (region.lower[0], region.lower[-1])
+    return int(next(k for k in ends if (region.atoms[k] >= 0).sum() == 2))
+
+
+def _no_atoms(region, k):
+    atoms, weights = region.atoms.copy(), region.weights.copy()
+    atoms[k], weights[k] = -1, 0.0
+    return atoms, weights
+
+
+def _too_many_atoms(region, k):
+    size, m = region.atoms.shape
+    atoms = np.full((size, m + 2), -1)
+    weights = np.zeros((size, m + 2))
+    atoms[:, :m], weights[:, :m] = region.atoms, region.weights
+    atoms[k], weights[k] = [0, 1, 2, 3], 0.25
+    return atoms, weights
+
+
+def _negative_weight(region, k):
+    weights = region.weights.copy()
+    weights[k, 0] = -weights[k, 0]
+    return region.atoms, weights
+
+
+def _weights_off_one(region, k):
+    weights = region.weights.copy()
+    weights[k, 0] += 1e-6
+    return region.atoms, weights
+
+
+def _atom_off_marginal(region, k):
+    atoms = region.atoms.copy()
+    atoms[k, 0] += 1 if atoms[k, 0] + 1 != atoms[k, 1] else -1
+    return atoms, region.weights
+
+
+_Q = [0.9, 0.1]
+
+
+class TestWitnessRefusals:
+    """Each refusal of the witness check, at the WitnessChannel constructor
+    and through the batched check of a doctored slice's chain."""
+
+    @pytest.mark.parametrize(
+        "atoms, doctor, match",
+        [
+            ((), _no_atoms, "at least one atom"),
+            ([(0.25, _Q)] * 4, _too_many_atoms, "4 atoms; at most 3 allowed"),
+            ([(1.2, _Q), (-0.2, _Q)], _negative_weight, "strictly positive"),
+            ([(0.5, _Q), (0.5 + 1e-6, _Q)], _weights_off_one, "weights sum to 1.000001"),
+            ([(0.5, [0.5, 0.5]), (0.5, [0.7, 0.3])], _atom_off_marginal, "misses its marginal"),
+        ],
+        ids=["no-atoms", "too-many-atoms", "weight-not-positive", "weights-sum", "mixture"],
+    )
+    def test_refusal(self, atoms, doctor, match):
+        with pytest.raises(ValueError, match=match):
+            WitnessChannel(
+                atoms=tuple((a, Distribution(p)) for a, p in atoms), marginal=Distribution(_Q)
+            )
+        region = boundary_slice(ENTROPY, ENTROPY, INST.channel(), _Q, resolution=64)
+        sweep(ENTROPY, ENTROPY, INST.channel(), _Q, "lower", region=region)
+        atoms, weights = doctor(region, _two_atom_vertex(region))
+        doctored = dataclasses.replace(region, atoms=atoms, weights=weights)
+        with pytest.raises(ValueError, match=match):
+            sweep(ENTROPY, ENTROPY, INST.channel(), _Q, "lower", region=doctored)
+
+
+def _rows_from_points(curve):
+    """CSV rows written the old way, one BoundaryPoint at a time."""
+    return [
+        [
+            curve.problem,
+            curve.direction,
+            "" if math.isnan(p.lam) else repr(p.lam),
+            repr(p.x),
+            repr(p.y),
+            str(p.trivial),
+            p.witness.to_json(),
+        ]
+        for p in curve.points
+    ]
+
+
+class TestCurveArrays:
+    @pytest.mark.parametrize(
+        "m,resolution,problem,frame",
+        [
+            (2, 256, "ib", "finfo"),
+            (2, 256, "pf", "entropy"),
+            (2, 256, "arimoto", "K"),
+            (3, 24, "eb", "finfo"),
+            (3, 24, "ib", "entropy"),
+            (3, 24, "generic", "K"),
+            (4, 8, "pf", "finfo"),
+            (4, 8, "generic", "entropy"),
+            (4, 8, "generic", "K"),
+        ],
+    )
+    def test_csv_rows_equal_rows_from_points(self, m, resolution, problem, frame):
+        q, T = seeded_source(m, resolution, 5)
+        for curve in problem_curve(q, T, problem, "both", frame=frame, resolution=resolution):
+            assert "points" not in vars(curve)  # not built until read
+            assert curve_csv_rows(curve) == _rows_from_points(curve)
+            assert len(curve.points) == curve.xs.size
+            assert not curve.xs.flags.writeable and not curve.rows.flags.writeable
 
 
 def seeded_source(m, resolution, seed):
