@@ -52,7 +52,6 @@ from .sweep import (
     BoundaryPoint,
     WitnessChannel,
     bottleneck_value,
-    boundary_point_at_lambda,
     funnel_value,
     matched_channel_invariance_check,
     problem_curve,
@@ -80,7 +79,6 @@ __all__ = [
     "binary_entropy",
     "binary_entropy_inv",
     "bottleneck_value",
-    "boundary_point_at_lambda",
     "bsc_joint",
     "build_lagrangian_graph",
     "conditional_f_information",

@@ -29,12 +29,11 @@ from .core import (
     f_information,
     joint_from_marginal_channel,
 )
-from .envelope import SimplexLattice, build_lagrangian_graph, envelope_at
+from .envelope import SimplexLattice, build_lagrangian_graph, envelope_at, region_slice
 from .oracle import oracle_exhaustive_binary
 from .sweep import (
     BoundaryCurve,
     _resolve_pair,
-    boundary_point_at_lambda,
     boundary_slice,
     bottleneck_value,
     funnel_value,
@@ -78,7 +77,6 @@ def _entropy_curve(inst: BscInstance, direction: str, resolution: int) -> Bounda
         direction,
         resolution=resolution,
         problem="pf" if direction == "lower" else "ib",
-        frame="entropy",
     )
 
 
@@ -87,14 +85,13 @@ def _curve_pair(
     inst: BscInstance,
     resolution: int,
     problems: tuple[str, str],
-    **labels,
 ) -> tuple[BoundaryCurve, BoundaryCurve]:
     """Lower and upper curves (labelled with problems, in that order) read
     off one boundary_slice."""
     channel, q = inst.channel(), inst.marginal()
     region = boundary_slice(kernel, kernel, channel, q, resolution=resolution)
     return tuple(
-        sweep(kernel, kernel, channel, q, side, region=region, problem=problem, **labels)
+        sweep(kernel, kernel, channel, q, side, region=region, problem=problem)
         for side, problem in zip(("lower", "upper"), problems)
     )
 
@@ -142,9 +139,7 @@ def check_arimoto(beta: float = 2.0, resolution: int = 4096, probes: int = 101) 
     """A3: norm-kernel curves against the exact K-frame boundaries."""
     inst = BscInstance(q=0.4, delta=0.2)
     kern = DivergenceKernel.norm_beta(beta)
-    lower, upper = _curve_pair(
-        kern, inst, resolution, ("arimoto", "arimoto"), frame="K", beta=beta
-    )
+    lower, upper = _curve_pair(kern, inst, resolution, ("arimoto", "arimoto"))
     dev = 0.0
     for p in np.linspace(0.0, inst.q, probes):
         x, y = arimoto_mrs_gerber(inst, beta, float(p))
@@ -172,9 +167,7 @@ def check_oracle_cross(
     worst = 0.0
     details = []
 
-    lower_h, upper_h = _curve_pair(
-        _ENTROPY, inst, sweep_resolution, ("pf", "ib"), frame="entropy"
-    )
+    lower_h, upper_h = _curve_pair(_ENTROPY, inst, sweep_resolution, ("pf", "ib"))
     xs_nats = np.linspace(0.0, binary_entropy(inst.q) * LN2, n_x)
     funnel = oracle_exhaustive_binary(
         _ENTROPY, _ENTROPY, inst.delta, inst.q, xs_nats, "lower", resolution
@@ -213,12 +206,11 @@ def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4
     """A5: matched channels transported to a perturbed marginal agree with a
     fresh support query at that marginal and keep the same atom set."""
     inst = BscInstance(q=0.1, delta=0.1)
-    channel = inst.channel()
+    channel, q = inst.channel(), inst.marginal()
+    # One lattice serves the slice at q and both perturbed marginals.
     lattice = SimplexLattice.build(2, resolution)
-    curve = sweep(
-        _ENTROPY, _ENTROPY, channel, inst.marginal(), "lower",
-        lattice=lattice, problem="pf", frame="entropy",
-    )
+    region = boundary_slice(_ENTROPY, _ENTROPY, channel, q, lattice=lattice)
+    curve = sweep(_ENTROPY, _ENTROPY, channel, q, "lower", region=region, problem="pf")
     q0 = float(curve.marginal.probs[1])
     margin = perturb + 0.005
     candidates = [
@@ -244,10 +236,8 @@ def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4
         # One slice per perturbed marginal serves every picked slope.
         region = boundary_slice(_ENTROPY, _ENTROPY, channel, q_new, lattice=lattice)
         for point in picks:
-            moved = matched_channel_invariance_check(
-                point, q_new, _ENTROPY, _ENTROPY, channel, lattice=lattice, verify=False
-            )
-            fresh = slice_point(region, point.lam, "lower", marginal_free=True)
+            moved = matched_channel_invariance_check(point, q_new, _ENTROPY, _ENTROPY, channel)
+            fresh = slice_point(region, point.lam, "lower")
             worst = max(worst, abs(moved.x - fresh.x) / LN2, abs(moved.y - fresh.y) / LN2)
             got = sorted(a.probs[1] for _, a in moved.witness.atoms)
             want = sorted(a.probs[1] for _, a in fresh.witness.atoms)
@@ -339,8 +329,8 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
         q_idx = lattice.snap(q)
         q_tilde = lattice.points[q_idx]
         try:
-            # One resolution for the reference envelope and the witness
-            # re-evaluation, against the channel the slice uses.
+            # One graph for the reference envelope, the slice and the
+            # witness re-evaluation.
             f_fn, g_fn = _resolve_pair(kernel, kernel, q_tilde, channel)
             graph = build_lagrangian_graph(f_fn, g_fn, channel, lattice)
             grid = _slope_grid(graph.x_values, graph.y_values, steps=16)
@@ -352,9 +342,7 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
             continue
 
         try:
-            point = boundary_point_at_lambda(
-                kernel, kernel, channel, q_tilde, lam, direction, lattice=lattice
-            )
+            point = slice_point(region_slice(graph, q_idx), lam, direction)
         except Exception as exc:
             violations.append(f"seed {seed}: boundary point failed: {exc}")
             continue

@@ -112,12 +112,12 @@ class Channel:
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2:
             raise ValueError(f"channel matrix must be 2-D, got shape {mat.shape}")
-        n, m = mat.shape
-        if n < 2:
+        if mat.shape[0] < 2:
             raise ValueError("output alphabet size must be at least 2")
+        # Columns are checked as contiguous rows, and the result keeps the
+        # input's memory layout, so sums and products keep their bits.
         cols = np.empty_like(mat)
-        for j in range(m):
-            cols[:, j] = _as_prob_vector(mat[:, j], name=f"column {j}")
+        cols.T[:] = _as_prob_rows(np.ascontiguousarray(mat.T), "column")
         cols.setflags(write=False)
         object.__setattr__(self, "matrix", cols)
 
@@ -147,19 +147,11 @@ class JointDistribution:
             raise ValueError(f"p_xy must be 2-D, got shape {mat.shape}")
         if mat.shape[0] < 2 or mat.shape[1] < 2:
             raise ValueError("both alphabets must have at least 2 symbols")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("p_xy contains non-finite entries")
-        if np.any(mat < -_NEG_TOL):
-            raise ValueError("p_xy contains negative entries")
-        mat = np.clip(mat, 0.0, None)
-        total = float(mat.sum())
-        if total <= 0.0:
-            raise ValueError("p_xy is identically zero")
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"p_xy sums to {total}, not 1 (tolerance {_SUM_TOL})")
-        mat = mat / total
-        mat.setflags(write=False)
-        object.__setattr__(self, "p_xy", mat)
+        # The pmf is checked as one probability vector of its m * n cells in
+        # memory order, so the total and the layout are those of the input.
+        order = "F" if mat.flags.f_contiguous else "C"
+        flat = _as_prob_rows(mat.reshape(1, -1, order=order), "p_xy")
+        object.__setattr__(self, "p_xy", flat.reshape(mat.shape, order=order))
 
     @property
     def m(self) -> int:

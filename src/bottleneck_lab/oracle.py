@@ -11,7 +11,6 @@ comparisons are one-sided plus closeness where a closed form exists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,9 @@ from .core import Channel, Distribution, DivergenceKernel, mixture_weights
 from .sweep import WitnessChannel, _as_channel, _resolve_pair
 
 _FEAS_EPS = 1e-12
+# Random atom sets whose nnls weights miss the marginal by more than this
+# are skipped.
+_MARGINAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,6 @@ class OracleConfig:
     grid_resolution: int = 128
     restarts: int = 256
     seed: int = 0
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.atom_budget < 1:
@@ -54,10 +55,11 @@ class OraclePoint:
     x_achieved: float
 
 
-def _is_better(y: float, best: float | None, direction: str) -> bool:
+def _is_better(y: float, best: tuple | None, direction: str) -> bool:
+    """Whether y beats the incumbent (y, P, w, x), if there is one."""
     if best is None:
         return True
-    return y > best if direction == "upper" else y < best
+    return y > best[0] if direction == "upper" else y < best[0]
 
 
 def _feasible(x: float, x_target: float, direction: str) -> bool:
@@ -261,6 +263,22 @@ class _BinaryCloud:
         P, w, f, g = P[keep], w[keep], f[keep], g[keep]
         return _reduce_mixture(P, w, f, g, direction)
 
+    def improve(
+        self, best: tuple | None, x_target: float, direction: str, mixtures: bool
+    ) -> tuple | None:
+        """The incumbent (y, P, w, x), or None, replaced by the best
+        single cloud witness meeting the x constraint and then, with
+        mixtures, by the exact-x hull mixture, wherever they are better."""
+        single = self.best_single(x_target, direction)
+        if single is not None and _is_better(single[0], best, direction):
+            y, idx = single
+            best = (y, *self.atoms_of(idx), float(self.xs[idx]))
+        mix = self.hull_mixture(x_target, direction) if mixtures else None
+        if mix is not None and _is_better(mix[0], best, direction):
+            P, w, fv, gv = self.materialize(*mix[1:], direction)
+            best = (float(w @ gv), P, w, float(w @ fv))
+        return best
+
 
 def oracle_exhaustive_binary(
     f_kernel: DivergenceKernel,
@@ -283,51 +301,21 @@ def oracle_exhaustive_binary(
 
     out: list[OraclePoint] = []
     for x_t in np.asarray(x_grid, dtype=float):
-        best_y: float | None = None
-        best_P: np.ndarray | None = None
-        best_w: np.ndarray | None = None
-        best_x = math.nan
-
-        single = cloud.best_single(float(x_t), direction)
-        if single is not None:
-            y, idx = single
-            P, w = cloud.atoms_of(idx)
-            best_y, best_P, best_w = y, P, w
-            best_x = float(cloud.xs[idx])
-
-        mix = cloud.hull_mixture(float(x_t), direction)
-        if mix is not None:
-            y, a, b, mu = mix
-            if _is_better(y, best_y, direction):
-                P, w, fv, gv = cloud.materialize(a, b, mu, direction)
-                best_y = float(w @ gv)
-                best_P, best_w = P, w
-                best_x = float(w @ fv)
-
-        if best_y is None:
-            witness = _witness_from(marginal[None, :], np.array([1.0]), marginal)
-            out.append(
-                OraclePoint(
-                    x_target=float(x_t),
-                    direction=direction,
-                    best_y=cloud.g_trivial,
-                    witness=witness,
-                    feasible=False,
-                    x_achieved=cloud.f_trivial,
-                )
+        best = cloud.improve(None, float(x_t), direction, mixtures=True)
+        feasible = best is not None
+        if not feasible:
+            best = (cloud.g_trivial, marginal[None, :], np.array([1.0]), cloud.f_trivial)
+        y, P, w, x = best
+        out.append(
+            OraclePoint(
+                x_target=float(x_t),
+                direction=direction,
+                best_y=float(y),
+                witness=_witness_from(P, w, marginal),
+                feasible=feasible,
+                x_achieved=x,
             )
-        else:
-            witness = _witness_from(best_P, best_w, marginal)
-            out.append(
-                OraclePoint(
-                    x_target=float(x_t),
-                    direction=direction,
-                    best_y=float(best_y),
-                    witness=witness,
-                    feasible=True,
-                    x_achieved=best_x,
-                )
-            )
+        )
     return out
 
 
@@ -371,17 +359,18 @@ def oracle_boundary(
     budget = min(cfg.atom_budget, m + 1)
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, qv, channel)
 
-    best_y: float | None = None
-    best_P: np.ndarray | None = None
-    best_w: np.ndarray | None = None
-    best_x = math.nan
+    best: tuple | None = None  # (y, P, w, x) of the best feasible witness
 
-    def consider(P: np.ndarray, w: np.ndarray) -> None:
-        nonlocal best_y, best_P, best_w, best_x
+    def evaluate(P: np.ndarray, w: np.ndarray) -> tuple:
         fv = float(w @ np.asarray(f_fn(P), dtype=float))
         gv = float(w @ np.asarray(g_fn(P @ channel.matrix.T), dtype=float))
-        if _feasible(fv, x_target, direction) and _is_better(gv, best_y, direction):
-            best_y, best_P, best_w, best_x = gv, P, w, fv
+        return gv, P, w, fv
+
+    def consider(P: np.ndarray, w: np.ndarray) -> None:
+        nonlocal best
+        found = evaluate(P, w)
+        if _feasible(found[3], x_target, direction) and _is_better(found[0], best, direction):
+            best = found
 
     # Structured candidates: the single-atom witness and, within budget, the
     # deterministic vertex refinement.
@@ -391,24 +380,8 @@ def oracle_boundary(
         consider(np.eye(m)[vertex_keep], qv[vertex_keep] / qv[vertex_keep].sum())
 
     if m == 2 and budget >= 2:
-        qs = float(qv[1])
-        cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, qs, cfg.grid_resolution)
-        single = cloud.best_single(x_target, direction)
-        if single is not None:
-            y, idx = single
-            if _is_better(y, best_y, direction):
-                P, w = cloud.atoms_of(idx)
-                best_y, best_P, best_w = y, P, w
-                best_x = float(cloud.xs[idx])
-        if budget >= 3:
-            mix = cloud.hull_mixture(x_target, direction)
-            if mix is not None:
-                y, a, b, mu = mix
-                if _is_better(y, best_y, direction):
-                    P, w, fv, gv = cloud.materialize(a, b, mu, direction)
-                    best_y = float(w @ gv)
-                    best_P, best_w = P, w
-                    best_x = float(w @ fv)
+        cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, float(qv[1]), cfg.grid_resolution)
+        best = cloud.improve(best, x_target, direction, mixtures=budget >= 3)
 
     rng = np.random.default_rng(cfg.seed)
     pool = [
@@ -420,7 +393,7 @@ def oracle_boundary(
         for size in range(1, budget + 1):
             P = np.vstack(atoms[:size])
             w, residual = mixture_weights(P, qv)
-            if residual > cfg.tolerance or w.sum() <= 0.0:
+            if residual > _MARGINAL_TOL or w.sum() <= 0.0:
                 continue
             w = w / w.sum()
             keep = w > 1e-13
@@ -428,25 +401,16 @@ def oracle_boundary(
                 continue
             consider(P[keep], w[keep] / w[keep].sum())
 
-    if best_y is None:
-        P = qv[None, :]
-        w = np.array([1.0])
-        fv = float(w @ np.asarray(f_fn(P), dtype=float))
-        gv = float(w @ np.asarray(g_fn(P @ channel.matrix.T), dtype=float))
-        return OraclePoint(
-            x_target=float(x_target),
-            direction=direction,
-            best_y=gv,
-            witness=_witness_from(P, w, qv),
-            feasible=False,
-            x_achieved=fv,
-        )
+    feasible = best is not None
+    if not feasible:
+        best = evaluate(qv[None, :], np.array([1.0]))
+    y, P, w, x = best
     return OraclePoint(
         x_target=float(x_target),
         direction=direction,
-        best_y=float(best_y),
-        witness=_witness_from(best_P, best_w, qv),
-        feasible=True,
-        x_achieved=best_x,
+        best_y=float(y),
+        witness=_witness_from(P, w, qv),
+        feasible=feasible,
+        x_achieved=x,
     )
 

@@ -41,6 +41,8 @@ from .envelope import (
 )
 
 _WITNESS_TOL = 1e-9
+# Frame of a curve whose two kernels share a functional kind.
+_FRAMES = {"entropy": "entropy", "norm": "K"}
 
 
 def _check_witnesses(
@@ -105,15 +107,13 @@ class WitnessChannel:
 @dataclass(frozen=True, eq=False)
 class BoundaryPoint:
     """One boundary point (x, y) at supporting slope lam, with its witness.
-    Forced endpoints carry lam = nan.  marginal_free records whether the
-    generating functionals are independent of the input marginal."""
+    Forced endpoints carry lam = nan."""
 
     lam: float
     x: float
     y: float
     witness: WitnessChannel
     trivial: bool
-    marginal_free: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +128,6 @@ class BoundaryCurve:
 
     direction: str
     problem: str
-    frame: str
     marginal: Distribution
     channel: Channel
     lams: np.ndarray
@@ -137,16 +136,20 @@ class BoundaryCurve:
     atoms: np.ndarray
     weights: np.ndarray
     rows: np.ndarray
-    marginal_free: bool
-    f_kernel: DivergenceKernel | None = None
-    g_kernel: DivergenceKernel | None = None
-    beta: float | None = None
+    f_kernel: DivergenceKernel
+    g_kernel: DivergenceKernel
+
+    @property
+    def frame(self) -> str:
+        """The curve's frame: "entropy" or "K" when both kernels are entropy
+        or both are norm functionals, else "finfo"."""
+        kind = self.f_kernel.kind
+        return _FRAMES.get(kind, "finfo") if kind == self.g_kernel.kind else "finfo"
 
     @cached_property
     def points(self) -> tuple[BoundaryPoint, ...]:
         return _points(
-            self.lams, self.xs, self.ys, self.atoms, self.weights, self.rows,
-            self.marginal, self.marginal_free,
+            self.lams, self.xs, self.ys, self.atoms, self.weights, self.rows, self.marginal
         )
 
     def interpolate(self, x: float) -> float:
@@ -225,7 +228,6 @@ def _points(
     weights: np.ndarray,
     rows: np.ndarray,
     marginal: Distribution,
-    free: bool,
 ) -> tuple[BoundaryPoint, ...]:
     """BoundaryPoint objects for the arrays of a chain (see BoundaryCurve);
     the witnesses share one Distribution per row."""
@@ -239,41 +241,18 @@ def _points(
             marginal=marginal,
         )
         out.append(
-            BoundaryPoint(
-                lam=lam, x=x, y=y, witness=witness,
-                trivial=len(witness.atoms) == 1, marginal_free=free,
-            )
+            BoundaryPoint(lam=lam, x=x, y=y, witness=witness, trivial=len(witness.atoms) == 1)
         )
     return tuple(out)
 
 
-def boundary_point_at_lambda(
-    f_kernel: DivergenceKernel,
-    g_kernel: DivergenceKernel,
-    T: Channel | np.ndarray,
-    q: Distribution | np.ndarray,
-    lam: float,
-    direction: str,
-    *,
-    lattice: SimplexLattice | None = None,
-    resolution: int | None = None,
-) -> BoundaryPoint:
-    """Boundary point at supporting slope lam with q snapped to the lattice:
-    slice_point on a fresh boundary_slice."""
-    region = boundary_slice(f_kernel, g_kernel, T, q, lattice=lattice, resolution=resolution)
-    free = f_kernel.marginal_free and g_kernel.marginal_free
-    return slice_point(region, lam, direction, marginal_free=free)
-
-
-def slice_point(
-    region: RegionSlice, lam: float, direction: str, *, marginal_free: bool
-) -> BoundaryPoint:
+def slice_point(region: RegionSlice, lam: float, direction: str) -> BoundaryPoint:
     """Boundary point of a region polygon at supporting slope lam: the vertex
     minimizing (lower) or maximizing (upper) y - lam * x.  It is trivial
     when its witness is the single atom at the slice's marginal.  Querying
     one slice at many slopes builds the slice once."""
     marginal, arrays = _chain_arrays(region, [region.support(lam, direction)], [lam])
-    return _points(**arrays, marginal=marginal, free=marginal_free)[0]
+    return _points(**arrays, marginal=marginal)[0]
 
 
 def _default_lattice(m: int, resolution: int | None) -> SimplexLattice:
@@ -292,36 +271,30 @@ def sweep(
     direction: str,
     *,
     resolution: int | None = None,
-    lattice: SimplexLattice | None = None,
     region: RegionSlice | None = None,
     problem: str = "generic",
-    frame: str = "finfo",
-    beta: float | None = None,
 ) -> BoundaryCurve:
     """One boundary curve: the lower or upper chain of the region polygon.
 
     Both x-extremes are kept as forced endpoints (lam = nan).  An interior
     vertex is kept when its range of supporting slopes meets lam >= 0, with
     lam set to the midpoint of its two edge slopes, clipped to >= 0: a slope
-    strictly inside its normal cone, at which boundary_point_at_lambda
-    returns the same vertex.
+    strictly inside its normal cone, at which slice_point returns the same
+    vertex.
 
     region, a boundary_slice of the same kernels, T and q, is read instead
-    of building a new slice, so both chains can come from one slice.  It
-    excludes lattice and resolution, and a slice at another (snapped)
-    marginal is refused.
+    of building a new slice, so both chains can come from one slice and
+    several slices from one lattice.  It excludes resolution, and a slice
+    at another (snapped) marginal is refused.
     """
     channel = _as_channel(T)
     if region is None:
-        region = boundary_slice(
-            f_kernel, g_kernel, channel, q, lattice=lattice, resolution=resolution
-        )
-    elif lattice is not None or resolution is not None:
-        raise ValueError("region excludes lattice and resolution")
+        region = boundary_slice(f_kernel, g_kernel, channel, q, resolution=resolution)
+    elif resolution is not None:
+        raise ValueError("region excludes resolution")
     elif region.lattice.snap(q) != region.q_index:
         raise ValueError("region is a slice at another marginal")
     chain = region.chain(direction)
-    free = f_kernel.marginal_free and g_kernel.marginal_free
     slopes = np.diff(region.y[chain]) / np.diff(region.x[chain])
     left, right = slopes[:-1], slopes[1:]
     # Edge slopes rise along the lower chain and fall along the upper one, so
@@ -339,14 +312,11 @@ def sweep(
     return BoundaryCurve(
         direction=direction,
         problem=problem,
-        frame=frame,
         marginal=marginal,
         channel=channel,
         **arrays,
-        marginal_free=free,
         f_kernel=f_kernel,
         g_kernel=g_kernel,
-        beta=beta,
     )
 
 
@@ -384,18 +354,15 @@ def matched_channel_invariance_check(
     f_kernel: DivergenceKernel,
     g_kernel: DivergenceKernel,
     T: Channel | np.ndarray,
-    *,
-    lattice: SimplexLattice | None = None,
-    resolution: int | None = None,
-    verify: bool = True,
-    tol: float = 1e-6,
 ) -> BoundaryPoint:
     """Move a matched channel to a new marginal: keep the atoms, re-solve the
-    weights for q_prime, and return the boundary point they span.
+    weights for q_prime, and return the point (x, y) they span, at the
+    original slope.  Whether it is a boundary point at q_prime is for the
+    caller to check, for example against slice_point on a boundary_slice
+    at q_prime.
 
     Raises when q_prime lies outside the convex hull of the atoms or when the
-    witness has a single atom.  With verify=True the supporting line at the
-    original slope is re-checked against the region polygon at q_prime.
+    witness has a single atom.
     """
     if not (f_kernel.marginal_free and g_kernel.marginal_free):
         raise ValueError("matched-channel transport needs marginal-free functionals")
@@ -423,25 +390,7 @@ def matched_channel_invariance_check(
         ),
         marginal=Distribution(qv),
     )
-    new_point = BoundaryPoint(
-        lam=point.lam, x=x, y=y, witness=witness, trivial=False, marginal_free=True
-    )
-    if verify and math.isfinite(point.lam):
-        # The transported point must support one of the two boundaries at
-        # q_prime with the original slope.
-        region = boundary_slice(
-            f_kernel, g_kernel, channel, qv, lattice=lattice, resolution=resolution
-        )
-        line = y - point.lam * x
-        dev = min(
-            abs(line - (region.y[k] - point.lam * region.x[k]))
-            for k in (region.support(point.lam, d) for d in ("lower", "upper"))
-        )
-        if dev > tol:
-            raise ValueError(
-                f"transported point misses the boundary at q_prime (deviation {dev:.3e})"
-            )
-    return new_point
+    return BoundaryPoint(lam=point.lam, x=x, y=y, witness=witness, trivial=False)
 
 
 _PROBLEM_KERNELS = {
@@ -472,14 +421,14 @@ def problem_curve(
     beta: float | None = None,
     frame: str | None = None,
     resolution: int | None = None,
-    lattice: SimplexLattice | None = None,
 ) -> BoundaryCurve | tuple[BoundaryCurve, BoundaryCurve]:
     """Boundary curve for one named problem instantiation.
 
     ib/pf use mutual-information kernels (or the conditional-entropy frame),
     eb/epf use chi-squared kernels, arimoto uses l^beta norm kernels in the
-    multiplicative K frame.  direction "both" returns (lower, upper), both
-    read off one boundary_slice; "lower" or "upper" returns one curve.
+    multiplicative K frame.  beta (default 2) is refused unless the kernel
+    is a norm kernel.  direction "both" returns (lower, upper), both read
+    off one boundary_slice; "lower" or "upper" returns one curve.
     """
     if direction not in ("lower", "upper", "both"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -496,12 +445,13 @@ def problem_curve(
         kernel = DivergenceKernel.norm_beta(beta if beta is not None else 2.0)
     else:
         kernel = DivergenceKernel(kind)
+    if beta is not None and kernel.kind != "norm":
+        raise ValueError(f"beta does not apply to problem {problem!r} in frame {frame!r}")
     channel = _as_channel(T)
-    region = boundary_slice(kernel, kernel, channel, q, lattice=lattice, resolution=resolution)
+    region = boundary_slice(kernel, kernel, channel, q, resolution=resolution)
     sides = ("lower", "upper") if direction == "both" else (direction,)
     curves = tuple(
-        sweep(kernel, kernel, channel, q, side, region=region, problem=problem,
-              frame=frame, beta=kernel.beta)
+        sweep(kernel, kernel, channel, q, side, region=region, problem=problem)
         for side in sides
     )
     return curves if direction == "both" else curves[0]

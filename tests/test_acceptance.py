@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one printed
 pass/fail line each.  Run with -s to see the lines."""
 
+import importlib
 import time
 
 from bottleneck_lab import envelope
@@ -69,3 +70,19 @@ def test_a7_reference_envelope_catches_a_lossy_slice(monkeypatch):
     violations = run_property_suite(70)
     assert [v.split(":")[0] for v in violations] == ["seed 31", "seed 69"]
     assert all("supporting line off the envelope" in v for v in violations)
+
+
+def test_a7_builds_one_graph_per_seed(monkeypatch):
+    # The reference envelope and the slice both read one Lagrangian graph.
+    built = []
+    for name in ("acceptance", "sweep"):
+        module = importlib.import_module(f"bottleneck_lab.{name}")
+        real = module.build_lagrangian_graph
+
+        def counting(*args, real=real):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "build_lagrangian_graph", counting)
+    assert run_property_suite(10) == []
+    assert len(built) == 10

@@ -9,11 +9,11 @@ from bottleneck_lab import (
     Channel,
     DivergenceKernel,
     SimplexLattice,
-    boundary_point_at_lambda,
     build_lagrangian_graph,
     resolve_functional,
 )
 from bottleneck_lab.envelope import compositions, envelope_at
+from bottleneck_lab.sweep import boundary_slice, slice_point
 from test_sweep import seeded_source
 
 
@@ -273,9 +273,8 @@ class TestEnvelopeGapAt:
         lam = (1.0 - 2.0 * delta) ** 2
         # Resolution chosen so [0.9, 0.1] sits exactly on the lattice.
         graph = entropy_graph(delta, 200)
-        point = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, bsc(delta), [0.9, 0.1], lam, "lower", lattice=graph.lattice
-        )
+        region = boundary_slice(ENTROPY, ENTROPY, bsc(delta), [0.9, 0.1], lattice=graph.lattice)
+        point = slice_point(region, lam, "lower")
         idx = graph.lattice.snap([0.9, 0.1])
         assert abs(phi(graph, lam)[idx] - (point.y - lam * point.x)) <= 1e-12
         assert point.trivial and len(point.witness.atoms) == 1
@@ -285,9 +284,8 @@ class TestEnvelopeGapAt:
 
     def test_nontrivial_mixture_reaches_marginal(self):
         graph = entropy_graph(0.1, 4096)
-        point = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, bsc(0.1), [0.9, 0.1], 0.3, "lower", lattice=graph.lattice
-        )
+        region = boundary_slice(ENTROPY, ENTROPY, bsc(0.1), [0.9, 0.1], lattice=graph.lattice)
+        point = slice_point(region, 0.3, "lower")
         idx = graph.lattice.snap([0.9, 0.1])
         assert phi(graph, 0.3)[idx] - (point.y - 0.3 * point.x) > 1e-7
         assert len(point.witness.atoms) == 2
@@ -301,7 +299,7 @@ class TestEnvelopeGapAt:
         lattice = SimplexLattice.build(2, 64)
         q = lattice.points[lattice.snap([0.9, 0.1])]
         chi = DivergenceKernel.chi_squared()
-        point = boundary_point_at_lambda(chi, chi, bsc(0.1), q, 1.0, "lower", lattice=lattice)
+        point = slice_point(boundary_slice(chi, chi, bsc(0.1), q, lattice=lattice), 1.0, "lower")
         assert point.y - 1.0 * point.x < -1e-7  # the objective is 0 at q
         firsts = sorted(atom.probs[0] for _, atom in point.witness.atoms)
         assert firsts[0] < q[0] < firsts[-1]

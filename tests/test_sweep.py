@@ -17,7 +17,6 @@ from bottleneck_lab import (
     binary_entropy,
     binary_entropy_inv,
     bottleneck_value,
-    boundary_point_at_lambda,
     bsc_joint,
     conditional_f_information,
     entropy,
@@ -59,17 +58,21 @@ def kl_curves():
 
 @pytest.fixture(scope="module")
 def entropy_lower_fine():
-    return sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", resolution=4096, frame="entropy", problem="pf")
+    return sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", resolution=4096, problem="pf")
+
+
+def bsc_point(kernel, lam, direction, inst=INST, **grid):
+    """slice_point at slope lam on a fresh boundary_slice of the kernel pair
+    for a binary symmetric instance."""
+    region = boundary_slice(kernel, kernel, inst.channel(), inst.marginal(), **grid)
+    return slice_point(region, lam, direction)
 
 
 class TestBoundaryPointAtLambda:
     def test_convex_regime_gives_trivial_point(self):
         lam = (1.0 - 2.0 * INST.delta) ** 2
         lattice = SimplexLattice.build(2, 200)  # q = 0.1 exactly on lattice
-        point = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, INST.channel(), INST.marginal(), lam, "lower",
-            lattice=lattice,
-        )
+        point = bsc_point(ENTROPY, lam, "lower", lattice=lattice)
         assert point.trivial
         assert math.isclose(point.x / LN2, binary_entropy(INST.q), abs_tol=1e-12)
         assert math.isclose(
@@ -78,10 +81,7 @@ class TestBoundaryPointAtLambda:
         assert len(point.witness.atoms) == 1
 
     def test_nontrivial_witness_is_symmetric_matched_channel(self):
-        point = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, INST.channel(), INST.marginal(), 0.3, "lower",
-            resolution=4096,
-        )
+        point = bsc_point(ENTROPY, 0.3, "lower", resolution=4096)
         assert not point.trivial
         ps = sorted(a.probs[1] for _, a in point.witness.atoms)
         r = binary_entropy_inv(point.x / LN2)
@@ -89,10 +89,7 @@ class TestBoundaryPointAtLambda:
         assert abs(ps[1] - (1.0 - r)) <= 2.0 / 4096 + 1e-9
 
     def test_zero_slope_upper_chi2_hits_full_information(self):
-        point = boundary_point_at_lambda(
-            CHI2, CHI2, INST.channel(), INST.marginal(), 0.0, "upper",
-            resolution=512,
-        )
+        point = bsc_point(CHI2, 0.0, "upper", resolution=512)
         joint = joint_from_marginal_channel(point.witness.marginal, INST.channel())
         assert math.isclose(point.x, 1.0, abs_tol=1e-9)
         assert math.isclose(point.y, f_information(CHI2, joint), abs_tol=1e-9)
@@ -100,7 +97,7 @@ class TestBoundaryPointAtLambda:
 
 class TestSweep:
     def test_lower_tracks_exact_boundary_coarsely(self):
-        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", resolution=512, frame="entropy")
+        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", resolution=512)
         for x in np.linspace(0.0, binary_entropy(INST.q), 33):
             got = quiet(funnel_value, curve, float(x) * LN2) / LN2
             assert abs(got - mrs_gerber(INST, float(x))) <= 5e-3
@@ -112,10 +109,10 @@ class TestSweep:
         lam_max = (1.0 - 2.0 * INST.delta) ** 2
         grid = np.concatenate([[0.0], np.geomspace(1e-8 * lam_max, lam_max, 200)])
         lattice = SimplexLattice.build(2, 2048)
-        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower",
-                      lattice=lattice, frame="entropy")
         region = boundary_slice(ENTROPY, ENTROPY, INST.channel(), INST.marginal(),
                                 lattice=lattice)
+        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower",
+                      region=region)
         picked = sorted({region.support(float(lam), "lower") for lam in grid},
                         key=lambda k: region.x[k])
         xs, ys = region.x[picked], region.y[picked]
@@ -126,7 +123,7 @@ class TestSweep:
             assert abs(got - mrs_gerber(INST, float(x))) <= 2e-3
 
     def test_upper_tracks_exact_boundary_coarsely(self):
-        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "upper", resolution=512, frame="entropy")
+        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "upper", resolution=512)
         for alpha in np.linspace(0.0, 1.0, 33):
             pt = mr_gerber_point(INST, float(alpha))
             got = quiet(bottleneck_value, curve, pt.x * LN2) / LN2
@@ -204,8 +201,24 @@ class TestSweep:
 
     def test_degenerate_channel_flat_entropy_curve(self):
         inst = BscInstance(q=0.2, delta=0.5)
-        curve = sweep(ENTROPY, ENTROPY, inst.channel(), inst.marginal(), "lower", resolution=512, frame="entropy")
+        curve = sweep(ENTROPY, ENTROPY, inst.channel(), inst.marginal(), "lower", resolution=512)
         assert np.allclose(curve.ys, math.log(2.0), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "f_kernel, g_kernel, frame",
+        [
+            (ENTROPY, ENTROPY, "entropy"),
+            (DivergenceKernel.norm_beta(3.0), DivergenceKernel.norm_beta(3.0), "K"),
+            (KL, KL, "finfo"),
+            (CHI2, CHI2, "finfo"),
+            (DivergenceKernel.total_variation(), DivergenceKernel.total_variation(), "finfo"),
+            (ENTROPY, KL, "finfo"),
+        ],
+        ids=["entropy", "norm", "kl", "chi2", "tv", "mixed"],
+    )
+    def test_frame_follows_the_kernels(self, f_kernel, g_kernel, frame):
+        curve = sweep(f_kernel, g_kernel, INST.channel(), INST.marginal(), "lower", resolution=64)
+        assert curve.frame == frame
 
 
 class TestValueQueries:
@@ -281,8 +294,10 @@ class TestTransformEntropyFrame:
         # The mapped entropy-frame lower curve and the directly swept
         # mutual-information upper curve describe the same boundary.
         lattice = SimplexLattice.build(2, 512)
-        ent = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", lattice=lattice, frame="entropy")
-        mi = sweep(KL, KL, INST.channel(), INST.marginal(), "upper", lattice=lattice)
+        q, T = INST.marginal(), INST.channel()
+        ent = sweep(ENTROPY, ENTROPY, T, q, "lower",
+                    region=boundary_slice(ENTROPY, ENTROPY, T, q, lattice=lattice))
+        mi = sweep(KL, KL, T, q, "upper", region=boundary_slice(KL, KL, T, q, lattice=lattice))
         xs, ys = to_mi_frame(ent)
         for x in np.linspace(0.0, float(mi.xs[-1]), 21):
             moved = float(np.interp(x, xs[::-1], ys[::-1]))
@@ -293,8 +308,7 @@ class TestTransformEntropyFrame:
         T = rng.exponential(size=(3, 3)) + 0.3
         T = T / T.sum(axis=0, keepdims=True)
         q = np.array([0.45, 0.35, 0.2])
-        raw = sweep(ENTROPY, ENTROPY, T, q, "lower", resolution=32,
-                    frame="entropy")
+        raw = sweep(ENTROPY, ENTROPY, T, q, "lower", resolution=32)
         xs, ys = to_mi_frame(raw)
         assert abs(xs[-1]) <= 1e-12 and abs(ys[-1]) <= 1e-12
         joint = joint_from_marginal_channel(raw.marginal, raw.channel)
@@ -303,84 +317,63 @@ class TestTransformEntropyFrame:
 
 class TestMatchedChannels:
     def test_nontrivial_point_yields_witness(self):
-        point = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, INST.channel(), INST.marginal(), 0.3, "lower",
-            resolution=512,
-        )
+        point = bsc_point(ENTROPY, 0.3, "lower", resolution=512)
         assert not point.trivial and len(point.witness.atoms) == 2
 
     def test_divergence_frame_rejected(self, kl_curves):
         lower, _ = kl_curves
         nontrivial = next(p for p in lower.points if not p.trivial)
         with pytest.raises(ValueError, match="marginal"):
-            matched_channel_invariance_check(
-                nontrivial, [0.89, 0.11], KL, KL, INST.channel(), resolution=512
-            )
+            matched_channel_invariance_check(nontrivial, [0.89, 0.11], KL, KL, INST.channel())
 
     def test_norm_kernel_two_atom_witness(self):
         # Past the convexity threshold the K-frame tangency is a symmetric
         # two-atom mixture, again a matched channel.
         inst = BscInstance(q=0.4, delta=0.2)
         norm = DivergenceKernel.norm_beta(2.0)
-        point = boundary_point_at_lambda(
-            norm, norm, inst.channel(), inst.marginal(), 0.40, "lower",
-            resolution=2048,
-        )
+        point = bsc_point(norm, 0.40, "lower", resolution=2048, inst=inst)
         assert len(point.witness.atoms) == 2
         ps = sorted(a.probs[1] for _, a in point.witness.atoms)
         assert abs(ps[0] + ps[1] - 1.0) <= 2.0 / 2048
 
+    def test_transport_builds_no_slice(self, slice_builds):
+        point = bsc_point(ENTROPY, 0.3, "lower", resolution=512)
+        slice_builds.clear()
+        matched_channel_invariance_check(point, [0.89, 0.11], ENTROPY, ENTROPY, INST.channel())
+        assert slice_builds == []
+
     def test_same_marginal_recovers_point(self):
         lattice = SimplexLattice.build(2, 512)
-        point = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, INST.channel(), INST.marginal(), 0.3, "lower",
-            lattice=lattice,
-        )
+        point = bsc_point(ENTROPY, 0.3, "lower", lattice=lattice)
         moved = matched_channel_invariance_check(
-            point, point.witness.marginal, ENTROPY, ENTROPY, INST.channel(),
-            lattice=lattice,
+            point, point.witness.marginal, ENTROPY, ENTROPY, INST.channel()
         )
         assert math.isclose(moved.x, point.x, abs_tol=1e-9)
         assert math.isclose(moved.y, point.y, abs_tol=1e-9)
 
     def test_perturbed_marginal_matches_fresh_sweep(self):
         lattice = SimplexLattice.build(2, 2048)
-        point = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, INST.channel(), INST.marginal(), 0.3, "lower",
-            lattice=lattice,
-        )
+        point = bsc_point(ENTROPY, 0.3, "lower", lattice=lattice)
         q_new = np.array([0.89, 0.11])
-        moved = matched_channel_invariance_check(
-            point, q_new, ENTROPY, ENTROPY, INST.channel(), lattice=lattice,
-        )
-        fresh = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, INST.channel(), q_new, 0.3, "lower", lattice=lattice,
+        moved = matched_channel_invariance_check(point, q_new, ENTROPY, ENTROPY, INST.channel())
+        fresh = slice_point(
+            boundary_slice(ENTROPY, ENTROPY, INST.channel(), q_new, lattice=lattice), 0.3, "lower"
         )
         assert abs(moved.x - fresh.x) <= 1e-6
         assert abs(moved.y - fresh.y) <= 1e-6
 
     def test_single_atom_rejected(self):
         lam = (1.0 - 2.0 * INST.delta) ** 2
-        point = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, INST.channel(), INST.marginal(), lam, "lower",
-            resolution=512,
-        )
+        point = bsc_point(ENTROPY, lam, "lower", resolution=512)
         with pytest.raises(ValueError, match="two atoms"):
-            matched_channel_invariance_check(
-                point, [0.89, 0.11], ENTROPY, ENTROPY, INST.channel(), resolution=512
-            )
+            matched_channel_invariance_check(point, [0.89, 0.11], ENTROPY, ENTROPY, INST.channel())
 
     def test_marginal_outside_hull_rejected(self):
-        point = boundary_point_at_lambda(
-            ENTROPY, ENTROPY, INST.channel(), INST.marginal(), 0.3, "lower",
-            resolution=512,
-        )
+        point = bsc_point(ENTROPY, 0.3, "lower", resolution=512)
         high = max(a.probs[1] for _, a in point.witness.atoms)
         outside = np.array([1.0 - (high + 0.05), high + 0.05])
         with pytest.raises(ValueError, match="hull"):
-            matched_channel_invariance_check(
-                point, outside, ENTROPY, ENTROPY, INST.channel(), resolution=512
-            )
+            matched_channel_invariance_check(point, outside, ENTROPY, ENTROPY, INST.channel())
 
 
 class TestLambdaGrid:
@@ -400,15 +393,13 @@ class TestLambdaGrid:
 
 def assert_same_curve(got, want):
     """Field-for-field equality of two BoundaryCurves, witnesses included."""
-    assert (got.direction, got.problem, got.frame, got.beta) == (
-        want.direction, want.problem, want.frame, want.beta
-    )
+    assert (got.direction, got.problem, got.frame) == (want.direction, want.problem, want.frame)
     assert (got.f_kernel, got.g_kernel) == (want.f_kernel, want.g_kernel)
     assert got.marginal.probs.tolist() == want.marginal.probs.tolist()
     assert got.channel.matrix.tolist() == want.channel.matrix.tolist()
     assert len(got.points) == len(want.points)
     for a, b in zip(got.points, want.points):
-        assert (a.x, a.y, a.trivial, a.marginal_free) == (b.x, b.y, b.trivial, b.marginal_free)
+        assert (a.x, a.y, a.trivial) == (b.x, b.y, b.trivial)
         assert a.lam == b.lam or (math.isnan(a.lam) and math.isnan(b.lam))
         assert a.witness.to_json() == b.witness.to_json()
         assert a.witness.marginal.probs.tolist() == b.witness.marginal.probs.tolist()
@@ -432,13 +423,12 @@ class TestSweepRegion:
         with pytest.raises(ValueError, match="another marginal"):
             sweep(KL, KL, INST.channel(), INST.marginal(), "lower", region=region)
 
-    @pytest.mark.parametrize("where", ["lattice", "resolution"])
+    @pytest.mark.parametrize("where", ["resolution"])
     def test_region_with_lattice_or_resolution_is_refused(self, where):
         lattice = SimplexLattice.build(2, 64)
         region = boundary_slice(KL, KL, INST.channel(), INST.marginal(), lattice=lattice)
-        extra = {"lattice": lattice} if where == "lattice" else {"resolution": 64}
         with pytest.raises(ValueError, match="region excludes"):
-            sweep(KL, KL, INST.channel(), INST.marginal(), "lower", region=region, **extra)
+            sweep(KL, KL, INST.channel(), INST.marginal(), "lower", region=region, **{where: 64})
 
 
 class TestProblemCurve:
@@ -459,6 +449,12 @@ class TestProblemCurve:
             problem_curve(INST.marginal(), INST.channel(), "eb", "upper",
                           frame="entropy", resolution=64)
 
+    @pytest.mark.parametrize("problem, beta", [("ib", 3.0), ("eb", 1.0)])
+    def test_beta_needs_a_norm_kernel(self, problem, beta, slice_builds):
+        with pytest.raises(ValueError, match="beta does not apply"):
+            problem_curve([0.9, 0.1], INST.channel(), problem, "upper", beta=beta, resolution=64)
+        assert slice_builds == []
+
     def test_unknown_problem_rejected(self):
         with pytest.raises(ValueError, match="problem"):
             problem_curve(INST.marginal(), INST.channel(), "rate", "upper",
@@ -468,7 +464,7 @@ class TestProblemCurve:
         curve = problem_curve(INST.marginal(), INST.channel(), "arimoto", "lower",
                               beta=2.0, resolution=256)
         assert curve.frame == "K"
-        assert curve.beta == 2.0
+        assert curve.f_kernel.beta == 2.0
         # K-frame x spans [K(q), 1].
         assert math.isclose(float(curve.xs[-1]), 1.0, abs_tol=1e-12)
 
@@ -675,8 +671,8 @@ class TestHullSlice:
             values = graph.y_values - lam * graph.x_values
             for direction in ("lower", "upper"):
                 env = envelope_at(lattice, values, q_idx, direction)
-                point = boundary_point_at_lambda(
-                    kernel, kernel, T, q, lam, direction, lattice=lattice
+                point = slice_point(
+                    boundary_slice(kernel, kernel, T, q, lattice=lattice), lam, direction
                 )
                 assert abs((point.y - lam * point.x) - env) <= 1e-9
                 assert len(point.witness.atoms) <= m
@@ -689,14 +685,14 @@ class TestHullSlice:
         q, T = seeded_source(m, resolution, 3)
         lattice = SimplexLattice.build(m, resolution)
         for direction in ("lower", "upper"):
-            curve = problem_curve(q, T, "ib", direction, lattice=lattice)
+            curve = problem_curve(q, T, "ib", direction, resolution=resolution)
             rows = curve_csv_rows(curve)
             assert sum(r[2] != "" for r in rows) >= len(rows) - 2
             for row, point in zip(rows, curve.points):
                 if row[2] == "":
                     continue
-                again = boundary_point_at_lambda(
-                    KL, KL, T, q, float(row[2]), direction, lattice=lattice
+                again = slice_point(
+                    boundary_slice(KL, KL, T, q, lattice=lattice), float(row[2]), direction
                 )
                 assert again.witness.to_json() == point.witness.to_json()
 
@@ -717,12 +713,12 @@ class TestHullSlice:
             edges = np.diff(region.y[chain]) / np.diff(region.x[chain])
             lams = [0.0, *np.quantile(edges[edges > 0.0], np.linspace(0.0, 1.0, 19))]
             for lam in lams:
-                got = slice_point(region, lam, direction, marginal_free=kernel.marginal_free)
-                want = boundary_point_at_lambda(
-                    kernel, kernel, T, q, lam, direction, lattice=lattice
+                got = slice_point(region, lam, direction)
+                want = slice_point(
+                    boundary_slice(kernel, kernel, T, q, lattice=lattice), lam, direction
                 )
-                assert (got.x, got.y, got.lam, got.trivial, got.marginal_free) == (
-                    want.x, want.y, want.lam, want.trivial, want.marginal_free
+                assert (got.x, got.y, got.lam, got.trivial) == (
+                    want.x, want.y, want.lam, want.trivial
                 )
                 assert got.witness.weights().tolist() == want.witness.weights().tolist()
                 assert (
