@@ -16,7 +16,12 @@ from pathlib import Path
 
 from . import __version__
 from .acceptance import SUITES
-from .closed_forms import CLOSED_FORM_CSV_HEADER, BscInstance, closed_form_table
+from .closed_forms import (
+    CLOSED_FORM_CSV_HEADER,
+    MAX_TABLE_POINTS,
+    BscInstance,
+    closed_form_table,
+)
 from .core import bsc_joint, decompose_joint, load_joint
 from .envelope import DEFAULT_RESOLUTION, MAX_LATTICE_POINTS, lattice_size, snap_counts
 from .sweep import CURVE_CSV_HEADER, PROBLEM_FRAMES, curve_csv_rows, problem_curve
@@ -173,6 +178,8 @@ def cmd_closed_form(args) -> int:
             raise ValueError("arimoto laws need --beta >= 2")
     elif args.beta is not None:
         raise ConfigError(f"--beta does not apply to law {args.law!r}")
+    if args.points > MAX_TABLE_POINTS:
+        raise ConfigError(f"--points {args.points}: at most {MAX_TABLE_POINTS} are supported")
     rows = closed_form_table(inst, args.law, beta=args.beta, points=args.points)
     digest = hashlib.sha256(f"bsc:{args.bsc}".encode()).hexdigest()
     params = {"law": args.law, "beta": args.beta, "points": args.points, "bsc": args.bsc}

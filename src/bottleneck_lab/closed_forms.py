@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 from .core import (
     Channel,
     Distribution,
+    _h2,
     binary_entropy,
     binary_entropy_inv,
     star,
@@ -62,7 +63,7 @@ def mrs_gerber(inst: BscInstance, x: float) -> float:
     hq = binary_entropy(inst.q)
     if x < -1e-12 or x > hq + 1e-9:
         raise ValueError(f"x = {x} outside [0, {hq}]")
-    x = min(max(x, 0.0), 1.0)
+    x = min(max(x, 0.0), hq)
     return binary_entropy(star(inst.delta, binary_entropy_inv(x)))
 
 
@@ -70,12 +71,17 @@ def _binary(p1: float) -> Distribution:
     return Distribution([1.0 - p1, p1])
 
 
-def _mr_gerber_xy(inst: BscInstance, alpha: float) -> tuple[float, float, float]:
-    """(ratio, x, y) of the upper-boundary point at mixture alpha, with
-    z = max(alpha, 2q) and ratio = q/z: scalars only, no witness."""
-    q, delta = inst.q, inst.delta
+def _ratio(q: float, alpha: float) -> float:
+    """q/z with z = max(alpha, 2q), capped at 1; 1/2 when z = 0."""
     z = max(alpha, 2.0 * q)
-    ratio = 0.5 if z == 0.0 else min(q / z, 1.0)
+    return 0.5 if z == 0.0 else min(q / z, 1.0)
+
+
+def _mr_gerber_xy(inst: BscInstance, alpha: float) -> tuple[float, float, float]:
+    """(ratio, x, y) of the upper-boundary point at mixture alpha (see
+    _ratio): scalars only, no witness."""
+    delta = inst.delta
+    ratio = _ratio(inst.q, alpha)
     x = alpha * binary_entropy(ratio)
     y = alpha * binary_entropy(star(delta, ratio)) + (1.0 - alpha) * binary_entropy(delta)
     return ratio, float(x), float(y)
@@ -127,8 +133,12 @@ def mr_gerber(inst: BscInstance, x: float) -> float:
     if x >= hq:
         return _mr_gerber_xy(inst, 1.0)[2]
 
+    q = inst.q
+
     def gap(alpha: float) -> float:
-        return _mr_gerber_xy(inst, alpha)[1] - x
+        # x of _mr_gerber_xy alone, with the unchecked entropy: ratio is
+        # in [0, 1] by construction.
+        return alpha * _h2(_ratio(q, alpha)) - x
 
     alpha = brentq(gap, 0.0, 1.0, xtol=1e-13, rtol=9e-16)
     return _mr_gerber_xy(inst, float(alpha))[2]
@@ -177,6 +187,11 @@ def k_frame_to_entropy(value: float, beta: float) -> float:
 
 
 CLOSED_FORM_CSV_HEADER = ["q", "delta", "beta", "x", "lower", "upper"]
+# Most rows a closed-form table is computed for.  A table's peak RSS grows
+# by ~0.45 KiB per row (its rows and CSV text: 106 MiB at 65 536 rows, of
+# which ~78 MiB is the interpreter with numpy and scipy; x86-64 Linux), so
+# this keeps a run near 0.5 GiB.
+MAX_TABLE_POINTS = 1 << 20
 
 
 def closed_form_table(

@@ -282,10 +282,15 @@ def _check_unit_interval(value: float, name: str) -> float:
 
 def binary_entropy(q: float) -> float:
     """Binary entropy in bits; binary_entropy(0.5) = 1."""
-    q = _check_unit_interval(q, "q")
-    if q == 0.0 or q == 1.0:
+    return _h2(_check_unit_interval(q, "q"))
+
+
+def _h2(t: float) -> float:
+    """binary_entropy of a float t already in [0, 1], unchecked: the
+    callback of root searches that stay in range."""
+    if t == 0.0 or t == 1.0:
         return 0.0
-    return float(-(q * math.log2(q) + (1.0 - q) * math.log2(1.0 - q)))
+    return float(-(t * math.log2(t) + (1.0 - t) * math.log2(1.0 - t)))
 
 
 def binary_entropy_inv(y: float) -> float:
@@ -298,7 +303,7 @@ def binary_entropy_inv(y: float) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    r = brentq(lambda t: binary_entropy(t) - y, 0.0, 0.5, xtol=1e-16, rtol=9e-16)
+    r = brentq(lambda t: _h2(t) - y, 0.0, 0.5, xtol=1e-16, rtol=9e-16)
     return float(r)
 
 

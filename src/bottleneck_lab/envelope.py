@@ -13,9 +13,9 @@ candidate vertices come from one of two routes, chosen by m:
 - m >= 3: two parametric simplex walks, one per boundary chain, over the
   LP min (lower) or max (upper) of sum a_i (g_i - lambda f_i) s.t.
   sum a_i p_i = q, a >= 0; each vertex is its optimal basis over a range
-  of lambda.  Each pivot is an m x m solve and two pricing products over
-  the lattice, while a hull in dimension m + 1 grows far faster with m
-  and N.
+  of lambda.  Each pivot is an O(m^2) integer update of the basis
+  adjugate and two pricing products over the lattice, while a hull in
+  dimension m + 1 grows far faster with m and N.
 
 envelope_at keeps the per-slope view: the lower convex (upper concave)
 envelope of g(Tp) - lambda * f(p) over the lattice, read at q only.  Its
@@ -61,6 +61,7 @@ _PRICE_TOL = 1e-11
 # at 1e-12 a vertex whose normal cone is 7e-11 wide is lost
 # (test_walk_matches_hull[thin-cone]).
 _BREAK_TOL = 1e-14
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 DEFAULT_RESOLUTION = {2: 4096, 3: 128, 4: 32}
 # Largest lattice a curve is computed on.  Peak RSS of a binary
@@ -377,13 +378,36 @@ def _pivot_cap(points: int) -> int:
 
 def _adjugate(M: np.ndarray) -> tuple[np.ndarray, int]:
     """Integer adjugate and determinant of an integer matrix, signed so
-    that the determinant is positive: M @ adj == det * I exactly."""
+    that the determinant is positive: M @ adj == det * I exactly.  The walk
+    runs it for its start basis only; _pivot updates the result."""
     Mf = M.astype(float)
     det = round(float(np.linalg.det(Mf)))
     adj = np.rint(det * np.linalg.inv(Mf)).astype(np.int64)
     if not np.array_equal(M @ adj, det * np.eye(M.shape[0], dtype=np.int64)):
         raise RuntimeError(f"basis adjugate is not exact (determinant {det})")
     return (adj, det) if det > 0 else (-adj, -det)
+
+
+def _pivot(
+    adj: np.ndarray, det: int, u: np.ndarray, r: int, total: int
+) -> tuple[np.ndarray, int]:
+    """Adjugate and determinant of the basis after its column r is replaced
+    by the column a with u = adj @ a, by integer-preserving (Edmonds-Bareiss)
+    pivoting in O(m^2): the determinant becomes u[r] (> 0 by the ratio
+    test), row r is kept and each other row i becomes
+    (u[r] adj[i] - u[i] adj[r]) / det, an exact division.
+
+    The walk stays exact while no int64 product can overflow: the ones
+    here, and those of adj @ a for any column a summing to total, such as
+    u itself."""
+    bound = int(np.abs(adj).max()) * max(2 * max(map(abs, u.tolist())), total)
+    if bound > _INT64_MAX:
+        raise RuntimeError(f"basis adjugate may overflow int64 (determinant {det})")
+    new, rem = np.divmod(u[r] * adj - u[:, None] * adj[r], det)
+    if rem.any():
+        raise RuntimeError(f"basis adjugate is not exact (determinant {det})")
+    new[r] = adj[r]
+    return new, int(u[r])
 
 
 def _lex_leaving(adj: np.ndarray, qc: np.ndarray, start: np.ndarray, u: np.ndarray) -> int:
@@ -419,11 +443,14 @@ def _walk(X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int]) ->
     span points on that edge and are not kept.  Weights and ratios are
     exact integer adjugate products, so degenerate pivots are recognised
     exactly, and the lexicographic ratio test keeps them from cycling.
+    The adjugate is solved for the start basis only; each pivot updates
+    it in O(m^2) integer operations (_pivot).
     """
     K = counts.shape[0]
     CT = counts.T.astype(float)
     XY = np.vstack([X, Y])
     qc = counts[start[0]]
+    total = int(qc.sum())
     B0 = counts[start].T
     scale = max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
     tol, brk = _PRICE_TOL * scale, _BREAK_TOL * scale
@@ -431,8 +458,8 @@ def _walk(X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int]) ->
     basis = list(start)
     vertices = []
     lam = -math.inf
+    adj, det = _adjugate(counts[basis].T)
     for _ in range(cap + 1):
-        adj, det = _adjugate(counts[basis].T)
         dX, dY = XY - (XY[:, basis] @ (adj / det)) @ CT
         rising = dX > tol
         j = -1
@@ -453,7 +480,10 @@ def _walk(X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int]) ->
             if lam == -math.inf or dY[j] - lam * dX[j] > brk:
                 vertices.append(list(basis))
             lam = max(lam, float(ratios[j]))
-        basis[_lex_leaving(adj, qc, B0, adj @ counts[j])] = j
+        u = adj @ counts[j]
+        r = _lex_leaving(adj, qc, B0, u)
+        basis[r] = j
+        adj, det = _pivot(adj, det, u, r, total)
     raise RuntimeError(f"simplex walk took more than {cap} pivots on {K} lattice points")
 
 

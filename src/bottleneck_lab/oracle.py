@@ -71,20 +71,23 @@ def _feasible(x: float, x_target: float, direction: str) -> bool:
 def _hull_indices(xs: np.ndarray, ys: np.ndarray, direction: str) -> list[int]:
     order = np.lexsort((ys if direction == "lower" else -ys, xs))
     sign = 1.0 if direction == "lower" else -1.0
+    # Zero-copy views: an item is a Python float (int), so the chain does
+    # the same double arithmetic as on numpy scalars without their cost.
+    xv, yv = memoryview(xs), memoryview(ys)
     hull: list[int] = []
-    for i in order:
-        if hull and abs(xs[i] - xs[hull[-1]]) <= 1e-15:
+    for i in memoryview(order):
+        xi, yi = xv[i], yv[i]
+        if hull and abs(xi - xv[hull[-1]]) <= 1e-15:
             continue
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
-            cross = (xs[b] - xs[a]) * sign * (ys[i] - ys[a]) - sign * (
-                ys[b] - ys[a]
-            ) * (xs[i] - xs[a])
+            xa, ya = xv[a], yv[a]
+            cross = (xv[b] - xa) * sign * (yi - ya) - sign * (yv[b] - ya) * (xi - xa)
             if cross <= 0.0:
                 hull.pop()
             else:
                 break
-        hull.append(int(i))
+        hull.append(i)
     return hull
 
 

@@ -87,6 +87,17 @@ class WitnessChannel:
         rows = self.conditionals() if n else np.empty((0, self.marginal.m))
         _check_witnesses(self.weights()[None], np.arange(n)[None], rows, self.marginal.probs)
 
+    @classmethod
+    def _prechecked(
+        cls, atoms: tuple[tuple[float, Distribution], ...], marginal: Distribution
+    ) -> "WitnessChannel":
+        """A witness whose atoms a batched _check_witnesses call has already
+        passed: built without checking them again."""
+        witness = object.__new__(cls)
+        object.__setattr__(witness, "atoms", atoms)
+        object.__setattr__(witness, "marginal", marginal)
+        return witness
+
     def weights(self) -> np.ndarray:
         return np.array([a for a, _ in self.atoms], dtype=float)
 
@@ -124,7 +135,8 @@ class BoundaryCurve:
     with weight weights[k, j] over the slots with atoms[k, j] >= 0 (unused
     slots hold -1 and weight 0); rows holds each normalized lattice point
     the witnesses use once.  points, the same chain as BoundaryPoint
-    objects, is built on first access."""
+    objects, is built on first access; sweep checks the witnesses when it
+    builds the arrays, and points does not check them again."""
 
     direction: str
     problem: str
@@ -230,15 +242,15 @@ def _points(
     marginal: Distribution,
 ) -> tuple[BoundaryPoint, ...]:
     """BoundaryPoint objects for the arrays of a chain (see BoundaryCurve);
-    the witnesses share one Distribution per row."""
+    the witnesses share one Distribution per row.  _chain_arrays checked
+    them all, so they are not checked again one at a time."""
     dists = _row_distributions(rows)
     out = []
     for lam, x, y, slots, alphas in zip(
         lams.tolist(), xs.tolist(), ys.tolist(), atoms.tolist(), weights.tolist()
     ):
-        witness = WitnessChannel(
-            atoms=tuple((a, dists[j]) for a, j in zip(alphas, slots) if j >= 0),
-            marginal=marginal,
+        witness = WitnessChannel._prechecked(
+            tuple((a, dists[j]) for a, j in zip(alphas, slots) if j >= 0), marginal
         )
         out.append(
             BoundaryPoint(lam=lam, x=x, y=y, witness=witness, trivial=len(witness.atoms) == 1)

@@ -68,6 +68,7 @@ class TestCurveCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("curve built a witness object")
 
+        refuse._prechecked = refuse  # the path the lazy points build through
         monkeypatch.setattr(sweep_module, "WitnessChannel", refuse)
         with pytest.raises(AssertionError):
             sweep_module.problem_curve([0.9, 0.1], np.eye(2), "ib", "lower", resolution=16).points
@@ -360,6 +361,16 @@ class TestClosedFormCommand:
         code, out = self.run(tmp_path, "x.csv", "--law", law, "--beta", "3")
         assert code == EXIT_INFEASIBLE
         assert f"--beta does not apply to law '{law}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_table_is_refused_before_it_is_built(self, tmp_path, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the table grid was built")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        code, out = self.run(tmp_path, "x.csv", "--law", "mrgl", "--points", "100000000000")
+        assert code == EXIT_INFEASIBLE
+        assert "--points 100000000000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_arimoto_rejects_small_beta(self, tmp_path):

@@ -10,6 +10,7 @@ from bottleneck_lab import (
     arimoto_mrs_gerber,
     beta_norm,
     binary_entropy,
+    binary_entropy_inv,
     closed_forms,
     k_frame_to_entropy,
     k_norm,
@@ -73,6 +74,35 @@ class TestMrsGerber:
         ys = np.array([mrs_gerber(INST, float(x)) for x in xs])
         assert np.all(np.diff(ys) >= -1e-12)
         assert np.all(np.diff(ys, 2) >= -1e-9)
+
+    def test_clamps_to_the_endpoint(self):
+        # An x just past h(q), within the accepted slack, is read at h(q),
+        # so the lower boundary stays under the upper one there.
+        hq = binary_entropy(INST.q)
+        x = hq + 9e-10
+        assert mrs_gerber(INST, x) == mrs_gerber(INST, hq)
+        assert mrs_gerber(INST, x) <= mr_gerber(INST, x) + 1e-12
+
+    def test_bit_identical_to_checked_inversion(self):
+        # binary_entropy_inv, and mrs_gerber through it, invert with an
+        # unchecked entropy; the roots equal brentq on the checked one.
+        def inverse(y):
+            if y == 0.0:
+                return 0.0
+            if y == 1.0:
+                return 0.5
+            return float(brentq(lambda t: binary_entropy(t) - y, 0.0, 0.5, xtol=1e-16, rtol=9e-16))
+
+        rng = np.random.default_rng(2025)
+        draws = [
+            BscInstance(q=float(rng.uniform(0.05, 0.5)), delta=float(rng.uniform(0.0, 0.5)))
+            for _ in range(50)
+        ]
+        for inst in draws:
+            for x in np.linspace(0.0, binary_entropy(inst.q), 17):
+                r = inverse(float(x))
+                assert binary_entropy_inv(float(x)) == r
+                assert mrs_gerber(inst, float(x)) == binary_entropy(star(inst.delta, r))
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):

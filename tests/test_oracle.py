@@ -17,7 +17,8 @@ from bottleneck_lab import (
     oracle_exhaustive_binary,
 )
 from bottleneck_lab.core import LN2
-from bottleneck_lab.oracle import OracleConfig
+from bottleneck_lab.oracle import OracleConfig, _BinaryCloud, _hull_indices
+from bottleneck_lab.sweep import _resolve_pair
 
 ENTROPY = DivergenceKernel.entropy_functional()
 KL = DivergenceKernel.kl()
@@ -104,6 +105,61 @@ class TestExhaustiveBinary:
             pts = oracle_exhaustive_binary(CHI2, CHI2, 0.1, 0.1, np.linspace(0, 1, 9), direction, 256)
             for pt in pts:
                 assert math.isclose(pt.best_y, kappa * pt.x_target, abs_tol=1e-9)
+
+
+def scalar_hull_indices(xs, ys, direction):
+    """The oracle's monotone chain indexing numpy arrays one scalar at a
+    time: the reference the zero-copy loop must match index for index."""
+    order = np.lexsort((ys if direction == "lower" else -ys, xs))
+    sign = 1.0 if direction == "lower" else -1.0
+    hull = []
+    for i in order:
+        if hull and abs(xs[i] - xs[hull[-1]]) <= 1e-15:
+            continue
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            cross = (xs[b] - xs[a]) * sign * (ys[i] - ys[a]) - sign * (
+                ys[b] - ys[a]
+            ) * (xs[i] - xs[a])
+            if cross <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(int(i))
+    return hull
+
+
+def adversarial_clouds():
+    """Clouds with x-ties within 1e-15, collinear runs, repeated points and
+    a single point."""
+    rng = np.random.default_rng(11)
+    ties = np.array([0.0, 1e-16, 5e-16, 1e-15, 0.5, 0.5 + 9e-16, 1.0, 1.0 + 1e-15, 1.0 + 2e-15])
+    line = np.linspace(0.0, 1.0, 40)
+    grid = rng.integers(0, 5, 200) / 4.0
+    yield ties, rng.permutation(ties.size).astype(float)
+    yield line, 2.0 * line + 1.0
+    yield np.concatenate([line, line]), np.concatenate([line**2, 3.0 - line])
+    yield grid, rng.integers(0, 3, 200) / 2.0
+    yield grid, np.zeros(200)
+    yield np.array([0.25]), np.array([-1.0])
+
+
+class TestHullIndices:
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("kernel", [ENTROPY, CHI2], ids=["entropy", "chi2"])
+    def test_a4_clouds_match_scalar_loop(self, kernel, direction):
+        # A4's four clouds: BSC 0.1/0.1 on the 512-point grid.
+        channel = INST.channel()
+        f_fn, g_fn = _resolve_pair(kernel, kernel, INST.marginal().probs, channel)
+        cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, INST.q, 512)
+        got = _hull_indices(cloud.xs, cloud.ys, direction)
+        assert got == scalar_hull_indices(cloud.xs, cloud.ys, direction)
+        assert all(type(i) is int for i in got)
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_adversarial_clouds_match_scalar_loop(self, direction):
+        for xs, ys in adversarial_clouds():
+            assert _hull_indices(xs, ys, direction) == scalar_hull_indices(xs, ys, direction)
 
 
 class TestOracleBoundary:

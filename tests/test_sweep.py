@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import warnings
 
@@ -35,6 +36,9 @@ from bottleneck_lab.core import LN2, resolve_functional
 from bottleneck_lab import envelope
 from bottleneck_lab.envelope import build_lagrangian_graph, envelope_at, region_slice
 from bottleneck_lab.sweep import boundary_slice, curve_csv_rows, slice_point
+
+# The package's `sweep` attribute is the function, not the module.
+sweep_module = importlib.import_module("bottleneck_lab.sweep")
 
 ENTROPY = DivergenceKernel.entropy_functional()
 KL = DivergenceKernel.kl()
@@ -627,6 +631,28 @@ class TestCurveArrays:
             assert len(curve.points) == curve.xs.size
             assert not curve.xs.flags.writeable and not curve.rows.flags.writeable
 
+    def test_points_are_not_checked_again(self, monkeypatch):
+        # sweep checks a curve's witnesses in one batch; reading points
+        # builds the same witnesses without another check.
+        calls = []
+        real = sweep_module._check_witnesses
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(sweep_module, "_check_witnesses", counting)
+        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", resolution=256)
+        assert calls == [curve.xs.size]
+        points = curve.points
+        assert calls == [curve.xs.size]
+        for p, x, y in zip(points, curve.xs.tolist(), curve.ys.tolist()):
+            assert isinstance(p.witness, WitnessChannel)
+            assert p.witness.marginal is curve.marginal
+            assert (p.x, p.y) == (x, y)
+            mean = p.witness.weights() @ p.witness.conditionals()
+            assert np.abs(mean - curve.marginal.probs).max() <= 1e-12
+
 
 def seeded_source(m, resolution, seed):
     """Marginal on the lattice with full support, and a random channel."""
@@ -648,6 +674,12 @@ def walk_and_hull(kernel, q, T, resolution):
         envelope._slice(graph, q_idx, envelope._walk_faces),
         envelope._slice(graph, q_idx, envelope._hull_faces),
     )
+
+
+def fresh_adjugate(B):
+    """Integer adjugate (as lists) and determinant of a basis, from scratch."""
+    adj, det = envelope._adjugate(B)
+    return adj.tolist(), det
 
 
 def symmetric_channel(m, eps):
@@ -831,6 +863,53 @@ class TestHullSlice:
         q, T = seeded_source(3, 12, 1)
         with pytest.raises(RuntimeError, match="more than 1 pivots"):
             boundary_slice(KL, KL, T, q, resolution=12)
+
+    def test_pivot_update_equals_adjugate(self, monkeypatch):
+        # At every pivot of seeded walks the integer update gives the
+        # adjugate and determinant of the new basis, as computed afresh.
+        real_walk, real_pivot = envelope._walk, envelope._pivot
+        basis = {}
+        pivots = []
+
+        def per_walk(X, Y, counts, start):
+            basis["B"] = counts[start].T.copy()
+            return real_walk(X, Y, counts, start)
+
+        def checking(adj, det, u, r, total):
+            B = basis["B"]
+            assert (adj.tolist(), det) == fresh_adjugate(B)
+            entering, rem = np.divmod(B @ u, det)  # B adj = det I, so B u = det a
+            assert not rem.any() and entering.sum() == total
+            B[:, r] = entering
+            new, new_det = real_pivot(adj, det, u, r, total)
+            assert (new.tolist(), new_det) == fresh_adjugate(B)
+            pivots.append(r)
+            return new, new_det
+
+        monkeypatch.setattr(envelope, "_walk", per_walk)
+        monkeypatch.setattr(envelope, "_pivot", checking)
+        for m, resolution in ((3, 24), (4, 8), (5, 6)):
+            for seed in range(3):
+                q, T = seeded_source(m, resolution, seed)
+                for kernel in (KL, CHI2, ENTROPY):
+                    boundary_slice(kernel, kernel, T, q, resolution=resolution)
+        assert len(pivots) > 1000
+
+    def test_pivot_refuses_inexact_or_overflowing_update(self):
+        # A basis of the N = 4 lattice (det 32) and an entering column.
+        B = np.array([[4, 0, 1], [0, 4, 1], [0, 0, 2]])
+        adj, det = envelope._adjugate(B)
+        u = adj @ np.array([2, 1, 1])
+        r = int(np.argmax(u))
+        new, new_det = envelope._pivot(adj, det, u, r, 4)
+        B[:, r] = [2, 1, 1]
+        assert (new.tolist(), new_det) == fresh_adjugate(B)
+        with pytest.raises(RuntimeError, match="not exact"):
+            envelope._pivot(adj, det - 1, u, r, 4)
+        with pytest.raises(RuntimeError, match="overflow"):
+            envelope._pivot(adj << 40, det, u << 20, r, 4)
+        with pytest.raises(RuntimeError, match="overflow"):
+            envelope._pivot(adj, det, u, r, 1 << 62)
 
     def test_walk_pivots_stay_under_cap(self, monkeypatch):
         # The smallest lattices need the most pivots per point; every walk
