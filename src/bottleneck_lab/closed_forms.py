@@ -64,6 +64,9 @@ def mrs_gerber(inst: BscInstance, x: float) -> float:
     if x < -1e-12 or x > hq + 1e-9:
         raise ValueError(f"x = {x} outside [0, {hq}]")
     x = min(max(x, 0.0), hq)
+    if x >= hq:
+        # h^-1(h(q)) differs from q in its last bits; the endpoint is known.
+        return binary_entropy(star(inst.delta, inst.q))
     return binary_entropy(star(inst.delta, binary_entropy_inv(x)))
 
 

@@ -13,9 +13,10 @@ candidate vertices come from one of two routes, chosen by m:
 - m >= 3: two parametric simplex walks, one per boundary chain, over the
   LP min (lower) or max (upper) of sum a_i (g_i - lambda f_i) s.t.
   sum a_i p_i = q, a >= 0; each vertex is its optimal basis over a range
-  of lambda.  Each pivot is an O(m^2) integer update of the basis
-  adjugate and two pricing products over the lattice, while a hull in
-  dimension m + 1 grows far faster with m and N.
+  of lambda.  Each pivot is an O(m^2) update of the basis adjugate in
+  Python integers, exact at any determinant (no int64 ceiling), and two
+  pricing products over the lattice, while a hull in dimension m + 1
+  grows far faster with m and N.
 
 envelope_at keeps the per-slope view: the lower convex (upper concave)
 envelope of g(Tp) - lambda * f(p) over the lattice, read at q only.  Its
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -61,7 +63,6 @@ _PRICE_TOL = 1e-11
 # at 1e-12 a vertex whose normal cone is 7e-11 wide is lost
 # (test_walk_matches_hull[thin-cone]).
 _BREAK_TOL = 1e-14
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 DEFAULT_RESOLUTION = {2: 4096, 3: 128, 4: 32}
 # Largest lattice a curve is computed on.  Peak RSS of a binary
@@ -376,58 +377,78 @@ def _pivot_cap(points: int) -> int:
     return 4 * points + 64
 
 
-def _adjugate(M: np.ndarray) -> tuple[np.ndarray, int]:
-    """Integer adjugate and determinant of an integer matrix, signed so
-    that the determinant is positive: M @ adj == det * I exactly.  The walk
-    runs it for its start basis only; _pivot updates the result."""
-    Mf = M.astype(float)
-    det = round(float(np.linalg.det(Mf)))
-    adj = np.rint(det * np.linalg.inv(Mf)).astype(np.int64)
-    if not np.array_equal(M @ adj, det * np.eye(M.shape[0], dtype=np.int64)):
-        raise RuntimeError(f"basis adjugate is not exact (determinant {det})")
-    return (adj, det) if det > 0 else (-adj, -det)
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _adjugate(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate (as rows) and determinant of an integer matrix, in Python
+    integers and signed so that the determinant is positive:
+    M adj == det I exactly.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) of [M | I]: each
+    step divides exactly by the previous pivot, so every entry stays an
+    integer and none can overflow.  The left block ends as d I and the
+    right one as d M^-1, with d = +-det M.  The walk runs it for its start
+    basis only; _pivot updates the result."""
+    n = len(M)
+    rows = [[int(v) for v in row] + [int(i == k) for k in range(n)] for i, row in enumerate(M)]
+    prev = 1
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        rows = [
+            row if row is top else [(top[k] * a - row[k] * b) // prev for a, b in zip(row, top)]
+            for row in rows
+        ]
+        prev = top[k]
+    sign = 1 if prev > 0 else -1
+    return [[sign * a for a in row[n:]] for row in rows], sign * prev
 
 
 def _pivot(
-    adj: np.ndarray, det: int, u: np.ndarray, r: int, total: int
-) -> tuple[np.ndarray, int]:
+    adj: list[list[int]], det: int, u: list[int], r: int
+) -> tuple[list[list[int]], int]:
     """Adjugate and determinant of the basis after its column r is replaced
-    by the column a with u = adj @ a, by integer-preserving (Edmonds-Bareiss)
-    pivoting in O(m^2): the determinant becomes u[r] (> 0 by the ratio
-    test), row r is kept and each other row i becomes
-    (u[r] adj[i] - u[i] adj[r]) / det, an exact division.
+    by the column a with u = adj a, by integer-preserving (Edmonds-Bareiss)
+    pivoting in O(m^2) Python-integer operations: the determinant becomes
+    u[r] (> 0 by the ratio test), row r is kept and each other row i
+    becomes (u[r] adj[i] - u[i] adj[r]) / det, an exact division.  Python
+    integers do not overflow, so the walk stays exact at any determinant."""
+    ur, top = u[r], adj[r]
+    new = []
+    for row, ui in zip(adj, u):
+        out = []
+        for a, b in zip(row, top):
+            quot, rem = divmod(ur * a - ui * b, det)
+            if rem:
+                raise RuntimeError(f"basis adjugate is not exact (determinant {det})")
+            out.append(quot)
+        new.append(out)
+    new[r] = top
+    return new, ur
 
-    The walk stays exact while no int64 product can overflow: the ones
-    here, and those of adj @ a for any column a summing to total, such as
-    u itself."""
-    bound = int(np.abs(adj).max()) * max(2 * max(map(abs, u.tolist())), total)
-    if bound > _INT64_MAX:
-        raise RuntimeError(f"basis adjugate may overflow int64 (determinant {det})")
-    new, rem = np.divmod(u[r] * adj - u[:, None] * adj[r], det)
-    if rem.any():
-        raise RuntimeError(f"basis adjugate is not exact (determinant {det})")
-    new[r] = adj[r]
-    return new, int(u[r])
 
-
-def _lex_leaving(adj: np.ndarray, qc: np.ndarray, start: np.ndarray, u: np.ndarray) -> int:
+def _lex_leaving(
+    adj: list[list[int]], qc: list[int], start: list[list[int]], u: list[int]
+) -> int:
     """Lexicographic ratio test: the row r with u[r] > 0 whose row of
-    [weights, B^-1 B_0] / u[r] is smallest, compared exactly in integers.
-    Rows of B^-1 B_0 are independent, so the minimum is unique, and
-    degenerate pivots cannot cycle (B_0 is the start basis)."""
-    rows = np.flatnonzero(u > 0)
-    if rows.size == 1:
-        return int(rows[0])
-    keys = np.column_stack([adj @ qc, adj @ start])[rows].tolist()
-    us = u[rows].tolist()
-    best = 0
-    for k in range(1, rows.size):
-        for a, b in zip(keys[k], keys[best]):
-            if a * us[best] != b * us[k]:
-                if a * us[best] < b * us[k]:
-                    best = k
-                break
-    return int(rows[best])
+    [weights, B^-1 B_0] / u[r] is smallest, compared exactly in integers
+    (each key scaled by prod(u) / u[r]).  Rows of B^-1 B_0 are independent,
+    so the minimum is unique, and degenerate pivots cannot cycle (B_0 is
+    the start basis, given by its columns).  The B^-1 B_0 keys are built
+    only when the weight ratios tie exactly."""
+    rows = [i for i, ui in enumerate(u) if ui > 0]
+    if len(rows) == 1:
+        return rows[0]
+    scale = math.prod(u[i] for i in rows)
+    first = {i: _dot(adj[i], qc) * (scale // u[i]) for i in rows}
+    least = min(first.values())
+    tied = [i for i in rows if first[i] == least]
+    if len(tied) == 1:
+        return tied[0]
+    return min(tied, key=lambda i: [_dot(adj[i], col) * (scale // u[i]) for col in start])
 
 
 def _walk(X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int]) -> list[list[int]]:
@@ -443,24 +464,25 @@ def _walk(X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int]) ->
     span points on that edge and are not kept.  Weights and ratios are
     exact integer adjugate products, so degenerate pivots are recognised
     exactly, and the lexicographic ratio test keeps them from cycling.
-    The adjugate is solved for the start basis only; each pivot updates
-    it in O(m^2) integer operations (_pivot).
+    The adjugate and determinant are Python integers, so there is no
+    int64 ceiling on them: the adjugate is solved for the start basis
+    only, and each pivot updates it in O(m^2) integer operations (_pivot).
+    Pricing reads it as floats, one numpy pass over the lattice per pivot.
     """
     K = counts.shape[0]
     CT = counts.T.astype(float)
     XY = np.vstack([X, Y])
-    qc = counts[start[0]]
-    total = int(qc.sum())
-    B0 = counts[start].T
+    qc = counts[start[0]].tolist()
+    B0 = counts[start].tolist()
     scale = max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
     tol, brk = _PRICE_TOL * scale, _BREAK_TOL * scale
     cap = _pivot_cap(K)
     basis = list(start)
     vertices = []
     lam = -math.inf
-    adj, det = _adjugate(counts[basis].T)
+    adj, det = _adjugate(counts[basis].T.tolist())
     for _ in range(cap + 1):
-        dX, dY = XY - (XY[:, basis] @ (adj / det)) @ CT
+        dX, dY = XY - (XY[:, basis] @ (np.array(adj, dtype=float) / det)) @ CT
         rising = dX > tol
         j = -1
         if lam == -math.inf:
@@ -480,10 +502,11 @@ def _walk(X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int]) ->
             if lam == -math.inf or dY[j] - lam * dX[j] > brk:
                 vertices.append(list(basis))
             lam = max(lam, float(ratios[j]))
-        u = adj @ counts[j]
+        entering = counts[j].tolist()
+        u = [_dot(row, entering) for row in adj]
         r = _lex_leaving(adj, qc, B0, u)
         basis[r] = j
-        adj, det = _pivot(adj, det, u, r, total)
+        adj, det = _pivot(adj, det, u, r)
     raise RuntimeError(f"simplex walk took more than {cap} pivots on {K} lattice points")
 
 

@@ -172,6 +172,21 @@ class TestCurveCommand:
             xs = [float(r[3]) for r in rows if r[1] == direction]
             assert xs[0] == 0.0 and abs(xs[-1] - 2.0) <= 1e-12  # chi2 information of X is m - 1
 
+    def test_ten_letter_source_gets_a_curve(self, tmp_path):
+        # 92 378 lattice points at N = 10; basis determinants reach 5e9, past
+        # what an int64 adjugate update could hold.
+        p_xy = np.random.default_rng(3).dirichlet(np.ones(100)).reshape(10, 10)
+        src = tmp_path / "m10.json"
+        src.write_text(json.dumps({"p_xy": p_xy.tolist()}))
+        out = tmp_path / "ib.csv"
+        code = main(["curve", "--input", str(src), "--problem", "ib", "--resolution", "10",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        rows = read_csv(out)[1:]
+        for direction in ("lower", "upper"):
+            xs = [float(r[3]) for r in rows if r[1] == direction]
+            assert len(xs) > 10 and xs == sorted(xs) and xs[0] == 0.0
+
     def test_walk_past_its_pivot_cap_is_an_internal_fault(self, tmp_path, monkeypatch):
         # Not bad input: the error propagates instead of mapping to exit 2.
         monkeypatch.setattr(envelope, "_pivot_cap", lambda points: 1)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -676,10 +677,28 @@ def walk_and_hull(kernel, q, T, resolution):
     )
 
 
-def fresh_adjugate(B):
-    """Integer adjugate (as lists) and determinant of a basis, from scratch."""
-    adj, det = envelope._adjugate(B)
-    return adj.tolist(), det
+def fraction_adjugate(B):
+    """Adjugate and determinant of an integer matrix (lists of rows), signed
+    so that the determinant is positive, by Gauss-Jordan elimination in
+    fractions."""
+    n = len(B)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == k)) for k in range(n)]
+            for i, row in enumerate(B)]
+    det = Fraction(1)
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k])
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        det *= rows[k][k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+    sign = 1 if det > 0 else -1
+    adj = [[sign * det * v for v in row[n:]] for row in rows]
+    assert all(v.denominator == 1 for row in adj for v in row)
+    return [[int(v) for v in row] for row in adj], int(sign * det)
 
 
 def symmetric_channel(m, eps):
@@ -852,6 +871,27 @@ class TestHullSlice:
                 k = region.support(lam, direction)
                 assert abs(sign * lp.fun - (region.y[k] - lam * region.x[k])) <= 1e-9
 
+    def test_ten_letter_support_matches_linprog(self):
+        # A 10 x 10 joint at N = 10 (92 378 points): its basis determinants
+        # reach 5e9, and the adjugate update's products pass 2**63.
+        p_xy = np.random.default_rng(3).dirichlet(np.ones(100)).reshape(10, 10)
+        q = p_xy.sum(axis=1)
+        T = (p_xy / q[:, None]).T
+        lattice = SimplexLattice.build(10, 10)
+        q_idx = lattice.snap(q)
+        ref = lattice.points[q_idx]
+        graph = build_lagrangian_graph(
+            resolve_functional(KL, ref), resolve_functional(KL, T @ ref), T, lattice
+        )
+        region = region_slice(graph, q_idx)
+        X, Y = graph.x_values, graph.y_values
+        for lam in (0.3, 1.0, 3.0):
+            for sign, direction in ((1.0, "lower"), (-1.0, "upper")):
+                lp = linprog(sign * (Y - lam * X), A_eq=lattice.points.T, b_eq=ref,
+                             bounds=(0.0, None), method="highs")
+                k = region.support(lam, direction)
+                assert abs(sign * lp.fun - (region.y[k] - lam * region.x[k])) <= 1e-12
+
     def test_region_slice_takes_the_walk_from_m3(self, hull_calls):
         for m, resolution in ((2, 16), (3, 8), (4, 4)):
             q, T = seeded_source(m, resolution, 2)
@@ -872,17 +912,21 @@ class TestHullSlice:
         pivots = []
 
         def per_walk(X, Y, counts, start):
-            basis["B"] = counts[start].T.copy()
+            basis["B"] = counts[start].T.tolist()
+            basis["total"] = int(counts[start[0]].sum())
             return real_walk(X, Y, counts, start)
 
-        def checking(adj, det, u, r, total):
+        def checking(adj, det, u, r):
             B = basis["B"]
-            assert (adj.tolist(), det) == fresh_adjugate(B)
-            entering, rem = np.divmod(B @ u, det)  # B adj = det I, so B u = det a
-            assert not rem.any() and entering.sum() == total
-            B[:, r] = entering
-            new, new_det = real_pivot(adj, det, u, r, total)
-            assert (new.tolist(), new_det) == fresh_adjugate(B)
+            assert (adj, det) == envelope._adjugate(B)
+            # B adj = det I, so B u = det a.
+            entering = [divmod(sum(b * v for b, v in zip(row, u)), det) for row in B]
+            assert all(rem == 0 for _, rem in entering)
+            assert sum(c for c, _ in entering) == basis["total"]
+            for row, (c, _) in zip(B, entering):
+                row[r] = c
+            new, new_det = real_pivot(adj, det, u, r)
+            assert (new, new_det) == envelope._adjugate(B)
             pivots.append(r)
             return new, new_det
 
@@ -895,21 +939,36 @@ class TestHullSlice:
                     boundary_slice(kernel, kernel, T, q, resolution=resolution)
         assert len(pivots) > 1000
 
-    def test_pivot_refuses_inexact_or_overflowing_update(self):
+    def test_pivot_refuses_inexact_update(self):
         # A basis of the N = 4 lattice (det 32) and an entering column.
-        B = np.array([[4, 0, 1], [0, 4, 1], [0, 0, 2]])
+        B = [[4, 0, 1], [0, 4, 1], [0, 0, 2]]
         adj, det = envelope._adjugate(B)
-        u = adj @ np.array([2, 1, 1])
-        r = int(np.argmax(u))
-        new, new_det = envelope._pivot(adj, det, u, r, 4)
-        B[:, r] = [2, 1, 1]
-        assert (new.tolist(), new_det) == fresh_adjugate(B)
+        u = [sum(a * c for a, c in zip(row, (2, 1, 1))) for row in adj]
+        r = u.index(max(u))
+        new, new_det = envelope._pivot(adj, det, u, r)
+        for row, c in zip(B, (2, 1, 1)):
+            row[r] = c
+        assert (new, new_det) == fraction_adjugate(B)
         with pytest.raises(RuntimeError, match="not exact"):
-            envelope._pivot(adj, det - 1, u, r, 4)
-        with pytest.raises(RuntimeError, match="overflow"):
-            envelope._pivot(adj << 40, det, u << 20, r, 4)
-        with pytest.raises(RuntimeError, match="overflow"):
-            envelope._pivot(adj, det, u, r, 1 << 62)
+            envelope._pivot(adj, det - 1, u, r)
+
+    def test_pivot_past_int64_equals_fraction_reference(self):
+        # A basis of the N = 10**6 lattice for m = 4: q and three alphabet
+        # vertices, then a column entering it.  The adjugate's entries
+        # reach 1e18 and the update's products 1e42, far past 2**63; each
+        # update still equals the adjugate found in fractions.
+        N = 10**6
+        B = [[N, 0, 0, 250_001], [0, N, 0, 249_999], [0, 0, N, 125_000], [0, 0, 0, 375_000]]
+        adj, det = envelope._adjugate(B)
+        assert (adj, det) == fraction_adjugate(B)
+        for column in ((300_001, 199_999, 100_000, 400_000), (1, 0, 0, N - 1)):
+            u = [sum(a * c for a, c in zip(row, column)) for row in adj]
+            r = max((i for i in range(4) if u[i] > 0), key=lambda i: u[i])
+            assert max(map(abs, u)) * max(map(abs, adj[r])) > 2**63
+            adj, det = envelope._pivot(adj, det, u, r)
+            for row, c in zip(B, column):
+                row[r] = c
+            assert (adj, det) == fraction_adjugate(B)
 
     def test_walk_pivots_stay_under_cap(self, monkeypatch):
         # The smallest lattices need the most pivots per point; every walk

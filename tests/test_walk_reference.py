@@ -1,0 +1,181 @@
+"""The simplex walk in Python integers against its int64 predecessor.
+
+The reference below is the int64 walk that the Python-integer bookkeeping
+replaced: a float start adjugate checked for exactness, an int64
+Edmonds-Bareiss update with an overflow bound, and a ratio test that
+builds every lexicographic key.  Where it does not overflow, the walk must
+visit the same bases in the same order.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from bottleneck_lab import DivergenceKernel, SimplexLattice, build_lagrangian_graph
+from bottleneck_lab import envelope
+from bottleneck_lab.acceptance import run_property_suite
+from bottleneck_lab.core import resolve_functional
+from test_sweep import seeded_source
+
+KL = DivergenceKernel.kl()
+CHI2 = DivergenceKernel.chi_squared()
+ENTROPY = DivergenceKernel.entropy_functional()
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def ref_adjugate(M):
+    Mf = M.astype(float)
+    det = round(float(np.linalg.det(Mf)))
+    adj = np.rint(det * np.linalg.inv(Mf)).astype(np.int64)
+    if not np.array_equal(M @ adj, det * np.eye(M.shape[0], dtype=np.int64)):
+        raise RuntimeError(f"basis adjugate is not exact (determinant {det})")
+    return (adj, det) if det > 0 else (-adj, -det)
+
+
+def ref_pivot(adj, det, u, r, total):
+    bound = int(np.abs(adj).max()) * max(2 * max(map(abs, u.tolist())), total)
+    if bound > _INT64_MAX:
+        raise RuntimeError(f"basis adjugate may overflow int64 (determinant {det})")
+    new, rem = np.divmod(u[r] * adj - u[:, None] * adj[r], det)
+    if rem.any():
+        raise RuntimeError(f"basis adjugate is not exact (determinant {det})")
+    new[r] = adj[r]
+    return new, int(u[r])
+
+
+def ref_lex_leaving(adj, qc, start, u):
+    rows = np.flatnonzero(u > 0)
+    if rows.size == 1:
+        return int(rows[0])
+    keys = np.column_stack([adj @ qc, adj @ start])[rows].tolist()
+    us = u[rows].tolist()
+    best = 0
+    for k in range(1, rows.size):
+        for a, b in zip(keys[k], keys[best]):
+            if a * us[best] != b * us[k]:
+                if a * us[best] < b * us[k]:
+                    best = k
+                break
+    return int(rows[best])
+
+
+def ref_walk(X, Y, counts, start, ties):
+    """The int64 walk; ties[0] counts ratio tests whose smallest first-key
+    ratio is shared by two rows."""
+    K = counts.shape[0]
+    CT = counts.T.astype(float)
+    XY = np.vstack([X, Y])
+    qc = counts[start[0]]
+    total = int(qc.sum())
+    B0 = counts[start].T
+    scale = max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
+    tol, brk = envelope._PRICE_TOL * scale, envelope._BREAK_TOL * scale
+    cap = envelope._pivot_cap(K)
+    basis = list(start)
+    vertices = []
+    lam = -math.inf
+    adj, det = ref_adjugate(counts[basis].T)
+    for _ in range(cap + 1):
+        dX, dY = XY - (XY[:, basis] @ (adj / det)) @ CT
+        rising = dX > tol
+        j = -1
+        if lam == -math.inf:
+            flat = (dX <= tol) & (dY < -tol)
+            if dX.min() < -tol:
+                j = int(np.argmin(dX))
+            elif flat.any():
+                j = int(np.argmin(np.where(flat, dY, np.inf)))
+        if j < 0:
+            if not rising.any():
+                vertices.append(list(basis))
+                return vertices
+            ratios = np.where(rising, dY, np.inf) / np.where(rising, dX, 1.0)
+            j = int(np.argmin(ratios))
+            if lam == -math.inf or dY[j] - lam * dX[j] > brk:
+                vertices.append(list(basis))
+            lam = max(lam, float(ratios[j]))
+        u = adj @ counts[j]
+        ratios = sorted(Fraction(int(w), int(d)) for w, d in zip(adj @ qc, u) if d > 0)
+        ties[0] += len(ratios) > 1 and ratios[0] == ratios[1]
+        r = ref_lex_leaving(adj, qc, B0, u)
+        basis[r] = j
+        adj, det = ref_pivot(adj, det, u, r, total)
+    raise RuntimeError(f"simplex walk took more than {cap} pivots on {K} lattice points")
+
+
+@pytest.fixture
+def pinned(monkeypatch):
+    """Run every walk twice, the integer one and the int64 reference, and
+    require the same vertex bases; yields [walks, tied ratio tests]."""
+    real = envelope._walk
+    seen = [0, 0]
+
+    def both(X, Y, counts, start):
+        ties = [0]
+        got = real(X, Y, counts, start)
+        assert got == ref_walk(X, Y, counts, start, ties)
+        seen[0] += 1
+        seen[1] += ties[0]
+        return got
+
+    monkeypatch.setattr(envelope, "_walk", both)
+    return seen
+
+
+def test_walk_bases_equal_the_int64_walk_on_a7(pinned):
+    assert run_property_suite() == []
+    assert pinned[0] > 200 and pinned[1] > 0
+
+
+@pytest.mark.parametrize("m,resolution", [(3, 24), (4, 10), (5, 6)])
+def test_walk_bases_equal_the_int64_walk_on_seeded_sources(pinned, m, resolution):
+    lattice = SimplexLattice.build(m, resolution)
+    for seed in range(2):
+        q, T = seeded_source(m, resolution, seed)
+        q_idx = lattice.snap(q)
+        ref = lattice.points[q_idx]
+        for kernel in (KL, CHI2, ENTROPY):
+            div = kernel.is_divergence
+            graph = build_lagrangian_graph(
+                resolve_functional(kernel, ref if div else None),
+                resolve_functional(kernel, T @ ref if div else None),
+                T,
+                lattice,
+            )
+            envelope.region_slice(graph, q_idx)
+    assert pinned[0] == 2 * 2 * 3 and pinned[1] > 0
+
+
+def test_adjugate_equals_the_float_route_where_that_is_exact():
+    # Entries in {-1, 0, 1, 2} put zeros on the diagonal, so rows are swapped.
+    rng = np.random.default_rng(11)
+    checked = 0
+    for trial in range(400):
+        n = int(rng.integers(2, 7))
+        M = rng.integers(-1, 3, size=(n, n)) if trial % 2 else rng.integers(-40, 41, size=(n, n))
+        try:
+            want_adj, want_det = ref_adjugate(M)
+        except (RuntimeError, np.linalg.LinAlgError):
+            continue
+        if want_det == 0:
+            continue
+        assert envelope._adjugate(M.tolist()) == (want_adj.tolist(), want_det)
+        checked += 1
+    assert checked > 300
+
+
+def test_adjugate_is_exact_past_double_precision():
+    rng = np.random.default_rng(12)
+    for n in (3, 5, 8):
+        for _ in range(20):
+            M = [[int(v) for v in row] for row in rng.integers(-(10**7), 10**7, size=(n, n))]
+            adj, det = envelope._adjugate(M)
+            assert det > 2**53
+            for i in range(n):
+                for k in range(n):
+                    entry = sum(M[i][t] * adj[t][k] for t in range(n))
+                    assert entry == (det if i == k else 0)
+
