@@ -41,12 +41,8 @@ from .core import (
     resolve_functional,
     star,
 )
-from .envelope import (
-    LagrangianGraph,
-    SimplexLattice,
-    build_lagrangian_graph,
-)
-from .oracle import OracleConfig, OraclePoint, oracle_boundary, oracle_exhaustive_binary
+from .envelope import SimplexLattice
+from .oracle import OraclePoint, oracle_boundary, oracle_exhaustive_binary
 from .sweep import (
     BoundaryCurve,
     BoundaryPoint,
@@ -67,8 +63,6 @@ __all__ = [
     "DivergenceKernel",
     "GerberPoint",
     "JointDistribution",
-    "LagrangianGraph",
-    "OracleConfig",
     "OraclePoint",
     "SimplexLattice",
     "WitnessChannel",
@@ -80,7 +74,6 @@ __all__ = [
     "binary_entropy_inv",
     "bottleneck_value",
     "bsc_joint",
-    "build_lagrangian_graph",
     "conditional_f_information",
     "decompose_joint",
     "entropy",

@@ -320,29 +320,27 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
         T = rng.exponential(size=(n, m)) + 0.05
         channel = Channel(T / T.sum(axis=0, keepdims=True))
         q = rng.exponential(size=m)
-        # Blend toward uniform so the snapped marginal keeps full support.
+        # Blend toward uniform: divergence references need full support.
         q = 0.6 * q / q.sum() + 0.4 / m
         kernel = kernels[int(rng.integers(0, len(kernels)))]
         direction = "lower" if rng.integers(0, 2) == 0 else "upper"
         resolution = 64 if m == 2 else 12
         lattice = SimplexLattice.build(m, resolution)
-        q_idx = lattice.snap(q)
-        q_tilde = lattice.points[q_idx]
         try:
             # One graph for the reference envelope, the slice and the
-            # witness re-evaluation.
-            f_fn, g_fn = _resolve_pair(kernel, kernel, q_tilde, channel)
-            graph = build_lagrangian_graph(f_fn, g_fn, channel, lattice)
+            # witness re-evaluation; its last row is q.
+            f_fn, g_fn = _resolve_pair(kernel, kernel, q, channel)
+            graph = build_lagrangian_graph(f_fn, g_fn, channel, lattice, q)
             grid = _slope_grid(graph.x_values, graph.y_values, steps=16)
             lam = float(grid[int(rng.integers(0, grid.size))])
             phi = graph.y_values - lam * graph.x_values
-            env_at_q = envelope_at(lattice, phi, q_idx, direction)
+            env_at_q = envelope_at(lattice, phi[:-1], q, phi[-1], direction)
         except Exception as exc:  # any crash is a violation
             violations.append(f"seed {seed}: envelope construction failed: {exc}")
             continue
 
         try:
-            point = slice_point(region_slice(graph, q_idx), lam, direction)
+            point = slice_point(region_slice(graph), lam, direction)
         except Exception as exc:
             violations.append(f"seed {seed}: boundary point failed: {exc}")
             continue
@@ -356,7 +354,7 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
         # The single atom at q is feasible, so the support value never
         # passes phi_lam(q).
         sign = 1.0 if direction == "lower" else -1.0
-        dom = sign * (support_line - float(phi[q_idx]))
+        dom = sign * (support_line - float(phi[-1]))
         if dom > 1e-12:
             violations.append(f"seed {seed}: support value passes phi_lam(q) by {dom:.2e}")
         if abs(support_line - env_at_q) > 1e-7:
@@ -365,7 +363,7 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
                 f"{abs(support_line - env_at_q):.2e}"
             )
         if kernel.is_divergence:
-            joint = joint_from_marginal_channel(q_tilde, channel)
+            joint = joint_from_marginal_channel(q, channel)
             dpi = f_information(kernel, joint)
             if point.y > dpi + 1e-7:
                 violations.append(

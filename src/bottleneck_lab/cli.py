@@ -23,7 +23,7 @@ from .closed_forms import (
     closed_form_table,
 )
 from .core import bsc_joint, decompose_joint, load_joint
-from .envelope import DEFAULT_RESOLUTION, MAX_LATTICE_POINTS, lattice_size, snap_counts
+from .envelope import DEFAULT_RESOLUTION, MAX_LATTICE_POINTS, lattice_size
 from .sweep import CURVE_CSV_HEADER, PROBLEM_FRAMES, curve_csv_rows, problem_curve
 
 EXIT_OK = 0
@@ -141,10 +141,6 @@ def cmd_curve(args) -> int:
             f"the lattice at --resolution {resolution} has {size} points; "
             f"at most {MAX_LATTICE_POINTS} are supported"
         )
-    try:
-        snap_counts(marginal.probs, resolution)
-    except ValueError as exc:
-        raise ConfigError(f"{exc}; raise --resolution") from None
     curves = problem_curve(
         marginal,
         channel,

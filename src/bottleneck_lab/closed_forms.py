@@ -171,9 +171,8 @@ def arimoto_mr_gerber(inst: BscInstance, beta: float, alpha: float) -> tuple[flo
     (1 - alpha + alpha * K(q/z), alpha * K(q/z star delta) + (1 - alpha) * K(delta))."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    q, delta = inst.q, inst.delta
-    z = max(alpha, 2.0 * q)
-    ratio = 0.5 if z == 0.0 else min(q / z, 1.0)
+    delta = inst.delta
+    ratio = _ratio(inst.q, alpha)
     x = (1.0 - alpha) + alpha * k_norm(ratio, beta)
     y = alpha * k_norm(star(ratio, delta), beta) + (1.0 - alpha) * k_norm(delta, beta)
     return float(x), float(y)

@@ -1,11 +1,15 @@
 """Discretized simplex lattices and the achievable region at a marginal.
 
-For a marginal q on the lattice, the achievable pairs (E[f(p_w)], E[g(T p_w)])
-over mixtures of lattice points with mean q form the slice, at p = q, of the
-convex hull of the lifted points (p_1..p_{m-1}, f(p), g(Tp))
-(Witsenhausen & Wyner 1975).  region_slice computes that 2-D polygon; every
-vertex carries the at most m lattice points and weights that span it.  The
-candidate vertices come from one of two routes, chosen by m:
+For a marginal q, the achievable pairs (E[f(p_w)], E[g(T p_w)]) over
+mixtures of lattice points and q itself with mean q form a convex polygon:
+the 2-D hull of the slice, at p = q, of the convex hull of the lifted
+lattice points (p_1..p_{m-1}, f(p), g(Tp)) (Witsenhausen & Wyner 1975) and
+of the single point (f(q), g(Tq)).  A mixture that gives the atom q weight
+a keeps mean q over its other atoms, so no other mixture adds a point.
+region_slice computes that polygon; every vertex carries the at most m
+lattice points (or the atom q) and weights that span it.  q need not lie
+on the lattice.  The candidate vertices of the lattice slice come from one
+of two routes, chosen by m:
 
 - m = 2: the faces of one qhull hull of the lifted points that contain q.
   A hull in dimension 3 is cheaper than the walk, which takes one pivot
@@ -19,18 +23,20 @@ candidate vertices come from one of two routes, chosen by m:
   grows far faster with m and N.
 
 envelope_at keeps the per-slope view: the lower convex (upper concave)
-envelope of g(Tp) - lambda * f(p) over the lattice, read at q only.  Its
-value is each chain's support function at lambda, so the property suite
-checks the slice against it as an independent reference.
+envelope of g(Tp) - lambda * f(p) over the lattice, read at q only and
+clipped by its value at q.  Its value is each chain's support function at
+lambda, so the property suite checks the slice against it as an
+independent reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from itertools import chain, combinations
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -63,6 +69,12 @@ _PRICE_TOL = 1e-11
 # at 1e-12 a vertex whose normal cone is 7e-11 wide is lost
 # (test_walk_matches_hull[thin-cone]).
 _BREAK_TOL = 1e-14
+# A lattice candidate within this share of max(|X|, |Y|, 1) of the point
+# (f(q), g(Tq)) in both coordinates is that point up to rounding: q on the
+# lattice, or one ulp off it as a decomposed joint gives it.  Kept, it
+# would be a second vertex 1e-16 from the first, joined to it by an edge
+# of arbitrary slope (test_rounded_lattice_marginal_gives_one_trivial_vertex).
+_SAME_TOL = 1e-12
 
 DEFAULT_RESOLUTION = {2: 4096, 3: 128, 4: 32}
 # Largest lattice a curve is computed on.  Peak RSS of a binary
@@ -79,41 +91,10 @@ def lattice_size(m: int, resolution: int) -> int:
     return math.comb(resolution + m - 1, m - 1)
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`, in
-    lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def snap_counts(q: np.ndarray, resolution: int) -> np.ndarray:
-    """Lattice counts of the point nearest to the distribution q at this
-    resolution: largest-remainder rounding of q * resolution.  Raises when
-    the rounding zeroes a symbol that q has, since any answer at that point
-    would be for a source without the symbol."""
-    q = np.asarray(q, dtype=float)
-    scaled = q * resolution
-    base = np.floor(scaled).astype(int)
-    short = resolution - int(base.sum())
-    if short:
-        order = np.argsort(scaled - base)[::-1]
-        base[order[:short]] += 1
-    if ((base == 0) & (q > 0.0)).any():
-        raise ValueError(
-            f"the marginal snaps to {(base / resolution).tolist()} at resolution "
-            f"{resolution}, which drops a symbol of the source"
-        )
-    return base
-
-
 @dataclass(frozen=True, eq=False)
 class SimplexLattice:
-    """All compositions (k_1, ..., k_m) / N of the simplex, in a canonical
-    (lexicographic) order.  For m = 2 the first coordinate increases with the
+    """All compositions (k_1, ..., k_m) / N of the simplex, in lexicographic
+    order of the counts.  For m = 2 the first coordinate increases with the
     point index, so the lattice is a sorted 1-D path."""
 
     m: int
@@ -126,8 +107,17 @@ class SimplexLattice:
             raise ValueError("lattice needs m >= 2")
         if resolution < 1:
             raise ValueError("lattice resolution must be >= 1")
-        comps = np.array(list(compositions(resolution, m)), dtype=float)
-        pts = comps / float(resolution)
+        # Stars and bars: the m - 1 bar positions among N + m - 1 slots, in
+        # lexicographic order, give the counts in lexicographic order.
+        slots = resolution + m - 1
+        bars = np.fromiter(
+            chain.from_iterable(combinations(range(slots), m - 1)),
+            dtype=np.int64,
+            count=lattice_size(m, resolution) * (m - 1),
+        ).reshape(-1, m - 1)
+        ends = np.full((bars.shape[0], 1), -1)
+        counts = np.diff(np.hstack([ends, bars, ends + slots + 1]), axis=1) - 1
+        pts = counts / float(resolution)
         pts.setflags(write=False)
         return cls(m=m, resolution=resolution, points=pts)
 
@@ -135,34 +125,21 @@ class SimplexLattice:
     def size(self) -> int:
         return int(self.points.shape[0])
 
-    def index_of(self, counts: Sequence[int]) -> int:
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != self.m or sum(counts) != self.resolution:
-            raise ValueError(f"{counts} is not a composition of the lattice")
-        # Lexicographic rank of the composition.
-        idx = 0
-        remaining = self.resolution
-        for pos in range(self.m - 1):
-            for smaller in range(counts[pos]):
-                idx += math.comb(remaining - smaller + self.m - pos - 2, self.m - pos - 2)
-            remaining -= counts[pos]
-        return idx
-
-    def snap(self, q: Distribution | np.ndarray) -> int:
-        """Index of the lattice point nearest to q; refuses a q that loses
-        a symbol there (see snap_counts)."""
-        vec = q.probs if isinstance(q, Distribution) else np.asarray(q, dtype=float)
-        if vec.size != self.m:
-            raise ValueError("q does not live on this lattice's simplex")
-        return self.index_of(snap_counts(vec, self.resolution))
+    @property
+    def vertices(self) -> np.ndarray:
+        """Indices of the m alphabet vertices (all mass on one symbol), in
+        lattice order."""
+        return np.flatnonzero(self.points.max(axis=1) == 1.0)
 
 
 @dataclass(frozen=True, eq=False)
 class LagrangianGraph:
-    """f(p) and g(Tp) over a lattice; the Lagrangian g(Tp) - lam * f(p) at
-    any slope lam is y_values - lam * x_values."""
+    """f(p) and g(Tp) at the K lattice points (rows 0..K-1) and at the
+    marginal q (row K); the Lagrangian g(Tp) - lam * f(p) at any slope lam
+    is y_values - lam * x_values."""
 
     lattice: SimplexLattice
+    q: np.ndarray
     x_values: np.ndarray
     y_values: np.ndarray
 
@@ -172,70 +149,76 @@ def build_lagrangian_graph(
     g: Callable[[np.ndarray], np.ndarray],
     T: Channel | np.ndarray,
     lattice: SimplexLattice,
+    q: Distribution | np.ndarray,
 ) -> LagrangianGraph:
-    """Evaluate f and g over the lattice.
+    """Evaluate f and g over the lattice and at q.
 
     f and g are vectorized functionals of (k, m) and (k, n) row arrays, such
     as the pair sweep resolves from two kernels.  Evaluation must be finite
-    at every lattice point; a failure aborts identifying the point.
+    at every lattice point and at q; a failure aborts identifying the point.
     """
     matrix = T.matrix if isinstance(T, Channel) else np.asarray(T, dtype=float)
     if matrix.shape[1] != lattice.m:
         raise ValueError("channel input alphabet does not match the lattice")
-    x_vals = np.asarray(f(lattice.points), dtype=float)
-    y_vals = np.asarray(g(lattice.points @ matrix.T), dtype=float)
+    q = np.array(q.probs if isinstance(q, Distribution) else q, dtype=float)
+    if q.shape != (lattice.m,):
+        raise ValueError("q does not live on this lattice's simplex")
+    rows = np.vstack([lattice.points, q])
+    x_vals = np.asarray(f(rows), dtype=float)
+    y_vals = np.asarray(g(rows @ matrix.T), dtype=float)
     for name, vals in (("f", x_vals), ("g", y_vals)):
         bad = ~np.isfinite(vals)
         if np.any(bad):
             idx = int(np.argmax(bad))
-            raise ValueError(
-                f"{name} is not finite at lattice point {lattice.points[idx].tolist()}"
-            )
-    for arr in (x_vals, y_vals):
+            raise ValueError(f"{name} is not finite at {rows[idx].tolist()}")
+    for arr in (q, x_vals, y_vals):
         arr.setflags(write=False)
-    return LagrangianGraph(lattice=lattice, x_values=x_vals, y_values=y_vals)
+    return LagrangianGraph(lattice=lattice, q=q, x_values=x_vals, y_values=y_vals)
 
 
 def envelope_at(
-    lattice: SimplexLattice, values: np.ndarray, q_index: int, direction: str
+    lattice: SimplexLattice, values: np.ndarray, q: np.ndarray, q_value: float, direction: str
 ) -> float:
-    """Lower convex (upper concave) envelope of values over the lattice, at
-    the lattice point q_index.
+    """Lower convex (upper concave) envelope at q of values over the
+    lattice and of q_value at q itself.
 
-    One hull of the lifted points (p_1..p_{m-1}, ±values): the envelope at
-    q is the highest of its downward-facing facet planes there, and never
-    passes values[q_index].  A degenerate (affine) graph is its own
-    envelope.
+    One hull of the lifted points (p_1..p_{m-1}, ±values): the lattice
+    envelope at q is the highest of its downward-facing facet planes there,
+    and the single atom q caps it at q_value.  A degenerate (affine) graph
+    is its own envelope, read at q through the alphabet vertices.
     """
     if direction not in ("lower", "upper"):
         raise ValueError(f"unknown direction {direction!r}")
     sign = 1.0 if direction == "lower" else -1.0
     coords = lattice.points[:, : lattice.m - 1]
     signed = sign * np.asarray(values, dtype=float)
+    q = np.asarray(q, dtype=float)
     try:
         planes = ConvexHull(np.column_stack([coords, signed]), qhull_options="Qt").equations
     except QhullError:
-        return float(values[q_index])
-    planes = planes[planes[:, -2] < -1e-12]
-    at_q = -(planes[:, :-2] @ coords[q_index] + planes[:, -1]) / planes[:, -2]
-    best = float(at_q.max()) if at_q.size else math.inf
-    return sign * min(best, float(signed[q_index]))
+        vertices = lattice.vertices
+        best = float((lattice.points[vertices] @ q) @ signed[vertices])
+    else:
+        planes = planes[planes[:, -2] < -1e-12]
+        at_q = -(planes[:, :-2] @ q[: lattice.m - 1] + planes[:, -1]) / planes[:, -2]
+        best = float(at_q.max()) if at_q.size else math.inf
+    return sign * min(best, sign * float(q_value))
 
 
 @dataclass(frozen=True, eq=False)
 class RegionSlice:
-    """Convex polygon of the (x, y) pairs achievable at the lattice marginal
-    q = lattice.points[q_index].
+    """Convex polygon of the (x, y) pairs achievable at the marginal q.
 
-    Vertex k is x[k] = weights[k] @ X[atoms[k]] (likewise y), a mixture of the
-    lattice points atoms[k] (increasing) with mean q; unused slots come
+    Vertex k is x[k] = weights[k] @ X[atoms[k]] (likewise y), a mixture with
+    mean q of the rows atoms[k] (increasing) of vstack(lattice.points, q):
+    lattice points, or q itself as row K = lattice.size.  Unused slots come
     last and hold atom -1 with weight 0.
     lower and upper list the vertices of the two boundary chains, x strictly
     increasing, each running between the x-extremes of the polygon.
     """
 
     lattice: SimplexLattice
-    q_index: int
+    q: np.ndarray
     x: np.ndarray
     y: np.ndarray
     atoms: np.ndarray
@@ -350,21 +333,17 @@ def _face_witnesses(
 
 
 def _hull_faces(
-    lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, counts: np.ndarray, q_index: int
+    lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, counts: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Witnesses of the lifted hull's m-vertex faces that contain q: one
     qhull call in dimension m + 1 (m when the lifted set is flat)."""
-    m = lattice.m
-    qc = counts[q_index]
+    qc = q * lattice.resolution
     rank, extra = _flat_rank(lattice.points, np.column_stack([X, Y]))
     if rank == 0:
-        # (f, g) affine in p: every mixture with mean q lands on one point.
-        atoms = np.full((1, m), -1)
-        atoms[0, 0] = q_index
-        weights = np.zeros((1, m))
-        weights[0, 0] = 1.0
-        return atoms, weights
-    lifted = np.column_stack([lattice.points[:, : m - 1], extra[:, :rank]])
+        # (f, g) affine on the lattice: every mixture of lattice points with
+        # mean q lands on one point, the alphabet vertices' mixture.
+        return _face_witnesses(lattice.vertices[None], counts, qc)
+    lifted = np.column_stack([lattice.points[:, : lattice.m - 1], extra[:, :rank]])
     simplices = ConvexHull(lifted, qhull_options="Qt QbB").simplices
     return _face_witnesses(_ridges_around(simplices, counts, qc), counts, qc)
 
@@ -431,7 +410,7 @@ def _pivot(
 
 
 def _lex_leaving(
-    adj: list[list[int]], qc: list[int], start: list[list[int]], u: list[int]
+    adj: list[list[int]], rhs: list[int], start: list[list[int]], u: list[int]
 ) -> int:
     """Lexicographic ratio test: the row r with u[r] > 0 whose row of
     [weights, B^-1 B_0] / u[r] is smallest, compared exactly in integers
@@ -443,7 +422,7 @@ def _lex_leaving(
     if len(rows) == 1:
         return rows[0]
     scale = math.prod(u[i] for i in rows)
-    first = {i: _dot(adj[i], qc) * (scale // u[i]) for i in rows}
+    first = {i: _dot(adj[i], rhs) * (scale // u[i]) for i in rows}
     least = min(first.values())
     tied = [i for i in rows if first[i] == least]
     if len(tied) == 1:
@@ -451,11 +430,14 @@ def _lex_leaving(
     return min(tied, key=lambda i: [_dot(adj[i], col) * (scale // u[i]) for col in start])
 
 
-def _walk(X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int]) -> list[list[int]]:
+def _walk(
+    X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int], rhs: list[int]
+) -> list[list[int]]:
     """Optimal bases of the parametric LP
-    min sum a_i (Y_i - lam X_i)  s.t.  sum a_i counts_i = counts_q, a >= 0
+    min sum a_i (Y_i - lam X_i)  s.t.  sum a_i counts_i = rhs, a >= 0
     as lam runs from -inf to +inf, one per vertex of the lower chain, from
-    the feasible basis start.
+    the feasible basis start.  rhs is q scaled to integers, so the bases
+    are those of the LP at q.
 
     At lam = -inf the objective is X, ties broken by Y.  From there each
     pivot brings in the column with the smallest breakpoint dY_j / dX_j
@@ -472,7 +454,6 @@ def _walk(X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int]) ->
     K = counts.shape[0]
     CT = counts.T.astype(float)
     XY = np.vstack([X, Y])
-    qc = counts[start[0]].tolist()
     B0 = counts[start].tolist()
     scale = max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
     tol, brk = _PRICE_TOL * scale, _BREAK_TOL * scale
@@ -504,57 +485,68 @@ def _walk(X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int]) ->
             lam = max(lam, float(ratios[j]))
         entering = counts[j].tolist()
         u = [_dot(row, entering) for row in adj]
-        r = _lex_leaving(adj, qc, B0, u)
+        r = _lex_leaving(adj, rhs, B0, u)
         basis[r] = j
         adj, det = _pivot(adj, det, u, r)
     raise RuntimeError(f"simplex walk took more than {cap} pivots on {K} lattice points")
 
 
 def _walk_faces(
-    lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, counts: np.ndarray, q_index: int
+    lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, counts: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Witnesses of the vertex bases of two parametric simplex walks, one
     for the lower chain (Y) and one for the upper chain (-Y)."""
-    qc = counts[q_index]
-    # q and the alphabet vertices other than q's largest coordinate: a
-    # basis whose only weighted atom is q.
-    top = int(np.argmax(qc))
-    start = [int(q_index)]
-    for k in range(lattice.m):
-        if k != top:
-            vertex = np.zeros(lattice.m, dtype=int)
-            vertex[k] = lattice.resolution
-            start.append(lattice.index_of(vertex))
-    bases = _walk(X, Y, counts, start) + _walk(X, -Y, counts, start)
+    # The alphabet vertices are a basis feasible for every q (weights q).
+    start = lattice.vertices.tolist()
+    # Every float is a dyadic rational, so scaling q by its largest
+    # denominator gives integers proportional to q: the ratio test stays
+    # exact.
+    exact = [Fraction(v) for v in q.tolist()]
+    den = max(v.denominator for v in exact)
+    rhs = [int(v * den) for v in exact]
+    bases = _walk(X, Y, counts, start, rhs) + _walk(X, -Y, counts, start, rhs)
+    qc = q * lattice.resolution
     return _face_witnesses(np.unique(np.sort(bases, axis=1), axis=0), counts, qc)
 
 
-def region_slice(graph: LagrangianGraph, q_index: int) -> RegionSlice:
-    """Slice at q of the convex hull of the lifted lattice points.
+def region_slice(graph: LagrangianGraph) -> RegionSlice:
+    """Achievable region at the graph's marginal q: the 2-D hull of the
+    slice at q of the convex hull of the lifted lattice points and of the
+    single atom q.
 
-    The polygon's vertices are mixtures with mean q of at most m lattice
-    points.  For m = 2 they come from the m-vertex faces of one qhull
-    hull that contain q (a 3-D hull is cheaper than one walk pivot per
-    vertex).  For m >= 3 they are the vertex bases of two parametric
+    The lattice slice's vertices are mixtures with mean q of at most m
+    lattice points.  For m = 2 they come from the m-vertex faces of one
+    qhull hull that contain q (a 3-D hull is cheaper than one walk pivot
+    per vertex).  For m >= 3 they are the vertex bases of two parametric
     simplex walks (see _walk): a hull in dimension m + 1 grows far faster
     than the walks.  Each candidate's barycentric weights are its
-    witness, and a 2-D hull of the candidates keeps the vertices.
+    witness, and a 2-D hull of the candidates and (f(q), g(Tq)) keeps the
+    vertices.
     """
     faces = _hull_faces if graph.lattice.m == 2 else _walk_faces
-    return _slice(graph, q_index, faces)
+    return _slice(graph, faces)
 
 
-def _slice(graph: LagrangianGraph, q_index: int, faces) -> RegionSlice:
-    """region_slice with the candidate faces from faces(lattice, X, Y,
-    counts, q_index), which returns their atoms and weights."""
-    lattice = graph.lattice
+def _slice(graph: LagrangianGraph, faces) -> RegionSlice:
+    """region_slice with the lattice slice's candidate faces from
+    faces(lattice, X, Y, counts, q), which returns their atoms and weights
+    over the lattice rows."""
+    lattice, m, K = graph.lattice, graph.lattice.m, graph.lattice.size
     X = np.asarray(graph.x_values, dtype=float)
     Y = np.asarray(graph.y_values, dtype=float)
     counts = np.rint(lattice.points * lattice.resolution).astype(np.int64)
-    atoms, weights = faces(lattice, X, Y, counts, q_index)
-
+    atoms, weights = faces(lattice, X[:K], Y[:K], counts, graph.q)
     cx = np.einsum("ki,ki->k", weights, X[atoms])
     cy = np.einsum("ki,ki->k", weights, Y[atoms])
+    # The single atom q (row K) replaces the candidates at its point.
+    tol = _SAME_TOL * max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
+    apart = (np.abs(cx - X[K]) > tol) | (np.abs(cy - Y[K]) > tol)
+    trivial = np.full((1, m), -1)
+    trivial[0, 0] = K
+    atoms = np.vstack([atoms[apart], trivial])
+    weights = np.vstack([weights[apart], np.eye(1, m)])
+    cx = np.append(cx[apart], X[K])
+    cy = np.append(cy[apart], Y[K])
     lower, upper = _boundary_chains(cx, cy)
     keep, inverse = np.unique(np.concatenate([lower, upper]), return_inverse=True)
     arrays = [cx[keep], cy[keep], atoms[keep], weights[keep]]
@@ -562,7 +554,7 @@ def _slice(graph: LagrangianGraph, q_index: int, faces) -> RegionSlice:
         arr.setflags(write=False)
     return RegionSlice(
         lattice,
-        int(q_index),
+        graph.q,
         *arrays,
         lower=inverse[: lower.size],
         upper=inverse[lower.size :],

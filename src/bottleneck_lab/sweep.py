@@ -1,8 +1,9 @@
 """Boundary curves of the achievable (E[f(p_w)], E[g(T p_w)]) region.
 
-For a fixed channel T and marginal q (snapped to a simplex lattice), the
-achievable pairs over all finite mixtures sum_w alpha_w p_w = q form a convex
-polygon: the slice at p = q of the convex hull of the lifted lattice points
+For a fixed channel T and marginal q, the achievable pairs over all finite
+mixtures sum_w alpha_w p_w = q of simplex lattice points and q itself form
+a convex polygon: the hull of the slice at p = q of the convex hull of the
+lifted lattice points and of the single-atom point at q
 (envelope.region_slice).  A curve is one boundary chain of that polygon,
 from one x-extreme to the other: for convex f these are the single-atom
 point at q and the deterministic refinement onto the alphabet vertices
@@ -134,9 +135,10 @@ class BoundaryCurve:
     lams[k] (nan at a forced endpoint).  Its witness mixes rows[atoms[k, j]]
     with weight weights[k, j] over the slots with atoms[k, j] >= 0 (unused
     slots hold -1 and weight 0); rows holds each normalized lattice point
-    the witnesses use once.  points, the same chain as BoundaryPoint
-    objects, is built on first access; sweep checks the witnesses when it
-    builds the arrays, and points does not check them again."""
+    (or the marginal, for the single-atom witness) the witnesses use once.
+    points, the same chain as BoundaryPoint objects, is built on first
+    access; sweep checks the witnesses when it builds the arrays, and
+    points does not check them again."""
 
     direction: str
     problem: str
@@ -185,6 +187,10 @@ def _resolve_pair(
     return resolve_functional(f_kernel, f_ref), resolve_functional(g_kernel, g_ref)
 
 
+def _as_marginal(q: Distribution | np.ndarray) -> np.ndarray:
+    return (q if isinstance(q, Distribution) else Distribution(q)).probs
+
+
 def boundary_slice(
     f_kernel: DivergenceKernel,
     g_kernel: DivergenceKernel,
@@ -194,29 +200,27 @@ def boundary_slice(
     lattice: SimplexLattice | None = None,
     resolution: int | None = None,
 ) -> RegionSlice:
-    """Achievable-region polygon at q snapped to the lattice, with f, g (and
-    divergence references) evaluated at the snapped marginal."""
+    """Achievable-region polygon at q over the lattice, with divergence
+    references taken from q."""
     channel = _as_channel(T)
     lattice = lattice or _default_lattice(channel.m, resolution)
-    q_idx = lattice.snap(q)
-    f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, lattice.points[q_idx], channel)
-    graph = build_lagrangian_graph(f_fn, g_fn, channel, lattice)
-    return region_slice(graph, q_idx)
+    q = _as_marginal(q)
+    f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, q, channel)
+    return region_slice(build_lagrangian_graph(f_fn, g_fn, channel, lattice, q))
 
 
 def _chain_arrays(
     region: RegionSlice, vertices: list[int], lams: list[float]
 ) -> tuple[Distribution, dict[str, np.ndarray]]:
     """The slice's marginal, and the read-only arrays of BoundaryCurve for
-    the given polygon vertices and slopes.  The lattice points the
+    the given polygon vertices and slopes.  The lattice points (and q) the
     witnesses use are normalized in one batched call and every witness is
     checked in one more."""
-    points = region.lattice.points
-    marginal = Distribution(points[region.q_index])
-    lattice_ids = region.atoms[vertices]
-    used = lattice_ids >= 0
-    ids, inverse = np.unique(lattice_ids[used], return_inverse=True)
-    atoms = np.full(lattice_ids.shape, -1)
+    marginal = Distribution(region.q)
+    row_ids = region.atoms[vertices]
+    used = row_ids >= 0
+    ids, inverse = np.unique(row_ids[used], return_inverse=True)
+    atoms = np.full(row_ids.shape, -1)
     atoms[used] = inverse
     arrays = {
         "lams": np.array(lams, dtype=float),
@@ -224,7 +228,7 @@ def _chain_arrays(
         "ys": region.y[vertices],
         "atoms": atoms,
         "weights": region.weights[vertices],
-        "rows": _as_prob_rows(points[ids]),
+        "rows": _as_prob_rows(np.vstack([region.lattice.points, region.q])[ids]),
     }
     _check_witnesses(arrays["weights"], atoms, arrays["rows"], marginal.probs)
     for arr in arrays.values():
@@ -297,14 +301,14 @@ def sweep(
     region, a boundary_slice of the same kernels, T and q, is read instead
     of building a new slice, so both chains can come from one slice and
     several slices from one lattice.  It excludes resolution, and a slice
-    at another (snapped) marginal is refused.
+    at any other marginal than exactly q is refused.
     """
     channel = _as_channel(T)
     if region is None:
         region = boundary_slice(f_kernel, g_kernel, channel, q, resolution=resolution)
     elif resolution is not None:
         raise ValueError("region excludes resolution")
-    elif region.lattice.snap(q) != region.q_index:
+    elif not np.array_equal(region.q, _as_marginal(q)):
         raise ValueError("region is a slice at another marginal")
     chain = region.chain(direction)
     slopes = np.diff(region.y[chain]) / np.diff(region.x[chain])

@@ -25,14 +25,14 @@ def hull_calls(monkeypatch):
 
 @pytest.fixture
 def slice_builds(monkeypatch):
-    """List that gets one entry (the marginal's lattice index) per
-    region_slice that sweep builds, whatever route the slice takes."""
+    """List that gets one entry (the marginal) per region_slice that sweep
+    builds, whatever route the slice takes."""
     calls = []
     real = sweep_module.region_slice
 
-    def counting(graph, q_index):
-        calls.append(q_index)
-        return real(graph, q_index)
+    def counting(graph):
+        calls.append(graph.q)
+        return real(graph)
 
     monkeypatch.setattr(sweep_module, "region_slice", counting)
     return calls

@@ -33,6 +33,16 @@ def write_seeded_joint(path, m, resolution, seed=3):
     return str(path)
 
 
+def witness_marginal_error(rows, q):
+    """Largest distance of a CSV row's witness mixture from q."""
+    worst = 0.0
+    for row in rows:
+        atoms = json.loads(row[6])["atoms"]
+        mix = sum(a["alpha"] * np.array(a["p"]) for a in atoms)
+        worst = max(worst, float(np.abs(mix - np.asarray(q)).max()))
+    return worst
+
+
 def run_curve(tmp_path, name, *extra):
     out = tmp_path / name
     code = main(
@@ -174,18 +184,23 @@ class TestCurveCommand:
 
     def test_ten_letter_source_gets_a_curve(self, tmp_path):
         # 92 378 lattice points at N = 10; basis determinants reach 5e9, past
-        # what an int64 adjugate update could hold.
+        # what an int64 adjugate update could hold.  At N = 6 the nearest
+        # lattice point drops four symbols (q ranges over 0.053..0.144), and
+        # the curve is still at the marginal itself.
         p_xy = np.random.default_rng(3).dirichlet(np.ones(100)).reshape(10, 10)
         src = tmp_path / "m10.json"
         src.write_text(json.dumps({"p_xy": p_xy.tolist()}))
-        out = tmp_path / "ib.csv"
-        code = main(["curve", "--input", str(src), "--problem", "ib", "--resolution", "10",
-                     "--output", str(out)])
-        assert code == EXIT_OK
-        rows = read_csv(out)[1:]
-        for direction in ("lower", "upper"):
-            xs = [float(r[3]) for r in rows if r[1] == direction]
-            assert len(xs) > 10 and xs == sorted(xs) and xs[0] == 0.0
+        q = p_xy.sum(axis=1)
+        for resolution in ("6", "10"):
+            out = tmp_path / f"ib{resolution}.csv"
+            code = main(["curve", "--input", str(src), "--problem", "ib",
+                         "--resolution", resolution, "--output", str(out)])
+            assert code == EXIT_OK
+            rows = read_csv(out)[1:]
+            for direction in ("lower", "upper"):
+                xs = [float(r[3]) for r in rows if r[1] == direction]
+                assert len(xs) > 10 and xs == sorted(xs) and xs[0] == 0.0
+            assert witness_marginal_error(rows, q) <= 1e-9
 
     def test_walk_past_its_pivot_cap_is_an_internal_fault(self, tmp_path, monkeypatch):
         # Not bad input: the error propagates instead of mapping to exit 2.
@@ -209,18 +224,21 @@ class TestCurveCommand:
         ],
         ids=["bsc-resolution-3", "small-coordinate", "small-coordinate-entropy"],
     )
-    def test_snap_that_drops_a_symbol_is_infeasible(self, tmp_path, capsys, source, args):
-        # The lattice point nearest to q has a zero where q does not, so any
-        # curve would be for another marginal.
+    def test_off_lattice_marginal_gets_a_curve(self, tmp_path, source, args):
+        # The lattice point nearest to q has a zero where q does not; the
+        # curve is still computed at q, and every witness mixes to it.
         if source is not None:
             src = tmp_path / "joint.json"
             src.write_text(json.dumps(source))
             args = ["--input", str(src), *args]
         out = tmp_path / "x.csv"
-        assert main(["curve", *args, "--output", str(out)]) == EXIT_INFEASIBLE
-        err = capsys.readouterr().err
-        assert "snaps to [1.0, 0.0]" in err and "--resolution" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == (["joint.json"] if source else [])
+        assert main(["curve", *args, "--direction", "both", "--output", str(out)]) == EXIT_OK
+        rows = read_csv(out)[1:]
+        assert {r[1] for r in rows} == {"lower", "upper"}
+        q = [0.9, 0.1] if source is None else source["q"]
+        assert witness_marginal_error(rows, q) <= 1e-9
+        trivial = [json.loads(r[6])["atoms"] for r in rows if r[5] == "True"]
+        assert trivial and all(atoms[0]["p"] == pytest.approx(q, abs=1e-15) for atoms in trivial)
 
     @pytest.mark.parametrize("resolution", ["0", "1"])
     def test_tiny_resolution_is_bad_input(self, tmp_path, resolution):

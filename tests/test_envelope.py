@@ -5,14 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from bottleneck_lab import (
-    Channel,
-    DivergenceKernel,
-    SimplexLattice,
-    build_lagrangian_graph,
-    resolve_functional,
-)
-from bottleneck_lab.envelope import compositions, envelope_at
+from bottleneck_lab import Channel, DivergenceKernel, SimplexLattice, resolve_functional
+from bottleneck_lab.envelope import build_lagrangian_graph, envelope_at, lattice_size
 from bottleneck_lab.sweep import boundary_slice, slice_point
 from test_sweep import seeded_source
 
@@ -32,19 +26,28 @@ KL = DivergenceKernel.kl()
 H = resolve_functional(ENTROPY)
 
 
+Q = np.array([0.9, 0.1])
+
+
 def entropy_graph(delta, resolution):
     lattice = SimplexLattice.build(2, resolution)
-    return build_lagrangian_graph(H, H, bsc(delta), lattice)
+    return build_lagrangian_graph(H, H, bsc(delta), lattice, Q)
 
 
 def phi(graph, lam):
     """The Lagrangian g(Tp) - lam * f(p) over the graph's lattice."""
-    return graph.y_values - lam * graph.x_values
+    return (graph.y_values - lam * graph.x_values)[:-1]
+
+
+def phi_at_q(graph, lam):
+    """The Lagrangian at the graph's marginal (its last row)."""
+    return float(graph.y_values[-1] - lam * graph.x_values[-1])
 
 
 def envelope(lattice, values, direction):
     """envelope_at at every lattice point."""
-    return np.array([envelope_at(lattice, values, i, direction) for i in range(lattice.size)])
+    pairs = zip(lattice.points, values)
+    return np.array([envelope_at(lattice, values, p, v, direction) for p, v in pairs])
 
 
 class TestSimplexLattice:
@@ -60,26 +63,19 @@ class TestSimplexLattice:
         assert_allclose(lattice.points.sum(axis=1), 1.0)
 
     def test_compositions_are_lexicographic(self):
-        comps = list(compositions(3, 3))
-        assert comps[0] == (0, 0, 3)
-        assert comps[-1] == (3, 0, 0)
-        assert comps == sorted(comps)
+        # Every composition of N into m parts once, in lexicographic order.
+        for m, resolution in ((2, 5), (3, 3), (4, 4), (6, 3), (3, 1)):
+            lattice = SimplexLattice.build(m, resolution)
+            counts = np.rint(lattice.points * resolution).astype(int)
+            counts = [tuple(row) for row in counts.tolist()]
+            assert counts == sorted(set(counts)) and len(counts) == lattice_size(m, resolution)
+            assert all(min(row) >= 0 and sum(row) == resolution for row in counts)
+            assert counts[0] == (0,) * (m - 1) + (resolution,)
+            assert counts[-1] == (resolution,) + (0,) * (m - 1)
 
-    def test_index_of_round_trips(self):
-        lattice = SimplexLattice.build(3, 5)
-        counts = np.round(lattice.points * 5).astype(int)
-        for i in range(lattice.size):
-            assert lattice.index_of(counts[i]) == i
-
-    def test_snap_nearest_binary(self):
-        lattice = SimplexLattice.build(2, 10)
-        idx = lattice.snap([0.87, 0.13])
-        assert_allclose(lattice.points[idx], [0.9, 0.1])
-
-    def test_snap_preserves_total(self):
-        lattice = SimplexLattice.build(3, 7)
-        idx = lattice.snap([1 / 3, 1 / 3, 1 / 3])
-        assert_allclose(lattice.points[idx].sum(), 1.0, atol=1e-15)
+    def test_vertices_are_the_alphabet(self):
+        lattice = SimplexLattice.build(3, 4)
+        assert_allclose(lattice.points[lattice.vertices], np.eye(3)[::-1])
 
 
 class TestBuildGraph:
@@ -96,7 +92,7 @@ class TestBuildGraph:
         graph = entropy_graph(0.2, 16)
         points = graph.lattice.points
         assert_allclose(phi(graph, 0.0), H(points @ bsc(0.2).matrix.T), atol=0)
-        assert_allclose(graph.x_values, H(points), atol=0)
+        assert_allclose(graph.x_values, H(np.vstack([points, Q])), atol=0)
 
     def test_chi2_vanishes_at_reference(self):
         lattice = SimplexLattice.build(2, 10)
@@ -106,16 +102,16 @@ class TestBuildGraph:
         graph = build_lagrangian_graph(
             resolve_functional(chi, q),
             resolve_functional(chi, channel.matrix @ q),
-            channel, lattice,
+            channel, lattice, q,
         )
-        idx = lattice.snap(q)
-        assert abs(phi(graph, 0.8)[idx]) < 1e-14
+        assert abs(phi_at_q(graph, 0.8)) < 1e-14
+        assert abs(phi(graph, 0.8)[7]) < 1e-14  # the lattice point [0.7, 0.3]
 
     def test_nonfinite_evaluation_identifies_point(self):
         lattice = SimplexLattice.build(2, 4)
         with pytest.raises(ValueError, match="not finite"):
             with np.errstate(divide="ignore"):
-                build_lagrangian_graph(lambda P: np.log(P[:, 0]), H, bsc(0.1), lattice)
+                build_lagrangian_graph(lambda P: np.log(P[:, 0]), H, bsc(0.1), lattice, Q)
 
 
 class TestLowerEnvelope1d:
@@ -131,7 +127,7 @@ class TestLowerEnvelope1d:
         # Pure entropy (identity channel, slope 0) is concave; its lower
         # envelope over [0, 1] is the zero chord between the vertices.
         lattice = SimplexLattice.build(2, 4)
-        values = build_lagrangian_graph(H, H, np.eye(2), lattice).y_values
+        values = build_lagrangian_graph(H, H, np.eye(2), lattice, Q).y_values[:-1]
         env = envelope(lattice, values, "lower")
         assert_allclose(env, 0.0, atol=1e-15)
         assert np.all(env[1:-1] < values[1:-1] - 1e-10)
@@ -184,6 +180,7 @@ class TestEnvelopeGeneral:
             lambda P: P @ np.array([1.0, 0.0, 0.3]),
             np.eye(3),
             lattice,
+            [0.2, 0.3, 0.5],
         )
         values = phi(graph, 0.7)
         for direction in ("lower", "upper"):
@@ -193,7 +190,7 @@ class TestEnvelopeGeneral:
         # Entropy at slope 0 is concave; the lower envelope at N = 2 is the
         # plane through the three vertices, identically zero.
         lattice = SimplexLattice.build(3, 2)
-        values = build_lagrangian_graph(H, H, np.eye(3), lattice).y_values
+        values = H(lattice.points)
         env = envelope(lattice, values, "lower")
         assert_allclose(env, 0.0, atol=1e-12)
         interior = (lattice.points > 0).sum(axis=1) > 1
@@ -223,12 +220,12 @@ class TestEnvelopeGeneral:
 
     def test_m4_concave_entropy_envelope(self):
         lattice = SimplexLattice.build(4, 8)
-        values = build_lagrangian_graph(H, H, np.eye(4), lattice).y_values
+        values = H(lattice.points)
         assert_allclose(envelope(lattice, values, "lower"), 0.0, atol=1e-12)
 
     def test_m5_needs_no_special_case(self):
         lattice = SimplexLattice.build(5, 3)
-        values = build_lagrangian_graph(H, H, np.eye(5), lattice).y_values
+        values = H(lattice.points)
         env = envelope(lattice, values, "lower")
         assert_allclose(env, 0.0, atol=1e-12)
         assert_allclose(envelope(lattice, values, "upper"), values, atol=1e-12)
@@ -238,30 +235,33 @@ class TestEnvelopeGeneral:
         rng = np.random.default_rng(5)
         T = rng.exponential(size=(3, 3)) + 0.1
         T = T / T.sum(axis=0, keepdims=True)
-        values = phi(build_lagrangian_graph(H, H, T, lattice), 1.2)
+        values = phi(build_lagrangian_graph(H, H, T, lattice, np.full(3, 1.0 / 3.0)), 1.2)
         assert np.all(envelope(lattice, values, "lower") <= values + 1e-12)
 
     def test_unknown_direction_is_refused(self):
         lattice = SimplexLattice.build(2, 4)
         with pytest.raises(ValueError, match="direction"):
-            envelope_at(lattice, np.zeros(lattice.size), 2, "sideways")
+            envelope_at(lattice, np.zeros(lattice.size), Q, 0.0, "sideways")
 
     @pytest.mark.parametrize("m,resolution", [(2, 64), (3, 12), (4, 6)])
     def test_matches_linprog(self, m, resolution):
         # The envelope at q is the optimum of the LP over mixtures of
-        # lattice points with mean q, which HiGHS solves independently.
+        # lattice points and q with mean q, which HiGHS solves
+        # independently.  q is off the lattice.
         q, T = seeded_source(m, resolution, 11)
+        q = 0.8 * q + 0.2 * np.random.default_rng(m).dirichlet(np.ones(m))
         lattice = SimplexLattice.build(m, resolution)
-        q_idx = lattice.snap(q)
         graph = build_lagrangian_graph(
-            resolve_functional(KL, q), resolve_functional(KL, T @ q), T, lattice
+            resolve_functional(KL, q), resolve_functional(KL, T @ q), T, lattice, q
         )
+        columns = np.vstack([lattice.points, q]).T
         for lam in (0.0, 0.25, 0.7, 1.5, 4.0):
-            values = phi(graph, lam)
+            values = graph.y_values - lam * graph.x_values
             for sign, direction in ((1.0, "lower"), (-1.0, "upper")):
-                lp = linprog(sign * values, A_eq=lattice.points.T, b_eq=lattice.points[q_idx],
+                lp = linprog(sign * values, A_eq=columns, b_eq=q,
                              bounds=(0.0, None), method="highs")
-                assert abs(sign * lp.fun - envelope_at(lattice, values, q_idx, direction)) <= 1e-9
+                env = envelope_at(lattice, values[:-1], q, values[-1], direction)
+                assert abs(sign * lp.fun - env) <= 1e-9
 
 
 class TestEnvelopeGapAt:
@@ -273,31 +273,30 @@ class TestEnvelopeGapAt:
         lam = (1.0 - 2.0 * delta) ** 2
         # Resolution chosen so [0.9, 0.1] sits exactly on the lattice.
         graph = entropy_graph(delta, 200)
-        region = boundary_slice(ENTROPY, ENTROPY, bsc(delta), [0.9, 0.1], lattice=graph.lattice)
+        region = boundary_slice(ENTROPY, ENTROPY, bsc(delta), Q, lattice=graph.lattice)
         point = slice_point(region, lam, "lower")
-        idx = graph.lattice.snap([0.9, 0.1])
-        assert abs(phi(graph, lam)[idx] - (point.y - lam * point.x)) <= 1e-12
+        assert abs(phi_at_q(graph, lam) - (point.y - lam * point.x)) <= 1e-12
         assert point.trivial and len(point.witness.atoms) == 1
         w, atom = point.witness.atoms[0]
         assert w == 1.0
         assert_allclose(atom.probs, [0.9, 0.1], atol=1e-15)
 
     def test_nontrivial_mixture_reaches_marginal(self):
+        # [0.9, 0.1] is off the N = 4096 lattice.
         graph = entropy_graph(0.1, 4096)
-        region = boundary_slice(ENTROPY, ENTROPY, bsc(0.1), [0.9, 0.1], lattice=graph.lattice)
+        region = boundary_slice(ENTROPY, ENTROPY, bsc(0.1), Q, lattice=graph.lattice)
         point = slice_point(region, 0.3, "lower")
-        idx = graph.lattice.snap([0.9, 0.1])
-        assert phi(graph, 0.3)[idx] - (point.y - 0.3 * point.x) > 1e-7
+        assert phi_at_q(graph, 0.3) - (point.y - 0.3 * point.x) > 1e-7
         assert len(point.witness.atoms) == 2
         mix = sum(w * atom.probs for w, atom in point.witness.atoms)
-        assert np.abs(mix - graph.lattice.points[idx]).max() <= 1e-9
+        assert np.abs(mix - Q).max() <= 1e-15
 
     def test_chi2_straddle_at_reference(self):
         # Past the slope where the objective turns concave, the envelope
         # dips below zero at the reference and is spanned by points on
         # either side of it.
         lattice = SimplexLattice.build(2, 64)
-        q = lattice.points[lattice.snap([0.9, 0.1])]
+        q = Q  # off the lattice
         chi = DivergenceKernel.chi_squared()
         point = slice_point(boundary_slice(chi, chi, bsc(0.1), q, lattice=lattice), 1.0, "lower")
         assert point.y - 1.0 * point.x < -1e-7  # the objective is 0 at q

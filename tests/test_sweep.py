@@ -3,6 +3,7 @@ import importlib
 import math
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -423,10 +424,14 @@ class TestSweepRegion:
             assert_same_curve(got, want)
 
     def test_slice_of_another_marginal_is_refused(self):
+        # Even one an ulp away: the slice is for exactly its own q.
         lattice = SimplexLattice.build(2, 64)
         region = boundary_slice(KL, KL, INST.channel(), [0.8, 0.2], lattice=lattice)
         with pytest.raises(ValueError, match="another marginal"):
             sweep(KL, KL, INST.channel(), INST.marginal(), "lower", region=region)
+        nearby = [0.8, np.nextafter(0.2, 1.0)]
+        with pytest.raises(ValueError, match="another marginal"):
+            sweep(KL, KL, INST.channel(), nearby, "lower", region=region)
 
     @pytest.mark.parametrize("where", ["resolution"])
     def test_region_with_lattice_or_resolution_is_refused(self, where):
@@ -448,6 +453,23 @@ class TestProblemCurve:
         with pytest.raises(ValueError, match="direction"):
             problem_curve(INST.marginal(), INST.channel(), "ib", "sideways", resolution=64)
         assert slice_builds == []
+
+    @pytest.mark.parametrize("resolution", [3, 64, 4096])
+    def test_tiny_coordinate_gets_a_curve_at_q(self, resolution):
+        # The lattice point nearest to q is [1, 0] at every resolution here;
+        # the curves are still at q, and the single atom q is an endpoint.
+        q = np.array([0.9999, 0.0001])
+        T = INST.channel()
+        curves = problem_curve(q, T, "ib", "both", frame="entropy", resolution=resolution)
+        far = (entropy(q), entropy(T.matrix @ q))
+        for curve in curves:
+            assert curve.marginal.probs.tolist() == q.tolist()
+            mix = np.einsum("ki,kij->kj", curve.weights, curve.rows[np.maximum(curve.atoms, 0)])
+            assert np.abs(mix - q).max() <= 1e-15
+            trivial = [p for p in curve.points if p.trivial]
+            assert len(trivial) == 1
+            assert_allclose([trivial[0].x, trivial[0].y], far, rtol=0, atol=1e-15)
+            assert trivial[0].witness.conditionals().tolist() == [q.tolist()]
 
     def test_eb_rejects_entropy_frame(self):
         with pytest.raises(ValueError, match="frame"):
@@ -499,28 +521,6 @@ class TestProblemCurve:
         for atom in payload["atoms"]:
             assert set(atom) == {"alpha", "p"}
             assert isinstance(atom["p"], list) and len(atom["p"]) == 2
-
-
-class TestSnapRefusal:
-    """The library answers only for the marginal it was given: a snap that
-    zeroes a symbol of q is refused, as the CLI refuses it with exit 3."""
-
-    def test_problem_curve_refuses(self):
-        with pytest.raises(ValueError, match=r"snaps to \[1.0, 0.0\].*drops a symbol"):
-            problem_curve([0.9999, 0.0001], INST.channel(), "ib", "upper", frame="entropy")
-
-    def test_coarse_resolution_refuses(self):
-        with pytest.raises(ValueError, match="at resolution 3, which drops a symbol"):
-            problem_curve(INST.marginal(), INST.channel(), "ib", "both", resolution=3)
-        with pytest.raises(ValueError, match="drops a symbol"):
-            boundary_slice(KL, KL, INST.channel(), INST.marginal(), resolution=3)
-
-    def test_sweep_region_refuses(self):
-        # q snaps to the point the slice is at, but loses its second symbol.
-        region = boundary_slice(ENTROPY, ENTROPY, INST.channel(), [1.0, 0.0], resolution=64)
-        sweep(ENTROPY, ENTROPY, INST.channel(), [1.0, 0.0], "lower", region=region)
-        with pytest.raises(ValueError, match="drops a symbol"):
-            sweep(ENTROPY, ENTROPY, INST.channel(), [0.9999, 0.0001], "lower", region=region)
 
 
 def _two_atom_vertex(region):
@@ -663,18 +663,30 @@ def seeded_source(m, resolution, seed):
     return counts / resolution, T
 
 
+def kernel_graph(kernel, q, T, lattice):
+    """f and g of the kernel pair over the lattice and at q, divergences
+    taken from q."""
+    f_fn = resolve_functional(kernel, q if kernel.is_divergence else None)
+    g_fn = resolve_functional(kernel, T @ q if kernel.is_divergence else None)
+    return build_lagrangian_graph(f_fn, g_fn, T, lattice, q)
+
+
 def walk_and_hull(kernel, q, T, resolution):
     """The slice of one source from the simplex walk and from qhull."""
-    lattice = SimplexLattice.build(len(q), resolution)
-    q_idx = lattice.snap(q)
-    ref = lattice.points[q_idx]
-    f_fn = resolve_functional(kernel, ref if kernel.is_divergence else None)
-    g_fn = resolve_functional(kernel, T @ ref if kernel.is_divergence else None)
-    graph = build_lagrangian_graph(f_fn, g_fn, T, lattice)
+    graph = kernel_graph(kernel, q, T, SimplexLattice.build(len(q), resolution))
     return (
-        envelope._slice(graph, q_idx, envelope._walk_faces),
-        envelope._slice(graph, q_idx, envelope._hull_faces),
+        envelope._slice(graph, envelope._walk_faces),
+        envelope._slice(graph, envelope._hull_faces),
     )
+
+
+def linprog_support(graph, lam, sign):
+    """The LP optimum over mixtures of the lattice points and q with mean q,
+    from HiGHS."""
+    columns = np.vstack([graph.lattice.points, graph.q]).T
+    values = graph.y_values - lam * graph.x_values
+    lp = linprog(sign * values, A_eq=columns, b_eq=graph.q, bounds=(0.0, None), method="highs")
+    return sign * lp.fun
 
 
 def fraction_adjugate(B):
@@ -713,15 +725,14 @@ class TestHullSlice:
     def test_support_matches_reference_envelope(self, m, resolution, kernel):
         q, T = seeded_source(m, resolution, 11)
         lattice = SimplexLattice.build(m, resolution)
-        q_idx = lattice.snap(q)
         ref = q if kernel.is_divergence else None
         f_fn = resolve_functional(kernel, ref)
         g_fn = resolve_functional(kernel, T @ q if kernel.is_divergence else None)
-        graph = build_lagrangian_graph(f_fn, g_fn, T, lattice)
+        graph = build_lagrangian_graph(f_fn, g_fn, T, lattice, q)
         for lam in (0.0, 0.25, 0.7, 1.5, 4.0):
             values = graph.y_values - lam * graph.x_values
             for direction in ("lower", "upper"):
-                env = envelope_at(lattice, values, q_idx, direction)
+                env = envelope_at(lattice, values[:-1], q, values[-1], direction)
                 point = slice_point(
                     boundary_slice(kernel, kernel, T, q, lattice=lattice), lam, direction
                 )
@@ -807,12 +818,12 @@ class TestHullSlice:
             lambda P: P @ np.array([1.0, 0.0, 0.3]),
             np.eye(3),
             lattice,
+            [0.5, 0.5, 0.0],
         )
-        q_idx = lattice.snap([0.5, 0.5, 0.0])
-        region = region_slice(graph, q_idx)
+        region = region_slice(graph)
         assert region.x.tolist() == [0.35] and region.y.tolist() == [0.5]
         assert region.lower.tolist() == region.upper.tolist() == [0]
-        assert region.atoms[0, 0] == q_idx and region.weights[0, 0] == 1.0
+        assert region.atoms[0, 0] == lattice.size and region.weights[0, 0] == 1.0
 
     @pytest.mark.parametrize(
         "case",
@@ -850,26 +861,93 @@ class TestHullSlice:
             assert_allclose(walk.y[a], hull.y[b], rtol=0, atol=1e-12)
             assert_allclose(walk.weights[a], hull.weights[b], rtol=0, atol=1e-12)
 
+    def test_walk_matches_hull_off_the_lattice(self):
+        # 30 seeded sources at a generic marginal, 6 of them with a zero
+        # coordinate (entropy kernel, since a divergence needs full
+        # support): the same chains, and the same support vertex for 25
+        # slopes per chain.
+        kernels = (KL, CHI2, ENTROPY)
+        queries = 0
+        for seed in range(30):
+            rng = np.random.default_rng([seed, 17])
+            m = 3 if seed % 2 else 4
+            resolution = int(rng.integers(12, 31) if m == 3 else rng.integers(6, 9))
+            q, T = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m), size=m).T
+            kernel = kernels[seed % 3]
+            if seed % 5 == 0:
+                q[int(rng.integers(0, m))] = 0.0
+                q, kernel = q / q.sum(), ENTROPY
+            walk, hull = walk_and_hull(kernel, q, T, resolution)
+            for direction in ("lower", "upper"):
+                a, b = walk.chain(direction), hull.chain(direction)
+                assert walk.atoms[a].tolist() == hull.atoms[b].tolist()
+                assert_allclose(walk.x[a], hull.x[b], rtol=0, atol=1e-12)
+                assert_allclose(walk.y[a], hull.y[b], rtol=0, atol=1e-12)
+                edges = np.diff(hull.y[b]) / np.diff(hull.x[b])
+                for lam in np.quantile(np.append(edges, 0.0), np.linspace(0.0, 1.0, 25)):
+                    i, j = walk.support(lam, direction), hull.support(lam, direction)
+                    assert walk.atoms[i].tolist() == hull.atoms[j].tolist()
+                    assert abs(walk.x[i] - hull.x[j]) <= 1e-12
+                    assert abs(walk.y[i] - hull.y[j]) <= 1e-12
+                    queries += 1
+        assert queries == 1500
+
+    @pytest.mark.parametrize("m,resolution", [(2, 64), (3, 10), (4, 4)])
+    @pytest.mark.parametrize("kernel", [KL, CHI2, ENTROPY], ids=["kl", "chi2", "entropy"])
+    def test_lattice_marginal_slice_equals_every_face(self, m, resolution, kernel):
+        # At a marginal on the lattice the single atom q is a lattice point,
+        # so the slice is the lattice slice alone: the same chains as the
+        # candidates from every m-point face of the lattice, with the atom
+        # q (row K) in place of its lattice point.
+        lattice = SimplexLattice.build(m, resolution)
+
+        def every_face(lattice, X, Y, counts, q):
+            faces = np.array(list(combinations(range(lattice.size), lattice.m)))
+            return envelope._face_witnesses(faces, counts, q * lattice.resolution)
+
+        for seed in range(3):
+            q, T = seeded_source(m, resolution, seed)
+            graph = kernel_graph(kernel, q, T, lattice)
+            got, want = region_slice(graph), envelope._slice(graph, every_face)
+            q_row = np.flatnonzero((lattice.points == q).all(axis=1))
+            for direction in ("lower", "upper"):
+                a, b = got.chain(direction), want.chain(direction)
+                assert got.atoms[a].tolist() == want.atoms[b].tolist()
+                assert (got.atoms[a] == lattice.size).sum() == 1
+                assert_allclose(got.x[a], want.x[b], rtol=1e-15, atol=1e-15)
+                assert_allclose(got.y[a], want.y[b], rtol=1e-15, atol=1e-15)
+                assert q_row.size == 1 and q_row[0] not in got.atoms[a]
+
+    def test_rounded_lattice_marginal_gives_one_trivial_vertex(self):
+        # A decomposed joint gives a lattice marginal up to an ulp: the
+        # lattice point q and the atom q are one vertex, whose witness is
+        # the atom q, and the chains match those at the exact lattice point.
+        q, T = seeded_source(3, 24, 0)
+        rounded = q + np.array([2.0, -1.0, -1.0]) * np.spacing(q)
+        assert 0 < np.abs(rounded - q).max() <= 2e-16
+        lattice = SimplexLattice.build(3, 24)
+        for kernel in (KL, ENTROPY):
+            exact = region_slice(kernel_graph(kernel, q, T, lattice))
+            region = region_slice(kernel_graph(kernel, rounded, T, lattice))
+            for direction in ("lower", "upper"):
+                a, b = region.chain(direction), exact.chain(direction)
+                assert region.atoms[a].tolist() == exact.atoms[b].tolist()
+                assert_allclose(region.x[a], exact.x[b], rtol=0, atol=1e-14)
+                assert_allclose(region.y[a], exact.y[b], rtol=0, atol=1e-14)
+
     def test_walk_support_matches_linprog(self):
         # A uniform marginal through a symmetric channel, where qhull gives
         # up on the lifted points (a wide-merge precision error at N = 43):
         # every support value of the walk's slice is the LP optimum that
         # HiGHS finds independently.
         q, T, resolution = np.full(3, 1.0 / 3.0), symmetric_channel(3, 0.15), 43
-        lattice = SimplexLattice.build(3, resolution)
-        q_idx = lattice.snap(q)
-        ref = lattice.points[q_idx]
-        graph = build_lagrangian_graph(
-            resolve_functional(CHI2, ref), resolve_functional(CHI2, T @ ref), T, lattice
-        )
-        region = region_slice(graph, q_idx)
-        X, Y = graph.x_values, graph.y_values
+        graph = kernel_graph(CHI2, q, T, SimplexLattice.build(3, resolution))
+        region = region_slice(graph)
         for lam in np.linspace(-1.0, 4.0, 11):
             for sign, direction in ((1.0, "lower"), (-1.0, "upper")):
-                lp = linprog(sign * (Y - lam * X), A_eq=lattice.points.T, b_eq=ref,
-                             bounds=(0.0, None), method="highs")
                 k = region.support(lam, direction)
-                assert abs(sign * lp.fun - (region.y[k] - lam * region.x[k])) <= 1e-9
+                got = region.y[k] - lam * region.x[k]
+                assert abs(linprog_support(graph, lam, sign) - got) <= 1e-9
 
     def test_ten_letter_support_matches_linprog(self):
         # A 10 x 10 joint at N = 10 (92 378 points): its basis determinants
@@ -877,20 +955,13 @@ class TestHullSlice:
         p_xy = np.random.default_rng(3).dirichlet(np.ones(100)).reshape(10, 10)
         q = p_xy.sum(axis=1)
         T = (p_xy / q[:, None]).T
-        lattice = SimplexLattice.build(10, 10)
-        q_idx = lattice.snap(q)
-        ref = lattice.points[q_idx]
-        graph = build_lagrangian_graph(
-            resolve_functional(KL, ref), resolve_functional(KL, T @ ref), T, lattice
-        )
-        region = region_slice(graph, q_idx)
-        X, Y = graph.x_values, graph.y_values
+        graph = kernel_graph(KL, q, T, SimplexLattice.build(10, 10))
+        region = region_slice(graph)
         for lam in (0.3, 1.0, 3.0):
             for sign, direction in ((1.0, "lower"), (-1.0, "upper")):
-                lp = linprog(sign * (Y - lam * X), A_eq=lattice.points.T, b_eq=ref,
-                             bounds=(0.0, None), method="highs")
                 k = region.support(lam, direction)
-                assert abs(sign * lp.fun - (region.y[k] - lam * region.x[k])) <= 1e-12
+                got = region.y[k] - lam * region.x[k]
+                assert abs(linprog_support(graph, lam, sign) - got) <= 1e-12
 
     def test_region_slice_takes_the_walk_from_m3(self, hull_calls):
         for m, resolution in ((2, 16), (3, 8), (4, 4)):
@@ -911,10 +982,10 @@ class TestHullSlice:
         basis = {}
         pivots = []
 
-        def per_walk(X, Y, counts, start):
+        def per_walk(X, Y, counts, start, rhs):
             basis["B"] = counts[start].T.tolist()
             basis["total"] = int(counts[start[0]].sum())
-            return real_walk(X, Y, counts, start)
+            return real_walk(X, Y, counts, start, rhs)
 
         def checking(adj, det, u, r):
             B = basis["B"]
@@ -982,9 +1053,9 @@ class TestHullSlice:
 
         walk = envelope._walk
 
-        def per_walk(X, Y, counts, start):
+        def per_walk(X, Y, counts, start, rhs):
             pivots.append(0)
-            result = walk(X, Y, counts, start)
+            result = walk(X, Y, counts, start, rhs)
             assert pivots[-1] <= envelope._pivot_cap(counts.shape[0]) // 2
             return result
 

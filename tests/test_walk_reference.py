@@ -13,11 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bottleneck_lab import DivergenceKernel, SimplexLattice, build_lagrangian_graph
+from bottleneck_lab import DivergenceKernel, SimplexLattice
 from bottleneck_lab import envelope
 from bottleneck_lab.acceptance import run_property_suite
-from bottleneck_lab.core import resolve_functional
-from test_sweep import seeded_source
+from test_sweep import kernel_graph, seeded_source
 
 KL = DivergenceKernel.kl()
 CHI2 = DivergenceKernel.chi_squared()
@@ -62,14 +61,15 @@ def ref_lex_leaving(adj, qc, start, u):
     return int(rows[best])
 
 
-def ref_walk(X, Y, counts, start, ties):
+def ref_walk(X, Y, counts, start, rhs, ties):
     """The int64 walk; ties[0] counts ratio tests whose smallest first-key
-    ratio is shared by two rows."""
+    ratio is shared by two rows.  The right-hand side rhs (q scaled to
+    integers, far past int64) is kept as Python integers."""
     K = counts.shape[0]
     CT = counts.T.astype(float)
     XY = np.vstack([X, Y])
-    qc = counts[start[0]]
-    total = int(qc.sum())
+    qc = np.array(rhs, dtype=object)
+    total = int(counts[0].sum())
     B0 = counts[start].T
     scale = max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
     tol, brk = envelope._PRICE_TOL * scale, envelope._BREAK_TOL * scale
@@ -113,10 +113,10 @@ def pinned(monkeypatch):
     real = envelope._walk
     seen = [0, 0]
 
-    def both(X, Y, counts, start):
+    def both(X, Y, counts, start, rhs):
         ties = [0]
-        got = real(X, Y, counts, start)
-        assert got == ref_walk(X, Y, counts, start, ties)
+        got = real(X, Y, counts, start, rhs)
+        assert got == ref_walk(X, Y, counts, start, rhs, ties)
         seen[0] += 1
         seen[1] += ties[0]
         return got
@@ -126,8 +126,10 @@ def pinned(monkeypatch):
 
 
 def test_walk_bases_equal_the_int64_walk_on_a7(pinned):
+    # A7's marginals are generic floats, so their ratio tests do not tie;
+    # the seeded sources below, at lattice marginals, do.
     assert run_property_suite() == []
-    assert pinned[0] > 200 and pinned[1] > 0
+    assert pinned[0] > 200
 
 
 @pytest.mark.parametrize("m,resolution", [(3, 24), (4, 10), (5, 6)])
@@ -135,17 +137,8 @@ def test_walk_bases_equal_the_int64_walk_on_seeded_sources(pinned, m, resolution
     lattice = SimplexLattice.build(m, resolution)
     for seed in range(2):
         q, T = seeded_source(m, resolution, seed)
-        q_idx = lattice.snap(q)
-        ref = lattice.points[q_idx]
         for kernel in (KL, CHI2, ENTROPY):
-            div = kernel.is_divergence
-            graph = build_lagrangian_graph(
-                resolve_functional(kernel, ref if div else None),
-                resolve_functional(kernel, T @ ref if div else None),
-                T,
-                lattice,
-            )
-            envelope.region_slice(graph, q_idx)
+            envelope.region_slice(kernel_graph(kernel, q, T, lattice))
     assert pinned[0] == 2 * 2 * 3 and pinned[1] > 0
 
 
