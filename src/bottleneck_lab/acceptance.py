@@ -68,18 +68,6 @@ def _quiet(fn, *args):
         return fn(*args)
 
 
-def _entropy_curve(inst: BscInstance, direction: str, resolution: int) -> BoundaryCurve:
-    return sweep(
-        _ENTROPY,
-        _ENTROPY,
-        inst.channel(),
-        inst.marginal(),
-        direction,
-        resolution=resolution,
-        problem="pf" if direction == "lower" else "ib",
-    )
-
-
 def _curve_pair(
     kernel: DivergenceKernel,
     inst: BscInstance,
@@ -99,7 +87,7 @@ def _curve_pair(
 def check_mgl(resolution: int = 4096, probes: int = 101) -> CheckResult:
     """A1: lower entropy curve against the exact lower boundary."""
     inst = BscInstance(q=0.1, delta=0.1)
-    curve = _entropy_curve(inst, "lower", resolution)
+    curve, _ = _curve_pair(_ENTROPY, inst, resolution, ("pf", "ib"))
     xs = np.linspace(0.0, binary_entropy(inst.q), probes)
     dev = max(
         abs(_quiet(funnel_value, curve, float(x) * LN2) / LN2 - mrs_gerber(inst, float(x)))
@@ -119,7 +107,7 @@ def check_mr_gerber(resolution: int = 4096, probes: int = 101) -> CheckResult:
     """A2: upper entropy curve against the exact parametric upper boundary,
     vertical distance after x-interpolation."""
     inst = BscInstance(q=0.1, delta=0.1)
-    curve = _entropy_curve(inst, "upper", resolution)
+    _, curve = _curve_pair(_ENTROPY, inst, resolution, ("pf", "ib"))
     dev = 0.0
     for alpha in np.linspace(0.0, 1.0, probes):
         point = mr_gerber_point(inst, float(alpha))

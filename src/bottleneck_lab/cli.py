@@ -22,18 +22,13 @@ from .closed_forms import (
     BscInstance,
     closed_form_table,
 )
-from .core import bsc_joint, decompose_joint, load_joint
-from .envelope import DEFAULT_RESOLUTION, MAX_LATTICE_POINTS, lattice_size
-from .sweep import CURVE_CSV_HEADER, PROBLEM_FRAMES, curve_csv_rows, problem_curve
+from .core import ConfigError, bsc_joint, decompose_joint, load_joint
+from .sweep import CURVE_CSV_HEADER, curve_csv_rows, problem_curve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
-
-
-class ConfigError(Exception):
-    """Flag combination that cannot be run (exit code 3)."""
 
 
 def _file_mode(path: Path) -> int:
@@ -122,25 +117,8 @@ def _resolve_source(args) -> tuple:
 
 def cmd_curve(args) -> int:
     marginal, channel, digest = _resolve_source(args)
-    if args.frame is not None and args.frame not in PROBLEM_FRAMES[args.problem]:
-        raise ConfigError(f"frame {args.frame!r} is not available for problem {args.problem!r}")
-    if args.beta is not None and args.problem != "arimoto":
-        raise ConfigError(f"--beta does not apply to problem {args.problem!r}")
-    if args.beta is not None and args.beta < 2.0:
-        raise ValueError("--beta must be >= 2")
     if args.resolution is not None and args.resolution < 2:
         raise ValueError("--resolution must be >= 2")
-    if args.problem == "arimoto" and marginal.m > 2:
-        raise ConfigError("the arimoto problem is only available for binary sources")
-    if args.resolution is None and marginal.m not in DEFAULT_RESOLUTION:
-        raise ConfigError(f"no default lattice for m = {marginal.m}; pass --resolution")
-    resolution = args.resolution or DEFAULT_RESOLUTION[marginal.m]
-    size = lattice_size(marginal.m, resolution)
-    if size > MAX_LATTICE_POINTS:
-        raise ConfigError(
-            f"the lattice at --resolution {resolution} has {size} points; "
-            f"at most {MAX_LATTICE_POINTS} are supported"
-        )
     curves = problem_curve(
         marginal,
         channel,

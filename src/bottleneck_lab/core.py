@@ -36,6 +36,12 @@ _NEG_TOL = 1e-12
 _MIX_TOL = 1e-9
 
 
+class ConfigError(ValueError):
+    """A well-formed request that cannot be run as configured: an option
+    the problem does not have, or a lattice over the point budget.  The CLI
+    exits 3 on it and 2 on any other ValueError."""
+
+
 def _as_prob_vector(values, name: str = "probs") -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .core import Channel, Distribution
+from .core import Channel, ConfigError, Distribution
 
 # Barycentric weights down to -_BARY_TOL count as a ridge containing q;
 # weights at or below _ATOM_TOL are dropped from the witness.
@@ -107,13 +107,19 @@ class SimplexLattice:
             raise ValueError("lattice needs m >= 2")
         if resolution < 1:
             raise ValueError("lattice resolution must be >= 1")
+        size = lattice_size(m, resolution)
+        if size > MAX_LATTICE_POINTS:
+            raise ConfigError(
+                f"the lattice at resolution {resolution} has {size} points; "
+                f"at most {MAX_LATTICE_POINTS} are supported"
+            )
         # Stars and bars: the m - 1 bar positions among N + m - 1 slots, in
         # lexicographic order, give the counts in lexicographic order.
         slots = resolution + m - 1
         bars = np.fromiter(
             chain.from_iterable(combinations(range(slots), m - 1)),
             dtype=np.int64,
-            count=lattice_size(m, resolution) * (m - 1),
+            count=size * (m - 1),
         ).reshape(-1, m - 1)
         ends = np.full((bars.shape[0], 1), -1)
         counts = np.diff(np.hstack([ends, bars, ends + slots + 1]), axis=1) - 1

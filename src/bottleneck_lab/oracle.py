@@ -3,10 +3,14 @@
 Independent of the envelope machinery: witnesses are enumerated explicitly
 (atom grids for binary alphabets, seeded random atom sets otherwise), their
 weights solved from the marginal constraint, and the extremal objective
-taken subject to the x constraint.  Restricted search can only land inside
-the achievable region, so oracle minima upper-bound the true funnel values
-and oracle maxima lower-bound the true bottleneck values; acceptance
-comparisons are one-sided plus closeness where a closed form exists.
+taken subject to the x constraint.  For a binary alphabet every mixture of
+grid atoms at the marginal is a convex combination of two-atom witnesses
+straddling it, so the search there is the best point of the hull of that
+pair cloud: the hull chain's extreme vertex, or its value at the target.
+Restricted search can only land inside the achievable region, so oracle
+minima upper-bound the true funnel values and oracle maxima lower-bound the
+true bottleneck values; acceptance comparisons are one-sided plus closeness
+where a closed form exists.
 """
 
 from __future__ import annotations
@@ -138,149 +142,70 @@ def _witness_from(P: np.ndarray, w: np.ndarray, marginal: np.ndarray) -> Witness
 
 
 class _BinaryCloud:
-    """All one- and two-atom witnesses on a scalar grid for a binary source,
-    with hulls over the witness cloud providing the exact-x mixtures (any
-    richer mixture at the same marginal is a convex combination of these)."""
+    """The achievable set of every mixture of scalar grid atoms with mean q,
+    for a binary source: the convex hull of the cloud of two-atom witnesses
+    straddling q, plus the single atom at q.  Any richer mixture at the
+    same marginal is a convex combination of these (|W| <= |X| + 1).
+
+    Atom k is the row P[k]; the last row is the marginal.  Cloud point c
+    mixes atoms ilo[c] and ihi[c] with weights wlo[c] and 1 - wlo[c]."""
 
     def __init__(self, f_fn, g_fn, Tmat: np.ndarray, q: float, resolution: int):
-        self.q = float(q)
         ps = np.linspace(0.0, 1.0, resolution + 1)
-        self.ps = ps
-        P = np.column_stack([1.0 - ps, ps])
-        self.F = np.asarray(f_fn(P), dtype=float)
-        self.G = np.asarray(g_fn(P @ Tmat.T), dtype=float)
-        self.marginal = np.array([1.0 - self.q, self.q])
-        self.f_trivial = float(f_fn(self.marginal[None, :])[0])
-        self.g_trivial = float(g_fn((Tmat @ self.marginal)[None, :])[0])
+        self.P = np.vstack([np.column_stack([1.0 - ps, ps]), [1.0 - q, q]])
+        self.F = np.asarray(f_fn(self.P), dtype=float)
+        self.G = np.asarray(g_fn(self.P @ Tmat.T), dtype=float)
+        lo, hi = np.meshgrid(np.flatnonzero(ps < q), np.flatnonzero(ps > q), indexing="ij")
+        wlo = (ps[hi] - q) / (ps[hi] - ps[lo])
+        self.ilo = np.append(lo.ravel(), ps.size)
+        self.ihi = np.append(hi.ravel(), ps.size)
+        self.wlo = np.append(wlo.ravel(), 1.0)
+        self.xs = self.wlo * self.F[self.ilo] + (1.0 - self.wlo) * self.F[self.ihi]
+        self.ys = self.wlo * self.G[self.ilo] + (1.0 - self.wlo) * self.G[self.ihi]
+        self._chains: dict[str, np.ndarray] = {}
 
-        lo = np.where(ps < self.q)[0]
-        hi = np.where(ps > self.q)[0]
-        if lo.size and hi.size:
-            plo = ps[lo][:, None]
-            phi = ps[hi][None, :]
-            wlo = (phi - self.q) / (phi - plo)
-            x = wlo * self.F[lo][:, None] + (1.0 - wlo) * self.F[hi][None, :]
-            y = wlo * self.G[lo][:, None] + (1.0 - wlo) * self.G[hi][None, :]
-            ii, jj = np.meshgrid(lo, hi, indexing="ij")
-            self.xs = np.append(x.ravel(), self.f_trivial)
-            self.ys = np.append(y.ravel(), self.g_trivial)
-            self.ilo = np.append(ii.ravel(), -1)
-            self.ihi = np.append(jj.ravel(), -1)
-            self.wlo = np.append(wlo.ravel(), 1.0)
-        else:
-            self.xs = np.array([self.f_trivial])
-            self.ys = np.array([self.g_trivial])
-            self.ilo = np.array([-1])
-            self.ihi = np.array([-1])
-            self.wlo = np.array([1.0])
-
-        self._order = np.argsort(self.xs, kind="stable")
-        self._xs_sorted = self.xs[self._order]
-        ys_sorted = self.ys[self._order]
-        idx = np.arange(ys_sorted.size)
-        run_max = np.maximum.accumulate(ys_sorted)
-        new_max = ys_sorted >= np.concatenate(([-np.inf], run_max[:-1]))
-        self._prefix_max = run_max
-        self._prefix_argmax = np.maximum.accumulate(np.where(new_max, idx, -1))
-        run_min = np.minimum.accumulate(ys_sorted[::-1])[::-1]
-        new_min = ys_sorted <= np.concatenate((run_min[1:], [np.inf]))
-        self._suffix_min = run_min
-        carrier = np.where(new_min, idx, idx.size)
-        self._suffix_argmin = np.minimum.accumulate(carrier[::-1])[::-1]
-        self._hulls: dict[str, list[int]] = {}
-
-    def atoms_of(self, cloud_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        i = int(self.ilo[cloud_idx])
-        j = int(self.ihi[cloud_idx])
-        if i < 0:
-            return self.marginal[None, :], np.array([1.0])
-        w = float(self.wlo[cloud_idx])
-        P = np.array([[1.0 - self.ps[i], self.ps[i]], [1.0 - self.ps[j], self.ps[j]]])
-        return P, np.array([w, 1.0 - w])
-
-    def fg_of(self, cloud_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        i = int(self.ilo[cloud_idx])
-        j = int(self.ihi[cloud_idx])
-        if i < 0:
-            return np.array([self.f_trivial]), np.array([self.g_trivial])
-        return self.F[[i, j]], self.G[[i, j]]
-
-    def best_single(self, x_target: float, direction: str) -> tuple[float, int] | None:
-        xs = self._xs_sorted
-        if direction == "upper":
-            k = int(np.searchsorted(xs, x_target + _FEAS_EPS, side="right")) - 1
-            if k < 0:
+    def best(self, x_target: float, direction: str, mixtures: bool) -> tuple | None:
+        """(y, P, w, x) of the best witness meeting the x constraint, or
+        None when none does.  With mixtures it is the best point of the
+        cloud's hull; without, the best single cloud point."""
+        sign = 1.0 if direction == "lower" else -1.0
+        if not mixtures:
+            ok = np.flatnonzero(_feasible(self.xs, x_target, direction))
+            if not ok.size:
                 return None
-            return float(self._prefix_max[k]), int(self._order[self._prefix_argmax[k]])
-        k = int(np.searchsorted(xs, x_target - _FEAS_EPS, side="left"))
-        if k >= xs.size:
+            c = int(ok[np.argmin(sign * self.ys[ok])])
+            return self._mix(np.array([c]), np.array([1.0]), direction)
+        if direction not in self._chains:
+            self._chains[direction] = np.array(_hull_indices(self.xs, self.ys, direction))
+        chain = self._chains[direction]
+        # The lower chain is convex (the upper concave), so past its extreme
+        # vertex the best feasible point is the chain's value at x_target.
+        k = int(np.argmin(sign * self.ys[chain]))
+        if _feasible(self.xs[chain[k]], x_target, direction):
+            return self._mix(chain[k : k + 1], np.array([1.0]), direction)
+        hx = self.xs[chain]
+        t = min(max(x_target, hx[0]), hx[-1])
+        if not _feasible(t, x_target, direction):
             return None
-        return float(self._suffix_min[k]), int(self._order[self._suffix_argmin[k]])
+        # Chain x values are strictly increasing, and a chain with one
+        # vertex returned above or here.
+        j = max(int(np.searchsorted(hx, t)), 1)
+        mu = (hx[j] - t) / (hx[j] - hx[j - 1])
+        return self._mix(chain[j - 1 : j + 1], np.array([mu, 1.0 - mu]), direction)
 
-    def hull_mixture(
-        self, x_target: float, direction: str
-    ) -> tuple[float, int, int, float] | None:
-        if direction not in self._hulls:
-            self._hulls[direction] = _hull_indices(self.xs, self.ys, direction)
-        hull = self._hulls[direction]
-        hx = self.xs[hull]
-        if not (hx[0] - _FEAS_EPS <= x_target <= hx[-1] + _FEAS_EPS):
-            return None
-        j = int(np.searchsorted(hx, x_target, side="left"))
-        j = min(max(j, 1), len(hull) - 1) if len(hull) > 1 else 0
-        if len(hull) == 1:
-            return float(self.ys[hull[0]]), hull[0], hull[0], 1.0
-        a, b = hull[j - 1], hull[j]
-        span = self.xs[b] - self.xs[a]
-        mu = 1.0 if span <= 0 else (self.xs[b] - x_target) / span
-        mu = min(max(mu, 0.0), 1.0)
-        y = mu * self.ys[a] + (1.0 - mu) * self.ys[b]
-        return float(y), a, b, float(mu)
-
-    def materialize(
-        self, a: int, b: int, mu: float, direction: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        Pa, wa = self.atoms_of(a)
-        Pb, wb = self.atoms_of(b)
-        fa, ga = self.fg_of(a)
-        fb, gb = self.fg_of(b)
-        P = np.vstack([Pa, Pb])
-        w = np.concatenate([mu * wa, (1.0 - mu) * wb])
-        f = np.concatenate([fa, fb])
-        g = np.concatenate([ga, gb])
-        # Merge coincident atoms before pruning.
-        _, inv = np.unique(np.round(P[:, 1] * 1e12).astype(np.int64), return_inverse=True)
-        if inv.max() + 1 < len(w):
-            k = inv.max() + 1
-            Pm = np.zeros((k, P.shape[1]))
-            wm = np.zeros(k)
-            fm = np.zeros(k)
-            gm = np.zeros(k)
-            for src, dst in enumerate(inv):
-                wm[dst] += w[src]
-                Pm[dst] = P[src]
-                fm[dst] = f[src]
-                gm[dst] = g[src]
-            P, w, f, g = Pm, wm, fm, gm
+    def _mix(self, cloud: np.ndarray, mu: np.ndarray, direction: str) -> tuple:
+        """(y, P, w, x) of the mixture of cloud points with weights mu, its
+        repeated atoms merged and pruned to at most three atoms."""
+        ids, inv = np.unique(
+            np.concatenate([self.ilo[cloud], self.ihi[cloud]]), return_inverse=True
+        )
+        w = np.bincount(
+            inv, weights=np.concatenate([mu * self.wlo[cloud], mu * (1.0 - self.wlo[cloud])])
+        )
         keep = w > 1e-13
-        P, w, f, g = P[keep], w[keep], f[keep], g[keep]
-        return _reduce_mixture(P, w, f, g, direction)
-
-    def improve(
-        self, best: tuple | None, x_target: float, direction: str, mixtures: bool
-    ) -> tuple | None:
-        """The incumbent (y, P, w, x), or None, replaced by the best
-        single cloud witness meeting the x constraint and then, with
-        mixtures, by the exact-x hull mixture, wherever they are better."""
-        single = self.best_single(x_target, direction)
-        if single is not None and _is_better(single[0], best, direction):
-            y, idx = single
-            best = (y, *self.atoms_of(idx), float(self.xs[idx]))
-        mix = self.hull_mixture(x_target, direction) if mixtures else None
-        if mix is not None and _is_better(mix[0], best, direction):
-            P, w, fv, gv = self.materialize(*mix[1:], direction)
-            best = (float(w @ gv), P, w, float(w @ fv))
-        return best
+        ids, w = ids[keep], w[keep]
+        P, w, f, g = _reduce_mixture(self.P[ids], w, self.F[ids], self.G[ids], direction)
+        return float(w @ g), P, w, float(w @ f)
 
 
 def oracle_exhaustive_binary(
@@ -293,8 +218,9 @@ def oracle_exhaustive_binary(
     resolution: int = 512,
 ) -> list[OraclePoint]:
     """Complete-to-grid-granularity search for a binary source through a
-    symmetric channel: two-atom witnesses straddling the marginal on a scalar
-    grid, refined by exact-x mixtures (pruned back to at most three atoms)."""
+    symmetric channel: at each x target, the best point of the hull of the
+    two-atom witnesses straddling the marginal on a scalar grid (a mixture
+    of two of them, pruned back to at most three atoms)."""
     if direction not in ("lower", "upper"):
         raise ValueError(f"unknown direction {direction!r}")
     channel = Channel([[1.0 - delta, delta], [delta, 1.0 - delta]])
@@ -304,10 +230,10 @@ def oracle_exhaustive_binary(
 
     out: list[OraclePoint] = []
     for x_t in np.asarray(x_grid, dtype=float):
-        best = cloud.improve(None, float(x_t), direction, mixtures=True)
+        best = cloud.best(float(x_t), direction, mixtures=True)
         feasible = best is not None
         if not feasible:
-            best = (cloud.g_trivial, marginal[None, :], np.array([1.0]), cloud.f_trivial)
+            best = (float(cloud.G[-1]), cloud.P[-1:], np.array([1.0]), float(cloud.F[-1]))
         y, P, w, x = best
         out.append(
             OraclePoint(
@@ -384,7 +310,9 @@ def oracle_boundary(
 
     if m == 2 and budget >= 2:
         cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, float(qv[1]), cfg.grid_resolution)
-        best = cloud.improve(best, x_target, direction, mixtures=budget >= 3)
+        found = cloud.best(x_target, direction, mixtures=budget >= 3)
+        if found is not None and _is_better(found[0], best, direction):
+            best = found
 
     rng = np.random.default_rng(cfg.seed)
     pool = [

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (
     Channel,
+    ConfigError,
     Distribution,
     DivergenceKernel,
     _as_prob_rows,
@@ -274,7 +275,7 @@ def slice_point(region: RegionSlice, lam: float, direction: str) -> BoundaryPoin
 def _default_lattice(m: int, resolution: int | None) -> SimplexLattice:
     if resolution is None:
         if m not in DEFAULT_RESOLUTION:
-            raise ValueError(f"no envelope lattice for m = {m}; use the oracle instead")
+            raise ConfigError(f"no default lattice for m = {m}; pass a resolution")
         resolution = DEFAULT_RESOLUTION[m]
     return SimplexLattice.build(m, resolution)
 
@@ -453,7 +454,7 @@ def problem_curve(
     frames = PROBLEM_FRAMES[problem]
     frame = frame or frames[0]
     if frame not in frames:
-        raise ValueError(f"frame {frame!r} is not available for problem {problem!r}")
+        raise ConfigError(f"frame {frame!r} is not available for problem {problem!r}")
     kind = _PROBLEM_KERNELS[problem]
     if frame == "entropy":
         kernel = DivergenceKernel.entropy_functional()
@@ -462,7 +463,7 @@ def problem_curve(
     else:
         kernel = DivergenceKernel(kind)
     if beta is not None and kernel.kind != "norm":
-        raise ValueError(f"beta does not apply to problem {problem!r} in frame {frame!r}")
+        raise ConfigError(f"beta does not apply to problem {problem!r} in frame {frame!r}")
     channel = _as_channel(T)
     region = boundary_slice(kernel, kernel, channel, q, resolution=resolution)
     sides = ("lower", "upper") if direction == "both" else (direction,)

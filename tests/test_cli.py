@@ -10,10 +10,17 @@ import numpy as np
 import pytest
 
 import bottleneck_lab
-from bottleneck_lab import SimplexLattice, binary_entropy, k_norm, star
+from bottleneck_lab import (
+    DivergenceKernel,
+    binary_entropy,
+    k_norm,
+    oracle_boundary,
+    star,
+)
 from bottleneck_lab import cli, envelope
 from bottleneck_lab.acceptance import CheckResult
 from bottleneck_lab.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_INFEASIBLE, EXIT_OK, main
+from bottleneck_lab.oracle import OracleConfig
 
 # The package's `sweep` attribute is the function, not the module.
 sweep_module = importlib.import_module("bottleneck_lab.sweep")
@@ -133,15 +140,34 @@ class TestCurveCommand:
                      "--output", str(tmp_path / "x.csv")])
         assert code == EXIT_BAD_INPUT
 
-    def test_arimoto_needs_binary_source(self, tmp_path):
+    def test_arimoto_on_a_ternary_source(self, tmp_path):
+        # No closed form beyond binary: the curves must mix to q, start at the
+        # single atom q, end at the point masses (norm 1), and the oracle,
+        # which can only land inside the region, must not pass them.
+        p_xy = np.random.default_rng(3).dirichlet(np.ones(9)).reshape(3, 3)
         src = tmp_path / "ternary.json"
-        p = np.full((3, 3), 1.0 / 9.0)
-        src.write_text(json.dumps({"p_xy": p.tolist()}))
-        code = main(
-            ["curve", "--input", str(src), "--problem", "arimoto", "--beta", "2",
-             "--output", str(tmp_path / "x.csv"), "--resolution", "32"]
-        )
-        assert code == EXIT_INFEASIBLE
+        src.write_text(json.dumps({"p_xy": p_xy.tolist()}))
+        out = tmp_path / "k.csv"
+        code = main(["curve", "--input", str(src), "--problem", "arimoto", "--beta", "2",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        rows = read_csv(out)[1:]
+        q = p_xy.sum(axis=1)
+        T = (p_xy / q[:, None]).T
+        assert witness_marginal_error(rows, q) <= 1e-9
+        norm = DivergenceKernel.norm_beta(2.0)
+        cfg = OracleConfig(atom_budget=4, grid_resolution=32, restarts=100, seed=4)
+        for direction, sign in (("lower", -1.0), ("upper", 1.0)):
+            xs = np.array([float(r[3]) for r in rows if r[1] == direction])
+            ys = np.array([float(r[4]) for r in rows if r[1] == direction])
+            assert xs[0] == pytest.approx(np.linalg.norm(q), abs=1e-12)
+            assert ys[0] == pytest.approx(np.linalg.norm(T @ q), abs=1e-12)
+            assert xs[-1] == pytest.approx(1.0, abs=1e-12)
+            for frac in (0.25, 0.5, 0.75):
+                x = xs[0] + frac * (1.0 - xs[0])
+                pt = oracle_boundary(norm, norm, T, q, x, direction, cfg)
+                assert pt.feasible
+                assert sign * (pt.best_y - np.interp(x, xs, ys)) <= 5e-3
 
     def test_frame_mismatch_is_infeasible(self, tmp_path):
         code, _ = run_curve(
@@ -160,7 +186,7 @@ class TestCurveCommand:
         def no_lattice(*args, **kwargs):
             raise AssertionError("the lattice was built")
 
-        monkeypatch.setattr(SimplexLattice, "build", no_lattice)
+        monkeypatch.setattr(envelope.np, "fromiter", no_lattice)
         out = tmp_path / "x.csv"
         code = main(["curve", "--bsc", "0.1,0.1", "--problem", "ib",
                      "--resolution", "100000000000", "--output", str(out)])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from bottleneck_lab import (
     BscInstance,
@@ -160,6 +161,85 @@ class TestHullIndices:
     def test_adversarial_clouds_match_scalar_loop(self, direction):
         for xs, ys in adversarial_clouds():
             assert _hull_indices(xs, ys, direction) == scalar_hull_indices(xs, ys, direction)
+
+
+each_source = pytest.mark.parametrize(
+    "inst",
+    [BscInstance(q=0.1, delta=0.1), BscInstance(q=0.3, delta=0.2), BscInstance(q=0.5, delta=0.05)],
+    ids=["q0.1", "q0.3", "q0.5"],
+)
+each_kernel = pytest.mark.parametrize("kernel", [ENTROPY, KL, CHI2], ids=["entropy", "kl", "chi2"])
+
+
+def cloud_for(kernel, inst, resolution=64):
+    channel = inst.channel()
+    f_fn, g_fn = _resolve_pair(kernel, kernel, inst.marginal().probs, channel)
+    return _BinaryCloud(f_fn, g_fn, channel.matrix, inst.q, resolution), f_fn, g_fn
+
+
+def cloud_targets(cloud):
+    """Targets across the cloud's x range and a tenth of it past each end."""
+    lo, hi = float(cloud.xs.min()), float(cloud.xs.max())
+    pad = 0.1 * (hi - lo)
+    return np.linspace(lo - pad, hi + pad, 13)
+
+
+class TestBinaryCloudBest:
+    @each_source
+    @each_kernel
+    def test_hull_query_equals_linprog(self, kernel, inst):
+        cloud, _, _ = cloud_for(kernel, inst)
+        n = cloud.xs.size
+        for direction, sign in (("lower", 1.0), ("upper", -1.0)):
+            for t in cloud_targets(cloud):
+                # min sign * sum l_c y_c  s.t.  sum l_c = 1,  sign * sum l_c x_c >= sign * t.
+                lp = linprog(
+                    sign * cloud.ys,
+                    A_ub=-sign * cloud.xs[None, :],
+                    b_ub=[-sign * t],
+                    A_eq=np.ones((1, n)),
+                    b_eq=[1.0],
+                    bounds=(0.0, None),
+                    method="highs",
+                )
+                got = cloud.best(float(t), direction, mixtures=True)
+                assert (got is None) == (lp.status == 2), (direction, t)
+                if got is not None:
+                    assert got[0] == pytest.approx(sign * lp.fun, abs=1e-9)
+
+    @each_source
+    @each_kernel
+    def test_single_points_equal_a_scan(self, kernel, inst):
+        cloud, _, _ = cloud_for(kernel, inst)
+        for direction in ("lower", "upper"):
+            for t in cloud_targets(cloud):
+                ok = [
+                    y for x, y in zip(cloud.xs, cloud.ys)
+                    if (x >= t - 1e-12 if direction == "lower" else x <= t + 1e-12)
+                ]
+                got = cloud.best(float(t), direction, mixtures=False)
+                assert (got is None) == (not ok)
+                if ok:
+                    want = min(ok) if direction == "lower" else max(ok)
+                    assert got[0] == pytest.approx(want, abs=1e-9)
+
+    @each_source
+    @each_kernel
+    def test_witnesses_mix_to_q_and_reproduce_their_point(self, kernel, inst):
+        cloud, f_fn, g_fn = cloud_for(kernel, inst)
+        T = inst.channel().matrix
+        for direction in ("lower", "upper"):
+            for mixtures in (True, False):
+                for t in cloud_targets(cloud):
+                    got = cloud.best(float(t), direction, mixtures)
+                    if got is None:
+                        continue
+                    y, P, w, x = got
+                    assert len(w) <= 3 and np.all(w > 0.0)
+                    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+                    assert_allclose(w @ P, [1.0 - inst.q, inst.q], atol=1e-9)
+                    assert w @ f_fn(P) == pytest.approx(x, abs=1e-9)
+                    assert w @ g_fn(P @ T.T) == pytest.approx(y, abs=1e-9)
 
 
 class TestOracleBoundary:
