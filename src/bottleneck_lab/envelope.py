@@ -17,7 +17,8 @@ of two routes, chosen by m:
 - m >= 3: two parametric simplex walks, one per boundary chain, over the
   LP min (lower) or max (upper) of sum a_i (g_i - lambda f_i) s.t.
   sum a_i p_i = q, a >= 0; each vertex is its optimal basis over a range
-  of lambda.  Each pivot is an O(m^2) update of the basis adjugate in
+  of lambda.  The walk starts from the alphabet basis, whose adjugate is
+  closed form; each pivot is an O(m^2) update of the basis adjugate in
   Python integers, exact at any determinant (no int64 ceiling), and two
   pricing products over the lattice, while a hull in dimension m + 1
   grows far faster with m and N.
@@ -366,32 +367,6 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
-def _adjugate(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Adjugate (as rows) and determinant of an integer matrix, in Python
-    integers and signed so that the determinant is positive:
-    M adj == det I exactly.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) of [M | I]: each
-    step divides exactly by the previous pivot, so every entry stays an
-    integer and none can overflow.  The left block ends as d I and the
-    right one as d M^-1, with d = +-det M.  The walk runs it for its start
-    basis only; _pivot updates the result."""
-    n = len(M)
-    rows = [[int(v) for v in row] + [int(i == k) for k in range(n)] for i, row in enumerate(M)]
-    prev = 1
-    for k in range(n):
-        p = next(i for i in range(k, n) if rows[i][k])
-        rows[k], rows[p] = rows[p], rows[k]
-        top = rows[k]
-        rows = [
-            row if row is top else [(top[k] * a - row[k] * b) // prev for a, b in zip(row, top)]
-            for row in rows
-        ]
-        prev = top[k]
-    sign = 1 if prev > 0 else -1
-    return [[sign * a for a in row[n:]] for row in rows], sign * prev
-
-
 def _pivot(
     adj: list[list[int]], det: int, u: list[int], r: int
 ) -> tuple[list[list[int]], int]:
@@ -400,7 +375,9 @@ def _pivot(
     pivoting in O(m^2) Python-integer operations: the determinant becomes
     u[r] (> 0 by the ratio test), row r is kept and each other row i
     becomes (u[r] adj[i] - u[i] adj[r]) / det, an exact division.  Python
-    integers do not overflow, so the walk stays exact at any determinant."""
+    integers do not overflow, so the walk stays exact at any determinant.
+    The walk's first adjugate is closed form (see _walk), with no
+    elimination; every later one comes from this update."""
     ur, top = u[r], adj[r]
     new = []
     for row, ui in zip(adj, u):
@@ -415,15 +392,14 @@ def _pivot(
     return new, ur
 
 
-def _lex_leaving(
-    adj: list[list[int]], rhs: list[int], start: list[list[int]], u: list[int]
-) -> int:
+def _lex_leaving(adj: list[list[int]], rhs: list[int], u: list[int]) -> int:
     """Lexicographic ratio test: the row r with u[r] > 0 whose row of
     [weights, B^-1 B_0] / u[r] is smallest, compared exactly in integers
     (each key scaled by prod(u) / u[r]).  Rows of B^-1 B_0 are independent,
-    so the minimum is unique, and degenerate pivots cannot cycle (B_0 is
-    the start basis, given by its columns).  The B^-1 B_0 keys are built
-    only when the weight ratios tie exactly."""
+    so the minimum is unique, and degenerate pivots cannot cycle.  B_0 is
+    the start basis N J (see _walk), so row i of adj B_0 is N times adj[i]
+    reversed; the keys drop that common factor, and are built only when
+    the weight ratios tie exactly."""
     rows = [i for i, ui in enumerate(u) if ui > 0]
     if len(rows) == 1:
         return rows[0]
@@ -433,7 +409,7 @@ def _lex_leaving(
     tied = [i for i in rows if first[i] == least]
     if len(tied) == 1:
         return tied[0]
-    return min(tied, key=lambda i: [_dot(adj[i], col) * (scale // u[i]) for col in start])
+    return min(tied, key=lambda i: [a * (scale // u[i]) for a in reversed(adj[i])])
 
 
 def _walk(
@@ -442,8 +418,8 @@ def _walk(
     """Optimal bases of the parametric LP
     min sum a_i (Y_i - lam X_i)  s.t.  sum a_i counts_i = rhs, a >= 0
     as lam runs from -inf to +inf, one per vertex of the lower chain, from
-    the feasible basis start.  rhs is q scaled to integers, so the bases
-    are those of the LP at q.
+    the basis start, the m alphabet vertices in lattice order.  rhs is q
+    scaled to integers, so the bases are those of the LP at q.
 
     At lam = -inf the objective is X, ties broken by Y.  From there each
     pivot brings in the column with the smallest breakpoint dY_j / dX_j
@@ -453,21 +429,24 @@ def _walk(
     exact integer adjugate products, so degenerate pivots are recognised
     exactly, and the lexicographic ratio test keeps them from cycling.
     The adjugate and determinant are Python integers, so there is no
-    int64 ceiling on them: the adjugate is solved for the start basis
-    only, and each pivot updates it in O(m^2) integer operations (_pivot).
-    Pricing reads it as floats, one numpy pass over the lattice per pivot.
+    int64 ceiling on them.  The start basis (as columns) is N J, with J
+    the reversal, so its adjugate is N^(m-1) J and its determinant N^m in
+    closed form; each pivot updates them in O(m^2) integer operations
+    (_pivot).  Pricing reads the adjugate as floats, one numpy pass over
+    the lattice per pivot.
     """
     K = counts.shape[0]
     CT = counts.T.astype(float)
     XY = np.vstack([X, Y])
-    B0 = counts[start].tolist()
+    m, N = len(start), int(counts[start[0]].sum())
     scale = max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
     tol, brk = _PRICE_TOL * scale, _BREAK_TOL * scale
     cap = _pivot_cap(K)
     basis = list(start)
     vertices = []
     lam = -math.inf
-    adj, det = _adjugate(counts[basis].T.tolist())
+    adj = [[N ** (m - 1) if i + k == m - 1 else 0 for k in range(m)] for i in range(m)]
+    det = N**m
     for _ in range(cap + 1):
         dX, dY = XY - (XY[:, basis] @ (np.array(adj, dtype=float) / det)) @ CT
         rising = dX > tol
@@ -491,7 +470,7 @@ def _walk(
             lam = max(lam, float(ratios[j]))
         entering = counts[j].tolist()
         u = [_dot(row, entering) for row in adj]
-        r = _lex_leaving(adj, rhs, B0, u)
+        r = _lex_leaving(adj, rhs, u)
         basis[r] = j
         adj, det = _pivot(adj, det, u, r)
     raise RuntimeError(f"simplex walk took more than {cap} pivots on {K} lattice points")

@@ -1,12 +1,19 @@
 """Brute-force boundary verification by direct search over witness channels.
 
-Independent of the envelope machinery: witnesses are enumerated explicitly
-(atom grids for binary alphabets, seeded random atom sets otherwise), their
-weights solved from the marginal constraint, and the extremal objective
-taken subject to the x constraint.  For a binary alphabet every mixture of
-grid atoms at the marginal is a convex combination of two-atom witnesses
-straddling it, so the search there is the best point of the hull of that
-pair cloud: the hull chain's extreme vertex, or its value at the target.
+Independent of the envelope machinery: witnesses are enumerated explicitly,
+their weights solved from the marginal constraint, and the extremal
+objective taken subject to the x constraint.  The search follows from the
+alphabet alone (|W| <= |X| + 1, Witsenhausen & Wyner):
+
+- binary: every mixture of grid atoms at the marginal is a convex
+  combination of two-atom witnesses straddling it, so both entry points
+  read the best point of the hull of that pair cloud, which is exhaustive
+  over the grid: the hull chain's extreme vertex, or its value at the
+  target;
+- ternary: _RESTARTS fixed seeded sets of m + 1 random grid atoms, every
+  prefix of each set tried, plus the single atom q and the alphabet
+  vertices weighted by q.
+
 Restricted search can only land inside the achievable region, so oracle
 minima upper-bound the true funnel values and oracle maxima lower-bound the
 true bottleneck values; acceptance comparisons are one-sided plus closeness
@@ -27,24 +34,20 @@ _FEAS_EPS = 1e-12
 # Random atom sets whose nnls weights miss the marginal by more than this
 # are skipped.
 _MARGINAL_TOL = 1e-9
+# The ternary search: this many seeded sets of m + 1 random grid atoms.
+_RESTARTS = 256
+_SEED = 0
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search budget; results are deterministic given the seed."""
+    """Atom grid of the search: multiples of 1 / grid_resolution."""
 
-    atom_budget: int = 3
     grid_resolution: int = 128
-    restarts: int = 256
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.atom_budget < 1:
-            raise ValueError("atom_budget must be >= 1")
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,17 +167,10 @@ class _BinaryCloud:
         self.ys = self.wlo * self.G[self.ilo] + (1.0 - self.wlo) * self.G[self.ihi]
         self._chains: dict[str, np.ndarray] = {}
 
-    def best(self, x_target: float, direction: str, mixtures: bool) -> tuple | None:
-        """(y, P, w, x) of the best witness meeting the x constraint, or
-        None when none does.  With mixtures it is the best point of the
-        cloud's hull; without, the best single cloud point."""
+    def best(self, x_target: float, direction: str) -> tuple | None:
+        """(y, P, w, x) of the best point of the cloud's hull meeting the x
+        constraint, or None when none does."""
         sign = 1.0 if direction == "lower" else -1.0
-        if not mixtures:
-            ok = np.flatnonzero(_feasible(self.xs, x_target, direction))
-            if not ok.size:
-                return None
-            c = int(ok[np.argmin(sign * self.ys[ok])])
-            return self._mix(np.array([c]), np.array([1.0]), direction)
         if direction not in self._chains:
             self._chains[direction] = np.array(_hull_indices(self.xs, self.ys, direction))
         chain = self._chains[direction]
@@ -208,6 +204,34 @@ class _BinaryCloud:
         return float(w @ g), P, w, float(w @ f)
 
 
+def _point(
+    x_target: float, direction: str, best: tuple | None, trivial: tuple, marginal: np.ndarray
+) -> OraclePoint:
+    """The OraclePoint of the best (y, P, w, x) found, or of the single-atom
+    witness trivial, flagged infeasible, when nothing met the x constraint."""
+    y, P, w, x = trivial if best is None else best
+    return OraclePoint(
+        x_target=x_target,
+        direction=direction,
+        best_y=float(y),
+        witness=_witness_from(P, w, marginal),
+        feasible=best is not None,
+        x_achieved=x,
+    )
+
+
+def _binary_points(
+    f_fn, g_fn, channel: Channel, marginal: np.ndarray, x_grid, direction: str, resolution: int
+) -> list[OraclePoint]:
+    """The best point of the pair cloud's hull at each x target."""
+    cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, float(marginal[1]), resolution)
+    trivial = (float(cloud.G[-1]), cloud.P[-1:], np.array([1.0]), float(cloud.F[-1]))
+    return [
+        _point(x_t, direction, cloud.best(x_t, direction), trivial, marginal)
+        for x_t in np.asarray(x_grid, dtype=float).tolist()
+    ]
+
+
 def oracle_exhaustive_binary(
     f_kernel: DivergenceKernel,
     g_kernel: DivergenceKernel,
@@ -226,26 +250,7 @@ def oracle_exhaustive_binary(
     channel = Channel([[1.0 - delta, delta], [delta, 1.0 - delta]])
     marginal = np.array([1.0 - q, q])
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, marginal, channel)
-    cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, q, resolution)
-
-    out: list[OraclePoint] = []
-    for x_t in np.asarray(x_grid, dtype=float):
-        best = cloud.best(float(x_t), direction, mixtures=True)
-        feasible = best is not None
-        if not feasible:
-            best = (float(cloud.G[-1]), cloud.P[-1:], np.array([1.0]), float(cloud.F[-1]))
-        y, P, w, x = best
-        out.append(
-            OraclePoint(
-                x_target=float(x_t),
-                direction=direction,
-                best_y=float(y),
-                witness=_witness_from(P, w, marginal),
-                feasible=feasible,
-                x_achieved=x,
-            )
-        )
-    return out
+    return _binary_points(f_fn, g_fn, channel, marginal, x_grid, direction, resolution)
 
 
 def _random_grid_atom(rng: np.random.Generator, m: int, resolution: int) -> np.ndarray:
@@ -269,14 +274,16 @@ def oracle_boundary(
     direction: str,
     cfg: OracleConfig,
 ) -> OraclePoint:
-    """Best feasible objective over enumerated witnesses.
+    """Best feasible objective over enumerated witnesses on the grid of cfg.
 
-    Binary alphabets get the full straddling-pair grid; larger alphabets use
-    seeded random atom sets (all prefix sizes up to the budget, so enlarging
-    the budget never loses candidates).  Weights come from nonnegative least
-    squares on the marginal constraint; sets that cannot reproduce the
-    marginal within tolerance are skipped.  When nothing satisfies the x
-    constraint the single-atom witness is reported with feasible=False.
+    A binary alphabet gets the best point of the straddling-pair cloud's
+    hull, as oracle_exhaustive_binary does.  A ternary one gets the single
+    atom q, the alphabet vertices weighted by q, and _RESTARTS seeded sets
+    of m + 1 random grid atoms, each prefix of a set weighted by
+    nonnegative least squares on the marginal constraint (sets that cannot
+    reproduce the marginal within tolerance are skipped).  When nothing
+    satisfies the x constraint the single-atom witness is reported with
+    feasible=False.
     """
     if direction not in ("lower", "upper"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -284,44 +291,38 @@ def oracle_boundary(
     qv = q.probs if isinstance(q, Distribution) else np.asarray(q, dtype=float)
     m = qv.size
     if m > 3:
-        raise ValueError("oracle_boundary supports m <= 3 at default budgets")
-    budget = min(cfg.atom_budget, m + 1)
+        raise ValueError("oracle_boundary supports m <= 3")
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, qv, channel)
-
-    best: tuple | None = None  # (y, P, w, x) of the best feasible witness
+    x_target = float(x_target)
+    if m == 2:
+        return _binary_points(
+            f_fn, g_fn, channel, qv, [x_target], direction, cfg.grid_resolution
+        )[0]
 
     def evaluate(P: np.ndarray, w: np.ndarray) -> tuple:
         fv = float(w @ np.asarray(f_fn(P), dtype=float))
         gv = float(w @ np.asarray(g_fn(P @ channel.matrix.T), dtype=float))
         return gv, P, w, fv
 
-    def consider(P: np.ndarray, w: np.ndarray) -> None:
+    best: tuple | None = None  # (y, P, w, x) of the best feasible witness
+
+    def consider(found: tuple) -> None:
         nonlocal best
-        found = evaluate(P, w)
         if _feasible(found[3], x_target, direction) and _is_better(found[0], best, direction):
             best = found
 
-    # Structured candidates: the single-atom witness and, within budget, the
-    # deterministic vertex refinement.
-    consider(qv[None, :], np.array([1.0]))
+    trivial = evaluate(qv[None, :], np.array([1.0]))
+    consider(trivial)
     vertex_keep = qv > 1e-13
-    if int(vertex_keep.sum()) <= budget:
-        consider(np.eye(m)[vertex_keep], qv[vertex_keep] / qv[vertex_keep].sum())
+    consider(evaluate(np.eye(m)[vertex_keep], qv[vertex_keep] / qv[vertex_keep].sum()))
 
-    if m == 2 and budget >= 2:
-        cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, float(qv[1]), cfg.grid_resolution)
-        found = cloud.best(x_target, direction, mixtures=budget >= 3)
-        if found is not None and _is_better(found[0], best, direction):
-            best = found
-
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_SEED)
     pool = [
-        _random_grid_atom(rng, m, cfg.grid_resolution)
-        for _ in range(cfg.restarts * (m + 1))
+        _random_grid_atom(rng, m, cfg.grid_resolution) for _ in range(_RESTARTS * (m + 1))
     ]
-    for trial in range(cfg.restarts):
-        atoms = pool[trial * (m + 1) : trial * (m + 1) + m + 1]
-        for size in range(1, budget + 1):
+    for trial in range(_RESTARTS):
+        atoms = pool[trial * (m + 1) : (trial + 1) * (m + 1)]
+        for size in range(1, m + 2):
             P = np.vstack(atoms[:size])
             w, residual = mixture_weights(P, qv)
             if residual > _MARGINAL_TOL or w.sum() <= 0.0:
@@ -330,18 +331,5 @@ def oracle_boundary(
             keep = w > 1e-13
             if not np.any(keep):
                 continue
-            consider(P[keep], w[keep] / w[keep].sum())
-
-    feasible = best is not None
-    if not feasible:
-        best = evaluate(qv[None, :], np.array([1.0]))
-    y, P, w, x = best
-    return OraclePoint(
-        x_target=float(x_target),
-        direction=direction,
-        best_y=float(y),
-        witness=_witness_from(P, w, qv),
-        feasible=feasible,
-        x_achieved=x,
-    )
-
+            consider(evaluate(P[keep], w[keep] / w[keep].sum()))
+    return _point(x_target, direction, best, trivial, qv)

@@ -202,9 +202,12 @@ def boundary_slice(
     resolution: int | None = None,
 ) -> RegionSlice:
     """Achievable-region polygon at q over the lattice, with divergence
-    references taken from q."""
+    references taken from q.  lattice excludes resolution."""
     channel = _as_channel(T)
-    lattice = lattice or _default_lattice(channel.m, resolution)
+    if lattice is None:
+        lattice = _default_lattice(channel.m, resolution)
+    elif resolution is not None:
+        raise ValueError("lattice excludes resolution")
     q = _as_marginal(q)
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, q, channel)
     return region_slice(build_lagrangian_graph(f_fn, g_fn, channel, lattice, q))

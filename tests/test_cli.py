@@ -156,7 +156,7 @@ class TestCurveCommand:
         T = (p_xy / q[:, None]).T
         assert witness_marginal_error(rows, q) <= 1e-9
         norm = DivergenceKernel.norm_beta(2.0)
-        cfg = OracleConfig(atom_budget=4, grid_resolution=32, restarts=100, seed=4)
+        cfg = OracleConfig(grid_resolution=32)
         for direction, sign in (("lower", -1.0), ("upper", 1.0)):
             xs = np.array([float(r[3]) for r in rows if r[1] == direction])
             ys = np.array([float(r[4]) for r in rows if r[1] == direction])

@@ -17,8 +17,8 @@ from bottleneck_lab import (
     oracle_boundary,
     oracle_exhaustive_binary,
 )
-from bottleneck_lab.core import LN2
-from bottleneck_lab.oracle import OracleConfig, _BinaryCloud, _hull_indices
+from bottleneck_lab.core import LN2, Channel
+from bottleneck_lab.oracle import OracleConfig, _BinaryCloud, _binary_points, _hull_indices
 from bottleneck_lab.sweep import _resolve_pair
 
 ENTROPY = DivergenceKernel.entropy_functional()
@@ -56,14 +56,12 @@ class TestExhaustiveBinary:
 
     def test_three_atom_refinement_beats_pairs_on_upper(self):
         # In the regime where the exact upper boundary needs a third atom,
-        # a pure two-atom search is strictly worse.
+        # the hull search mixes two pairs into it.
         x_t = 0.1 * LN2
-        cfg2 = OracleConfig(atom_budget=2, grid_resolution=256, restarts=50, seed=3)
-        cfg3 = OracleConfig(atom_budget=3, grid_resolution=256, restarts=50, seed=3)
-        two = oracle_boundary(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), x_t, "upper", cfg2)
-        three = oracle_boundary(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), x_t, "upper", cfg3)
-        assert three.best_y > two.best_y + 1e-3
+        cfg = OracleConfig(grid_resolution=256)
+        three = oracle_boundary(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), x_t, "upper", cfg)
         assert math.isclose(three.best_y / LN2, mr_gerber(INST, 0.1), abs_tol=1e-4)
+        assert len(three.witness.atoms) == 3
 
     def test_endpoint_has_unique_trivial_witness(self):
         hq = binary_entropy(INST.q) * LN2
@@ -202,26 +200,10 @@ class TestBinaryCloudBest:
                     bounds=(0.0, None),
                     method="highs",
                 )
-                got = cloud.best(float(t), direction, mixtures=True)
+                got = cloud.best(float(t), direction)
                 assert (got is None) == (lp.status == 2), (direction, t)
                 if got is not None:
                     assert got[0] == pytest.approx(sign * lp.fun, abs=1e-9)
-
-    @each_source
-    @each_kernel
-    def test_single_points_equal_a_scan(self, kernel, inst):
-        cloud, _, _ = cloud_for(kernel, inst)
-        for direction in ("lower", "upper"):
-            for t in cloud_targets(cloud):
-                ok = [
-                    y for x, y in zip(cloud.xs, cloud.ys)
-                    if (x >= t - 1e-12 if direction == "lower" else x <= t + 1e-12)
-                ]
-                got = cloud.best(float(t), direction, mixtures=False)
-                assert (got is None) == (not ok)
-                if ok:
-                    want = min(ok) if direction == "lower" else max(ok)
-                    assert got[0] == pytest.approx(want, abs=1e-9)
 
     @each_source
     @each_kernel
@@ -229,50 +211,80 @@ class TestBinaryCloudBest:
         cloud, f_fn, g_fn = cloud_for(kernel, inst)
         T = inst.channel().matrix
         for direction in ("lower", "upper"):
-            for mixtures in (True, False):
-                for t in cloud_targets(cloud):
-                    got = cloud.best(float(t), direction, mixtures)
-                    if got is None:
-                        continue
-                    y, P, w, x = got
-                    assert len(w) <= 3 and np.all(w > 0.0)
-                    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-                    assert_allclose(w @ P, [1.0 - inst.q, inst.q], atol=1e-9)
-                    assert w @ f_fn(P) == pytest.approx(x, abs=1e-9)
-                    assert w @ g_fn(P @ T.T) == pytest.approx(y, abs=1e-9)
+            for t in cloud_targets(cloud):
+                got = cloud.best(float(t), direction)
+                if got is None:
+                    continue
+                y, P, w, x = got
+                assert len(w) <= 3 and np.all(w > 0.0)
+                assert w.sum() == pytest.approx(1.0, abs=1e-12)
+                assert_allclose(w @ P, [1.0 - inst.q, inst.q], atol=1e-9)
+                assert w @ f_fn(P) == pytest.approx(x, abs=1e-9)
+                assert w @ g_fn(P @ T.T) == pytest.approx(y, abs=1e-9)
+
+
+def seeded_ternary(seed):
+    rng = np.random.default_rng(seed)
+    T = rng.exponential(size=(3, 3)) + 0.2
+    return T / T.sum(axis=0, keepdims=True), np.array([0.5, 0.3, 0.2])
+
+
+binary_sources = pytest.mark.parametrize(
+    "T,q",
+    [
+        (INST.channel().matrix, INST.marginal().probs),
+        (BscInstance(q=0.3, delta=0.2).channel().matrix, np.array([0.7, 0.3])),
+        (np.array([[0.9, 0.3], [0.1, 0.7]]), np.array([0.6, 0.4])),
+        (np.array([[0.8, 0.05], [0.2, 0.95]]), np.array([0.25, 0.75])),
+    ],
+    ids=["bsc0.1", "bsc0.2", "z0.4", "skew0.75"],
+)
 
 
 class TestOracleBoundary:
+    @binary_sources
+    @each_kernel
+    def test_binary_query_is_the_exhaustive_search(self, kernel, T, q):
+        # A binary oracle_boundary query reads the pair-cloud hull alone: it
+        # equals the exhaustive search at the same grid, bit for bit (for a
+        # non-symmetric channel, the batched search over the same targets).
+        resolution = 64
+        channel = Channel(T)
+        f_fn, g_fn = _resolve_pair(kernel, kernel, q, channel)
+        cloud = _BinaryCloud(f_fn, g_fn, T, float(q[1]), resolution)
+        xs = cloud_targets(cloud)
+        cfg = OracleConfig(grid_resolution=resolution)
+        for direction in ("lower", "upper"):
+            if T[0, 1] == T[1, 0] and T[0, 0] == T[1, 1]:
+                want = oracle_exhaustive_binary(
+                    kernel, kernel, float(T[1, 0]), float(q[1]), xs, direction, resolution
+                )
+            else:
+                want = _binary_points(f_fn, g_fn, channel, q, xs, direction, resolution)
+            assert any(pt.feasible for pt in want) and not all(pt.feasible for pt in want)
+            for x, pt in zip(xs, want):
+                got = oracle_boundary(kernel, kernel, T, q, x, direction, cfg)
+                assert got.x_target == pt.x_target
+                assert got.best_y == pt.best_y
+                assert got.x_achieved == pt.x_achieved
+                assert got.feasible == pt.feasible
+                assert got.witness.to_json() == pt.witness.to_json()
+
     def test_determinism(self):
-        cfg = OracleConfig(atom_budget=3, grid_resolution=64, restarts=40, seed=11)
-        a = oracle_boundary(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), 0.15, "lower", cfg)
-        b = oracle_boundary(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), 0.15, "lower", cfg)
+        # The ternary search draws its atom sets from a fixed seed.
+        T, q = seeded_ternary(0)
+        cfg = OracleConfig(grid_resolution=64)
+        a = oracle_boundary(KL, KL, T, q, 0.15, "lower", cfg)
+        b = oracle_boundary(KL, KL, T, q, 0.15, "lower", cfg)
+        assert a.feasible
         assert a.best_y == b.best_y
         assert a.witness.to_json() == b.witness.to_json()
 
-    def test_budget_monotonicity(self):
-        for direction in ("lower", "upper"):
-            prev = None
-            for budget in (1, 2, 3):
-                cfg = OracleConfig(atom_budget=budget, grid_resolution=128, restarts=30, seed=5)
-                pt = oracle_boundary(
-                    ENTROPY, ENTROPY, INST.channel(), INST.marginal(), 0.12, direction, cfg
-                )
-                if prev is not None and prev.feasible:
-                    if direction == "upper":
-                        assert pt.best_y >= prev.best_y - 1e-12
-                    else:
-                        assert pt.best_y <= prev.best_y + 1e-12
-                prev = pt
-
     def test_ternary_alphabet(self):
-        rng = np.random.default_rng(0)
-        T = rng.exponential(size=(3, 3)) + 0.2
-        T = T / T.sum(axis=0, keepdims=True)
-        q = np.array([0.5, 0.3, 0.2])
+        T, q = seeded_ternary(0)
         joint = joint_from_marginal_channel(q, T)
         bound = f_information(KL, joint)
-        cfg = OracleConfig(atom_budget=4, grid_resolution=48, restarts=120, seed=9)
+        cfg = OracleConfig(grid_resolution=48)
         pt = oracle_boundary(KL, KL, T, q, 0.5 * bound, "upper", cfg)
         assert pt.feasible
         assert witness_constraint_holds(pt)
@@ -287,13 +299,10 @@ class TestOracleBoundary:
 
         from bottleneck_lab import bottleneck_value, funnel_value, sweep
 
-        rng = np.random.default_rng(2)
-        T = rng.exponential(size=(3, 3)) + 0.2
-        T = T / T.sum(axis=0, keepdims=True)
-        q = np.array([0.5, 0.3, 0.2])
+        T, q = seeded_ternary(2)
         upper = sweep(KL, KL, T, q, "upper", resolution=32)
         lower = sweep(KL, KL, T, q, "lower", resolution=32)
-        cfg = OracleConfig(atom_budget=4, grid_resolution=32, restarts=100, seed=4)
+        cfg = OracleConfig(grid_resolution=32)
         for frac in (0.1, 0.4, 0.7):
             x = frac * float(upper.xs[-1])
             ub = oracle_boundary(KL, KL, T, q, x, "upper", cfg)
@@ -311,7 +320,7 @@ class TestOracleBoundary:
             oracle_boundary(KL, KL, T, q, 0.1, "lower", cfg)
 
     def test_infeasible_funnel_flagged(self):
-        cfg = OracleConfig(atom_budget=2, grid_resolution=64, restarts=10, seed=1)
+        cfg = OracleConfig(grid_resolution=64)
         pt = oracle_boundary(
             ENTROPY, ENTROPY, INST.channel(), INST.marginal(), 10.0, "lower", cfg
         )

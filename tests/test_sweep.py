@@ -441,6 +441,14 @@ class TestSweepRegion:
             sweep(KL, KL, INST.channel(), INST.marginal(), "lower", region=region, **{where: 64})
 
 
+    def test_slice_with_lattice_and_resolution_is_refused(self):
+        # One lattice or one resolution: the slice is never computed at a
+        # lattice other than the one asked for.
+        lattice = SimplexLattice.build(2, 64)
+        with pytest.raises(ValueError, match="lattice excludes resolution"):
+            boundary_slice(KL, KL, INST.channel(), INST.marginal(), lattice=lattice, resolution=4096)
+
+
 class TestProblemCurve:
     def test_both_equals_one_call_per_direction(self, slice_builds):
         q, T = seeded_source(3, 24, 4)
@@ -989,7 +997,7 @@ class TestHullSlice:
 
         def checking(adj, det, u, r):
             B = basis["B"]
-            assert (adj, det) == envelope._adjugate(B)
+            assert (adj, det) == fraction_adjugate(B)
             # B adj = det I, so B u = det a.
             entering = [divmod(sum(b * v for b, v in zip(row, u)), det) for row in B]
             assert all(rem == 0 for _, rem in entering)
@@ -997,7 +1005,7 @@ class TestHullSlice:
             for row, (c, _) in zip(B, entering):
                 row[r] = c
             new, new_det = real_pivot(adj, det, u, r)
-            assert (new, new_det) == envelope._adjugate(B)
+            assert (new, new_det) == fraction_adjugate(B)
             pivots.append(r)
             return new, new_det
 
@@ -1013,7 +1021,7 @@ class TestHullSlice:
     def test_pivot_refuses_inexact_update(self):
         # A basis of the N = 4 lattice (det 32) and an entering column.
         B = [[4, 0, 1], [0, 4, 1], [0, 0, 2]]
-        adj, det = envelope._adjugate(B)
+        adj, det = fraction_adjugate(B)
         u = [sum(a * c for a, c in zip(row, (2, 1, 1))) for row in adj]
         r = u.index(max(u))
         new, new_det = envelope._pivot(adj, det, u, r)
@@ -1030,8 +1038,7 @@ class TestHullSlice:
         # update still equals the adjugate found in fractions.
         N = 10**6
         B = [[N, 0, 0, 250_001], [0, N, 0, 249_999], [0, 0, N, 125_000], [0, 0, 0, 375_000]]
-        adj, det = envelope._adjugate(B)
-        assert (adj, det) == fraction_adjugate(B)
+        adj, det = fraction_adjugate(B)
         for column in ((300_001, 199_999, 100_000, 400_000), (1, 0, 0, N - 1)):
             u = [sum(a * c for a, c in zip(row, column)) for row in adj]
             r = max((i for i in range(4) if u[i] > 0), key=lambda i: u[i])

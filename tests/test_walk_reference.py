@@ -140,35 +140,3 @@ def test_walk_bases_equal_the_int64_walk_on_seeded_sources(pinned, m, resolution
         for kernel in (KL, CHI2, ENTROPY):
             envelope.region_slice(kernel_graph(kernel, q, T, lattice))
     assert pinned[0] == 2 * 2 * 3 and pinned[1] > 0
-
-
-def test_adjugate_equals_the_float_route_where_that_is_exact():
-    # Entries in {-1, 0, 1, 2} put zeros on the diagonal, so rows are swapped.
-    rng = np.random.default_rng(11)
-    checked = 0
-    for trial in range(400):
-        n = int(rng.integers(2, 7))
-        M = rng.integers(-1, 3, size=(n, n)) if trial % 2 else rng.integers(-40, 41, size=(n, n))
-        try:
-            want_adj, want_det = ref_adjugate(M)
-        except (RuntimeError, np.linalg.LinAlgError):
-            continue
-        if want_det == 0:
-            continue
-        assert envelope._adjugate(M.tolist()) == (want_adj.tolist(), want_det)
-        checked += 1
-    assert checked > 300
-
-
-def test_adjugate_is_exact_past_double_precision():
-    rng = np.random.default_rng(12)
-    for n in (3, 5, 8):
-        for _ in range(20):
-            M = [[int(v) for v in row] for row in rng.integers(-(10**7), 10**7, size=(n, n))]
-            adj, det = envelope._adjugate(M)
-            assert det > 2**53
-            for i in range(n):
-                for k in range(n):
-                    entry = sum(M[i][t] * adj[t][k] for t in range(n))
-                    assert entry == (det if i == k else 0)
-
