@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     Channel,
@@ -143,7 +142,11 @@ def mr_gerber(inst: BscInstance, x: float) -> float:
         # in [0, 1] by construction.
         return alpha * _h2(_ratio(q, alpha)) - x
 
-    alpha = brentq(gap, 0.0, 1.0, xtol=1e-13, rtol=9e-16)
+    # Imported here, not at module level: `cli` imports this module, and a
+    # `curve` run should not load scipy.optimize (~11 MiB of RSS).
+    import scipy.optimize
+
+    alpha = scipy.optimize.brentq(gap, 0.0, 1.0, xtol=1e-13, rtol=9e-16)
     return _mr_gerber_xy(inst, float(alpha))[2]
 
 

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, nnls
 
 LN2 = math.log(2.0)
 
@@ -309,7 +308,11 @@ def binary_entropy_inv(y: float) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    r = brentq(lambda t: _h2(t) - y, 0.0, 0.5, xtol=1e-16, rtol=9e-16)
+    # Imported here, not at module level: a `curve` run never inverts h,
+    # and loading scipy.optimize costs every process ~11 MiB of RSS.
+    import scipy.optimize
+
+    r = scipy.optimize.brentq(lambda t: _h2(t) - y, 0.0, 0.5, xtol=1e-16, rtol=9e-16)
     return float(r)
 
 
@@ -496,8 +499,12 @@ def mixture_weights(P: np.ndarray, marginal: np.ndarray) -> tuple[np.ndarray, fl
     """Nonnegative weights w for the rows of P that best satisfy w @ P =
     marginal and sum(w) = 1 in least squares (nnls), with the residual norm.
     Callers decide what residual still counts as a mixture."""
+    # Imported here, not at module level: only the oracle and matched
+    # transport weigh mixtures, so a `curve` run never loads scipy.optimize.
+    import scipy.optimize
+
     A = np.vstack([P.T, np.ones(P.shape[0])])
-    weights, residual = nnls(A, np.append(marginal, 1.0))
+    weights, residual = scipy.optimize.nnls(A, np.append(marginal, 1.0))
     return weights, float(residual)
 
 

@@ -1,7 +1,106 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import bottleneck_lab
+
+PACKAGE_DIR = Path(bottleneck_lab.__file__).parent
+
+# Third-party modules a submodule may import when it is itself imported.
+# Everything else (scipy.optimize above all) is imported where it is called,
+# so a `curve` run loads numpy and scipy.spatial only.
+TOP_LEVEL_IMPORTS = {"envelope": {"scipy.spatial"}, "oracle": {"scipy.linalg"}}
 
 
 def test_all_names_resolve_once():
     names = bottleneck_lab.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(bottleneck_lab, name)] == []
+
+
+def module_level_imports(tree):
+    """Absolute module names imported outside any function body."""
+    found = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_module_level_third_party_imports_are_pinned():
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert set(TOP_LEVEL_IMPORTS) <= {path.stem for path in sources}
+    for path in sources:
+        imports = module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        third_party = {
+            name for name in imports if name.split(".")[0] not in sys.stdlib_module_names
+        }
+        allowed = {"numpy"} | TOP_LEVEL_IMPORTS.get(path.stem, set())
+        assert third_party <= allowed, (
+            f"{path.name} imports {sorted(third_party - allowed)} at module level; "
+            "import it inside the function that calls it"
+        )
+        assert TOP_LEVEL_IMPORTS.get(path.stem, set()) <= third_party, path.name
+
+
+# Run in a fresh interpreter: pytest's own process has scipy.optimize loaded.
+CURVE_RUNS_WITHOUT_OPTIMIZE = """
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+from bottleneck_lab import acceptance, cli, closed_forms, core, envelope, oracle, sweep
+
+out = Path(sys.argv[1])
+rng = np.random.default_rng([3, 4, 12])
+counts = 1 + rng.multinomial(12 - 4, np.full(4, 0.25))
+rows = rng.dirichlet(np.ones(4), size=4)
+(out / "joint.json").write_text(json.dumps({"p_xy": (counts[:, None] * rows / 12).tolist()}))
+runs = [
+    ["--bsc", "0.1,0.1", "--problem", "ib"],
+    ["--input", str(out / "joint.json"), "--problem", "eb", "--resolution", "12"],
+]
+for i, args in enumerate(runs):
+    assert cli.main(["curve", *args, "--output", str(out / f"curve{i}.csv")]) == 0
+assert "scipy.optimize" not in sys.modules, "a curve run loaded scipy.optimize"
+
+from scipy.optimize import brentq, nnls
+
+for y in (1e-9, 0.3, 0.5, 0.999):
+    want = brentq(lambda t: core._h2(t) - y, 0.0, 0.5, xtol=1e-16, rtol=9e-16)
+    assert core.binary_entropy_inv(y) == want, y
+
+inst = closed_forms.BscInstance(0.2, 0.1)
+for x in (0.1, 0.4, 0.7):
+    gap = lambda a: a * core._h2(closed_forms._ratio(inst.q, a)) - x
+    alpha = brentq(gap, 0.0, 1.0, xtol=1e-13, rtol=9e-16)
+    assert closed_forms.mr_gerber(inst, x) == closed_forms._mr_gerber_xy(inst, alpha)[2], x
+
+P = np.random.default_rng(5).dirichlet(np.ones(3), size=6)
+marginal = np.array([0.2, 0.3, 0.5])
+weights, residual = core.mixture_weights(P, marginal)
+want_weights, want_residual = nnls(np.vstack([P.T, np.ones(6)]), np.append(marginal, 1.0))
+assert weights.tobytes() == want_weights.tobytes() and residual == want_residual
+"""
+
+
+def test_curve_runs_do_not_load_scipy_optimize(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", CURVE_RUNS_WITHOUT_OPTIMIZE, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
