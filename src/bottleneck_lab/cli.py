@@ -8,6 +8,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import stat
 import sys
@@ -23,7 +24,7 @@ from .closed_forms import (
     closed_form_table,
 )
 from .core import ConfigError, bsc_joint, decompose_joint, load_joint
-from .sweep import CURVE_CSV_HEADER, curve_csv_rows, problem_curve
+from .sweep import CURVE_CSV_HEADER, curve_csv_text, problem_curve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,15 +70,14 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 def _write_outputs(
     output: str,
-    header: list[str],
-    rows: list[list[str]],
+    text: str,
     command: str,
     input_digest: str,
     parameters: dict,
     seed: int,
 ) -> None:
     out = Path(output)
-    _atomic_write(out, _csv_text(header, rows))
+    _atomic_write(out, text)
     manifest = {
         "command": command,
         "input_digest": input_digest,
@@ -130,7 +130,7 @@ def cmd_curve(args) -> int:
     )
     if args.direction != "both":
         curves = (curves,)
-    rows = [row for curve in curves for row in curve_csv_rows(curve)]
+    text = ",".join(CURVE_CSV_HEADER) + "\n" + "".join(map(curve_csv_text, curves))
     params = {
         "problem": args.problem,
         "direction": args.direction,
@@ -140,7 +140,7 @@ def cmd_curve(args) -> int:
         "input": args.input,
         "bsc": args.bsc,
     }
-    _write_outputs(args.output, CURVE_CSV_HEADER, rows, "curve", digest, params, seed=0)
+    _write_outputs(args.output, text, "curve", digest, params, seed=0)
     return EXIT_OK
 
 
@@ -148,8 +148,8 @@ def cmd_closed_form(args) -> int:
     q, delta = _parse_bsc(args.bsc)
     inst = BscInstance(q=q, delta=delta)
     if args.law.startswith("arimoto"):
-        if args.beta is None or args.beta < 2.0:
-            raise ValueError("arimoto laws need --beta >= 2")
+        if args.beta is None or not math.isfinite(args.beta) or args.beta < 2.0:
+            raise ValueError("arimoto laws need --beta, a finite beta >= 2")
     elif args.beta is not None:
         raise ConfigError(f"--beta does not apply to law {args.law!r}")
     if args.points > MAX_TABLE_POINTS:
@@ -157,9 +157,8 @@ def cmd_closed_form(args) -> int:
     rows = closed_form_table(inst, args.law, beta=args.beta, points=args.points)
     digest = hashlib.sha256(f"bsc:{args.bsc}".encode()).hexdigest()
     params = {"law": args.law, "beta": args.beta, "points": args.points, "bsc": args.bsc}
-    _write_outputs(
-        args.output, CLOSED_FORM_CSV_HEADER, rows, "closed-form", digest, params, seed=0
-    )
+    text = _csv_text(CLOSED_FORM_CSV_HEADER, rows)
+    _write_outputs(args.output, text, "closed-form", digest, params, seed=0)
     return EXIT_OK
 
 

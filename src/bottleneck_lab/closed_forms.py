@@ -153,7 +153,7 @@ def mr_gerber(inst: BscInstance, x: float) -> float:
 def k_norm(p: float, beta: float) -> float:
     """l^beta norm of the binary distribution (1-p, p)."""
     if not math.isfinite(beta) or beta < 2.0:
-        raise ValueError("beta must be >= 2")
+        raise ValueError(f"need a finite beta >= 2, got {beta}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     return (p**beta + (1.0 - p) ** beta) ** (1.0 / beta)
@@ -185,7 +185,7 @@ def k_frame_to_entropy(value: float, beta: float) -> float:
     """Map a K-frame value in (0, 1] to the conditional-entropy frame (nats):
     beta/(1-beta) * log(value).  Inverse of exp((1-beta)/beta * H)."""
     if not math.isfinite(beta) or beta < 2.0:
-        raise ValueError("beta must be >= 2")
+        raise ValueError(f"need a finite beta >= 2, got {beta}")
     if not 0.0 < value <= 1.0 + 1e-12:
         raise ValueError(f"K-frame value must lie in (0, 1], got {value}")
     return beta / (1.0 - beta) * math.log(min(value, 1.0))

@@ -199,7 +199,7 @@ class DivergenceKernel:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "norm":
             if self.beta is None or not math.isfinite(self.beta) or self.beta < 2.0:
-                raise ValueError("norm kernel requires beta >= 2")
+                raise ValueError("norm kernel requires a finite beta >= 2")
         elif self.beta is not None:
             raise ValueError(f"kernel kind {self.kind!r} takes no beta")
 
@@ -402,7 +402,7 @@ def beta_norm(beta: float, p: Distribution | np.ndarray) -> float:
     Lies in [m^((1-beta)/beta), 1]; equals 1 exactly at point masses.
     """
     if not math.isfinite(beta) or beta < 2.0:
-        raise ValueError("beta must be >= 2")
+        raise ValueError(f"need a finite beta >= 2, got {beta}")
     vec = p.probs if isinstance(p, Distribution) else _as_prob_vector(p)
     return float(_evaluate(DivergenceKernel.norm_beta(beta), vec))
 
@@ -415,7 +415,7 @@ def arimoto_conditional_entropy(
     """Arimoto conditional entropy of order beta >= 2, in nats:
     beta/(1-beta) * log sum_w alpha_w ||p_w||_beta."""
     if not math.isfinite(beta) or beta < 2.0:
-        raise ValueError("beta must be >= 2")
+        raise ValueError(f"need a finite beta >= 2, got {beta}")
     w = np.asarray(weights, dtype=float)
     P = _stack_conditionals(conditionals)
     _validate_mixture(w, P, None)

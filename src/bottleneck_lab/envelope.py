@@ -13,7 +13,11 @@ of two routes, chosen by m:
 
 - m = 2: the faces of one qhull hull of the lifted points that contain q.
   A hull in dimension 3 is cheaper than the walk, which takes one pivot
-  per vertex and has one vertex per few lattice points here.
+  per vertex and has one vertex per few lattice points here: at the
+  default N = 4096 (BSC 0.1/0.1, KL and entropy kernels, 2 050 vertices)
+  the qhull call takes 32-42 ms and the whole slice 50-56 ms, while the
+  same slice from the walk takes 174-191 ms (x86-64 Linux, numpy 2.4,
+  scipy 1.17).
 - m >= 3: two parametric simplex walks, one per boundary chain, over the
   LP min (lower) or max (upper) of sum a_i (g_i - lambda f_i) s.t.
   sum a_i p_i = q, a >= 0; each vertex is its optimal basis over a range
@@ -79,10 +83,12 @@ _SAME_TOL = 1e-12
 
 DEFAULT_RESOLUTION = {2: 4096, 3: 128, 4: 32}
 # Largest lattice a curve is computed on.  Peak RSS of a binary
-# `curve --direction both` grows by ~3.1 KiB per lattice point (qhull and
-# one output row per two points; 220 MiB at N = 65 536 and 862 MiB at
-# N = 262 144, x86-64 Linux, numpy 2.4, scipy 1.17), so this keeps a run
-# under ~1 GiB.  The m >= 3 walk adds ~0.15 KiB per point.
+# `curve --direction both` is set inside its qhull call: 166 MiB at
+# N = 65 536 and 771 MiB at N = 262 143, or ~2.75 KiB per lattice point
+# over the 67 MiB of imports (x86-64 Linux, numpy 2.4, scipy 1.17), so
+# this keeps a run under ~1 GiB.  The CSV text (one ~110-byte row per two
+# points) is built after the hull is freed and stays below that peak.
+# The m >= 3 walk adds ~0.15 KiB per point.
 MAX_LATTICE_POINTS = 1 << 18
 
 
@@ -299,19 +305,31 @@ def _flat_rank(points: np.ndarray, z: np.ndarray) -> tuple[int, np.ndarray]:
     return rank, resid @ vt.T
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_index=True) for a 2-D integer array:
+    its distinct rows in lexicographic order, and the index of each one's
+    first occurrence.  One stable lexsort, then a compare of each sorted
+    row with the one before it."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return ordered[first], order[first]
+
+
 def _ridges_around(simplices: np.ndarray, counts: np.ndarray, qc: np.ndarray) -> np.ndarray:
     """Distinct m-vertex faces of the facets whose lattice counts box q."""
     m = counts.shape[1]
-    inside = np.ones(simplices.shape[0], dtype=bool)
-    for j in range(m):
-        cj = counts[simplices, j]
-        inside &= (cj.min(axis=1) <= qc[j]) & (cj.max(axis=1) >= qc[j])
-    facets = simplices[inside]
+    # Vertex slot first, so each box bound is an elementwise minimum or
+    # maximum over a few long rows rather than a reduction over short ones.
+    corners = counts[simplices.T]
+    lo, hi = np.minimum.reduce(corners), np.maximum.reduce(corners)
+    facets = simplices[np.all((lo <= qc) & (hi >= qc), axis=1)]
     subsets = list(combinations(range(facets.shape[1]), m))
     ridges = np.sort(facets[:, subsets].reshape(-1, m), axis=1)
-    box = counts[ridges]
-    inside = np.all((box.min(axis=1) <= qc) & (box.max(axis=1) >= qc), axis=1)
-    return np.unique(ridges[inside], axis=0)
+    corners = counts[ridges.T]
+    lo, hi = np.minimum.reduce(corners), np.maximum.reduce(corners)
+    return _unique_rows(ridges[np.all((lo <= qc) & (hi >= qc), axis=1)])[0]
 
 
 def _face_witnesses(
@@ -335,8 +353,8 @@ def _face_witnesses(
     order = np.argsort(np.where(atoms < 0, counts.shape[0], atoms), axis=1)
     atoms = np.take_along_axis(atoms, order, axis=1)
     weights = np.take_along_axis(weights, order, axis=1)
-    _, first = np.unique(atoms, axis=0, return_index=True)
-    return atoms[first], weights[first]
+    atoms, first = _unique_rows(atoms)
+    return atoms, weights[first]
 
 
 def _hull_faces(
@@ -491,7 +509,7 @@ def _walk_faces(
     rhs = [int(v * den) for v in exact]
     bases = _walk(X, Y, counts, start, rhs) + _walk(X, -Y, counts, start, rhs)
     qc = q * lattice.resolution
-    return _face_witnesses(np.unique(np.sort(bases, axis=1), axis=0), counts, qc)
+    return _face_witnesses(_unique_rows(np.sort(bases, axis=1))[0], counts, qc)
 
 
 def region_slice(graph: LagrangianGraph) -> RegionSlice:

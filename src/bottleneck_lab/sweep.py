@@ -480,29 +480,35 @@ def problem_curve(
 CURVE_CSV_HEADER = ["problem", "direction", "lambda", "x", "y", "trivial", "witness_json"]
 
 
-def curve_csv_rows(curve: BoundaryCurve) -> list[list[str]]:
-    """Rows for the curve export schema (forced endpoints have no slope),
-    formatted from the curve's arrays.  The witness text is what
-    WitnessChannel.to_json writes; each row's "p" list is formatted once."""
-    p_text = ["[" + ",".join(map(repr, row)) + "]" for row in curve.rows.tolist()]
-    sizes = (curve.atoms >= 0).sum(axis=1).tolist()
-    rows = []
-    for lam, x, y, size, slots, alphas in zip(
-        curve.lams.tolist(), curve.xs.tolist(), curve.ys.tolist(), sizes,
-        curve.atoms.tolist(), curve.weights.tolist(),
+def _csv_field(text: str) -> str:
+    """text as a csv.writer field: quoted, with its quotes doubled, when it
+    holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def curve_csv_text(curve: BoundaryCurve) -> str:
+    """The curve's lines of the export schema (no header), byte for byte
+    what csv.writer(lineterminator="\n") writes for them, formatted
+    straight from the curve's arrays.  A forced endpoint has an empty
+    lambda.  The witness field is WitnessChannel.to_json's text, written
+    already quoted; each row's "p" list and each weight is formatted once."""
+    head = f"{_csv_field(curve.problem)},{_csv_field(curve.direction)},"
+    p_text = [',""p"":[' + ",".join(map(repr, row)) + "]}" for row in curve.rows.tolist()]
+    used = curve.atoms >= 0
+    atom_text = [
+        '{""alpha"":' + alpha + p_text[j]
+        for alpha, j in zip(map(repr, curve.weights[used].tolist()), curve.atoms[used].tolist())
+    ]
+    sizes = used.sum(axis=1).tolist()
+    ends = np.cumsum(sizes).tolist()
+    lines = []
+    for lam, x, y, size, end in zip(
+        curve.lams.tolist(), map(repr, curve.xs.tolist()), map(repr, curve.ys.tolist()),
+        sizes, ends,
     ):
-        witness = ",".join(
-            f'{{"alpha":{a!r},"p":{p_text[j]}}}' for a, j in zip(alphas, slots) if j >= 0
-        )
-        rows.append(
-            [
-                curve.problem,
-                curve.direction,
-                "" if math.isnan(lam) else repr(lam),
-                repr(x),
-                repr(y),
-                str(size == 1),
-                f'{{"atoms":[{witness}]}}',
-            ]
-        )
-    return rows
+        witness = ",".join(atom_text[end - size : end])
+        lam_text = "" if math.isnan(lam) else repr(lam)
+        lines.append(f'{head}{lam_text},{x},{y},{size == 1},"{{""atoms"":[{witness}]}}"\n')
+    return "".join(lines)

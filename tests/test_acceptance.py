@@ -36,7 +36,10 @@ def test_a2_upper_boundary_exactness():
 
 
 def test_a3_arimoto_k_frame():
-    report(check_arimoto(beta=2.0, resolution=4096, probes=101))
+    result = check_arimoto(resolution=4096, probes=101)
+    report(result)
+    for beta in (2.0, 3.0, 4.0):
+        assert f"beta={beta}: " in result.detail
 
 
 def test_a4_oracle_cross_validation():

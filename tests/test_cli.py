@@ -1,5 +1,6 @@
 import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -13,6 +14,8 @@ import bottleneck_lab
 from bottleneck_lab import (
     DivergenceKernel,
     binary_entropy,
+    bsc_joint,
+    decompose_joint,
     k_norm,
     oracle_boundary,
     star,
@@ -21,6 +24,8 @@ from bottleneck_lab import cli, envelope
 from bottleneck_lab.acceptance import CheckResult
 from bottleneck_lab.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_INFEASIBLE, EXIT_OK, main
 from bottleneck_lab.oracle import OracleConfig
+from bottleneck_lab.sweep import CURVE_CSV_HEADER, problem_curve
+from test_sweep import _rows_from_points
 
 # The package's `sweep` attribute is the function, not the module.
 sweep_module = importlib.import_module("bottleneck_lab.sweep")
@@ -325,6 +330,31 @@ class TestCurveCommand:
         assert text["lower"].startswith(header + b"\n")
         assert text["both"] == text["lower"] + upper_rows
 
+    @pytest.mark.parametrize("bsc, problem", [("0.1,0.1", "ib"), ("0.4,0.2", "arimoto")])
+    def test_both_writes_header_lower_upper(self, tmp_path, bsc, problem):
+        # The file is csv.writer's text of the header and of each curve's
+        # points, lower then upper, forced endpoints (empty lambda) and
+        # single-atom witnesses among them.
+        out = tmp_path / "both.csv"
+        code = main(["curve", "--bsc", bsc, "--problem", problem, "--direction", "both",
+                     "--resolution", "128", "--output", str(out)])
+        assert code == EXIT_OK
+        q, channel = decompose_joint(bsc_joint(*map(float, bsc.split(","))))
+        curves = problem_curve(q, channel, problem, "both", resolution=128)
+        rows = [row for curve in curves for row in _rows_from_points(curve)]
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows([CURVE_CSV_HEADER, *rows])
+        assert out.read_text(encoding="utf-8") == want.getvalue()
+        assert sum(row[2] == "" for row in rows) == 4
+        assert any(row[5] == "True" and len(json.loads(row[6])["atoms"]) == 1 for row in rows)
+
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_non_finite_beta_is_bad_input(self, tmp_path, capsys, beta):
+        code, out = run_curve(tmp_path, "x.csv", "--problem", "arimoto", "--beta", beta)
+        assert code == EXIT_BAD_INPUT
+        assert "a finite beta >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_both_builds_one_hull(self, tmp_path, hull_calls):
         code, _ = run_curve(tmp_path, "x.csv", "--problem", "ib", "--direction", "both")
         assert code == EXIT_OK
@@ -435,6 +465,14 @@ class TestClosedFormCommand:
     def test_arimoto_rejects_small_beta(self, tmp_path):
         code, _ = self.run(tmp_path, "bad.csv", "--law", "arimoto-mrgl", "--beta", "1.5")
         assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("law", ["arimoto-mgl", "arimoto-mrgl"])
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_non_finite_beta_is_bad_input(self, tmp_path, capsys, law, beta):
+        code, out = self.run(tmp_path, "bad.csv", "--law", law, "--beta", beta)
+        assert code == EXIT_BAD_INPUT
+        assert "a finite beta >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

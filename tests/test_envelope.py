@@ -6,7 +6,12 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
 from bottleneck_lab import Channel, DivergenceKernel, SimplexLattice, resolve_functional
-from bottleneck_lab.envelope import build_lagrangian_graph, envelope_at, lattice_size
+from bottleneck_lab.envelope import (
+    _unique_rows,
+    build_lagrangian_graph,
+    envelope_at,
+    lattice_size,
+)
 from bottleneck_lab.sweep import boundary_slice, slice_point
 from test_sweep import seeded_source
 
@@ -322,3 +327,24 @@ class TestEnvelopeProperties:
             coarse = envelope(coarse_graph.lattice, phi(coarse_graph, lam), "lower")
             fine = envelope(fine_graph.lattice, phi(fine_graph, lam), "lower")
             assert np.all(fine[::2] <= coarse + 1e-9)
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("width", [2, 3, 4, 5])
+    @pytest.mark.parametrize("size", [0, 1, 2, 40, 500])
+    def test_equals_numpy_unique(self, width, size):
+        # Few values per slot, so rows repeat; -1 marks unused slots as in
+        # the witness arrays.
+        rng = np.random.default_rng([width, size])
+        for _ in range(5):
+            rows = rng.integers(-1, 3, size=(size, width)).astype(np.int64)
+            got_rows, got_first = _unique_rows(rows)
+            want_rows, want_first = np.unique(rows, axis=0, return_index=True)
+            np.testing.assert_array_equal(got_rows, want_rows)
+            np.testing.assert_array_equal(got_first, want_first)
+
+    def test_rows_with_many_duplicates(self):
+        rows = np.array([[2, -1], [0, 1], [2, -1], [0, 1], [-1, -1], [0, 1]], dtype=np.int64)
+        got_rows, got_first = _unique_rows(rows)
+        np.testing.assert_array_equal(got_rows, [[-1, -1], [0, 1], [2, -1]])
+        np.testing.assert_array_equal(got_first, [4, 1, 0])

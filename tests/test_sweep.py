@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import importlib
 import math
 import warnings
@@ -37,7 +39,7 @@ from bottleneck_lab.acceptance import _slope_grid
 from bottleneck_lab.core import LN2, resolve_functional
 from bottleneck_lab import envelope
 from bottleneck_lab.envelope import build_lagrangian_graph, envelope_at, region_slice
-from bottleneck_lab.sweep import boundary_slice, curve_csv_rows, slice_point
+from bottleneck_lab.sweep import boundary_slice, curve_csv_text, slice_point
 
 # The package's `sweep` attribute is the function, not the module.
 sweep_module = importlib.import_module("bottleneck_lab.sweep")
@@ -515,7 +517,7 @@ class TestProblemCurve:
 
     def test_csv_rows_schema(self):
         curve = problem_curve(INST.marginal(), INST.channel(), "eb", "upper", resolution=128)
-        rows = curve_csv_rows(curve)
+        rows = csv_rows(curve)
         assert all(len(r) == 7 for r in rows)
         assert rows[0][0] == "eb" and rows[0][1] == "upper"
         assert any('"atoms"' in r[6] for r in rows)
@@ -601,6 +603,11 @@ class TestWitnessRefusals:
             sweep(ENTROPY, ENTROPY, INST.channel(), _Q, "lower", region=doctored)
 
 
+def csv_rows(curve):
+    """The curve's CSV text, read back as rows of fields."""
+    return list(csv.reader(io.StringIO(curve_csv_text(curve), newline="")))
+
+
 def _rows_from_points(curve):
     """CSV rows written the old way, one BoundaryPoint at a time."""
     return [
@@ -635,10 +642,21 @@ class TestCurveArrays:
     def test_csv_rows_equal_rows_from_points(self, m, resolution, problem, frame):
         q, T = seeded_source(m, resolution, 5)
         for curve in problem_curve(q, T, problem, "both", frame=frame, resolution=resolution):
+            text = curve_csv_text(curve)
             assert "points" not in vars(curve)  # not built until read
-            assert curve_csv_rows(curve) == _rows_from_points(curve)
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(_rows_from_points(curve))
+            assert text == buf.getvalue()
             assert len(curve.points) == curve.xs.size
             assert not curve.xs.flags.writeable and not curve.rows.flags.writeable
+
+    def test_csv_text_quotes_a_problem_name_as_csv_does(self):
+        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "upper",
+                      resolution=64, problem='a,"b"')
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_rows_from_points(curve))
+        assert curve_csv_text(curve) == buf.getvalue()
+        assert buf.getvalue().startswith('"a,""b""",upper,')
 
     def test_points_are_not_checked_again(self, monkeypatch):
         # sweep checks a curve's witnesses in one batch; reading points
@@ -756,7 +774,7 @@ class TestHullSlice:
         lattice = SimplexLattice.build(m, resolution)
         for direction in ("lower", "upper"):
             curve = problem_curve(q, T, "ib", direction, resolution=resolution)
-            rows = curve_csv_rows(curve)
+            rows = csv_rows(curve)
             assert sum(r[2] != "" for r in rows) >= len(rows) - 2
             for row, point in zip(rows, curve.points):
                 if row[2] == "":
