@@ -5,10 +5,8 @@ manifests."""
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
-import math
 import os
 import stat
 import sys
@@ -56,16 +54,6 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _write_outputs(
@@ -147,17 +135,15 @@ def cmd_curve(args) -> int:
 def cmd_closed_form(args) -> int:
     q, delta = _parse_bsc(args.bsc)
     inst = BscInstance(q=q, delta=delta)
-    if args.law.startswith("arimoto"):
-        if args.beta is None or not math.isfinite(args.beta) or args.beta < 2.0:
-            raise ValueError("arimoto laws need --beta, a finite beta >= 2")
-    elif args.beta is not None:
+    if args.beta is not None and not args.law.startswith("arimoto"):
         raise ConfigError(f"--beta does not apply to law {args.law!r}")
     if args.points > MAX_TABLE_POINTS:
         raise ConfigError(f"--points {args.points}: at most {MAX_TABLE_POINTS} are supported")
     rows = closed_form_table(inst, args.law, beta=args.beta, points=args.points)
     digest = hashlib.sha256(f"bsc:{args.bsc}".encode()).hexdigest()
     params = {"law": args.law, "beta": args.beta, "points": args.points, "bsc": args.bsc}
-    text = _csv_text(CLOSED_FORM_CSV_HEADER, rows)
+    # Every field is a float repr or empty, so no field needs CSV quoting.
+    text = "".join(",".join(fields) + "\n" for fields in [CLOSED_FORM_CSV_HEADER, *rows])
     _write_outputs(args.output, text, "closed-form", digest, params, seed=0)
     return EXIT_OK
 

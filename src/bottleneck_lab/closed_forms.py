@@ -16,6 +16,8 @@ import numpy as np
 from .core import (
     Channel,
     Distribution,
+    _check_beta,
+    _check_unit_interval,
     _h2,
     binary_entropy,
     binary_entropy_inv,
@@ -56,13 +58,19 @@ class GerberPoint:
     witness: WitnessChannel
 
 
+def _entropy_x(inst: BscInstance, x: float) -> tuple[float, float]:
+    """x clamped to [0, h(q)] (bits), refused when it is nan or further
+    outside than rounding; and h(q)."""
+    hq = binary_entropy(inst.q)
+    if not -1e-12 <= x <= hq + 1e-9:
+        raise ValueError(f"x = {x} outside [0, {hq}]")
+    return min(max(x, 0.0), hq), hq
+
+
 def mrs_gerber(inst: BscInstance, x: float) -> float:
     """Lower boundary of the conditional-entropy region in bits:
     h(delta star h^{-1}(x)) for x in [0, h(q)].  Convex and non-decreasing."""
-    hq = binary_entropy(inst.q)
-    if x < -1e-12 or x > hq + 1e-9:
-        raise ValueError(f"x = {x} outside [0, {hq}]")
-    x = min(max(x, 0.0), hq)
+    x, hq = _entropy_x(inst, x)
     if x >= hq:
         # h^-1(h(q)) differs from q in its last bits; the endpoint is known.
         return binary_entropy(star(inst.delta, inst.q))
@@ -100,8 +108,7 @@ def mr_gerber_point(inst: BscInstance, alpha: float) -> GerberPoint:
     mixes both point masses with the uniform conditional, with weights
     (1 - q - alpha/2, q - alpha/2, alpha).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = _check_unit_interval(alpha, "alpha")
     q = inst.q
     ratio, x, y = _mr_gerber_xy(inst, alpha)
     marginal = inst.marginal()
@@ -126,10 +133,7 @@ def mr_gerber(inst: BscInstance, x: float) -> float:
     The inversion is scalar: brentq runs on the x-coordinate alone and no
     witness is built; mr_gerber_point gives the point with its witness.
     """
-    hq = binary_entropy(inst.q)
-    if x < -1e-12 or x > hq + 1e-9:
-        raise ValueError(f"x = {x} outside [0, {hq}]")
-    x = min(max(x, 0.0), hq)
+    x, hq = _entropy_x(inst, x)
     if x == 0.0:
         return _mr_gerber_xy(inst, 0.0)[2]
     if x >= hq:
@@ -152,19 +156,17 @@ def mr_gerber(inst: BscInstance, x: float) -> float:
 
 def k_norm(p: float, beta: float) -> float:
     """l^beta norm of the binary distribution (1-p, p)."""
-    if not math.isfinite(beta) or beta < 2.0:
-        raise ValueError(f"need a finite beta >= 2, got {beta}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_beta(beta)
+    p = _check_unit_interval(p, "p")
     return (p**beta + (1.0 - p) ** beta) ** (1.0 / beta)
 
 
 def arimoto_mrs_gerber(inst: BscInstance, beta: float, p: float) -> tuple[float, float]:
     """Lower-boundary point of the K-frame region at parameter p in [0, q]:
     (K(p), K(p star delta)).  x spans [K(q), 1]."""
-    if p < -1e-12 or p > inst.q + 1e-12:
+    if not -1e-12 <= p <= inst.q + 1e-12:
         raise ValueError(f"p = {p} outside [0, q = {inst.q}]")
-    p = min(max(p, 0.0), inst.q if inst.q > 0 else 0.0)
+    p = min(max(p, 0.0), inst.q)
     return k_norm(p, beta), k_norm(star(p, inst.delta), beta)
 
 
@@ -172,8 +174,7 @@ def arimoto_mr_gerber(inst: BscInstance, beta: float, alpha: float) -> tuple[flo
     """Upper-boundary point of the K-frame region at mixture alpha in [0, 1]:
     with z = max(alpha, 2q),
     (1 - alpha + alpha * K(q/z), alpha * K(q/z star delta) + (1 - alpha) * K(delta))."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = _check_unit_interval(alpha, "alpha")
     delta = inst.delta
     ratio = _ratio(inst.q, alpha)
     x = (1.0 - alpha) + alpha * k_norm(ratio, beta)
@@ -184,8 +185,7 @@ def arimoto_mr_gerber(inst: BscInstance, beta: float, alpha: float) -> tuple[flo
 def k_frame_to_entropy(value: float, beta: float) -> float:
     """Map a K-frame value in (0, 1] to the conditional-entropy frame (nats):
     beta/(1-beta) * log(value).  Inverse of exp((1-beta)/beta * H)."""
-    if not math.isfinite(beta) or beta < 2.0:
-        raise ValueError(f"need a finite beta >= 2, got {beta}")
+    _check_beta(beta)
     if not 0.0 < value <= 1.0 + 1e-12:
         raise ValueError(f"K-frame value must lie in (0, 1], got {value}")
     return beta / (1.0 - beta) * math.log(min(value, 1.0))
@@ -220,9 +220,7 @@ def closed_form_table(
             rows.append([q_str, d_str, "", repr(float(x)), lower, upper])
         return rows
     if law in ("arimoto-mgl", "arimoto-mrgl"):
-        if beta is None:
-            raise ValueError("arimoto laws need beta")
-        b_str = repr(float(beta))
+        b_str = repr(_check_beta(beta))
         if law == "arimoto-mgl":
             for p in np.linspace(0.0, inst.q, points):
                 x, y = arimoto_mrs_gerber(inst, beta, float(p))

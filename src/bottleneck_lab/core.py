@@ -32,6 +32,9 @@ LN2 = math.log(2.0)
 # Inputs within _SUM_TOL of stochastic are renormalized; worse are rejected.
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
+# A mixture meets its marginal, and a witness's weights their sum of 1,
+# within this: the witness checks, the nnls residuals of the ternary oracle
+# and of matched transport, and conditional_f_information.
 _MIX_TOL = 1e-9
 
 
@@ -41,11 +44,19 @@ class ConfigError(ValueError):
     exits 3 on it and 2 on any other ValueError."""
 
 
-def _as_prob_vector(values, name: str = "probs") -> np.ndarray:
+def _as_prob_vector(values, name: str = "probs", *, rescale: bool = True) -> np.ndarray:
+    """values checked as a probability vector, in a new read-only array
+    normalized to sum 1; with rescale=False, checked but kept as given (a
+    new array), for a vector normalized once already.  A Distribution's
+    probs come back as they are.  Normalizing a vector a second time can
+    move its last bits."""
+    if isinstance(values, Distribution):
+        return values.probs
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    return _as_prob_rows(arr[None, :], name)[0]
+    checked = _as_prob_rows(arr[None, :], name)[0]
+    return checked if rescale else arr
 
 
 def _as_prob_rows(rows: np.ndarray, name: str = "probs") -> np.ndarray:
@@ -136,8 +147,21 @@ class Channel:
 
     def push_forward(self, p: np.ndarray | Distribution) -> np.ndarray:
         """Output distribution T p for an input distribution p."""
-        vec = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
-        return self.matrix @ vec
+        return self.matrix @ _as_prob_vector(p, "p")
+
+
+def _as_channel(T: Channel | np.ndarray) -> Channel:
+    return T if isinstance(T, Channel) else Channel(T)
+
+
+def _as_source(q, T, name: str = "q") -> tuple[np.ndarray, Channel]:
+    """A source's marginal, checked as a probability vector (errors name it
+    name), and its channel; refused unless the channel's inputs are the
+    marginal's alphabet."""
+    q, channel = _as_prob_vector(q, name), _as_channel(T)
+    if q.size != channel.m:
+        raise ValueError("channel input alphabet does not match the marginal")
+    return q, channel
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,6 +197,20 @@ class JointDistribution:
         return self.p_xy.sum(axis=0)
 
 
+def _check_beta(beta: float | None) -> float:
+    """beta as a float, refused unless it is finite and >= 2: the range of
+    the l^beta norm and Arimoto functionals."""
+    if beta is None or not math.isfinite(beta) or beta < 2.0:
+        raise ValueError(f"need a finite beta >= 2, got {beta}")
+    return float(beta)
+
+
+def _check_direction(direction: str, allowed: tuple[str, ...] = ("lower", "upper")) -> str:
+    if direction not in allowed:
+        raise ValueError(f"unknown direction {direction!r}")
+    return direction
+
+
 _DIVERGENCE_KINDS = ("kl", "chi2", "tv")
 _FUNCTIONAL_KINDS = ("entropy", "norm")
 
@@ -198,8 +236,7 @@ class DivergenceKernel:
         if self.kind not in _DIVERGENCE_KINDS + _FUNCTIONAL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "norm":
-            if self.beta is None or not math.isfinite(self.beta) or self.beta < 2.0:
-                raise ValueError("norm kernel requires a finite beta >= 2")
+            _check_beta(self.beta)
         elif self.beta is not None:
             raise ValueError(f"kernel kind {self.kind!r} takes no beta")
 
@@ -274,8 +311,7 @@ def _check_continuity(P: np.ndarray, r: np.ndarray) -> None:
 
 def entropy(p: Distribution | Sequence[float] | np.ndarray) -> float:
     """Shannon entropy in nats, with 0 log 0 = 0.  Result lies in [0, log m]."""
-    vec = p.probs if isinstance(p, Distribution) else _as_prob_vector(p)
-    return float(_evaluate(DivergenceKernel.entropy_functional(), vec))
+    return float(_evaluate(DivergenceKernel.entropy_functional(), _as_prob_vector(p)))
 
 
 def _check_unit_interval(value: float, name: str) -> float:
@@ -334,8 +370,7 @@ def f_divergence(
     p > 0 but r = 0 raises, identifying the offending index.
     """
     _require_divergence(kernel)
-    pv = p.probs if isinstance(p, Distribution) else _as_prob_vector(p, "p")
-    rv = r.probs if isinstance(r, Distribution) else _as_prob_vector(r, "r")
+    pv, rv = _as_prob_vector(p, "p"), _as_prob_vector(r, "r")
     if pv.size != rv.size:
         raise ValueError("p and r must share an alphabet")
     _check_continuity(pv, rv)
@@ -352,30 +387,8 @@ def f_information(kernel: DivergenceKernel, joint: JointDistribution) -> float:
     return float(_evaluate(kernel, joint.p_xy.ravel(), prod.ravel()))
 
 
-def _validate_mixture(
-    weights: np.ndarray,
-    conditionals: np.ndarray,
-    marginal: np.ndarray | None,
-) -> None:
-    if np.any(weights < -_NEG_TOL):
-        raise ValueError("mixture weights must be nonnegative")
-    if abs(float(weights.sum()) - 1.0) > _MIX_TOL:
-        raise ValueError(f"mixture weights sum to {weights.sum()}, not 1")
-    if marginal is not None:
-        mix = weights @ conditionals
-        err = float(np.abs(mix - marginal).max())
-        if err > _MIX_TOL:
-            raise ValueError(
-                f"mixture of conditionals misses the marginal by {err:.3e}"
-            )
-
-
 def _stack_conditionals(conditionals: Sequence) -> np.ndarray:
-    rows = [
-        c.probs if isinstance(c, Distribution) else _as_prob_vector(c, "conditional")
-        for c in conditionals
-    ]
-    return np.vstack(rows)
+    return np.vstack([_as_prob_vector(c, "conditional") for c in conditionals])
 
 
 def conditional_f_information(
@@ -386,10 +399,12 @@ def conditional_f_information(
 ) -> float:
     """Weighted divergence sum_w alpha_w D_f(p_w || q) for a mixture with
     sum_w alpha_w p_w = q.  Equals the f-information of the induced joint."""
-    w = np.asarray(weights, dtype=float)
+    w = _as_prob_vector(weights, "mixture weights", rescale=False)
     P = _stack_conditionals(conditionals)
-    q = marginal.probs if isinstance(marginal, Distribution) else _as_prob_vector(marginal, "marginal")
-    _validate_mixture(w, P, q)
+    q = _as_prob_vector(marginal, "marginal")
+    err = float(np.abs(w @ P - q).max())
+    if err > _MIX_TOL:
+        raise ValueError(f"mixture of conditionals misses the marginal by {err:.3e}")
     _require_divergence(kernel)
     live = w > 0.0
     _check_continuity(np.where(live[:, None], P, 0.0), q)
@@ -401,10 +416,7 @@ def beta_norm(beta: float, p: Distribution | np.ndarray) -> float:
 
     Lies in [m^((1-beta)/beta), 1]; equals 1 exactly at point masses.
     """
-    if not math.isfinite(beta) or beta < 2.0:
-        raise ValueError(f"need a finite beta >= 2, got {beta}")
-    vec = p.probs if isinstance(p, Distribution) else _as_prob_vector(p)
-    return float(_evaluate(DivergenceKernel.norm_beta(beta), vec))
+    return float(_evaluate(DivergenceKernel.norm_beta(beta), _as_prob_vector(p)))
 
 
 def arimoto_conditional_entropy(
@@ -414,12 +426,9 @@ def arimoto_conditional_entropy(
 ) -> float:
     """Arimoto conditional entropy of order beta >= 2, in nats:
     beta/(1-beta) * log sum_w alpha_w ||p_w||_beta."""
-    if not math.isfinite(beta) or beta < 2.0:
-        raise ValueError(f"need a finite beta >= 2, got {beta}")
-    w = np.asarray(weights, dtype=float)
-    P = _stack_conditionals(conditionals)
-    _validate_mixture(w, P, None)
-    k = float(w @ _evaluate(DivergenceKernel.norm_beta(beta), P))
+    kernel = DivergenceKernel.norm_beta(beta)
+    w = _as_prob_vector(weights, "mixture weights", rescale=False)
+    k = float(w @ _evaluate(kernel, _stack_conditionals(conditionals)))
     return beta / (1.0 - beta) * math.log(k)
 
 
@@ -444,10 +453,7 @@ def joint_from_marginal_channel(
     q: Distribution | np.ndarray, T: Channel | np.ndarray
 ) -> JointDistribution:
     """Assemble P(X=x, Y=y) = q_x * T[y, x] from a marginal and a channel."""
-    qv = q.probs if isinstance(q, Distribution) else _as_prob_vector(q, "q")
-    ch = T if isinstance(T, Channel) else Channel(T)
-    if ch.m != qv.size:
-        raise ValueError("channel input alphabet does not match the marginal")
+    qv, ch = _as_source(q, T)
     return JointDistribution((ch.matrix * qv[None, :]).T)
 
 
@@ -477,12 +483,7 @@ def resolve_functional(
     if kernel.is_divergence:
         if reference is None:
             raise ValueError(f"{kernel.kind} kernel needs a reference distribution")
-        if isinstance(reference, Distribution):
-            ref = reference.probs
-        else:
-            ref = np.asarray(reference, dtype=float)
-            # Validated only: a rescaled copy would move the curve bits.
-            _as_prob_vector(ref, "divergence reference")
+        ref = _as_prob_vector(reference, "divergence reference", rescale=False)
         if np.any(ref <= 0.0):
             raise ValueError("divergence reference must have full support")
 
@@ -523,10 +524,7 @@ def load_joint(source: str | Path | dict) -> JointDistribution:
     if not isinstance(payload, dict):
         raise ValueError("joint distribution file must hold a JSON object")
     if "p_xy" in payload:
-        return JointDistribution(np.asarray(payload["p_xy"], dtype=float))
+        return JointDistribution(payload["p_xy"])
     if "q" in payload and "T" in payload:
-        return joint_from_marginal_channel(
-            np.asarray(payload["q"], dtype=float),
-            np.asarray(payload["T"], dtype=float),
-        )
+        return joint_from_marginal_channel(payload["q"], payload["T"])
     raise ValueError('expected fields "p_xy" or "q" and "T"')

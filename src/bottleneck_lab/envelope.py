@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .core import Channel, ConfigError, Distribution
+from .core import Channel, ConfigError, Distribution, _as_channel, _as_prob_vector, _check_direction
 
 # Barycentric weights down to -_BARY_TOL count as a ridge containing q;
 # weights at or below _ATOM_TOL are dropped from the witness.
@@ -169,11 +169,13 @@ def build_lagrangian_graph(
     f and g are vectorized functionals of (k, m) and (k, n) row arrays, such
     as the pair sweep resolves from two kernels.  Evaluation must be finite
     at every lattice point and at q; a failure aborts identifying the point.
+    q is checked but not rescaled: it is the marginal f and g were resolved
+    at.
     """
-    matrix = T.matrix if isinstance(T, Channel) else np.asarray(T, dtype=float)
+    matrix = _as_channel(T).matrix
     if matrix.shape[1] != lattice.m:
         raise ValueError("channel input alphabet does not match the lattice")
-    q = np.array(q.probs if isinstance(q, Distribution) else q, dtype=float)
+    q = _as_prob_vector(q, "q", rescale=False)
     if q.shape != (lattice.m,):
         raise ValueError("q does not live on this lattice's simplex")
     rows = np.vstack([lattice.points, q])
@@ -200,12 +202,10 @@ def envelope_at(
     and the single atom q caps it at q_value.  A degenerate (affine) graph
     is its own envelope, read at q through the alphabet vertices.
     """
-    if direction not in ("lower", "upper"):
-        raise ValueError(f"unknown direction {direction!r}")
-    sign = 1.0 if direction == "lower" else -1.0
+    sign = 1.0 if _check_direction(direction) == "lower" else -1.0
     coords = lattice.points[:, : lattice.m - 1]
     signed = sign * np.asarray(values, dtype=float)
-    q = np.asarray(q, dtype=float)
+    q = _as_prob_vector(q, "q", rescale=False)
     try:
         planes = ConvexHull(np.column_stack([coords, signed]), qhull_options="Qt").equations
     except QhullError:
@@ -240,11 +240,7 @@ class RegionSlice:
     upper: np.ndarray
 
     def chain(self, direction: str) -> np.ndarray:
-        if direction == "lower":
-            return self.lower
-        if direction == "upper":
-            return self.upper
-        raise ValueError(f"unknown direction {direction!r}")
+        return self.lower if _check_direction(direction) == "lower" else self.upper
 
     def support(self, lam: float, direction: str) -> int:
         """Vertex minimizing (lower) or maximizing (upper) y - lam * x; on a

@@ -25,15 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
-from .core import Channel, Distribution, DivergenceKernel, mixture_weights
-from .sweep import WitnessChannel, _as_channel, _resolve_pair
+from .core import (
+    _MIX_TOL,
+    Channel,
+    Distribution,
+    DivergenceKernel,
+    _as_source,
+    _check_direction,
+    _check_unit_interval,
+    _row_distributions,
+    mixture_weights,
+)
+from .sweep import WitnessChannel, _resolve_pair
 
 _FEAS_EPS = 1e-12
-# Random atom sets whose nnls weights miss the marginal by more than this
-# are skipped.
-_MARGINAL_TOL = 1e-9
 # The ternary search: this many seeded sets of m + 1 random grid atoms.
 _RESTARTS = 256
 _SEED = 0
@@ -115,10 +121,13 @@ def _reduce_mixture(
     m = P.shape[1]
     while len(w) > m + 1:
         M = np.vstack([P.T, np.ones(len(w)), fvals])
-        ns = null_space(M)
-        if ns.shape[1] == 0:
+        # The first right singular vector past M's numerical rank spans
+        # part of its null space (the rank cut-off of scipy's null_space).
+        _, sing, vt = np.linalg.svd(M)
+        rank = int(np.sum(sing > sing.max() * max(M.shape) * np.finfo(float).eps))
+        if rank == vt.shape[0]:
             break
-        d = ns[:, 0]
+        d = vt[rank]
         pos = d > 1e-14
         neg = d < -1e-14
         if not (np.any(pos) and np.any(neg)):
@@ -138,10 +147,11 @@ def _reduce_mixture(
 
 
 def _witness_from(P: np.ndarray, w: np.ndarray, marginal: np.ndarray) -> WitnessChannel:
+    """The witness of weights w on the rows of P at the checked marginal."""
     atoms = tuple(
         (float(a), Distribution(row)) for a, row in zip(w, P) if a > 1e-13
     )
-    return WitnessChannel(atoms=atoms, marginal=Distribution(marginal))
+    return WitnessChannel(atoms=atoms, marginal=_row_distributions(marginal[None])[0])
 
 
 class _BinaryCloud:
@@ -220,15 +230,23 @@ def _point(
     )
 
 
+def _x_targets(x) -> list[float]:
+    """The x targets as floats, refused when one is nan."""
+    xs = np.asarray(x, dtype=float).ravel()
+    if np.isnan(xs).any():
+        raise ValueError("x target is nan")
+    return xs.tolist()
+
+
 def _binary_points(
-    f_fn, g_fn, channel: Channel, marginal: np.ndarray, x_grid, direction: str, resolution: int
+    f_fn, g_fn, channel: Channel, marginal: np.ndarray, x_targets, direction: str, resolution: int
 ) -> list[OraclePoint]:
     """The best point of the pair cloud's hull at each x target."""
     cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, float(marginal[1]), resolution)
     trivial = (float(cloud.G[-1]), cloud.P[-1:], np.array([1.0]), float(cloud.F[-1]))
     return [
         _point(x_t, direction, cloud.best(x_t, direction), trivial, marginal)
-        for x_t in np.asarray(x_grid, dtype=float).tolist()
+        for x_t in x_targets
     ]
 
 
@@ -245,12 +263,13 @@ def oracle_exhaustive_binary(
     symmetric channel: at each x target, the best point of the hull of the
     two-atom witnesses straddling the marginal on a scalar grid (a mixture
     of two of them, pruned back to at most three atoms)."""
-    if direction not in ("lower", "upper"):
-        raise ValueError(f"unknown direction {direction!r}")
-    channel = Channel([[1.0 - delta, delta], [delta, 1.0 - delta]])
-    marginal = np.array([1.0 - q, q])
+    _check_direction(direction)
+    q, delta = _check_unit_interval(q, "q"), _check_unit_interval(delta, "delta")
+    x_targets = _x_targets(x_grid)
+    grid = OracleConfig(resolution).grid_resolution
+    marginal, channel = _as_source([1.0 - q, q], [[1.0 - delta, delta], [delta, 1.0 - delta]])
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, marginal, channel)
-    return _binary_points(f_fn, g_fn, channel, marginal, x_grid, direction, resolution)
+    return _binary_points(f_fn, g_fn, channel, marginal, x_targets, direction, grid)
 
 
 def _random_grid_atom(rng: np.random.Generator, m: int, resolution: int) -> np.ndarray:
@@ -285,15 +304,13 @@ def oracle_boundary(
     satisfies the x constraint the single-atom witness is reported with
     feasible=False.
     """
-    if direction not in ("lower", "upper"):
-        raise ValueError(f"unknown direction {direction!r}")
-    channel = _as_channel(T)
-    qv = q.probs if isinstance(q, Distribution) else np.asarray(q, dtype=float)
+    _check_direction(direction)
+    qv, channel = _as_source(q, T)
     m = qv.size
     if m > 3:
         raise ValueError("oracle_boundary supports m <= 3")
+    (x_target,) = _x_targets(x_target)
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, qv, channel)
-    x_target = float(x_target)
     if m == 2:
         return _binary_points(
             f_fn, g_fn, channel, qv, [x_target], direction, cfg.grid_resolution
@@ -325,7 +342,7 @@ def oracle_boundary(
         for size in range(1, m + 2):
             P = np.vstack(atoms[:size])
             w, residual = mixture_weights(P, qv)
-            if residual > _MARGINAL_TOL or w.sum() <= 0.0:
+            if residual > _MIX_TOL or w.sum() <= 0.0:
                 continue
             w = w / w.sum()
             keep = w > 1e-13

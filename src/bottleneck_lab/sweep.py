@@ -25,11 +25,15 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    _MIX_TOL,
     Channel,
     ConfigError,
     Distribution,
     DivergenceKernel,
+    _as_channel,
     _as_prob_rows,
+    _as_source,
+    _check_direction,
     _row_distributions,
     mixture_weights,
     resolve_functional,
@@ -42,7 +46,6 @@ from .envelope import (
     region_slice,
 )
 
-_WITNESS_TOL = 1e-9
 # Frame of a curve whose two kernels share a functional kind.
 _FRAMES = {"entropy": "entropy", "norm": "K"}
 
@@ -66,12 +69,12 @@ def _check_witnesses(
         raise ValueError("witness weights must be strictly positive")
     weights = np.where(used, weights, 0.0)
     totals = weights.sum(axis=1)
-    near = np.abs(totals - 1.0) <= _WITNESS_TOL
+    near = np.abs(totals - 1.0) <= _MIX_TOL
     if not near.all():
         raise ValueError(f"witness weights sum to {totals[np.argmin(near)]}")
     mix = (weights[:, None, :] @ rows[np.where(used, atoms, 0)])[:, 0]
     err = np.abs(mix - marginal).max(axis=1)
-    near = err <= _WITNESS_TOL
+    near = err <= _MIX_TOL
     if not near.all():
         raise ValueError(f"witness mixture misses its marginal by {err[np.argmin(near)]:.3e}")
 
@@ -171,10 +174,6 @@ class BoundaryCurve:
         return float(np.interp(x, self.xs, self.ys))
 
 
-def _as_channel(T: Channel | np.ndarray) -> Channel:
-    return T if isinstance(T, Channel) else Channel(T)
-
-
 def _resolve_pair(
     f_kernel: DivergenceKernel,
     g_kernel: DivergenceKernel,
@@ -188,10 +187,6 @@ def _resolve_pair(
     return resolve_functional(f_kernel, f_ref), resolve_functional(g_kernel, g_ref)
 
 
-def _as_marginal(q: Distribution | np.ndarray) -> np.ndarray:
-    return (q if isinstance(q, Distribution) else Distribution(q)).probs
-
-
 def boundary_slice(
     f_kernel: DivergenceKernel,
     g_kernel: DivergenceKernel,
@@ -203,12 +198,11 @@ def boundary_slice(
 ) -> RegionSlice:
     """Achievable-region polygon at q over the lattice, with divergence
     references taken from q.  lattice excludes resolution."""
-    channel = _as_channel(T)
+    q, channel = _as_source(q, T)
     if lattice is None:
         lattice = _default_lattice(channel.m, resolution)
     elif resolution is not None:
         raise ValueError("lattice excludes resolution")
-    q = _as_marginal(q)
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, q, channel)
     return region_slice(build_lagrangian_graph(f_fn, g_fn, channel, lattice, q))
 
@@ -312,7 +306,7 @@ def sweep(
         region = boundary_slice(f_kernel, g_kernel, channel, q, resolution=resolution)
     elif resolution is not None:
         raise ValueError("region excludes resolution")
-    elif not np.array_equal(region.q, _as_marginal(q)):
+    elif not np.array_equal(region.q, _as_source(q, channel)[0]):
         raise ValueError("region is a slice at another marginal")
     chain = region.chain(direction)
     slopes = np.diff(region.y[chain]) / np.diff(region.x[chain])
@@ -389,11 +383,10 @@ def matched_channel_invariance_check(
     atoms = point.witness.atoms
     if len(atoms) < 2:
         raise ValueError("a matched channel needs at least two atoms")
-    channel = _as_channel(T)
-    qv = q_prime.probs if isinstance(q_prime, Distribution) else np.asarray(q_prime, dtype=float)
+    qv, channel = _as_source(q_prime, T, "q_prime")
     P = np.vstack([p.probs for _, p in atoms])
     weights, residual = mixture_weights(P, qv)
-    if residual > 1e-9:
+    if residual > _MIX_TOL:
         raise ValueError(
             f"q_prime is outside the convex hull of the matched channel "
             f"(residual {residual:.3e})"
@@ -408,7 +401,7 @@ def matched_channel_invariance_check(
         atoms=tuple(
             (float(w), p) for w, (_, p), k in zip(weights, atoms, keep) if k
         ),
-        marginal=Distribution(qv),
+        marginal=_row_distributions(qv[None])[0],
     )
     return BoundaryPoint(lam=point.lam, x=x, y=y, witness=witness, trivial=False)
 
@@ -450,8 +443,7 @@ def problem_curve(
     is a norm kernel.  direction "both" returns (lower, upper), both read
     off one boundary_slice; "lower" or "upper" returns one curve.
     """
-    if direction not in ("lower", "upper", "both"):
-        raise ValueError(f"unknown direction {direction!r}")
+    _check_direction(direction, ("lower", "upper", "both"))
     if problem not in _PROBLEM_KERNELS:
         raise ValueError(f"unknown problem {problem!r}")
     frames = PROBLEM_FRAMES[problem]

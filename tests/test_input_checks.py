@@ -1,0 +1,207 @@
+"""Refusals of malformed input.  Marginals, channels, mixture weights and
+beta are checked by one helper each in core, so every entry point refuses
+a bad value with a ValueError that names it, and the CLI exits 2 on it
+where the CLI can reach it."""
+
+import math
+
+import numpy as np
+import pytest
+
+from bottleneck_lab import (
+    BscInstance,
+    Channel,
+    DivergenceKernel,
+    arimoto_conditional_entropy,
+    arimoto_mrs_gerber,
+    conditional_f_information,
+    matched_channel_invariance_check,
+    mr_gerber,
+    mrs_gerber,
+    oracle_boundary,
+    oracle_exhaustive_binary,
+    problem_curve,
+    sweep,
+)
+from bottleneck_lab.cli import EXIT_BAD_INPUT, main
+from bottleneck_lab.closed_forms import closed_form_table
+from bottleneck_lab.envelope import SimplexLattice, build_lagrangian_graph, envelope_at
+from bottleneck_lab.oracle import OracleConfig
+from bottleneck_lab.sweep import boundary_slice, slice_point
+
+ENTROPY = DivergenceKernel.entropy_functional()
+KL = DivergenceKernel.kl()
+INST = BscInstance(q=0.1, delta=0.1)
+BSC = INST.channel()
+Q3 = np.array([0.5, 0.3, 0.2])
+MISMATCH = "channel input alphabet does not match the marginal"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: boundary_slice(KL, KL, BSC, Q3, resolution=8),
+        lambda: sweep(KL, KL, BSC, Q3, "lower", resolution=8),
+        lambda: problem_curve(Q3, BSC, "ib", "lower", resolution=8),
+        lambda: oracle_boundary(KL, KL, BSC, Q3, 0.1, "lower", OracleConfig()),
+    ],
+    ids=["boundary_slice", "sweep", "problem_curve", "oracle_boundary"],
+)
+def test_marginal_that_does_not_fit_the_channel_is_refused(call):
+    with pytest.raises(ValueError, match=MISMATCH):
+        call()
+
+
+@pytest.fixture(scope="module")
+def two_atom_point():
+    region = boundary_slice(ENTROPY, ENTROPY, BSC, INST.marginal(), resolution=512)
+    point = slice_point(region, 0.3, "lower")
+    assert len(point.witness.atoms) == 2
+    return point
+
+
+@pytest.mark.parametrize(
+    "q_prime, match",
+    [
+        ([0.5, 0.3, 0.2], MISMATCH),
+        ([1.05, -0.05], r"q_prime\[1\] = -0.05 is negative"),
+        ([0.5, 0.6], r"q_prime sums to 1\.1"),
+        ([math.nan, 0.5], "q_prime contains non-finite entries"),
+    ],
+    ids=["wrong-size", "negative", "unnormalized", "nan"],
+)
+def test_matched_transport_refuses_a_malformed_marginal(two_atom_point, q_prime, match):
+    with pytest.raises(ValueError, match=match):
+        matched_channel_invariance_check(two_atom_point, q_prime, ENTROPY, ENTROPY, BSC)
+
+
+@pytest.mark.parametrize(
+    "delta, q, match",
+    [
+        (0.1, 1.5, r"q must lie in \[0, 1\], got 1.5"),
+        (0.1, math.nan, r"q must lie in \[0, 1\], got nan"),
+        (1.5, 0.1, r"delta must lie in \[0, 1\], got 1.5"),
+    ],
+    ids=["q-above-one", "q-nan", "delta-above-one"],
+)
+def test_exhaustive_oracle_refuses_a_scalar_outside_the_unit_interval(delta, q, match):
+    with pytest.raises(ValueError, match=match):
+        oracle_exhaustive_binary(ENTROPY, ENTROPY, delta, q, [0.1], "lower", 64)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.1, math.nan], "upper", 64),
+        lambda: oracle_boundary(
+            ENTROPY, ENTROPY, BSC, INST.marginal(), math.nan, "lower", OracleConfig(64)
+        ),
+        lambda: oracle_boundary(
+            ENTROPY, ENTROPY, np.eye(3), Q3, math.nan, "upper", OracleConfig(16)
+        ),
+    ],
+    ids=["exhaustive", "boundary-binary", "boundary-ternary"],
+)
+def test_oracle_refuses_a_nan_target(call):
+    with pytest.raises(ValueError, match="x target is nan"):
+        call()
+
+
+def test_exhaustive_oracle_refuses_a_grid_of_fewer_than_two_steps():
+    with pytest.raises(ValueError, match="grid_resolution must be >= 2"):
+        oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.1], "lower", 0)
+
+
+def test_oracle_refuses_a_negative_marginal():
+    with pytest.raises(ValueError, match=r"q\[1\] = -0.1 is negative"):
+        oracle_boundary(ENTROPY, ENTROPY, BSC, [1.1, -0.1], 0.1, "lower", OracleConfig(64))
+
+
+def _entropy(P):
+    P = np.asarray(P)
+    return -np.sum(np.where(P > 0.0, P * np.log(np.where(P > 0.0, P, 1.0)), 0.0), axis=-1)
+
+
+@pytest.mark.parametrize(
+    "T, q, match",
+    [
+        (BSC, [0.5, 0.6], r"q sums to 1\.1"),
+        (BSC, [math.nan, 0.5], "q contains non-finite entries"),
+        (np.array([[0.9, 0.2], [0.2, 0.8]]), [0.9, 0.1], r"column\[0\] sums to 1\.1"),
+    ],
+    ids=["q-unnormalized", "q-nan", "channel-not-stochastic"],
+)
+def test_graph_refuses_a_malformed_source(T, q, match):
+    lattice = SimplexLattice.build(2, 8)
+    with pytest.raises(ValueError, match=match):
+        build_lagrangian_graph(_entropy, _entropy, T, lattice, q)
+
+
+def test_envelope_refuses_a_malformed_marginal():
+    lattice = SimplexLattice.build(2, 8)
+    values = _entropy(lattice.points)
+    with pytest.raises(ValueError, match=r"q sums to 1\.1"):
+        envelope_at(lattice, values, [0.5, 0.6], 0.0, "lower")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: conditional_f_information(KL, [math.nan, 1.0], np.eye(2), [0.5, 0.5]),
+        lambda: arimoto_conditional_entropy(2.0, [math.nan, 1.0], np.eye(2)),
+    ],
+    ids=["conditional_f_information", "arimoto_conditional_entropy"],
+)
+def test_mixture_refuses_nan_weights(call):
+    with pytest.raises(ValueError, match="mixture weights contains non-finite entries"):
+        call()
+
+
+def test_push_forward_refuses_a_non_distribution():
+    with pytest.raises(ValueError, match=r"p sums to 1\.1"):
+        Channel(np.eye(2)).push_forward([0.5, 0.6])
+
+
+@pytest.mark.parametrize(
+    "call, got",
+    [
+        (lambda: DivergenceKernel("norm", beta=1.5), "1.5"),
+        (lambda: DivergenceKernel("norm"), "None"),
+        (lambda: problem_curve([0.6, 0.4], BSC, "arimoto", "lower", beta=1.5), "1.5"),
+        (lambda: closed_form_table(BscInstance(0.4, 0.2), "arimoto-mgl"), "None"),
+    ],
+    ids=["kernel", "kernel-without-beta", "problem_curve", "closed_form_table"],
+)
+def test_beta_refusals_share_one_message(call, got):
+    with pytest.raises(ValueError, match=rf"need a finite beta >= 2, got {got}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "args, got",
+    [
+        (["curve", "--bsc", "0.4,0.2", "--problem", "arimoto", "--beta", "1.5"], "1.5"),
+        (["closed-form", "--bsc", "0.4,0.2", "--law", "arimoto-mgl", "--beta", "1.5"], "1.5"),
+        (["closed-form", "--bsc", "0.4,0.2", "--law", "arimoto-mrgl"], "None"),
+    ],
+    ids=["curve", "closed-form", "closed-form-without-beta"],
+)
+def test_cli_beta_refusal_is_bad_input(tmp_path, capsys, args, got):
+    out = tmp_path / "x.csv"
+    assert main([*args, "--output", str(out)]) == EXIT_BAD_INPUT
+    assert f"error: need a finite beta >= 2, got {got}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: mrs_gerber(INST, math.nan), "x = nan outside"),
+        (lambda: mr_gerber(INST, math.nan), "x = nan outside"),
+        (lambda: arimoto_mrs_gerber(BscInstance(0.4, 0.2), 2.0, math.nan), "p = nan outside"),
+    ],
+    ids=["mrs_gerber", "mr_gerber", "arimoto_mrs_gerber"],
+)
+def test_closed_forms_refuse_a_nan_argument(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

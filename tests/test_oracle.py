@@ -18,7 +18,13 @@ from bottleneck_lab import (
     oracle_exhaustive_binary,
 )
 from bottleneck_lab.core import LN2, Channel
-from bottleneck_lab.oracle import OracleConfig, _BinaryCloud, _binary_points, _hull_indices
+from bottleneck_lab.oracle import (
+    OracleConfig,
+    _BinaryCloud,
+    _binary_points,
+    _hull_indices,
+    _reduce_mixture,
+)
 from bottleneck_lab.sweep import _resolve_pair
 
 ENTROPY = DivergenceKernel.entropy_functional()
@@ -104,6 +110,28 @@ class TestExhaustiveBinary:
             pts = oracle_exhaustive_binary(CHI2, CHI2, 0.1, 0.1, np.linspace(0, 1, 9), direction, 256)
             for pt in pts:
                 assert math.isclose(pt.best_y, kappa * pt.x_target, abs_tol=1e-9)
+
+
+class TestReduceMixture:
+    @pytest.mark.parametrize("m, k", [(2, 7), (3, 12)])
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_prunes_to_m_plus_one_atoms_keeping_the_constraints(self, m, k, direction):
+        # Marginal, total mass and E[f] held; E[g] never worse; the kept
+        # atoms are rows of the input with their own values.
+        rng = np.random.default_rng([m, k])
+        P = rng.dirichlet(np.ones(m), size=k)
+        w = rng.dirichlet(np.ones(k))
+        f, g = rng.normal(size=k), rng.normal(size=k)
+        P2, w2, f2, g2 = _reduce_mixture(P, w, f, g, direction)
+        assert len(w2) <= m + 1 and np.all(w2 > 0.0)
+        assert_allclose(w2 @ P2, w @ P, atol=1e-12)
+        assert w2.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w2 @ f2 == pytest.approx(w @ f, abs=1e-12)
+        sign = 1.0 if direction == "upper" else -1.0
+        assert sign * (w2 @ g2) >= sign * (w @ g) - 1e-12
+        rows = [int(np.flatnonzero((P == row).all(axis=1))[0]) for row in P2]
+        assert_allclose(f2, f[rows], rtol=0, atol=0)
+        assert_allclose(g2, g[rows], rtol=0, atol=0)
 
 
 def scalar_hull_indices(xs, ys, direction):

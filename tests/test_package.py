@@ -11,7 +11,7 @@ PACKAGE_DIR = Path(bottleneck_lab.__file__).parent
 # Third-party modules a submodule may import when it is itself imported.
 # Everything else (scipy.optimize above all) is imported where it is called,
 # so a `curve` run loads numpy and scipy.spatial only.
-TOP_LEVEL_IMPORTS = {"envelope": {"scipy.spatial"}, "oracle": {"scipy.linalg"}}
+TOP_LEVEL_IMPORTS = {"envelope": {"scipy.spatial"}}
 
 
 def test_all_names_resolve_once():

@@ -377,9 +377,12 @@ class TestMatchedChannels:
             matched_channel_invariance_check(point, [0.89, 0.11], ENTROPY, ENTROPY, INST.channel())
 
     def test_marginal_outside_hull_rejected(self):
+        # A valid marginal past the witness's highest atom.
         point = bsc_point(ENTROPY, 0.3, "lower", resolution=512)
         high = max(a.probs[1] for _, a in point.witness.atoms)
-        outside = np.array([1.0 - (high + 0.05), high + 0.05])
+        assert high < 1.0
+        p1 = 0.5 * (high + 1.0)
+        outside = np.array([1.0 - p1, p1])
         with pytest.raises(ValueError, match="hull"):
             matched_channel_invariance_check(point, outside, ENTROPY, ENTROPY, INST.channel())
 
