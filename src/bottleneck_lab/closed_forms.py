@@ -132,14 +132,15 @@ def mr_gerber(inst: BscInstance, x: float) -> float:
 
     The inversion is scalar: brentq runs on the x-coordinate alone and no
     witness is built; mr_gerber_point gives the point with its witness.
+    On alpha <= 2q the tilted conditional is q / (2q) = 1/2 exactly, whose
+    entropy is exactly 1 bit, so x(alpha) = alpha there and needs no root.
     """
     x, hq = _entropy_x(inst, x)
-    if x == 0.0:
-        return _mr_gerber_xy(inst, 0.0)[2]
+    q = inst.q
+    if x <= 2.0 * q:
+        return _mr_gerber_xy(inst, x)[2]
     if x >= hq:
         return _mr_gerber_xy(inst, 1.0)[2]
-
-    q = inst.q
 
     def gap(alpha: float) -> float:
         # x of _mr_gerber_xy alone, with the unchecked entropy: ratio is

@@ -21,10 +21,12 @@ of two routes, chosen by m:
 - m >= 3: two parametric simplex walks, one per boundary chain, over the
   LP min (lower) or max (upper) of sum a_i (g_i - lambda f_i) s.t.
   sum a_i p_i = q, a >= 0; each vertex is its optimal basis over a range
-  of lambda.  The walk starts from the alphabet basis, whose adjugate is
-  closed form; each pivot is an O(m^2) update of the basis adjugate in
-  Python integers, exact at any determinant (no int64 ceiling), and two
-  pricing products over the lattice, while a hull in dimension m + 1
+  of lambda.  Both walks start from the alphabet basis, whose adjugate is
+  closed form, and open with the same pivots at lambda = -inf, which read
+  f alone: these run once per slice, and each chain goes on from the
+  basis they reach.  Each pivot is an O(m^2) update of the basis adjugate
+  in Python integers, exact at any determinant (no int64 ceiling), and
+  one pricing product over the lattice, while a hull in dimension m + 1
   grows far faster with m and N.
 
 envelope_at keeps the per-slope view: the lower convex (upper concave)
@@ -370,10 +372,11 @@ def _hull_faces(
 
 
 def _pivot_cap(points: int) -> int:
-    """Most pivots one walk may take over a lattice of this many points.
-    A walk visits each basis at most once.  Measured walks take up to 1.1
-    pivots per point on the smallest lattices (m = 3, N = 3) and under
-    0.05 at the default ones (see test_walk_pivots_stay_under_cap)."""
+    """Most pivots one walk may take over a lattice of this many points,
+    the opening pivots both chains share counted in each.  A walk visits
+    each basis at most once.  Measured walks take up to 1.1 pivots per
+    point on the smallest lattices (m = 3, N = 3) and under 0.05 at the
+    default ones (see test_walk_pivots_stay_under_cap)."""
     return 4 * points + 64
 
 
@@ -390,7 +393,7 @@ def _pivot(
     u[r] (> 0 by the ratio test), row r is kept and each other row i
     becomes (u[r] adj[i] - u[i] adj[r]) / det, an exact division.  Python
     integers do not overflow, so the walk stays exact at any determinant.
-    The walk's first adjugate is closed form (see _walk), with no
+    The walk's first adjugate is closed form (see _x_phase), with no
     elimination; every later one comes from this update."""
     ur, top = u[r], adj[r]
     new = []
@@ -411,7 +414,7 @@ def _lex_leaving(adj: list[list[int]], rhs: list[int], u: list[int]) -> int:
     [weights, B^-1 B_0] / u[r] is smallest, compared exactly in integers
     (each key scaled by prod(u) / u[r]).  Rows of B^-1 B_0 are independent,
     so the minimum is unique, and degenerate pivots cannot cycle.  B_0 is
-    the start basis N J (see _walk), so row i of adj B_0 is N times adj[i]
+    the start basis N J (see _x_phase), so row i of adj B_0 is N times adj[i]
     reversed; the keys drop that common factor, and are built only when
     the weight ratios tie exactly."""
     rows = [i for i, ui in enumerate(u) if ui > 0]
@@ -426,84 +429,158 @@ def _lex_leaving(adj: list[list[int]], rhs: list[int], u: list[int]) -> int:
     return min(tied, key=lambda i: [a * (scale // u[i]) for a in reversed(adj[i])])
 
 
+@dataclass(frozen=True, eq=False)
+class _SliceLP:
+    """What every walk over one slice shares, built once per slice: the
+    lattice counts, their transpose as a C-contiguous float (m, K) matrix
+    for pricing, the integer right-hand side, the pricing and breakpoint
+    tolerances, and the pivot cap of each walk."""
+
+    counts: np.ndarray
+    CT: np.ndarray
+    rhs: list[int]
+    tol: float
+    brk: float
+    cap: int
+
+    def too_many_pivots(self) -> RuntimeError:
+        return RuntimeError(
+            f"simplex walk took more than {self.cap} pivots on {self.counts.shape[0]} lattice points"
+        )
+
+
+def _price(
+    lp: _SliceLP, XY: np.ndarray, basis: list[int], adj: list[list[int]], det: int, out: np.ndarray
+) -> None:
+    """Reduced costs of the rows of XY at the basis, written to out: XY
+    less one product of the 2 x m multipliers XY_B adj / det with lp.CT.
+    Each row is rounded alike whatever the other row holds."""
+    np.dot(XY[:, basis] @ (np.array(adj, dtype=float) / det), lp.CT, out=out)
+    np.subtract(XY, out, out=out)
+
+
+def _enter(
+    lp: _SliceLP, basis: list[int], adj: list[list[int]], det: int, j: int
+) -> tuple[list[list[int]], int]:
+    """Pivot column j into the basis, in place, with the lexicographic
+    ratio test choosing the row it replaces; returns the new adjugate and
+    determinant."""
+    entering = lp.counts[j].tolist()
+    u = [_dot(row, entering) for row in adj]
+    r = _lex_leaving(adj, lp.rhs, u)
+    basis[r] = j
+    return _pivot(adj, det, u, r)
+
+
+def _x_phase(
+    lp: _SliceLP, XY: np.ndarray, start: list[int]
+) -> tuple[list[int], list[list[int]], int, int]:
+    """The opening pivots at lam = -inf, which both chains share: from the
+    basis start, the m alphabet vertices in lattice order, bring in the
+    column with the most negative X reduced cost until none lies below
+    -tol.  They read the X row alone, so they are the same for Y and -Y;
+    XY is either chain's (X, Y), priced as the chain prices it, so a tie
+    between columns breaks as it would in the chain.  The start basis (as
+    columns) is N J, with J the reversal, so its adjugate is N^(m-1) J and
+    its determinant N^m in closed form.  Returns the basis, its adjugate
+    and determinant, and the number of pivots taken."""
+    m, N = len(start), int(lp.counts[start[0]].sum())
+    basis = list(start)
+    adj = [[N ** (m - 1) if i + k == m - 1 else 0 for k in range(m)] for i in range(m)]
+    det = N**m
+    reduced = np.empty_like(XY)
+    dX = reduced[0]
+    for pivots in range(lp.cap + 1):
+        _price(lp, XY, basis, adj, det, reduced)
+        j = int(dX.argmin())
+        if dX[j] >= -lp.tol:
+            return basis, adj, det, pivots
+        adj, det = _enter(lp, basis, adj, det, j)
+    raise lp.too_many_pivots()
+
+
 def _walk(
-    X: np.ndarray, Y: np.ndarray, counts: np.ndarray, start: list[int], rhs: list[int]
+    lp: _SliceLP, XY: np.ndarray, opening: tuple[list[int], list[list[int]], int, int]
 ) -> list[list[int]]:
     """Optimal bases of the parametric LP
     min sum a_i (Y_i - lam X_i)  s.t.  sum a_i counts_i = rhs, a >= 0
-    as lam runs from -inf to +inf, one per vertex of the lower chain, from
-    the basis start, the m alphabet vertices in lattice order.  rhs is q
-    scaled to integers, so the bases are those of the LP at q.
+    with (X, Y) the rows of XY, as lam runs from -inf to +inf, one per
+    vertex of the lower chain, from the basis, adjugate, determinant and
+    pivot count _x_phase left.  rhs is q scaled to integers, so the bases
+    are those of the LP at q.
 
-    At lam = -inf the objective is X, ties broken by Y.  From there each
-    pivot brings in the column with the smallest breakpoint dY_j / dX_j
-    over dX_j > 0, and lam moves up to it.  A basis whose next breakpoint
-    lies past its own lam is a vertex; bases visited at one breakpoint
-    span points on that edge and are not kept.  Weights and ratios are
-    exact integer adjugate products, so degenerate pivots are recognised
-    exactly, and the lexicographic ratio test keeps them from cycling.
-    The adjugate and determinant are Python integers, so there is no
-    int64 ceiling on them.  The start basis (as columns) is N J, with J
-    the reversal, so its adjugate is N^(m-1) J and its determinant N^m in
-    closed form; each pivot updates them in O(m^2) integer operations
-    (_pivot).  Pricing reads the adjugate as floats, one numpy pass over
-    the lattice per pivot.
+    At lam = -inf the objective is X, ties broken by Y: after the shared
+    X pivots, columns whose X reduced cost is zero and whose Y reduced
+    cost is negative enter.  From there each pivot brings in the column
+    with the smallest breakpoint dY_j / dX_j over dX_j > 0, and lam moves
+    up to it.  A basis whose next breakpoint lies past its own lam is a
+    vertex; bases visited at one breakpoint span points on that edge and
+    are not kept.  Weights and ratios are exact integer adjugate products,
+    so degenerate pivots are recognised exactly, and the lexicographic
+    ratio test keeps them from cycling.  The adjugate and determinant are
+    Python integers, so there is no int64 ceiling on them; each pivot
+    updates them in O(m^2) integer operations (_pivot).  Pricing reads
+    the adjugate as floats: one product over the lattice per pivot
+    (_price).  The opening pivots count against the cap as if this walk
+    had taken them itself.
     """
-    K = counts.shape[0]
-    CT = counts.T.astype(float)
-    XY = np.vstack([X, Y])
-    m, N = len(start), int(counts[start[0]].sum())
-    scale = max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
-    tol, brk = _PRICE_TOL * scale, _BREAK_TOL * scale
-    cap = _pivot_cap(K)
-    basis = list(start)
-    vertices = []
+    basis, adj, det, pivots = opening
+    basis = list(basis)
+    tol, brk = lp.tol, lp.brk
+    reduced, ratios = np.empty_like(XY), np.empty(XY.shape[1])
+    dX, dY = reduced
     lam = -math.inf
-    adj = [[N ** (m - 1) if i + k == m - 1 else 0 for k in range(m)] for i in range(m)]
-    det = N**m
-    for _ in range(cap + 1):
-        dX, dY = XY - (XY[:, basis] @ (np.array(adj, dtype=float) / det)) @ CT
-        rising = dX > tol
+    vertices = []
+    for _ in range(lp.cap + 1 - pivots):
+        _price(lp, XY, basis, adj, det, reduced)
         j = -1
         if lam == -math.inf:
             # Lexicographic (X, Y) pricing until the basis is optimal.
-            flat = (dX <= tol) & (dY < -tol)
-            if dX.min() < -tol:
-                j = int(np.argmin(dX))
-            elif flat.any():
-                j = int(np.argmin(np.where(flat, dY, np.inf)))
+            j = int(dX.argmin())
+            if dX[j] >= -tol:
+                flat = (dX <= tol) & (dY < -tol)
+                j = int(np.where(flat, dY, np.inf).argmin()) if flat.any() else -1
         if j < 0:
-            if not rising.any():
+            # Breakpoints of the columns with dX > tol, inf elsewhere: an
+            # infinite least one means no column rises and lam ends here.
+            ratios.fill(np.inf)
+            np.divide(dY, dX, out=ratios, where=dX > tol)
+            j = int(ratios.argmin())
+            if ratios[j] == np.inf:
                 vertices.append(list(basis))
                 return vertices
-            ratios = np.where(rising, dY, np.inf) / np.where(rising, dX, 1.0)
-            j = int(np.argmin(ratios))
             # Optimal from lam up to a later breakpoint: a vertex.
             if lam == -math.inf or dY[j] - lam * dX[j] > brk:
                 vertices.append(list(basis))
             lam = max(lam, float(ratios[j]))
-        entering = counts[j].tolist()
-        u = [_dot(row, entering) for row in adj]
-        r = _lex_leaving(adj, rhs, u)
-        basis[r] = j
-        adj, det = _pivot(adj, det, u, r)
-    raise RuntimeError(f"simplex walk took more than {cap} pivots on {K} lattice points")
+        adj, det = _enter(lp, basis, adj, det, j)
+    raise lp.too_many_pivots()
 
 
 def _walk_faces(
     lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, counts: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Witnesses of the vertex bases of two parametric simplex walks, one
-    for the lower chain (Y) and one for the upper chain (-Y)."""
-    # The alphabet vertices are a basis feasible for every q (weights q).
-    start = lattice.vertices.tolist()
+    for the lower chain (Y) and one for the upper chain (-Y), which go on
+    from one run of their common opening pivots (_x_phase)."""
     # Every float is a dyadic rational, so scaling q by its largest
     # denominator gives integers proportional to q: the ratio test stays
     # exact.
     exact = [Fraction(v) for v in q.tolist()]
     den = max(v.denominator for v in exact)
-    rhs = [int(v * den) for v in exact]
-    bases = _walk(X, Y, counts, start, rhs) + _walk(X, -Y, counts, start, rhs)
+    scale = max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
+    lp = _SliceLP(
+        counts=counts,
+        CT=np.ascontiguousarray(counts.T, dtype=float),
+        rhs=[int(v * den) for v in exact],
+        tol=_PRICE_TOL * scale,
+        brk=_BREAK_TOL * scale,
+        cap=_pivot_cap(counts.shape[0]),
+    )
+    lower, upper = np.vstack([X, Y]), np.vstack([X, -Y])
+    # The alphabet vertices are a basis feasible for every q (weights q).
+    opening = _x_phase(lp, lower, lattice.vertices.tolist())
+    bases = _walk(lp, lower, opening) + _walk(lp, upper, opening)
     qc = q * lattice.resolution
     return _face_witnesses(_unique_rows(np.sort(bases, axis=1))[0], counts, qc)
 
@@ -517,10 +594,10 @@ def region_slice(graph: LagrangianGraph) -> RegionSlice:
     lattice points.  For m = 2 they come from the m-vertex faces of one
     qhull hull that contain q (a 3-D hull is cheaper than one walk pivot
     per vertex).  For m >= 3 they are the vertex bases of two parametric
-    simplex walks (see _walk): a hull in dimension m + 1 grows far faster
-    than the walks.  Each candidate's barycentric weights are its
-    witness, and a 2-D hull of the candidates and (f(q), g(Tq)) keeps the
-    vertices.
+    simplex walks (see _walk), which share their opening pivots
+    (_x_phase): a hull in dimension m + 1 grows far faster than the walks.
+    Each candidate's barycentric weights are its witness, and a 2-D hull
+    of the candidates and (f(q), g(Tq)) keeps the vertices.
     """
     faces = _hull_faces if graph.lattice.m == 2 else _walk_faces
     return _slice(graph, faces)

@@ -341,6 +341,8 @@ def _interp_on(curve: BoundaryCurve, x: float, expected_direction: str) -> float
         )
     if not curve.xs.size:
         raise ValueError("curve is empty")
+    if math.isnan(x):
+        raise ValueError(f"x = {x} is not a number")
     xs = curve.xs
     lo, hi = float(xs[0]), float(xs[-1])
     if x < lo - 1e-12 or x > hi + 1e-12:
@@ -352,13 +354,14 @@ def _interp_on(curve: BoundaryCurve, x: float, expected_direction: str) -> float
 
 def bottleneck_value(curve: BoundaryCurve, x: float) -> float:
     """Largest achievable y subject to the x-budget, read off the upper
-    curve by piecewise-linear interpolation (out-of-domain x is clamped)."""
+    curve by piecewise-linear interpolation (out-of-domain x is clamped
+    with a warning, a NaN x refused)."""
     return _interp_on(curve, x, "upper")
 
 
 def funnel_value(curve: BoundaryCurve, x: float) -> float:
     """Smallest achievable y subject to the x-floor, read off the lower
-    curve (out-of-domain x is clamped)."""
+    curve (out-of-domain x is clamped with a warning, a NaN x refused)."""
     return _interp_on(curve, x, "lower")
 
 

@@ -223,6 +223,21 @@ class TestMrGerber:
             for x in np.linspace(0.0, binary_entropy(inst.q), 33):
                 mr_gerber(inst, float(x))
 
+    def test_linear_branch_needs_no_root(self, monkeypatch):
+        # On alpha <= 2q the conditional is uniform and x(alpha) = alpha
+        # exactly, so mr_gerber reads the point at alpha = x directly.
+        import scipy.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mr_gerber ran a root search")
+
+        monkeypatch.setattr(scipy.optimize, "brentq", refuse)
+        for inst in EDGE_INSTS + [BscInstance(q=0.25, delta=0.05), BscInstance(q=0.4, delta=0.2)]:
+            for x in np.linspace(0.0, 2.0 * inst.q, 17):
+                assert mr_gerber(inst, float(x)) == mr_gerber_point(inst, float(x)).y
+        with pytest.raises(AssertionError, match="root search"):
+            mr_gerber(INST, 2.0 * INST.q + 0.05)
+
     def test_bit_identical_to_point_inversion(self):
         rng = np.random.default_rng(2024)
         draws = [

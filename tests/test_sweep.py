@@ -267,6 +267,13 @@ class TestValueQueries:
         with pytest.raises(ValueError):
             funnel_value(upper, 0.1)
 
+    def test_nan_x_is_refused(self, kl_curves):
+        lower, upper = kl_curves
+        with pytest.raises(ValueError, match="x = nan"):
+            bottleneck_value(upper, math.nan)
+        with pytest.raises(ValueError, match="x = nan"):
+            funnel_value(lower, math.nan)
+
     def test_out_of_domain_warns_and_clamps(self, kl_curves):
         lower, _ = kl_curves
         with pytest.warns(RuntimeWarning):
@@ -1007,14 +1014,23 @@ class TestHullSlice:
     def test_pivot_update_equals_adjugate(self, monkeypatch):
         # At every pivot of seeded walks the integer update gives the
         # adjugate and determinant of the new basis, as computed afresh.
-        real_walk, real_pivot = envelope._walk, envelope._pivot
+        # Each chain goes on from the basis the shared opening pivots
+        # reached, so each tracks its own copy of it.
+        real_x_phase, real_walk = envelope._x_phase, envelope._walk
+        real_pivot = envelope._pivot
         basis = {}
         pivots = []
 
-        def per_walk(X, Y, counts, start, rhs):
-            basis["B"] = counts[start].T.tolist()
-            basis["total"] = int(counts[start[0]].sum())
-            return real_walk(X, Y, counts, start, rhs)
+        def opening(lp, XY, start):
+            basis["B"] = lp.counts[start].T.tolist()
+            basis["total"] = int(lp.counts[start[0]].sum())
+            opened = real_x_phase(lp, XY, start)
+            basis["opened"] = basis["B"]
+            return opened
+
+        def per_walk(lp, XY, opened):
+            basis["B"] = [list(row) for row in basis["opened"]]
+            return real_walk(lp, XY, opened)
 
         def checking(adj, det, u, r):
             B = basis["B"]
@@ -1030,6 +1046,7 @@ class TestHullSlice:
             pivots.append(r)
             return new, new_det
 
+        monkeypatch.setattr(envelope, "_x_phase", opening)
         monkeypatch.setattr(envelope, "_walk", per_walk)
         monkeypatch.setattr(envelope, "_pivot", checking)
         for m, resolution in ((3, 24), (4, 8), (5, 6)):
@@ -1070,24 +1087,33 @@ class TestHullSlice:
             assert (adj, det) == fraction_adjugate(B)
 
     def test_walk_pivots_stay_under_cap(self, monkeypatch):
-        # The smallest lattices need the most pivots per point; every walk
-        # here stays under half its cap.
+        # The smallest lattices need the most pivots per point; every chain
+        # here stays under half its cap, counting the opening pivots it
+        # shares with the other chain as its own.
         pivots = []
+        shared = [0]
         real = envelope._lex_leaving
 
         def counting(*args):
             pivots[-1] += 1
             return real(*args)
 
-        walk = envelope._walk
+        x_phase, walk = envelope._x_phase, envelope._walk
 
-        def per_walk(X, Y, counts, start, rhs):
+        def opening(lp, XY, start):
             pivots.append(0)
-            result = walk(X, Y, counts, start, rhs)
-            assert pivots[-1] <= envelope._pivot_cap(counts.shape[0]) // 2
+            opened = x_phase(lp, XY, start)
+            shared[0] = pivots.pop()
+            return opened
+
+        def per_walk(lp, XY, opened):
+            pivots.append(shared[0])
+            result = walk(lp, XY, opened)
+            assert pivots[-1] <= envelope._pivot_cap(lp.counts.shape[0]) // 2
             return result
 
         monkeypatch.setattr(envelope, "_lex_leaving", counting)
+        monkeypatch.setattr(envelope, "_x_phase", opening)
         monkeypatch.setattr(envelope, "_walk", per_walk)
         for seed in range(5):
             for m, resolution in ((3, 3), (3, 6), (4, 4), (5, 5), (4, 12)):

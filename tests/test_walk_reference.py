@@ -61,10 +61,13 @@ def ref_lex_leaving(adj, qc, start, u):
     return int(rows[best])
 
 
-def ref_walk(X, Y, counts, start, rhs, ties):
+def ref_walk(X, Y, counts, start, rhs, ties, trace=None):
     """The int64 walk; ties[0] counts ratio tests whose smallest first-key
     ratio is shared by two rows.  The right-hand side rhs (q scaled to
-    integers, far past int64) is kept as Python integers."""
+    integers, far past int64) is kept as Python integers.  A trace list
+    gets one (u, r, det, opening) per pivot: the entering column in the
+    basis's coordinates, the leaving row, the determinant before the
+    pivot, and whether it is an X-only pivot at lam = -inf."""
     K = counts.shape[0]
     CT = counts.T.astype(float)
     XY = np.vstack([X, Y])
@@ -82,10 +85,12 @@ def ref_walk(X, Y, counts, start, rhs, ties):
         dX, dY = XY - (XY[:, basis] @ (adj / det)) @ CT
         rising = dX > tol
         j = -1
+        opening = False
         if lam == -math.inf:
             flat = (dX <= tol) & (dY < -tol)
             if dX.min() < -tol:
                 j = int(np.argmin(dX))
+                opening = True
             elif flat.any():
                 j = int(np.argmin(np.where(flat, dY, np.inf)))
         if j < 0:
@@ -101,6 +106,8 @@ def ref_walk(X, Y, counts, start, rhs, ties):
         ratios = sorted(Fraction(int(w), int(d)) for w, d in zip(adj @ qc, u) if d > 0)
         ties[0] += len(ratios) > 1 and ratios[0] == ratios[1]
         r = ref_lex_leaving(adj, qc, B0, u)
+        if trace is not None:
+            trace.append((tuple(u.tolist()), r, det, opening))
         basis[r] = j
         adj, det = ref_pivot(adj, det, u, r, total)
     raise RuntimeError(f"simplex walk took more than {cap} pivots on {K} lattice points")
@@ -108,19 +115,26 @@ def ref_walk(X, Y, counts, start, rhs, ties):
 
 @pytest.fixture
 def pinned(monkeypatch):
-    """Run every walk twice, the integer one and the int64 reference, and
+    """Run every chain's walk twice, the integer one (after the shared
+    opening pivots) and the int64 reference (from the alphabet basis), and
     require the same vertex bases; yields [walks, tied ratio tests]."""
-    real = envelope._walk
+    real_x_phase, real_walk = envelope._x_phase, envelope._walk
     seen = [0, 0]
+    alphabet = []
 
-    def both(X, Y, counts, start, rhs):
+    def opening(lp, XY, start):
+        alphabet[:] = start
+        return real_x_phase(lp, XY, start)
+
+    def both(lp, XY, opened):
         ties = [0]
-        got = real(X, Y, counts, start, rhs)
-        assert got == ref_walk(X, Y, counts, start, rhs, ties)
+        got = real_walk(lp, XY, opened)
+        assert got == ref_walk(XY[0], XY[1], lp.counts, list(alphabet), lp.rhs, ties)
         seen[0] += 1
         seen[1] += ties[0]
         return got
 
+    monkeypatch.setattr(envelope, "_x_phase", opening)
     monkeypatch.setattr(envelope, "_walk", both)
     return seen
 
@@ -140,3 +154,40 @@ def test_walk_bases_equal_the_int64_walk_on_seeded_sources(pinned, m, resolution
         for kernel in (KL, CHI2, ENTROPY):
             envelope.region_slice(kernel_graph(kernel, q, T, lattice))
     assert pinned[0] == 2 * 2 * 3 and pinned[1] > 0
+
+
+@pytest.mark.parametrize("m,resolution", [(3, 24), (4, 10), (5, 6)])
+def test_slice_shares_the_reference_walks_opening_pivots(monkeypatch, m, resolution):
+    # Both reference walks open with the same X-only pivots at lam = -inf.
+    # A slice takes them once: its pivots are the lower walk's, then the
+    # upper walk's after that common prefix.  The entropy is concave, so
+    # at the alphabet basis no X reduced cost is negative and the two
+    # walks share no pivot.
+    lattice = SimplexLattice.build(m, resolution)
+    counts = np.rint(lattice.points * resolution).astype(np.int64)
+    start = lattice.vertices.tolist()
+    taken = []
+    real = envelope._pivot
+
+    def recording(adj, det, u, r):
+        taken.append((tuple(u), r, det))
+        return real(adj, det, u, r)
+
+    monkeypatch.setattr(envelope, "_pivot", recording)
+    for seed in range(2):
+        q, T = seeded_source(m, resolution, seed)
+        den = max(Fraction(v).denominator for v in q.tolist())
+        rhs = [int(Fraction(v) * den) for v in q.tolist()]
+        for kernel in (KL, CHI2, ENTROPY):
+            graph = kernel_graph(kernel, q, T, lattice)
+            X, Y = graph.x_values[:-1], graph.y_values[:-1]
+            lower, upper = [], []
+            ref_walk(X, Y, counts, start, rhs, [0], lower)
+            ref_walk(X, -Y, counts, start, rhs, [0], upper)
+            prefix = 0
+            while lower[prefix] == upper[prefix] and lower[prefix][3]:
+                prefix += 1
+            taken.clear()
+            envelope.region_slice(graph)
+            assert taken == [step[:3] for step in lower + upper[prefix:]]
+            assert (prefix == 0) == (kernel is ENTROPY)
