@@ -46,17 +46,21 @@ from .oracle import OraclePoint, oracle_boundary, oracle_exhaustive_binary
 from .sweep import (
     BoundaryCurve,
     BoundaryPoint,
+    BoundarySlice,
     WitnessChannel,
+    boundary_slice,
     bottleneck_value,
     funnel_value,
     matched_channel_invariance_check,
     problem_curve,
+    slice_point,
     sweep,
 )
 
 __all__ = [
     "BoundaryCurve",
     "BoundaryPoint",
+    "BoundarySlice",
     "BscInstance",
     "Channel",
     "Distribution",
@@ -72,6 +76,7 @@ __all__ = [
     "beta_norm",
     "binary_entropy",
     "binary_entropy_inv",
+    "boundary_slice",
     "bottleneck_value",
     "bsc_joint",
     "conditional_f_information",
@@ -92,6 +97,7 @@ __all__ = [
     "oracle_exhaustive_binary",
     "problem_curve",
     "resolve_functional",
+    "slice_point",
     "star",
     "sweep",
 ]

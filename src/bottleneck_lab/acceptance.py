@@ -3,6 +3,9 @@ the lifted-hull curves, plus the randomized property suite.
 
 Each check returns a CheckResult with the measured deviation so callers (the
 verify CLI and the test suite) can print one pass/fail line per criterion.
+Every curve and point is read off a sweep.BoundarySlice: A1-A6 build theirs
+with boundary_slice at the resolution they name, and A7 wraps the slice of
+the one Lagrangian graph it also reads the reference envelope from.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .envelope import SimplexLattice, build_lagrangian_graph, envelope_at, regio
 from .oracle import oracle_exhaustive_binary
 from .sweep import (
     BoundaryCurve,
+    BoundarySlice,
     _resolve_pair,
     boundary_slice,
     bottleneck_value,
@@ -76,10 +80,9 @@ def _curve_pair(
 ) -> tuple[BoundaryCurve, BoundaryCurve]:
     """Lower and upper curves (labelled with problems, in that order) read
     off one boundary_slice."""
-    channel, q = inst.channel(), inst.marginal()
-    region = boundary_slice(kernel, kernel, channel, q, resolution=resolution)
+    bslice = boundary_slice(kernel, kernel, inst.channel(), inst.marginal(), resolution=resolution)
     return tuple(
-        sweep(kernel, kernel, channel, q, side, region=region, problem=problem)
+        sweep(bslice, side, problem=problem)
         for side, problem in zip(("lower", "upper"), problems)
     )
 
@@ -203,10 +206,8 @@ def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4
     fresh support query at that marginal and keep the same atom set."""
     inst = BscInstance(q=0.1, delta=0.1)
     channel, q = inst.channel(), inst.marginal()
-    # One lattice serves the slice at q and both perturbed marginals.
-    lattice = SimplexLattice.build(2, resolution)
-    region = boundary_slice(_ENTROPY, _ENTROPY, channel, q, lattice=lattice)
-    curve = sweep(_ENTROPY, _ENTROPY, channel, q, "lower", region=region, problem="pf")
+    curve = sweep(boundary_slice(_ENTROPY, _ENTROPY, channel, q, resolution=resolution),
+                  "lower", problem="pf")
     q0 = float(curve.marginal.probs[1])
     margin = perturb + 0.005
     candidates = [
@@ -230,10 +231,10 @@ def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4
     for dq in (perturb, -perturb):
         q_new = np.array([1.0 - (q0 + dq), q0 + dq])
         # One slice per perturbed marginal serves every picked slope.
-        region = boundary_slice(_ENTROPY, _ENTROPY, channel, q_new, lattice=lattice)
+        bslice = boundary_slice(_ENTROPY, _ENTROPY, channel, q_new, resolution=resolution)
         for point in picks:
             moved = matched_channel_invariance_check(point, q_new, _ENTROPY, _ENTROPY, channel)
-            fresh = slice_point(region, point.lam, "lower")
+            fresh = slice_point(bslice, point.lam, "lower")
             worst = max(worst, abs(moved.x - fresh.x) / LN2, abs(moved.y - fresh.y) / LN2)
             got = sorted(a.probs[1] for _, a in moved.witness.atoms)
             want = sorted(a.probs[1] for _, a in fresh.witness.atoms)
@@ -336,7 +337,9 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
             continue
 
         try:
-            point = slice_point(region_slice(graph), lam, direction)
+            point = slice_point(
+                BoundarySlice(region_slice(graph), kernel, kernel, channel), lam, direction
+            )
         except Exception as exc:
             violations.append(f"seed {seed}: boundary point failed: {exc}")
             continue

@@ -10,7 +10,9 @@ point at q and the deterministic refinement onto the alphabet vertices
 (swapped for the concave entropy frame).  Between them it keeps the
 vertices whose supporting slopes include some lam >= 0.  Every vertex comes
 with an explicit witness channel of at most m atoms, and the point at a
-given slope is a support-function query on the same polygon.
+given slope is a support-function query on the same polygon.  Curves and
+points are read off a BoundarySlice, the polygon held with the kernels and
+channel it was built from, so each carries exactly those and its q.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .core import (
     ConfigError,
     Distribution,
     DivergenceKernel,
-    _as_channel,
     _as_prob_rows,
     _as_source,
     _check_direction,
@@ -187,24 +188,43 @@ def _resolve_pair(
     return resolve_functional(f_kernel, f_ref), resolve_functional(g_kernel, g_ref)
 
 
+def _default_lattice(m: int, resolution: int | None) -> SimplexLattice:
+    if resolution is None:
+        if m not in DEFAULT_RESOLUTION:
+            raise ConfigError(f"no default lattice for m = {m}; pass a resolution")
+        resolution = DEFAULT_RESOLUTION[m]
+    return SimplexLattice.build(m, resolution)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundarySlice:
+    """The achievable-region polygon at one marginal (an
+    envelope.RegionSlice, whose q is that marginal) with the kernels and
+    channel its numbers come from.  sweep and slice_point read every curve
+    and point off one, so these travel with them."""
+
+    region: RegionSlice
+    f_kernel: DivergenceKernel
+    g_kernel: DivergenceKernel
+    channel: Channel
+
+
 def boundary_slice(
     f_kernel: DivergenceKernel,
     g_kernel: DivergenceKernel,
     T: Channel | np.ndarray,
     q: Distribution | np.ndarray,
     *,
-    lattice: SimplexLattice | None = None,
     resolution: int | None = None,
-) -> RegionSlice:
-    """Achievable-region polygon at q over the lattice, with divergence
-    references taken from q.  lattice excludes resolution."""
+) -> BoundarySlice:
+    """Achievable-region polygon at q over the lattice of the given
+    resolution (default: DEFAULT_RESOLUTION for the alphabet), with
+    divergence references taken from q."""
     q, channel = _as_source(q, T)
-    if lattice is None:
-        lattice = _default_lattice(channel.m, resolution)
-    elif resolution is not None:
-        raise ValueError("lattice excludes resolution")
+    lattice = _default_lattice(channel.m, resolution)
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, q, channel)
-    return region_slice(build_lagrangian_graph(f_fn, g_fn, channel, lattice, q))
+    region = region_slice(build_lagrangian_graph(f_fn, g_fn, channel, lattice, q))
+    return BoundarySlice(region, f_kernel, g_kernel, channel)
 
 
 def _chain_arrays(
@@ -260,54 +280,28 @@ def _points(
     return tuple(out)
 
 
-def slice_point(region: RegionSlice, lam: float, direction: str) -> BoundaryPoint:
-    """Boundary point of a region polygon at supporting slope lam: the vertex
-    minimizing (lower) or maximizing (upper) y - lam * x.  It is trivial
-    when its witness is the single atom at the slice's marginal.  Querying
-    one slice at many slopes builds the slice once."""
+def slice_point(bslice: BoundarySlice, lam: float, direction: str) -> BoundaryPoint:
+    """Boundary point of a slice's polygon at supporting slope lam: the
+    vertex minimizing (lower) or maximizing (upper) y - lam * x.  It is
+    trivial when its witness is the single atom at the slice's marginal.
+    Querying one slice at many slopes builds the slice once."""
+    region = bslice.region
     marginal, arrays = _chain_arrays(region, [region.support(lam, direction)], [lam])
     return _points(**arrays, marginal=marginal)[0]
 
 
-def _default_lattice(m: int, resolution: int | None) -> SimplexLattice:
-    if resolution is None:
-        if m not in DEFAULT_RESOLUTION:
-            raise ConfigError(f"no default lattice for m = {m}; pass a resolution")
-        resolution = DEFAULT_RESOLUTION[m]
-    return SimplexLattice.build(m, resolution)
-
-
-def sweep(
-    f_kernel: DivergenceKernel,
-    g_kernel: DivergenceKernel,
-    T: Channel | np.ndarray,
-    q: Distribution | np.ndarray,
-    direction: str,
-    *,
-    resolution: int | None = None,
-    region: RegionSlice | None = None,
-    problem: str = "generic",
-) -> BoundaryCurve:
-    """One boundary curve: the lower or upper chain of the region polygon.
+def sweep(bslice: BoundarySlice, direction: str, *, problem: str = "generic") -> BoundaryCurve:
+    """One boundary curve: the lower or upper chain of a slice's polygon,
+    carrying the slice's kernels, channel and marginal.
 
     Both x-extremes are kept as forced endpoints (lam = nan).  An interior
     vertex is kept when its range of supporting slopes meets lam >= 0, with
     lam set to the midpoint of its two edge slopes, clipped to >= 0: a slope
     strictly inside its normal cone, at which slice_point returns the same
-    vertex.
-
-    region, a boundary_slice of the same kernels, T and q, is read instead
-    of building a new slice, so both chains can come from one slice and
-    several slices from one lattice.  It excludes resolution, and a slice
-    at any other marginal than exactly q is refused.
+    vertex.  Both chains of one slice are read off it without building it
+    again.
     """
-    channel = _as_channel(T)
-    if region is None:
-        region = boundary_slice(f_kernel, g_kernel, channel, q, resolution=resolution)
-    elif resolution is not None:
-        raise ValueError("region excludes resolution")
-    elif not np.array_equal(region.q, _as_source(q, channel)[0]):
-        raise ValueError("region is a slice at another marginal")
+    region = bslice.region
     chain = region.chain(direction)
     slopes = np.diff(region.y[chain]) / np.diff(region.x[chain])
     left, right = slopes[:-1], slopes[1:]
@@ -327,10 +321,10 @@ def sweep(
         direction=direction,
         problem=problem,
         marginal=marginal,
-        channel=channel,
+        channel=bslice.channel,
         **arrays,
-        f_kernel=f_kernel,
-        g_kernel=g_kernel,
+        f_kernel=bslice.f_kernel,
+        g_kernel=bslice.g_kernel,
     )
 
 
@@ -462,13 +456,9 @@ def problem_curve(
         kernel = DivergenceKernel(kind)
     if beta is not None and kernel.kind != "norm":
         raise ConfigError(f"beta does not apply to problem {problem!r} in frame {frame!r}")
-    channel = _as_channel(T)
-    region = boundary_slice(kernel, kernel, channel, q, resolution=resolution)
+    bslice = boundary_slice(kernel, kernel, T, q, resolution=resolution)
     sides = ("lower", "upper") if direction == "both" else (direction,)
-    curves = tuple(
-        sweep(kernel, kernel, channel, q, side, region=region, problem=problem)
-        for side in sides
-    )
+    curves = tuple(sweep(bslice, side, problem=problem) for side in sides)
     return curves if direction == "both" else curves[0]
 
 

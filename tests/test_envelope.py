@@ -278,8 +278,8 @@ class TestEnvelopeGapAt:
         lam = (1.0 - 2.0 * delta) ** 2
         # Resolution chosen so [0.9, 0.1] sits exactly on the lattice.
         graph = entropy_graph(delta, 200)
-        region = boundary_slice(ENTROPY, ENTROPY, bsc(delta), Q, lattice=graph.lattice)
-        point = slice_point(region, lam, "lower")
+        bslice = boundary_slice(ENTROPY, ENTROPY, bsc(delta), Q, resolution=200)
+        point = slice_point(bslice, lam, "lower")
         assert abs(phi_at_q(graph, lam) - (point.y - lam * point.x)) <= 1e-12
         assert point.trivial and len(point.witness.atoms) == 1
         w, atom = point.witness.atoms[0]
@@ -289,8 +289,8 @@ class TestEnvelopeGapAt:
     def test_nontrivial_mixture_reaches_marginal(self):
         # [0.9, 0.1] is off the N = 4096 lattice.
         graph = entropy_graph(0.1, 4096)
-        region = boundary_slice(ENTROPY, ENTROPY, bsc(0.1), Q, lattice=graph.lattice)
-        point = slice_point(region, 0.3, "lower")
+        bslice = boundary_slice(ENTROPY, ENTROPY, bsc(0.1), Q, resolution=4096)
+        point = slice_point(bslice, 0.3, "lower")
         assert phi_at_q(graph, 0.3) - (point.y - 0.3 * point.x) > 1e-7
         assert len(point.witness.atoms) == 2
         mix = sum(w * atom.probs for w, atom in point.witness.atoms)
@@ -300,10 +300,9 @@ class TestEnvelopeGapAt:
         # Past the slope where the objective turns concave, the envelope
         # dips below zero at the reference and is spanned by points on
         # either side of it.
-        lattice = SimplexLattice.build(2, 64)
         q = Q  # off the lattice
         chi = DivergenceKernel.chi_squared()
-        point = slice_point(boundary_slice(chi, chi, bsc(0.1), q, lattice=lattice), 1.0, "lower")
+        point = slice_point(boundary_slice(chi, chi, bsc(0.1), q, resolution=64), 1.0, "lower")
         assert point.y - 1.0 * point.x < -1e-7  # the objective is 0 at q
         firsts = sorted(atom.probs[0] for _, atom in point.witness.atoms)
         assert firsts[0] < q[0] < firsts[-1]

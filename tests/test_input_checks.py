@@ -21,7 +21,6 @@ from bottleneck_lab import (
     oracle_boundary,
     oracle_exhaustive_binary,
     problem_curve,
-    sweep,
 )
 from bottleneck_lab.cli import EXIT_BAD_INPUT, main
 from bottleneck_lab.closed_forms import closed_form_table
@@ -40,12 +39,13 @@ MISMATCH = "channel input alphabet does not match the marginal"
 @pytest.mark.parametrize(
     "call",
     [
+        # sweep and slice_point read the source off a slice, so this is
+        # where a curve or point refuses it.
         lambda: boundary_slice(KL, KL, BSC, Q3, resolution=8),
-        lambda: sweep(KL, KL, BSC, Q3, "lower", resolution=8),
         lambda: problem_curve(Q3, BSC, "ib", "lower", resolution=8),
         lambda: oracle_boundary(KL, KL, BSC, Q3, 0.1, "lower", OracleConfig()),
     ],
-    ids=["boundary_slice", "sweep", "problem_curve", "oracle_boundary"],
+    ids=["boundary_slice", "problem_curve", "oracle_boundary"],
 )
 def test_marginal_that_does_not_fit_the_channel_is_refused(call):
     with pytest.raises(ValueError, match=MISMATCH):
@@ -54,8 +54,8 @@ def test_marginal_that_does_not_fit_the_channel_is_refused(call):
 
 @pytest.fixture(scope="module")
 def two_atom_point():
-    region = boundary_slice(ENTROPY, ENTROPY, BSC, INST.marginal(), resolution=512)
-    point = slice_point(region, 0.3, "lower")
+    bslice = boundary_slice(ENTROPY, ENTROPY, BSC, INST.marginal(), resolution=512)
+    point = slice_point(bslice, 0.3, "lower")
     assert len(point.witness.atoms) == 2
     return point
 

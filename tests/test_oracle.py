@@ -325,11 +325,11 @@ class TestOracleBoundary:
         # overshoot the swept lower curve.
         import warnings
 
-        from bottleneck_lab import bottleneck_value, funnel_value, sweep
+        from bottleneck_lab import bottleneck_value, boundary_slice, funnel_value, sweep
 
         T, q = seeded_ternary(2)
-        upper = sweep(KL, KL, T, q, "upper", resolution=32)
-        lower = sweep(KL, KL, T, q, "lower", resolution=32)
+        bslice = boundary_slice(KL, KL, T, q, resolution=32)
+        upper, lower = sweep(bslice, "upper"), sweep(bslice, "lower")
         cfg = OracleConfig(grid_resolution=32)
         for frac in (0.1, 0.4, 0.7):
             x = frac * float(upper.xs[-1])

@@ -59,28 +59,30 @@ def quiet(fn, *args):
 
 @pytest.fixture(scope="module")
 def kl_curves():
-    lower = sweep(KL, KL, INST.channel(), INST.marginal(), "lower", resolution=512, problem="pf")
-    upper = sweep(KL, KL, INST.channel(), INST.marginal(), "upper", resolution=512, problem="ib")
+    lower = sweep(bsc_slice(KL, resolution=512), "lower", problem="pf")
+    upper = sweep(bsc_slice(KL, resolution=512), "upper", problem="ib")
     return lower, upper
 
 
 @pytest.fixture(scope="module")
 def entropy_lower_fine():
-    return sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", resolution=4096, problem="pf")
+    return sweep(bsc_slice(ENTROPY, resolution=4096), "lower", problem="pf")
+
+
+def bsc_slice(kernel, inst=INST, **grid):
+    """boundary_slice of the kernel pair for a binary symmetric instance."""
+    return boundary_slice(kernel, kernel, inst.channel(), inst.marginal(), **grid)
 
 
 def bsc_point(kernel, lam, direction, inst=INST, **grid):
-    """slice_point at slope lam on a fresh boundary_slice of the kernel pair
-    for a binary symmetric instance."""
-    region = boundary_slice(kernel, kernel, inst.channel(), inst.marginal(), **grid)
-    return slice_point(region, lam, direction)
+    """slice_point at slope lam on a fresh bsc_slice."""
+    return slice_point(bsc_slice(kernel, inst, **grid), lam, direction)
 
 
 class TestBoundaryPointAtLambda:
     def test_convex_regime_gives_trivial_point(self):
         lam = (1.0 - 2.0 * INST.delta) ** 2
-        lattice = SimplexLattice.build(2, 200)  # q = 0.1 exactly on lattice
-        point = bsc_point(ENTROPY, lam, "lower", lattice=lattice)
+        point = bsc_point(ENTROPY, lam, "lower", resolution=200)  # q = 0.1 on the lattice
         assert point.trivial
         assert math.isclose(point.x / LN2, binary_entropy(INST.q), abs_tol=1e-12)
         assert math.isclose(
@@ -105,7 +107,7 @@ class TestBoundaryPointAtLambda:
 
 class TestSweep:
     def test_lower_tracks_exact_boundary_coarsely(self):
-        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", resolution=512)
+        curve = sweep(bsc_slice(ENTROPY, resolution=512), "lower")
         for x in np.linspace(0.0, binary_entropy(INST.q), 33):
             got = quiet(funnel_value, curve, float(x) * LN2) / LN2
             assert abs(got - mrs_gerber(INST, float(x))) <= 5e-3
@@ -116,11 +118,9 @@ class TestSweep:
         # exact lower boundary.
         lam_max = (1.0 - 2.0 * INST.delta) ** 2
         grid = np.concatenate([[0.0], np.geomspace(1e-8 * lam_max, lam_max, 200)])
-        lattice = SimplexLattice.build(2, 2048)
-        region = boundary_slice(ENTROPY, ENTROPY, INST.channel(), INST.marginal(),
-                                lattice=lattice)
-        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower",
-                      region=region)
+        bslice = bsc_slice(ENTROPY, resolution=2048)
+        region = bslice.region
+        curve = sweep(bslice, "lower")
         picked = sorted({region.support(float(lam), "lower") for lam in grid},
                         key=lambda k: region.x[k])
         xs, ys = region.x[picked], region.y[picked]
@@ -131,7 +131,7 @@ class TestSweep:
             assert abs(got - mrs_gerber(INST, float(x))) <= 2e-3
 
     def test_upper_tracks_exact_boundary_coarsely(self):
-        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "upper", resolution=512)
+        curve = sweep(bsc_slice(ENTROPY, resolution=512), "upper")
         for alpha in np.linspace(0.0, 1.0, 33):
             pt = mr_gerber_point(INST, float(alpha))
             got = quiet(bottleneck_value, curve, pt.x * LN2) / LN2
@@ -192,7 +192,7 @@ class TestSweep:
 
         q, T = decompose_joint(JointDistribution(joint))
         for direction in ("lower", "upper"):
-            curve = sweep(KL, KL, T, q, direction, resolution=256)
+            curve = sweep(boundary_slice(KL, KL, T, q, resolution=256), direction)
             assert np.abs(curve.ys).max() <= 1e-12
 
     def test_total_variation_region_is_a_segment(self):
@@ -200,8 +200,8 @@ class TestSweep:
         # (1 - 2 delta) times the input deviation, so the whole region
         # collapses to a line through the origin with that slope.
         tv = DivergenceKernel.total_variation()
-        lower = sweep(tv, tv, INST.channel(), INST.marginal(), "lower", resolution=512)
-        upper = sweep(tv, tv, INST.channel(), INST.marginal(), "upper", resolution=512)
+        lower = sweep(bsc_slice(tv, resolution=512), "lower")
+        upper = sweep(bsc_slice(tv, resolution=512), "upper")
         slope = 1.0 - 2.0 * INST.delta
         for curve in (lower, upper):
             for p in curve.points:
@@ -209,7 +209,7 @@ class TestSweep:
 
     def test_degenerate_channel_flat_entropy_curve(self):
         inst = BscInstance(q=0.2, delta=0.5)
-        curve = sweep(ENTROPY, ENTROPY, inst.channel(), inst.marginal(), "lower", resolution=512)
+        curve = sweep(bsc_slice(ENTROPY, inst, resolution=512), "lower")
         assert np.allclose(curve.ys, math.log(2.0), atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -225,8 +225,8 @@ class TestSweep:
         ids=["entropy", "norm", "kl", "chi2", "tv", "mixed"],
     )
     def test_frame_follows_the_kernels(self, f_kernel, g_kernel, frame):
-        curve = sweep(f_kernel, g_kernel, INST.channel(), INST.marginal(), "lower", resolution=64)
-        assert curve.frame == frame
+        bslice = boundary_slice(f_kernel, g_kernel, INST.channel(), INST.marginal(), resolution=64)
+        assert sweep(bslice, "lower").frame == frame
 
 
 class TestValueQueries:
@@ -308,11 +308,8 @@ class TestTransformEntropyFrame:
     def test_matches_divergence_frame_sweep(self):
         # The mapped entropy-frame lower curve and the directly swept
         # mutual-information upper curve describe the same boundary.
-        lattice = SimplexLattice.build(2, 512)
-        q, T = INST.marginal(), INST.channel()
-        ent = sweep(ENTROPY, ENTROPY, T, q, "lower",
-                    region=boundary_slice(ENTROPY, ENTROPY, T, q, lattice=lattice))
-        mi = sweep(KL, KL, T, q, "upper", region=boundary_slice(KL, KL, T, q, lattice=lattice))
+        ent = sweep(bsc_slice(ENTROPY, resolution=512), "lower")
+        mi = sweep(bsc_slice(KL, resolution=512), "upper")
         xs, ys = to_mi_frame(ent)
         for x in np.linspace(0.0, float(mi.xs[-1]), 21):
             moved = float(np.interp(x, xs[::-1], ys[::-1]))
@@ -323,7 +320,7 @@ class TestTransformEntropyFrame:
         T = rng.exponential(size=(3, 3)) + 0.3
         T = T / T.sum(axis=0, keepdims=True)
         q = np.array([0.45, 0.35, 0.2])
-        raw = sweep(ENTROPY, ENTROPY, T, q, "lower", resolution=32)
+        raw = sweep(boundary_slice(ENTROPY, ENTROPY, T, q, resolution=32), "lower")
         xs, ys = to_mi_frame(raw)
         assert abs(xs[-1]) <= 1e-12 and abs(ys[-1]) <= 1e-12
         joint = joint_from_marginal_channel(raw.marginal, raw.channel)
@@ -358,8 +355,7 @@ class TestMatchedChannels:
         assert slice_builds == []
 
     def test_same_marginal_recovers_point(self):
-        lattice = SimplexLattice.build(2, 512)
-        point = bsc_point(ENTROPY, 0.3, "lower", lattice=lattice)
+        point = bsc_point(ENTROPY, 0.3, "lower", resolution=512)
         moved = matched_channel_invariance_check(
             point, point.witness.marginal, ENTROPY, ENTROPY, INST.channel()
         )
@@ -367,12 +363,11 @@ class TestMatchedChannels:
         assert math.isclose(moved.y, point.y, abs_tol=1e-9)
 
     def test_perturbed_marginal_matches_fresh_sweep(self):
-        lattice = SimplexLattice.build(2, 2048)
-        point = bsc_point(ENTROPY, 0.3, "lower", lattice=lattice)
+        point = bsc_point(ENTROPY, 0.3, "lower", resolution=2048)
         q_new = np.array([0.89, 0.11])
         moved = matched_channel_invariance_check(point, q_new, ENTROPY, ENTROPY, INST.channel())
         fresh = slice_point(
-            boundary_slice(ENTROPY, ENTROPY, INST.channel(), q_new, lattice=lattice), 0.3, "lower"
+            boundary_slice(ENTROPY, ENTROPY, INST.channel(), q_new, resolution=2048), 0.3, "lower"
         )
         assert abs(moved.x - fresh.x) <= 1e-6
         assert abs(moved.y - fresh.y) <= 1e-6
@@ -423,42 +418,32 @@ def assert_same_curve(got, want):
         assert a.witness.marginal.probs.tolist() == b.witness.marginal.probs.tolist()
 
 
-class TestSweepRegion:
-    @pytest.mark.parametrize(
-        "m,resolution,kernel", [(2, 512, KL), (3, 24, ENTROPY)], ids=["m2-kl", "m3-entropy"]
-    )
-    def test_equals_sweep_without_region(self, m, resolution, kernel):
-        q, T = seeded_source(m, resolution, 9)
-        region = boundary_slice(kernel, kernel, T, q, resolution=resolution)
-        for direction in ("lower", "upper"):
-            got = sweep(kernel, kernel, T, q, direction, region=region, problem="ib")
-            want = sweep(kernel, kernel, T, q, direction, resolution=resolution, problem="ib")
-            assert_same_curve(got, want)
+class TestSliceCarriesItsSource:
+    """A curve or point is read off one BoundarySlice and carries that
+    slice's kernels, channel and marginal, never another's."""
 
-    def test_slice_of_another_marginal_is_refused(self):
-        # Even one an ulp away: the slice is for exactly its own q.
-        lattice = SimplexLattice.build(2, 64)
-        region = boundary_slice(KL, KL, INST.channel(), [0.8, 0.2], lattice=lattice)
-        with pytest.raises(ValueError, match="another marginal"):
-            sweep(KL, KL, INST.channel(), INST.marginal(), "lower", region=region)
-        nearby = [0.8, np.nextafter(0.2, 1.0)]
-        with pytest.raises(ValueError, match="another marginal"):
-            sweep(KL, KL, INST.channel(), nearby, "lower", region=region)
-
-    @pytest.mark.parametrize("where", ["resolution"])
-    def test_region_with_lattice_or_resolution_is_refused(self, where):
-        lattice = SimplexLattice.build(2, 64)
-        region = boundary_slice(KL, KL, INST.channel(), INST.marginal(), lattice=lattice)
-        with pytest.raises(ValueError, match="region excludes"):
-            sweep(KL, KL, INST.channel(), INST.marginal(), "lower", region=region, **{where: 64})
-
-
-    def test_slice_with_lattice_and_resolution_is_refused(self):
-        # One lattice or one resolution: the slice is never computed at a
-        # lattice other than the one asked for.
-        lattice = SimplexLattice.build(2, 64)
-        with pytest.raises(ValueError, match="lattice excludes resolution"):
-            boundary_slice(KL, KL, INST.channel(), INST.marginal(), lattice=lattice, resolution=4096)
+    def test_curve_and_point_carry_their_slice(self):
+        # An entropy-kernel slice of BSC(0.1) and a KL slice through another
+        # channel, both at q = (0.9, 0.1): the upper curves start at h(0.1)
+        # nats and at the origin.
+        q, other = [0.9, 0.1], BscInstance(q=0.1, delta=0.3).channel()
+        cases = [
+            (boundary_slice(ENTROPY, ENTROPY, INST.channel(), q, resolution=512), "entropy"),
+            (boundary_slice(KL, KL, other, q, resolution=512), "finfo"),
+        ]
+        starts = []
+        for bslice, frame in cases:
+            curve = sweep(bslice, "upper")
+            assert curve.f_kernel is bslice.f_kernel and curve.g_kernel is bslice.g_kernel
+            assert curve.channel is bslice.channel
+            assert curve.frame == frame
+            assert curve.marginal.probs.tolist() == bslice.region.q.tolist() == q
+            point = slice_point(bslice, 0.0, "upper")
+            assert point.witness.marginal.probs.tolist() == q
+            assert (point.x, point.y) in zip(curve.xs.tolist(), curve.ys.tolist())
+            starts.append(float(curve.ys[0]))
+        assert math.isclose(starts[0], binary_entropy(INST.delta) * LN2, abs_tol=1e-12)
+        assert abs(starts[1]) <= 1e-12
 
 
 class TestProblemCurve:
@@ -605,12 +590,13 @@ class TestWitnessRefusals:
             WitnessChannel(
                 atoms=tuple((a, Distribution(p)) for a, p in atoms), marginal=Distribution(_Q)
             )
-        region = boundary_slice(ENTROPY, ENTROPY, INST.channel(), _Q, resolution=64)
-        sweep(ENTROPY, ENTROPY, INST.channel(), _Q, "lower", region=region)
+        bslice = boundary_slice(ENTROPY, ENTROPY, INST.channel(), _Q, resolution=64)
+        sweep(bslice, "lower")
+        region = bslice.region
         atoms, weights = doctor(region, _two_atom_vertex(region))
         doctored = dataclasses.replace(region, atoms=atoms, weights=weights)
         with pytest.raises(ValueError, match=match):
-            sweep(ENTROPY, ENTROPY, INST.channel(), _Q, "lower", region=doctored)
+            sweep(dataclasses.replace(bslice, region=doctored), "lower")
 
 
 def csv_rows(curve):
@@ -661,8 +647,7 @@ class TestCurveArrays:
             assert not curve.xs.flags.writeable and not curve.rows.flags.writeable
 
     def test_csv_text_quotes_a_problem_name_as_csv_does(self):
-        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "upper",
-                      resolution=64, problem='a,"b"')
+        curve = sweep(bsc_slice(ENTROPY, resolution=64), "upper", problem='a,"b"')
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(_rows_from_points(curve))
         assert curve_csv_text(curve) == buf.getvalue()
@@ -679,7 +664,7 @@ class TestCurveArrays:
             return real(*args)
 
         monkeypatch.setattr(sweep_module, "_check_witnesses", counting)
-        curve = sweep(ENTROPY, ENTROPY, INST.channel(), INST.marginal(), "lower", resolution=256)
+        curve = sweep(bsc_slice(ENTROPY, resolution=256), "lower")
         assert calls == [curve.xs.size]
         points = curve.points
         assert calls == [curve.xs.size]
@@ -770,7 +755,7 @@ class TestHullSlice:
             for direction in ("lower", "upper"):
                 env = envelope_at(lattice, values[:-1], q, values[-1], direction)
                 point = slice_point(
-                    boundary_slice(kernel, kernel, T, q, lattice=lattice), lam, direction
+                    boundary_slice(kernel, kernel, T, q, resolution=resolution), lam, direction
                 )
                 assert abs((point.y - lam * point.x) - env) <= 1e-9
                 assert len(point.witness.atoms) <= m
@@ -781,7 +766,6 @@ class TestHullSlice:
     @pytest.mark.parametrize("m,resolution", [(2, 256), (3, 12)])
     def test_csv_lambda_requery_returns_same_atoms(self, m, resolution):
         q, T = seeded_source(m, resolution, 3)
-        lattice = SimplexLattice.build(m, resolution)
         for direction in ("lower", "upper"):
             curve = problem_curve(q, T, "ib", direction, resolution=resolution)
             rows = csv_rows(curve)
@@ -790,7 +774,7 @@ class TestHullSlice:
                 if row[2] == "":
                     continue
                 again = slice_point(
-                    boundary_slice(KL, KL, T, q, lattice=lattice), float(row[2]), direction
+                    boundary_slice(KL, KL, T, q, resolution=resolution), float(row[2]), direction
                 )
                 assert again.witness.to_json() == point.witness.to_json()
 
@@ -802,8 +786,8 @@ class TestHullSlice:
             q, T = INST.marginal().probs, INST.channel().matrix
         else:
             q, T = seeded_source(m, resolution, 7)
-        lattice = SimplexLattice.build(m, resolution)
-        region = boundary_slice(kernel, kernel, T, q, lattice=lattice)
+        bslice = boundary_slice(kernel, kernel, T, q, resolution=resolution)
+        region = bslice.region
         for direction in ("lower", "upper"):
             # Slopes spread over the chain's positive edge slopes reach ~20
             # distinct vertices; the extremes sit exactly on an edge (a tie).
@@ -811,9 +795,9 @@ class TestHullSlice:
             edges = np.diff(region.y[chain]) / np.diff(region.x[chain])
             lams = [0.0, *np.quantile(edges[edges > 0.0], np.linspace(0.0, 1.0, 19))]
             for lam in lams:
-                got = slice_point(region, lam, direction)
+                got = slice_point(bslice, lam, direction)
                 want = slice_point(
-                    boundary_slice(kernel, kernel, T, q, lattice=lattice), lam, direction
+                    boundary_slice(kernel, kernel, T, q, resolution=resolution), lam, direction
                 )
                 assert (got.x, got.y, got.lam, got.trivial) == (
                     want.x, want.y, want.lam, want.trivial
@@ -842,7 +826,7 @@ class TestHullSlice:
         q = np.array([0.5, 0.3, 0.2])
         T = np.tile([[0.6], [0.4]], (1, 3))
         for direction in ("lower", "upper"):
-            curve = sweep(KL, KL, T, q, direction, resolution=12)
+            curve = sweep(boundary_slice(KL, KL, T, q, resolution=12), direction)
             assert len(curve.points) == 2
             assert np.abs(curve.ys).max() <= 1e-12
             assert math.isclose(curve.xs[-1], entropy(curve.marginal), abs_tol=1e-12)
