@@ -32,7 +32,6 @@ from .core import (
     ConfigError,
     Distribution,
     DivergenceKernel,
-    _as_prob_rows,
     _as_source,
     _check_direction,
     _row_distributions,
@@ -139,8 +138,9 @@ class BoundaryCurve:
     as read-only arrays.  Point k is (xs[k], ys[k]) at supporting slope
     lams[k] (nan at a forced endpoint).  Its witness mixes rows[atoms[k, j]]
     with weight weights[k, j] over the slots with atoms[k, j] >= 0 (unused
-    slots hold -1 and weight 0); rows holds each normalized lattice point
-    (or the marginal, for the single-atom witness) the witnesses use once.
+    slots hold -1 and weight 0); rows holds each lattice point (or the
+    marginal, for the single-atom witness) the witnesses use once, with
+    the bits the slice holds.
     points, the same chain as BoundaryPoint objects, is built on first
     access; sweep checks the witnesses when it builds the arrays, and
     points does not check them again."""
@@ -232,9 +232,9 @@ def _chain_arrays(
 ) -> tuple[Distribution, dict[str, np.ndarray]]:
     """The slice's marginal, and the read-only arrays of BoundaryCurve for
     the given polygon vertices and slopes.  The lattice points (and q) the
-    witnesses use are normalized in one batched call and every witness is
-    checked in one more."""
-    marginal = Distribution(region.q)
+    witnesses use are taken as the slice holds them, not normalized again,
+    and every witness is checked in one batched call."""
+    marginal = _row_distributions(region.q[None])[0]
     row_ids = region.atoms[vertices]
     used = row_ids >= 0
     ids, inverse = np.unique(row_ids[used], return_inverse=True)
@@ -246,7 +246,7 @@ def _chain_arrays(
         "ys": region.y[vertices],
         "atoms": atoms,
         "weights": region.weights[vertices],
-        "rows": _as_prob_rows(np.vstack([region.lattice.points, region.q])[ids]),
+        "rows": np.vstack([region.lattice.points, region.q])[ids],
     }
     _check_witnesses(arrays["weights"], atoms, arrays["rows"], marginal.probs)
     for arr in arrays.values():

@@ -445,6 +445,18 @@ class TestSliceCarriesItsSource:
         assert math.isclose(starts[0], binary_entropy(INST.delta) * LN2, abs_tol=1e-12)
         assert abs(starts[1]) <= 1e-12
 
+    def test_rows_and_marginal_keep_the_slices_bits(self):
+        # Normalizing a point of the N = 48 ternary lattice a second time
+        # moves the last bits of some; a curve holds the slice's own.
+        q, T = seeded_source(3, 48, 0)
+        bslice = boundary_slice(KL, KL, T, q, resolution=48)
+        region = bslice.region
+        held = set(map(tuple, np.vstack([region.lattice.points, region.q]).tolist()))
+        for direction in ("lower", "upper"):
+            curve = sweep(bslice, direction)
+            assert set(map(tuple, curve.rows.tolist())) <= held
+            assert curve.marginal.probs.tolist() == region.q.tolist()
+
 
 class TestProblemCurve:
     def test_both_equals_one_call_per_direction(self, slice_builds):
