@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -87,13 +88,19 @@ def _ratio(q: float, alpha: float) -> float:
     return 0.5 if z == 0.0 else min(q / z, 1.0)
 
 
-def _mr_gerber_xy(inst: BscInstance, alpha: float) -> tuple[float, float, float]:
-    """(ratio, x, y) of the upper-boundary point at mixture alpha (see
-    _ratio): scalars only, no witness."""
+def _upper_xy(
+    F: Callable[[float], float], inst: BscInstance, alpha: float
+) -> tuple[float, float, float]:
+    """(r, x, y) of the upper-boundary point at mixture alpha, with r =
+    _ratio(q, alpha), under the binary functional F (h in bits for the
+    entropy frame, K_beta for the K frame): x = (1 - alpha) F(0) +
+    alpha F(r), y = alpha F(delta star r) + (1 - alpha) F(delta).  F(0) is
+    exactly 0 or 1, so both frames keep their bits.  Scalars only, no
+    witness."""
     delta = inst.delta
     ratio = _ratio(inst.q, alpha)
-    x = alpha * binary_entropy(ratio)
-    y = alpha * binary_entropy(star(delta, ratio)) + (1.0 - alpha) * binary_entropy(delta)
+    x = (1.0 - alpha) * F(0.0) + alpha * F(ratio)
+    y = alpha * F(star(delta, ratio)) + (1.0 - alpha) * F(delta)
     return ratio, float(x), float(y)
 
 
@@ -110,7 +117,7 @@ def mr_gerber_point(inst: BscInstance, alpha: float) -> GerberPoint:
     """
     alpha = _check_unit_interval(alpha, "alpha")
     q = inst.q
-    ratio, x, y = _mr_gerber_xy(inst, alpha)
+    ratio, x, y = _upper_xy(binary_entropy, inst, alpha)
     marginal = inst.marginal()
     if alpha >= 2.0 * q:
         pairs = [(1.0 - alpha, _binary(0.0)), (alpha, _binary(ratio))]
@@ -138,12 +145,12 @@ def mr_gerber(inst: BscInstance, x: float) -> float:
     x, hq = _entropy_x(inst, x)
     q = inst.q
     if x <= 2.0 * q:
-        return _mr_gerber_xy(inst, x)[2]
+        return _upper_xy(binary_entropy, inst, x)[2]
     if x >= hq:
-        return _mr_gerber_xy(inst, 1.0)[2]
+        return _upper_xy(binary_entropy, inst, 1.0)[2]
 
     def gap(alpha: float) -> float:
-        # x of _mr_gerber_xy alone, with the unchecked entropy: ratio is
+        # x of _upper_xy alone, with the unchecked entropy: ratio is
         # in [0, 1] by construction.
         return alpha * _h2(_ratio(q, alpha)) - x
 
@@ -152,7 +159,7 @@ def mr_gerber(inst: BscInstance, x: float) -> float:
     import scipy.optimize
 
     alpha = scipy.optimize.brentq(gap, 0.0, 1.0, xtol=1e-13, rtol=9e-16)
-    return _mr_gerber_xy(inst, float(alpha))[2]
+    return _upper_xy(binary_entropy, inst, float(alpha))[2]
 
 
 def k_norm(p: float, beta: float) -> float:
@@ -176,11 +183,8 @@ def arimoto_mr_gerber(inst: BscInstance, beta: float, alpha: float) -> tuple[flo
     with z = max(alpha, 2q),
     (1 - alpha + alpha * K(q/z), alpha * K(q/z star delta) + (1 - alpha) * K(delta))."""
     alpha = _check_unit_interval(alpha, "alpha")
-    delta = inst.delta
-    ratio = _ratio(inst.q, alpha)
-    x = (1.0 - alpha) + alpha * k_norm(ratio, beta)
-    y = alpha * k_norm(star(ratio, delta), beta) + (1.0 - alpha) * k_norm(delta, beta)
-    return float(x), float(y)
+    _, x, y = _upper_xy(lambda p: k_norm(p, beta), inst, alpha)
+    return x, y
 
 
 def k_frame_to_entropy(value: float, beta: float) -> float:

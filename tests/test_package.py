@@ -84,7 +84,8 @@ inst = closed_forms.BscInstance(0.2, 0.1)
 for x in (0.1, 0.4, 0.7):
     gap = lambda a: a * core._h2(closed_forms._ratio(inst.q, a)) - x
     alpha = brentq(gap, 0.0, 1.0, xtol=1e-13, rtol=9e-16)
-    assert closed_forms.mr_gerber(inst, x) == closed_forms._mr_gerber_xy(inst, alpha)[2], x
+    want = closed_forms._upper_xy(core.binary_entropy, inst, alpha)[2]
+    assert closed_forms.mr_gerber(inst, x) == want, x
 
 P = np.random.default_rng(5).dirichlet(np.ones(3), size=6)
 marginal = np.array([0.2, 0.3, 0.5])
