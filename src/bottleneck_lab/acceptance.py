@@ -3,9 +3,8 @@ the lifted-hull curves, plus the randomized property suite.
 
 Each check returns a CheckResult with the measured deviation so callers (the
 verify CLI and the test suite) can print one pass/fail line per criterion.
-Every curve and point is read off a sweep.BoundarySlice: A1-A6 build theirs
-with boundary_slice at the resolution they name, and A7 wraps the slice of
-the one Lagrangian graph it also reads the reference envelope from.
+Curves and points are read off a sweep.BoundarySlice; A7 wraps the slice of
+the one graph it also reads its reference envelope from.
 """
 
 from __future__ import annotations
@@ -337,9 +336,8 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
             continue
 
         try:
-            point = slice_point(
-                BoundarySlice(region_slice(graph), kernel, kernel, channel), lam, direction
-            )
+            bslice = BoundarySlice(region_slice(graph), kernel, kernel, channel)
+            point = slice_point(bslice, lam, direction)
         except Exception as exc:
             violations.append(f"seed {seed}: boundary point failed: {exc}")
             continue

@@ -91,12 +91,10 @@ def _ratio(q: float, alpha: float) -> float:
 def _upper_xy(
     F: Callable[[float], float], inst: BscInstance, alpha: float
 ) -> tuple[float, float, float]:
-    """(r, x, y) of the upper-boundary point at mixture alpha, with r =
-    _ratio(q, alpha), under the binary functional F (h in bits for the
-    entropy frame, K_beta for the K frame): x = (1 - alpha) F(0) +
-    alpha F(r), y = alpha F(delta star r) + (1 - alpha) F(delta).  F(0) is
-    exactly 0 or 1, so both frames keep their bits.  Scalars only, no
-    witness."""
+    """(r, x, y) of the upper-boundary point at mixture alpha, r = _ratio(q,
+    alpha), under the binary functional F (h in bits, or K_beta): x = (1 -
+    alpha) F(0) + alpha F(r), y = alpha F(delta star r) + (1 - alpha) F(delta).
+    F(0) is exactly 0 or 1.  Scalars only, no witness."""
     delta = inst.delta
     ratio = _ratio(inst.q, alpha)
     x = (1.0 - alpha) * F(0.0) + alpha * F(ratio)

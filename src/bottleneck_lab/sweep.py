@@ -10,9 +10,8 @@ point at q and the deterministic refinement onto the alphabet vertices
 (swapped for the concave entropy frame).  Between them it keeps the
 vertices whose supporting slopes include some lam >= 0.  Every vertex comes
 with an explicit witness channel of at most m atoms, and the point at a
-given slope is a support-function query on the same polygon.  Curves and
-points are read off a BoundarySlice, the polygon held with the kernels and
-channel it was built from, so each carries exactly those and its q.
+given slope is a support-function query on the same polygon.  Both are read
+off a BoundarySlice, so they carry the kernels, channel and q it holds.
 """
 
 from __future__ import annotations
@@ -188,14 +187,6 @@ def _resolve_pair(
     return resolve_functional(f_kernel, f_ref), resolve_functional(g_kernel, g_ref)
 
 
-def _default_lattice(m: int, resolution: int | None) -> SimplexLattice:
-    if resolution is None:
-        if m not in DEFAULT_RESOLUTION:
-            raise ConfigError(f"no default lattice for m = {m}; pass a resolution")
-        resolution = DEFAULT_RESOLUTION[m]
-    return SimplexLattice.build(m, resolution)
-
-
 @dataclass(frozen=True, eq=False)
 class BoundarySlice:
     """The achievable-region polygon at one marginal (an
@@ -221,7 +212,11 @@ def boundary_slice(
     resolution (default: DEFAULT_RESOLUTION for the alphabet), with
     divergence references taken from q."""
     q, channel = _as_source(q, T)
-    lattice = _default_lattice(channel.m, resolution)
+    if resolution is None:
+        if channel.m not in DEFAULT_RESOLUTION:
+            raise ConfigError(f"no default lattice for m = {channel.m}; pass a resolution")
+        resolution = DEFAULT_RESOLUTION[channel.m]
+    lattice = SimplexLattice.build(channel.m, resolution)
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, q, channel)
     region = region_slice(build_lagrangian_graph(f_fn, g_fn, channel, lattice, q))
     return BoundarySlice(region, f_kernel, g_kernel, channel)
