@@ -48,7 +48,6 @@ from .sweep import (
     BoundaryPoint,
     BoundarySlice,
     WitnessChannel,
-    boundary_slice,
     bottleneck_value,
     funnel_value,
     matched_channel_invariance_check,
@@ -76,7 +75,6 @@ __all__ = [
     "beta_norm",
     "binary_entropy",
     "binary_entropy_inv",
-    "boundary_slice",
     "bottleneck_value",
     "bsc_joint",
     "conditional_f_information",

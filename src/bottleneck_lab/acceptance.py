@@ -3,8 +3,8 @@ the lifted-hull curves, plus the randomized property suite.
 
 Each check returns a CheckResult with the measured deviation so callers (the
 verify CLI and the test suite) can print one pass/fail line per criterion.
-Curves and points are read off a sweep.BoundarySlice; A7 wraps the slice of
-the one graph it also reads its reference envelope from.
+Curves and points are read off a sweep.BoundarySlice; A7 also reads its
+reference envelope off the graph its slice was cut from.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from .core import (
     f_information,
     joint_from_marginal_channel,
 )
-from .envelope import SimplexLattice, build_lagrangian_graph, envelope_at, region_slice
+from .envelope import envelope_at
 from .oracle import oracle_exhaustive_binary
 from .sweep import (
     BoundaryCurve,
     BoundarySlice,
     _resolve_pair,
-    boundary_slice,
     bottleneck_value,
     funnel_value,
     matched_channel_invariance_check,
@@ -72,24 +71,17 @@ def _quiet(fn, *args):
 
 
 def _curve_pair(
-    kernel: DivergenceKernel,
-    inst: BscInstance,
-    resolution: int,
-    problems: tuple[str, str],
+    kernel: DivergenceKernel, inst: BscInstance, resolution: int
 ) -> tuple[BoundaryCurve, BoundaryCurve]:
-    """Lower and upper curves (labelled with problems, in that order) read
-    off one boundary_slice."""
-    bslice = boundary_slice(kernel, kernel, inst.channel(), inst.marginal(), resolution=resolution)
-    return tuple(
-        sweep(bslice, side, problem=problem)
-        for side, problem in zip(("lower", "upper"), problems)
-    )
+    """Lower and upper curves read off one BoundarySlice."""
+    bslice = BoundarySlice(kernel, kernel, inst.channel(), inst.marginal(), resolution=resolution)
+    return tuple(sweep(bslice, side) for side in ("lower", "upper"))
 
 
 def check_mgl(resolution: int = 4096, probes: int = 101) -> CheckResult:
     """A1: lower entropy curve against the exact lower boundary."""
     inst = BscInstance(q=0.1, delta=0.1)
-    curve, _ = _curve_pair(_ENTROPY, inst, resolution, ("pf", "ib"))
+    curve, _ = _curve_pair(_ENTROPY, inst, resolution)
     xs = np.linspace(0.0, binary_entropy(inst.q), probes)
     dev = max(
         abs(_quiet(funnel_value, curve, float(x) * LN2) / LN2 - mrs_gerber(inst, float(x)))
@@ -109,7 +101,7 @@ def check_mr_gerber(resolution: int = 4096, probes: int = 101) -> CheckResult:
     """A2: upper entropy curve against the exact parametric upper boundary,
     vertical distance after x-interpolation."""
     inst = BscInstance(q=0.1, delta=0.1)
-    _, curve = _curve_pair(_ENTROPY, inst, resolution, ("pf", "ib"))
+    _, curve = _curve_pair(_ENTROPY, inst, resolution)
     dev = 0.0
     for alpha in np.linspace(0.0, 1.0, probes):
         point = mr_gerber_point(inst, float(alpha))
@@ -134,7 +126,7 @@ def check_arimoto(
     devs = []
     for beta in betas:
         kern = DivergenceKernel.norm_beta(beta)
-        lower, upper = _curve_pair(kern, inst, resolution, ("arimoto", "arimoto"))
+        lower, upper = _curve_pair(kern, inst, resolution)
         dev = 0.0
         for p in np.linspace(0.0, inst.q, probes):
             x, y = arimoto_mrs_gerber(inst, beta, float(p))
@@ -165,7 +157,7 @@ def check_oracle_cross(
     worst = 0.0
     details = []
 
-    lower_h, upper_h = _curve_pair(_ENTROPY, inst, sweep_resolution, ("pf", "ib"))
+    lower_h, upper_h = _curve_pair(_ENTROPY, inst, sweep_resolution)
     xs_nats = np.linspace(0.0, binary_entropy(inst.q) * LN2, n_x)
     funnel = oracle_exhaustive_binary(
         _ENTROPY, _ENTROPY, inst.delta, inst.q, xs_nats, "lower", resolution
@@ -183,7 +175,7 @@ def check_oracle_cross(
         worst = max(worst, abs(pt.best_y / LN2 - mr_gerber(inst, pt.x_target / LN2)))
     details.append("entropy vs curves and closed forms")
 
-    lower_c, upper_c = _curve_pair(_CHI2, inst, sweep_resolution, ("epf", "eb"))
+    lower_c, upper_c = _curve_pair(_CHI2, inst, sweep_resolution)
     xs_chi = np.linspace(0.0, 1.0, n_x)
     for pt in oracle_exhaustive_binary(_CHI2, _CHI2, inst.delta, inst.q, xs_chi, "lower", resolution):
         worst = max(worst, _quiet(funnel_value, lower_c, pt.x_target) - pt.best_y)
@@ -205,8 +197,7 @@ def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4
     fresh support query at that marginal and keep the same atom set."""
     inst = BscInstance(q=0.1, delta=0.1)
     channel, q = inst.channel(), inst.marginal()
-    curve = sweep(boundary_slice(_ENTROPY, _ENTROPY, channel, q, resolution=resolution),
-                  "lower", problem="pf")
+    curve = sweep(BoundarySlice(_ENTROPY, _ENTROPY, channel, q, resolution=resolution), "lower")
     q0 = float(curve.marginal.probs[1])
     margin = perturb + 0.005
     candidates = [
@@ -230,7 +221,7 @@ def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4
     for dq in (perturb, -perturb):
         q_new = np.array([1.0 - (q0 + dq), q0 + dq])
         # One slice per perturbed marginal serves every picked slope.
-        bslice = boundary_slice(_ENTROPY, _ENTROPY, channel, q_new, resolution=resolution)
+        bslice = BoundarySlice(_ENTROPY, _ENTROPY, channel, q_new, resolution=resolution)
         for point in picks:
             moved = matched_channel_invariance_check(point, q_new, _ENTROPY, _ENTROPY, channel)
             fresh = slice_point(bslice, point.lam, "lower")
@@ -253,7 +244,7 @@ def check_chi2_endpoints(resolution: int = 4000) -> CheckResult:
     """A6: chi-squared curves hit (0, 0) and the exact full-information
     endpoint, and never exceed the m-1 bound."""
     inst = BscInstance(q=0.1, delta=0.1)
-    lower, upper = _curve_pair(_CHI2, inst, resolution, ("epf", "eb"))
+    lower, upper = _curve_pair(_CHI2, inst, resolution)
     m = 2
     joint = joint_from_marginal_channel(lower.marginal, lower.channel)
     chi_xy = f_information(_CHI2, joint)
@@ -321,28 +312,27 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
         kernel = kernels[int(rng.integers(0, len(kernels)))]
         direction = "lower" if rng.integers(0, 2) == 0 else "upper"
         resolution = 64 if m == 2 else 12
-        lattice = SimplexLattice.build(m, resolution)
         try:
-            # One graph for the reference envelope, the slice and the
-            # witness re-evaluation; its last row is q.
-            f_fn, g_fn = _resolve_pair(kernel, kernel, q, channel)
-            graph = build_lagrangian_graph(f_fn, g_fn, channel, lattice, q)
+            # The slice's graph serves the reference envelope too; its
+            # last row is q.
+            bslice = BoundarySlice(kernel, kernel, channel, q, resolution=resolution)
+            graph = bslice.region.graph
             grid = _slope_grid(graph.x_values, graph.y_values, steps=16)
             lam = float(grid[int(rng.integers(0, grid.size))])
             phi = graph.y_values - lam * graph.x_values
-            env_at_q = envelope_at(lattice, phi[:-1], q, phi[-1], direction)
+            env_at_q = envelope_at(graph.lattice, phi[:-1], graph.q, phi[-1], direction)
         except Exception as exc:  # any crash is a violation
-            violations.append(f"seed {seed}: envelope construction failed: {exc}")
+            violations.append(f"seed {seed}: slice or envelope construction failed: {exc}")
             continue
 
         try:
-            bslice = BoundarySlice(region_slice(graph), kernel, kernel, channel)
             point = slice_point(bslice, lam, direction)
         except Exception as exc:
             violations.append(f"seed {seed}: boundary point failed: {exc}")
             continue
         if len(point.witness.atoms) > m + 1:
             violations.append(f"seed {seed}: witness has {len(point.witness.atoms)} atoms")
+        f_fn, g_fn = _resolve_pair(kernel, kernel, graph.q, channel)
         x_re = point.witness.expectation(f_fn)
         y_re = point.witness.expectation(lambda P: g_fn(P @ channel.matrix.T))
         if abs(x_re - point.x) > 1e-9 or abs(y_re - point.y) > 1e-9:

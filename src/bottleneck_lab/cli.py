@@ -118,7 +118,8 @@ def cmd_curve(args) -> int:
     )
     if args.direction != "both":
         curves = (curves,)
-    text = ",".join(CURVE_CSV_HEADER) + "\n" + "".join(map(curve_csv_text, curves))
+    rows = "".join(curve_csv_text(curve, args.problem) for curve in curves)
+    text = ",".join(CURVE_CSV_HEADER) + "\n" + rows
     params = {
         "problem": args.problem,
         "direction": args.direction,

@@ -15,9 +15,9 @@ of two routes, chosen by m:
   A hull in dimension 3 is cheaper than the walk, which takes one pivot
   per vertex and has one vertex per few lattice points here: at the
   default N = 4096 (BSC 0.1/0.1, KL and entropy kernels, 2 050 vertices)
-  the qhull call takes 32-42 ms and the whole slice 50-56 ms, while the
-  same slice from the walk takes 174-191 ms (x86-64 Linux, numpy 2.4,
-  scipy 1.17).
+  the qhull call takes 30-41 ms and the whole slice 41-47 ms, while the
+  same slice from the walk takes 85-98 ms (fastest of 5 runs in one
+  process, 2-CPU x86-64 Linux, numpy 2.4, scipy 1.17).
 - m >= 3: two parametric simplex walks, one per boundary chain, over the
   LP min (lower) or max (upper) of sum a_i (g_i - lambda f_i) s.t.
   sum a_i p_i = q, a >= 0; each vertex is its optimal basis over a range
@@ -222,7 +222,8 @@ def envelope_at(
 
 @dataclass(frozen=True, eq=False)
 class RegionSlice:
-    """Convex polygon of the (x, y) pairs achievable at the marginal q.
+    """Convex polygon of the (x, y) pairs achievable at the marginal q of
+    graph, the Lagrangian graph it was cut from (lattice, q and values).
 
     Vertex k is x[k] = weights[k] @ X[atoms[k]] (likewise y), a mixture with
     mean q of the rows atoms[k] (increasing) of vstack(lattice.points, q):
@@ -232,8 +233,7 @@ class RegionSlice:
     increasing, each running between the x-extremes of the polygon.
     """
 
-    lattice: SimplexLattice
-    q: np.ndarray
+    graph: LagrangianGraph
     x: np.ndarray
     y: np.ndarray
     atoms: np.ndarray
@@ -246,7 +246,9 @@ class RegionSlice:
 
     def support(self, lam: float, direction: str) -> int:
         """Vertex minimizing (lower) or maximizing (upper) y - lam * x; on a
-        tie the one with the smaller x."""
+        tie the one with the smaller x.  lam must be finite (0 * inf is nan)."""
+        if not math.isfinite(lam):
+            raise ValueError(f"slope lam = {lam} is not finite")
         chain = self.chain(direction)
         vals = self.y[chain] - lam * self.x[chain]
         return int(chain[np.argmin(vals) if direction == "lower" else np.argmax(vals)])
@@ -629,8 +631,7 @@ def _slice(graph: LagrangianGraph, faces) -> RegionSlice:
     for arr in arrays:
         arr.setflags(write=False)
     return RegionSlice(
-        lattice,
-        graph.q,
+        graph,
         *arrays,
         lower=inverse[: lower.size],
         upper=inverse[lower.size :],

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -145,7 +145,6 @@ class BoundaryCurve:
     points does not check them again."""
 
     direction: str
-    problem: str
     marginal: Distribution
     channel: Channel
     lams: np.ndarray
@@ -189,37 +188,32 @@ def _resolve_pair(
 
 @dataclass(frozen=True, eq=False)
 class BoundarySlice:
-    """The achievable-region polygon at one marginal (an
-    envelope.RegionSlice, whose q is that marginal) with the kernels and
-    channel its numbers come from.  sweep and slice_point read every curve
-    and point off one, so these travel with them."""
+    """The achievable-region polygon of the source (channel, q) under a
+    pair of kernels, cut over the lattice of the given resolution (default:
+    DEFAULT_RESOLUTION for the alphabet), divergences taken from q.  Built
+    only from its source, so region (an envelope.RegionSlice, which keeps
+    its graph and q) cannot be paired with kernels or a channel it did not
+    come from; sweep and slice_point read every curve and point off one."""
 
-    region: RegionSlice
     f_kernel: DivergenceKernel
     g_kernel: DivergenceKernel
     channel: Channel
+    q: InitVar[Distribution | np.ndarray]
+    _: KW_ONLY
+    resolution: InitVar[int | None] = None
+    region: RegionSlice = field(init=False)
 
-
-def boundary_slice(
-    f_kernel: DivergenceKernel,
-    g_kernel: DivergenceKernel,
-    T: Channel | np.ndarray,
-    q: Distribution | np.ndarray,
-    *,
-    resolution: int | None = None,
-) -> BoundarySlice:
-    """Achievable-region polygon at q over the lattice of the given
-    resolution (default: DEFAULT_RESOLUTION for the alphabet), with
-    divergence references taken from q."""
-    q, channel = _as_source(q, T)
-    if resolution is None:
-        if channel.m not in DEFAULT_RESOLUTION:
-            raise ConfigError(f"no default lattice for m = {channel.m}; pass a resolution")
-        resolution = DEFAULT_RESOLUTION[channel.m]
-    lattice = SimplexLattice.build(channel.m, resolution)
-    f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, q, channel)
-    region = region_slice(build_lagrangian_graph(f_fn, g_fn, channel, lattice, q))
-    return BoundarySlice(region, f_kernel, g_kernel, channel)
+    def __post_init__(self, q, resolution) -> None:
+        q, channel = _as_source(q, self.channel)
+        if resolution is None:
+            if channel.m not in DEFAULT_RESOLUTION:
+                raise ConfigError(f"no default lattice for m = {channel.m}; pass a resolution")
+            resolution = DEFAULT_RESOLUTION[channel.m]
+        lattice = SimplexLattice.build(channel.m, resolution)
+        f_fn, g_fn = _resolve_pair(self.f_kernel, self.g_kernel, q, channel)
+        region = region_slice(build_lagrangian_graph(f_fn, g_fn, channel, lattice, q))
+        object.__setattr__(self, "channel", channel)
+        object.__setattr__(self, "region", region)
 
 
 def _chain_arrays(
@@ -229,7 +223,7 @@ def _chain_arrays(
     the given polygon vertices and slopes.  The lattice points (and q) the
     witnesses use are taken as the slice holds them, not normalized again,
     and every witness is checked in one batched call."""
-    marginal = _row_distributions(region.q[None])[0]
+    marginal = _row_distributions(region.graph.q[None])[0]
     row_ids = region.atoms[vertices]
     used = row_ids >= 0
     ids, inverse = np.unique(row_ids[used], return_inverse=True)
@@ -241,7 +235,7 @@ def _chain_arrays(
         "ys": region.y[vertices],
         "atoms": atoms,
         "weights": region.weights[vertices],
-        "rows": np.vstack([region.lattice.points, region.q])[ids],
+        "rows": np.vstack([region.graph.lattice.points, region.graph.q])[ids],
     }
     _check_witnesses(arrays["weights"], atoms, arrays["rows"], marginal.probs)
     for arr in arrays.values():
@@ -285,9 +279,9 @@ def slice_point(bslice: BoundarySlice, lam: float, direction: str) -> BoundaryPo
     return _points(**arrays, marginal=marginal)[0]
 
 
-def sweep(bslice: BoundarySlice, direction: str, *, problem: str = "generic") -> BoundaryCurve:
+def sweep(bslice: BoundarySlice, direction: str) -> BoundaryCurve:
     """One boundary curve: the lower or upper chain of a slice's polygon,
-    carrying the slice's kernels, channel and marginal.
+    carrying the slice's kernels, channel and marginal, and no CSV label.
 
     Both x-extremes are kept as forced endpoints (lam = nan).  An interior
     vertex is kept when its range of supporting slopes meets lam >= 0, with
@@ -314,7 +308,6 @@ def sweep(bslice: BoundarySlice, direction: str, *, problem: str = "generic") ->
     marginal, arrays = _chain_arrays(region, vertices, slopes_at)
     return BoundaryCurve(
         direction=direction,
-        problem=problem,
         marginal=marginal,
         channel=bslice.channel,
         **arrays,
@@ -364,7 +357,7 @@ def matched_channel_invariance_check(
     """Move a matched channel to a new marginal: keep the atoms, re-solve the
     weights for q_prime, and return the point (x, y) they span, at the
     original slope.  Whether it is a boundary point at q_prime is for the
-    caller to check, for example against slice_point on a boundary_slice
+    caller to check, for example against slice_point on a BoundarySlice
     at q_prime.
 
     Raises when q_prime lies outside the convex hull of the atoms or when the
@@ -433,7 +426,7 @@ def problem_curve(
     eb/epf use chi-squared kernels, arimoto uses l^beta norm kernels in the
     multiplicative K frame.  beta (default 2) is refused unless the kernel
     is a norm kernel.  direction "both" returns (lower, upper), both read
-    off one boundary_slice; "lower" or "upper" returns one curve.
+    off one BoundarySlice; "lower" or "upper" returns one curve.
     """
     _check_direction(direction, ("lower", "upper", "both"))
     if problem not in _PROBLEM_KERNELS:
@@ -451,9 +444,9 @@ def problem_curve(
         kernel = DivergenceKernel(kind)
     if beta is not None and kernel.kind != "norm":
         raise ConfigError(f"beta does not apply to problem {problem!r} in frame {frame!r}")
-    bslice = boundary_slice(kernel, kernel, T, q, resolution=resolution)
+    bslice = BoundarySlice(kernel, kernel, T, q, resolution=resolution)
     sides = ("lower", "upper") if direction == "both" else (direction,)
-    curves = tuple(sweep(bslice, side, problem=problem) for side in sides)
+    curves = tuple(sweep(bslice, side) for side in sides)
     return curves if direction == "both" else curves[0]
 
 
@@ -468,13 +461,13 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def curve_csv_text(curve: BoundaryCurve) -> str:
-    """The curve's lines of the export schema (no header), byte for byte
-    what csv.writer(lineterminator="\n") writes for them, formatted
-    straight from the curve's arrays.  A forced endpoint has an empty
+def curve_csv_text(curve: BoundaryCurve, problem: str) -> str:
+    """The curve's lines of the export schema (no header), labelled with
+    problem, byte for byte what csv.writer(lineterminator="\n") writes for
+    them, formatted straight from the curve's arrays.  A forced endpoint has an empty
     lambda.  The witness field is WitnessChannel.to_json's text, written
     already quoted; each row's "p" list and each weight is formatted once."""
-    head = f"{_csv_field(curve.problem)},{_csv_field(curve.direction)},"
+    head = f"{_csv_field(problem)},{_csv_field(curve.direction)},"
     p_text = [',""p"":[' + ",".join(map(repr, row)) + "]}" for row in curve.rows.tolist()]
     used = curve.atoms >= 0
     atom_text = [

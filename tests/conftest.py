@@ -25,8 +25,8 @@ def hull_calls(monkeypatch):
 
 @pytest.fixture
 def slice_builds(monkeypatch):
-    """List that gets one entry (the marginal) per region_slice that
-    boundary_slice builds, whatever route the slice takes."""
+    """List that gets one entry (the marginal) per region_slice that the
+    BoundarySlice constructor cuts, whatever route the slice takes."""
     calls = []
     real = sweep_module.region_slice
 

@@ -127,6 +127,22 @@ class TestCurveCommand:
         ys = [float(r[4]) for r in read_csv(out)[1:]]
         assert max(abs(y) for y in ys) <= 1e-12
 
+    @pytest.mark.parametrize("problem", ["ib", "eb", "pf"])
+    def test_unused_y_symbol_is_dropped(self, tmp_path, problem):
+        # A Y symbol no X reaches makes T q lose full support; the joint
+        # gets the curve of the same joint without that column.
+        with_zero = [[0.2, 0, 0.1, 0.05], [0.1, 0, 0.2, 0.05], [0.05, 0, 0.1, 0.15]]
+        without = [[0.2, 0.1, 0.05], [0.1, 0.2, 0.05], [0.05, 0.1, 0.15]]
+        outputs = []
+        for name, p_xy in (("with_zero", with_zero), ("without", without)):
+            src, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            src.write_text(json.dumps({"p_xy": p_xy}))
+            code = main(["curve", "--input", str(src), "--problem", problem,
+                         "--resolution", "24", "--output", str(out)])
+            assert code == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_missing_source_is_bad_input(self, tmp_path):
         code = main(["curve", "--problem", "ib", "--output", str(tmp_path / "x.csv")])
         assert code == EXIT_BAD_INPUT
@@ -341,7 +357,7 @@ class TestCurveCommand:
         assert code == EXIT_OK
         q, channel = decompose_joint(bsc_joint(*map(float, bsc.split(","))))
         curves = problem_curve(q, channel, problem, "both", resolution=128)
-        rows = [row for curve in curves for row in _rows_from_points(curve)]
+        rows = [row for curve in curves for row in _rows_from_points(curve, problem)]
         want = io.StringIO()
         csv.writer(want, lineterminator="\n").writerows([CURVE_CSV_HEADER, *rows])
         assert out.read_text(encoding="utf-8") == want.getvalue()

@@ -441,6 +441,16 @@ class TestDecomposeJoint:
         rebuilt = joint_from_marginal_channel(q, T)
         assert_allclose(rebuilt.p_xy, p[[0, 2]], atol=1e-12)
 
+    def test_zero_column_shrinks_output_alphabet(self):
+        p = np.array([[0.2, 0.0, 0.1, 0.05], [0.1, 0.0, 0.2, 0.05], [0.05, 0.0, 0.1, 0.15]])
+        q, T = decompose_joint(JointDistribution(p))
+        want_q, want_T = decompose_joint(JointDistribution(p[:, [0, 2, 3]].copy()))
+        assert T.matrix.tolist() == want_T.matrix.tolist()
+        assert q.probs.tolist() == want_q.probs.tolist()
+        # With fewer than two used Y symbols left, no column is dropped.
+        _, T = decompose_joint(JointDistribution([[0.5, 0.0], [0.5, 0.0]]))
+        assert T.n == 2
+
     def test_single_support_rejected(self):
         with pytest.raises(ValueError):
             decompose_joint(JointDistribution([[0.5, 0.5], [0.0, 0.0]]))

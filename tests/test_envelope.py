@@ -12,7 +12,7 @@ from bottleneck_lab.envelope import (
     envelope_at,
     lattice_size,
 )
-from bottleneck_lab.sweep import boundary_slice, slice_point
+from bottleneck_lab.sweep import BoundarySlice, slice_point
 from test_sweep import seeded_source
 
 
@@ -278,7 +278,7 @@ class TestEnvelopeGapAt:
         lam = (1.0 - 2.0 * delta) ** 2
         # Resolution chosen so [0.9, 0.1] sits exactly on the lattice.
         graph = entropy_graph(delta, 200)
-        bslice = boundary_slice(ENTROPY, ENTROPY, bsc(delta), Q, resolution=200)
+        bslice = BoundarySlice(ENTROPY, ENTROPY, bsc(delta), Q, resolution=200)
         point = slice_point(bslice, lam, "lower")
         assert abs(phi_at_q(graph, lam) - (point.y - lam * point.x)) <= 1e-12
         assert point.trivial and len(point.witness.atoms) == 1
@@ -289,7 +289,7 @@ class TestEnvelopeGapAt:
     def test_nontrivial_mixture_reaches_marginal(self):
         # [0.9, 0.1] is off the N = 4096 lattice.
         graph = entropy_graph(0.1, 4096)
-        bslice = boundary_slice(ENTROPY, ENTROPY, bsc(0.1), Q, resolution=4096)
+        bslice = BoundarySlice(ENTROPY, ENTROPY, bsc(0.1), Q, resolution=4096)
         point = slice_point(bslice, 0.3, "lower")
         assert phi_at_q(graph, 0.3) - (point.y - 0.3 * point.x) > 1e-7
         assert len(point.witness.atoms) == 2
@@ -302,7 +302,7 @@ class TestEnvelopeGapAt:
         # either side of it.
         q = Q  # off the lattice
         chi = DivergenceKernel.chi_squared()
-        point = slice_point(boundary_slice(chi, chi, bsc(0.1), q, resolution=64), 1.0, "lower")
+        point = slice_point(BoundarySlice(chi, chi, bsc(0.1), q, resolution=64), 1.0, "lower")
         assert point.y - 1.0 * point.x < -1e-7  # the objective is 0 at q
         firsts = sorted(atom.probs[0] for _, atom in point.witness.atoms)
         assert firsts[0] < q[0] < firsts[-1]

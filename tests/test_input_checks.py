@@ -26,7 +26,7 @@ from bottleneck_lab.cli import EXIT_BAD_INPUT, main
 from bottleneck_lab.closed_forms import closed_form_table
 from bottleneck_lab.envelope import SimplexLattice, build_lagrangian_graph, envelope_at
 from bottleneck_lab.oracle import OracleConfig
-from bottleneck_lab.sweep import boundary_slice, slice_point
+from bottleneck_lab.sweep import BoundarySlice, slice_point
 
 ENTROPY = DivergenceKernel.entropy_functional()
 KL = DivergenceKernel.kl()
@@ -41,7 +41,7 @@ MISMATCH = "channel input alphabet does not match the marginal"
     [
         # sweep and slice_point read the source off a slice, so this is
         # where a curve or point refuses it.
-        lambda: boundary_slice(KL, KL, BSC, Q3, resolution=8),
+        lambda: BoundarySlice(KL, KL, BSC, Q3, resolution=8),
         lambda: problem_curve(Q3, BSC, "ib", "lower", resolution=8),
         lambda: oracle_boundary(KL, KL, BSC, Q3, 0.1, "lower", OracleConfig()),
     ],
@@ -54,7 +54,7 @@ def test_marginal_that_does_not_fit_the_channel_is_refused(call):
 
 @pytest.fixture(scope="module")
 def two_atom_point():
-    bslice = boundary_slice(ENTROPY, ENTROPY, BSC, INST.marginal(), resolution=512)
+    bslice = BoundarySlice(ENTROPY, ENTROPY, BSC, INST.marginal(), resolution=512)
     point = slice_point(bslice, 0.3, "lower")
     assert len(point.witness.atoms) == 2
     return point

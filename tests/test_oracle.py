@@ -325,10 +325,10 @@ class TestOracleBoundary:
         # overshoot the swept lower curve.
         import warnings
 
-        from bottleneck_lab import bottleneck_value, boundary_slice, funnel_value, sweep
+        from bottleneck_lab import BoundarySlice, bottleneck_value, funnel_value, sweep
 
         T, q = seeded_ternary(2)
-        bslice = boundary_slice(KL, KL, T, q, resolution=32)
+        bslice = BoundarySlice(KL, KL, T, q, resolution=32)
         upper, lower = sweep(bslice, "upper"), sweep(bslice, "lower")
         cfg = OracleConfig(grid_resolution=32)
         for frac in (0.1, 0.4, 0.7):

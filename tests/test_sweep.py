@@ -39,7 +39,7 @@ from bottleneck_lab.acceptance import _slope_grid
 from bottleneck_lab.core import LN2, resolve_functional
 from bottleneck_lab import envelope
 from bottleneck_lab.envelope import build_lagrangian_graph, envelope_at, region_slice
-from bottleneck_lab.sweep import boundary_slice, curve_csv_text, slice_point
+from bottleneck_lab.sweep import BoundarySlice, curve_csv_text, slice_point
 
 # The package's `sweep` attribute is the function, not the module.
 sweep_module = importlib.import_module("bottleneck_lab.sweep")
@@ -59,19 +59,19 @@ def quiet(fn, *args):
 
 @pytest.fixture(scope="module")
 def kl_curves():
-    lower = sweep(bsc_slice(KL, resolution=512), "lower", problem="pf")
-    upper = sweep(bsc_slice(KL, resolution=512), "upper", problem="ib")
+    lower = sweep(bsc_slice(KL, resolution=512), "lower")
+    upper = sweep(bsc_slice(KL, resolution=512), "upper")
     return lower, upper
 
 
 @pytest.fixture(scope="module")
 def entropy_lower_fine():
-    return sweep(bsc_slice(ENTROPY, resolution=4096), "lower", problem="pf")
+    return sweep(bsc_slice(ENTROPY, resolution=4096), "lower")
 
 
 def bsc_slice(kernel, inst=INST, **grid):
-    """boundary_slice of the kernel pair for a binary symmetric instance."""
-    return boundary_slice(kernel, kernel, inst.channel(), inst.marginal(), **grid)
+    """BoundarySlice of the kernel pair for a binary symmetric instance."""
+    return BoundarySlice(kernel, kernel, inst.channel(), inst.marginal(), **grid)
 
 
 def bsc_point(kernel, lam, direction, inst=INST, **grid):
@@ -103,6 +103,17 @@ class TestBoundaryPointAtLambda:
         joint = joint_from_marginal_channel(point.witness.marginal, INST.channel())
         assert math.isclose(point.x, 1.0, abs_tol=1e-9)
         assert math.isclose(point.y, f_information(CHI2, joint), abs_tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "lam, direction", [(math.inf, "lower"), (-math.inf, "upper"), (math.nan, "lower")]
+    )
+    def test_non_finite_slope_is_refused(self, lam, direction):
+        # At lam = +-inf, 0 * inf is nan at the trivial vertex (x = 0), and
+        # the support query returned that vertex, not the x-maximum; a nan
+        # slope returned the chain's first vertex.
+        bslice = bsc_slice(KL, resolution=64)
+        with pytest.raises(ValueError, match=f"lam = {lam} is not finite"):
+            slice_point(bslice, lam, direction)
 
 
 class TestSweep:
@@ -192,7 +203,7 @@ class TestSweep:
 
         q, T = decompose_joint(JointDistribution(joint))
         for direction in ("lower", "upper"):
-            curve = sweep(boundary_slice(KL, KL, T, q, resolution=256), direction)
+            curve = sweep(BoundarySlice(KL, KL, T, q, resolution=256), direction)
             assert np.abs(curve.ys).max() <= 1e-12
 
     def test_total_variation_region_is_a_segment(self):
@@ -225,7 +236,7 @@ class TestSweep:
         ids=["entropy", "norm", "kl", "chi2", "tv", "mixed"],
     )
     def test_frame_follows_the_kernels(self, f_kernel, g_kernel, frame):
-        bslice = boundary_slice(f_kernel, g_kernel, INST.channel(), INST.marginal(), resolution=64)
+        bslice = BoundarySlice(f_kernel, g_kernel, INST.channel(), INST.marginal(), resolution=64)
         assert sweep(bslice, "lower").frame == frame
 
 
@@ -320,7 +331,7 @@ class TestTransformEntropyFrame:
         T = rng.exponential(size=(3, 3)) + 0.3
         T = T / T.sum(axis=0, keepdims=True)
         q = np.array([0.45, 0.35, 0.2])
-        raw = sweep(boundary_slice(ENTROPY, ENTROPY, T, q, resolution=32), "lower")
+        raw = sweep(BoundarySlice(ENTROPY, ENTROPY, T, q, resolution=32), "lower")
         xs, ys = to_mi_frame(raw)
         assert abs(xs[-1]) <= 1e-12 and abs(ys[-1]) <= 1e-12
         joint = joint_from_marginal_channel(raw.marginal, raw.channel)
@@ -367,7 +378,7 @@ class TestMatchedChannels:
         q_new = np.array([0.89, 0.11])
         moved = matched_channel_invariance_check(point, q_new, ENTROPY, ENTROPY, INST.channel())
         fresh = slice_point(
-            boundary_slice(ENTROPY, ENTROPY, INST.channel(), q_new, resolution=2048), 0.3, "lower"
+            BoundarySlice(ENTROPY, ENTROPY, INST.channel(), q_new, resolution=2048), 0.3, "lower"
         )
         assert abs(moved.x - fresh.x) <= 1e-6
         assert abs(moved.y - fresh.y) <= 1e-6
@@ -406,7 +417,7 @@ class TestLambdaGrid:
 
 def assert_same_curve(got, want):
     """Field-for-field equality of two BoundaryCurves, witnesses included."""
-    assert (got.direction, got.problem, got.frame) == (want.direction, want.problem, want.frame)
+    assert (got.direction, got.frame) == (want.direction, want.frame)
     assert (got.f_kernel, got.g_kernel) == (want.f_kernel, want.g_kernel)
     assert got.marginal.probs.tolist() == want.marginal.probs.tolist()
     assert got.channel.matrix.tolist() == want.channel.matrix.tolist()
@@ -428,8 +439,8 @@ class TestSliceCarriesItsSource:
         # nats and at the origin.
         q, other = [0.9, 0.1], BscInstance(q=0.1, delta=0.3).channel()
         cases = [
-            (boundary_slice(ENTROPY, ENTROPY, INST.channel(), q, resolution=512), "entropy"),
-            (boundary_slice(KL, KL, other, q, resolution=512), "finfo"),
+            (BoundarySlice(ENTROPY, ENTROPY, INST.channel(), q, resolution=512), "entropy"),
+            (BoundarySlice(KL, KL, other, q, resolution=512), "finfo"),
         ]
         starts = []
         for bslice, frame in cases:
@@ -437,7 +448,7 @@ class TestSliceCarriesItsSource:
             assert curve.f_kernel is bslice.f_kernel and curve.g_kernel is bslice.g_kernel
             assert curve.channel is bslice.channel
             assert curve.frame == frame
-            assert curve.marginal.probs.tolist() == bslice.region.q.tolist() == q
+            assert curve.marginal.probs.tolist() == bslice.region.graph.q.tolist() == q
             point = slice_point(bslice, 0.0, "upper")
             assert point.witness.marginal.probs.tolist() == q
             assert (point.x, point.y) in zip(curve.xs.tolist(), curve.ys.tolist())
@@ -449,13 +460,47 @@ class TestSliceCarriesItsSource:
         # Normalizing a point of the N = 48 ternary lattice a second time
         # moves the last bits of some; a curve holds the slice's own.
         q, T = seeded_source(3, 48, 0)
-        bslice = boundary_slice(KL, KL, T, q, resolution=48)
-        region = bslice.region
-        held = set(map(tuple, np.vstack([region.lattice.points, region.q]).tolist()))
+        bslice = BoundarySlice(KL, KL, T, q, resolution=48)
+        graph = bslice.region.graph
+        held = set(map(tuple, np.vstack([graph.lattice.points, graph.q]).tolist()))
         for direction in ("lower", "upper"):
             curve = sweep(bslice, direction)
             assert set(map(tuple, curve.rows.tolist())) <= held
-            assert curve.marginal.probs.tolist() == region.q.tolist()
+            assert curve.marginal.probs.tolist() == graph.q.tolist()
+
+    def test_a_polygon_cannot_be_paired_with_other_kernels(self):
+        # The entropy polygon of BSC(0.1) at q = (0.9, 0.1) beside KL
+        # kernels and another channel: a slice is only built from its
+        # source, so no spelling of that pairing is taken.
+        q, other = [0.9, 0.1], BscInstance(q=0.1, delta=0.3).channel()
+        region = BoundarySlice(ENTROPY, ENTROPY, INST.channel(), q, resolution=512).region
+        with pytest.raises(TypeError):
+            BoundarySlice(region, KL, KL, other)
+        with pytest.raises(TypeError):
+            BoundarySlice(KL, KL, other, q, resolution=512, region=region)
+        with pytest.raises(TypeError):
+            BoundarySlice(KL, KL, other, q, 512)  # resolution is keyword-only
+
+    def test_constructor_cuts_its_polygon_from_its_source(self, slice_builds):
+        # The polygon keeps the graph it was cut from: the slice's own
+        # kernels and channel over the lattice asked for (by default the
+        # alphabet's), at its q.
+        q, T = seeded_source(3, 24, 1)
+        bslice = BoundarySlice(KL, CHI2, T, q, resolution=24)
+        graph = bslice.region.graph
+        assert (graph.lattice.m, graph.lattice.resolution) == (3, 24)
+        assert_allclose(graph.q, q, rtol=0, atol=1e-15)
+        channel = bslice.channel.matrix
+        assert channel.tolist() == Channel(T).matrix.tolist()
+        f_fn = resolve_functional(KL, graph.q)
+        g_fn = resolve_functional(CHI2, channel @ graph.q)
+        want = build_lagrangian_graph(f_fn, g_fn, bslice.channel, graph.lattice, graph.q)
+        assert graph.x_values.tolist() == want.x_values.tolist()
+        assert graph.y_values.tolist() == want.y_values.tolist()
+        default = BoundarySlice(KL, KL, INST.channel(), INST.marginal())
+        assert default.region.graph.lattice.resolution == envelope.DEFAULT_RESOLUTION[2]
+        assert default.region.graph.q.tolist() == INST.marginal().probs.tolist()
+        assert len(slice_builds) == 2
 
 
 class TestProblemCurve:
@@ -524,7 +569,7 @@ class TestProblemCurve:
 
     def test_csv_rows_schema(self):
         curve = problem_curve(INST.marginal(), INST.channel(), "eb", "upper", resolution=128)
-        rows = csv_rows(curve)
+        rows = csv_rows(curve, "eb")
         assert all(len(r) == 7 for r in rows)
         assert rows[0][0] == "eb" and rows[0][1] == "upper"
         assert any('"atoms"' in r[6] for r in rows)
@@ -597,30 +642,33 @@ class TestWitnessRefusals:
         ],
         ids=["no-atoms", "too-many-atoms", "weight-not-positive", "weights-sum", "mixture"],
     )
-    def test_refusal(self, atoms, doctor, match):
+    def test_refusal(self, atoms, doctor, match, monkeypatch):
         with pytest.raises(ValueError, match=match):
             WitnessChannel(
                 atoms=tuple((a, Distribution(p)) for a, p in atoms), marginal=Distribution(_Q)
             )
-        bslice = boundary_slice(ENTROPY, ENTROPY, INST.channel(), _Q, resolution=64)
+        bslice = BoundarySlice(ENTROPY, ENTROPY, INST.channel(), _Q, resolution=64)
         sweep(bslice, "lower")
         region = bslice.region
         atoms, weights = doctor(region, _two_atom_vertex(region))
         doctored = dataclasses.replace(region, atoms=atoms, weights=weights)
+        # A slice is built from its source only, so the doctored polygon
+        # comes in through the slice the constructor cuts.
+        monkeypatch.setattr(sweep_module, "region_slice", lambda graph: doctored)
         with pytest.raises(ValueError, match=match):
-            sweep(dataclasses.replace(bslice, region=doctored), "lower")
+            sweep(BoundarySlice(ENTROPY, ENTROPY, INST.channel(), _Q, resolution=64), "lower")
 
 
-def csv_rows(curve):
+def csv_rows(curve, problem):
     """The curve's CSV text, read back as rows of fields."""
-    return list(csv.reader(io.StringIO(curve_csv_text(curve), newline="")))
+    return list(csv.reader(io.StringIO(curve_csv_text(curve, problem), newline="")))
 
 
-def _rows_from_points(curve):
+def _rows_from_points(curve, problem):
     """CSV rows written the old way, one BoundaryPoint at a time."""
     return [
         [
-            curve.problem,
+            problem,
             curve.direction,
             "" if math.isnan(p.lam) else repr(p.lam),
             repr(p.x),
@@ -650,19 +698,19 @@ class TestCurveArrays:
     def test_csv_rows_equal_rows_from_points(self, m, resolution, problem, frame):
         q, T = seeded_source(m, resolution, 5)
         for curve in problem_curve(q, T, problem, "both", frame=frame, resolution=resolution):
-            text = curve_csv_text(curve)
+            text = curve_csv_text(curve, problem)
             assert "points" not in vars(curve)  # not built until read
             buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(_rows_from_points(curve))
+            csv.writer(buf, lineterminator="\n").writerows(_rows_from_points(curve, problem))
             assert text == buf.getvalue()
             assert len(curve.points) == curve.xs.size
             assert not curve.xs.flags.writeable and not curve.rows.flags.writeable
 
     def test_csv_text_quotes_a_problem_name_as_csv_does(self):
-        curve = sweep(bsc_slice(ENTROPY, resolution=64), "upper", problem='a,"b"')
+        curve = sweep(bsc_slice(ENTROPY, resolution=64), "upper")
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(_rows_from_points(curve))
-        assert curve_csv_text(curve) == buf.getvalue()
+        csv.writer(buf, lineterminator="\n").writerows(_rows_from_points(curve, 'a,"b"'))
+        assert curve_csv_text(curve, 'a,"b"') == buf.getvalue()
         assert buf.getvalue().startswith('"a,""b""",upper,')
 
     def test_points_are_not_checked_again(self, monkeypatch):
@@ -767,7 +815,7 @@ class TestHullSlice:
             for direction in ("lower", "upper"):
                 env = envelope_at(lattice, values[:-1], q, values[-1], direction)
                 point = slice_point(
-                    boundary_slice(kernel, kernel, T, q, resolution=resolution), lam, direction
+                    BoundarySlice(kernel, kernel, T, q, resolution=resolution), lam, direction
                 )
                 assert abs((point.y - lam * point.x) - env) <= 1e-9
                 assert len(point.witness.atoms) <= m
@@ -780,13 +828,13 @@ class TestHullSlice:
         q, T = seeded_source(m, resolution, 3)
         for direction in ("lower", "upper"):
             curve = problem_curve(q, T, "ib", direction, resolution=resolution)
-            rows = csv_rows(curve)
+            rows = csv_rows(curve, "ib")
             assert sum(r[2] != "" for r in rows) >= len(rows) - 2
             for row, point in zip(rows, curve.points):
                 if row[2] == "":
                     continue
                 again = slice_point(
-                    boundary_slice(KL, KL, T, q, resolution=resolution), float(row[2]), direction
+                    BoundarySlice(KL, KL, T, q, resolution=resolution), float(row[2]), direction
                 )
                 assert again.witness.to_json() == point.witness.to_json()
 
@@ -798,7 +846,7 @@ class TestHullSlice:
             q, T = INST.marginal().probs, INST.channel().matrix
         else:
             q, T = seeded_source(m, resolution, 7)
-        bslice = boundary_slice(kernel, kernel, T, q, resolution=resolution)
+        bslice = BoundarySlice(kernel, kernel, T, q, resolution=resolution)
         region = bslice.region
         for direction in ("lower", "upper"):
             # Slopes spread over the chain's positive edge slopes reach ~20
@@ -809,7 +857,7 @@ class TestHullSlice:
             for lam in lams:
                 got = slice_point(bslice, lam, direction)
                 want = slice_point(
-                    boundary_slice(kernel, kernel, T, q, resolution=resolution), lam, direction
+                    BoundarySlice(kernel, kernel, T, q, resolution=resolution), lam, direction
                 )
                 assert (got.x, got.y, got.lam, got.trivial) == (
                     want.x, want.y, want.lam, want.trivial
@@ -838,7 +886,7 @@ class TestHullSlice:
         q = np.array([0.5, 0.3, 0.2])
         T = np.tile([[0.6], [0.4]], (1, 3))
         for direction in ("lower", "upper"):
-            curve = sweep(boundary_slice(KL, KL, T, q, resolution=12), direction)
+            curve = sweep(BoundarySlice(KL, KL, T, q, resolution=12), direction)
             assert len(curve.points) == 2
             assert np.abs(curve.ys).max() <= 1e-12
             assert math.isclose(curve.xs[-1], entropy(curve.marginal), abs_tol=1e-12)
@@ -998,14 +1046,14 @@ class TestHullSlice:
     def test_region_slice_takes_the_walk_from_m3(self, hull_calls):
         for m, resolution in ((2, 16), (3, 8), (4, 4)):
             q, T = seeded_source(m, resolution, 2)
-            boundary_slice(KL, KL, T, q, resolution=resolution)
+            BoundarySlice(KL, KL, T, q, resolution=resolution)
         assert [shape[1] for shape in hull_calls] == [3]  # the m = 2 slice only
 
     def test_pivot_cap_raises(self, monkeypatch):
         monkeypatch.setattr(envelope, "_pivot_cap", lambda points: 1)
         q, T = seeded_source(3, 12, 1)
         with pytest.raises(RuntimeError, match="more than 1 pivots"):
-            boundary_slice(KL, KL, T, q, resolution=12)
+            BoundarySlice(KL, KL, T, q, resolution=12)
 
     def test_pivot_update_equals_adjugate(self, monkeypatch):
         # At every pivot of seeded walks the integer update gives the
@@ -1049,7 +1097,7 @@ class TestHullSlice:
             for seed in range(3):
                 q, T = seeded_source(m, resolution, seed)
                 for kernel in (KL, CHI2, ENTROPY):
-                    boundary_slice(kernel, kernel, T, q, resolution=resolution)
+                    BoundarySlice(kernel, kernel, T, q, resolution=resolution)
         assert len(pivots) > 1000
 
     def test_pivot_refuses_inexact_update(self):
@@ -1115,5 +1163,5 @@ class TestHullSlice:
             for m, resolution in ((3, 3), (3, 6), (4, 4), (5, 5), (4, 12)):
                 q, T = seeded_source(m, resolution, seed)
                 for kernel in (KL, CHI2, ENTROPY):
-                    boundary_slice(kernel, kernel, T, q, resolution=resolution)
+                    BoundarySlice(kernel, kernel, T, q, resolution=resolution)
         assert len(pivots) == 2 * 5 * 5 * 3
