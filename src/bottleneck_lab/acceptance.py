@@ -47,6 +47,15 @@ from .sweep import (
 _ENTROPY = DivergenceKernel.entropy_functional()
 _CHI2 = DivergenceKernel.chi_squared()
 
+# Each gate's fixed configuration.  Only A4, A5 and A7 take sizes as
+# arguments, which the tests and the benchmark's smoke round shrink.
+GATE_RESOLUTION = 4096  # lattice N of A1-A3, A5 and A4's curves
+GATE_PROBES = 101  # x-points (or mixture parameters) per curve in A1-A3
+ARIMOTO_BETAS = (2.0, 3.0, 4.0)  # the norm orders A3 gates
+MATCHED_PERTURBATION = 0.01  # A5 moves q1 by plus and minus this
+CHI2_RESOLUTION = 4000  # lattice N of A6
+PROPERTY_SEEDS = 200  # seeds of A7
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -78,11 +87,11 @@ def _curve_pair(
     return tuple(sweep(bslice, side) for side in ("lower", "upper"))
 
 
-def check_mgl(resolution: int = 4096, probes: int = 101) -> CheckResult:
+def check_mgl() -> CheckResult:
     """A1: lower entropy curve against the exact lower boundary."""
     inst = BscInstance(q=0.1, delta=0.1)
-    curve, _ = _curve_pair(_ENTROPY, inst, resolution)
-    xs = np.linspace(0.0, binary_entropy(inst.q), probes)
+    curve, _ = _curve_pair(_ENTROPY, inst, GATE_RESOLUTION)
+    xs = np.linspace(0.0, binary_entropy(inst.q), GATE_PROBES)
     dev = max(
         abs(_quiet(funnel_value, curve, float(x) * LN2) / LN2 - mrs_gerber(inst, float(x)))
         for x in xs
@@ -93,17 +102,17 @@ def check_mgl(resolution: int = 4096, probes: int = 101) -> CheckResult:
         dev <= tol,
         dev,
         tol,
-        f"{probes} probes, N={resolution}, {curve.xs.size} curve points, bits",
+        f"{GATE_PROBES} probes, N={GATE_RESOLUTION}, {curve.xs.size} curve points, bits",
     )
 
 
-def check_mr_gerber(resolution: int = 4096, probes: int = 101) -> CheckResult:
+def check_mr_gerber() -> CheckResult:
     """A2: upper entropy curve against the exact parametric upper boundary,
     vertical distance after x-interpolation."""
     inst = BscInstance(q=0.1, delta=0.1)
-    _, curve = _curve_pair(_ENTROPY, inst, resolution)
+    _, curve = _curve_pair(_ENTROPY, inst, GATE_RESOLUTION)
     dev = 0.0
-    for alpha in np.linspace(0.0, 1.0, probes):
+    for alpha in np.linspace(0.0, 1.0, GATE_PROBES):
         point = mr_gerber_point(inst, float(alpha))
         got = _quiet(bottleneck_value, curve, point.x * LN2) / LN2
         dev = max(dev, abs(got - point.y))
@@ -113,42 +122,41 @@ def check_mr_gerber(resolution: int = 4096, probes: int = 101) -> CheckResult:
         dev <= tol,
         dev,
         tol,
-        f"{probes} parametric probes, N={resolution}, {curve.xs.size} curve points, bits",
+        f"{GATE_PROBES} parametric probes, N={GATE_RESOLUTION}, {curve.xs.size} curve points, "
+        "bits",
     )
 
 
-def check_arimoto(
-    betas: tuple[float, ...] = (2.0, 3.0, 4.0), resolution: int = 4096, probes: int = 101
-) -> CheckResult:
+def check_arimoto() -> CheckResult:
     """A3: norm-kernel curves against the exact K-frame boundaries, at each
     beta; the deviation is the largest over them."""
     inst = BscInstance(q=0.4, delta=0.2)
     devs = []
-    for beta in betas:
+    for beta in ARIMOTO_BETAS:
         kern = DivergenceKernel.norm_beta(beta)
-        lower, upper = _curve_pair(kern, inst, resolution)
+        lower, upper = _curve_pair(kern, inst, GATE_RESOLUTION)
         dev = 0.0
-        for p in np.linspace(0.0, inst.q, probes):
+        for p in np.linspace(0.0, inst.q, GATE_PROBES):
             x, y = arimoto_mrs_gerber(inst, beta, float(p))
             dev = max(dev, abs(_quiet(funnel_value, lower, x) - y))
-        for alpha in np.linspace(0.0, 1.0, probes):
+        for alpha in np.linspace(0.0, 1.0, GATE_PROBES):
             x, y = arimoto_mr_gerber(inst, beta, float(alpha))
             dev = max(dev, abs(_quiet(bottleneck_value, upper, x) - y))
         devs.append(dev)
     dev = max(devs)
     tol = 2e-3
-    per_beta = ", ".join(f"beta={beta}: {d:.3e}" for beta, d in zip(betas, devs))
+    per_beta = ", ".join(f"beta={beta}: {d:.3e}" for beta, d in zip(ARIMOTO_BETAS, devs))
     return CheckResult(
-        f"A3 K-frame boundaries (norm beta={'/'.join(map(str, betas))}, BSC 0.4/0.2)",
+        f"A3 K-frame boundaries (norm beta={'/'.join(map(str, ARIMOTO_BETAS))}, BSC 0.4/0.2)",
         dev <= tol,
         dev,
         tol,
-        f"both directions, {probes} probes each, N={resolution}; {per_beta}",
+        f"both directions, {GATE_PROBES} probes each, N={GATE_RESOLUTION}; {per_beta}",
     )
 
 
 def check_oracle_cross(
-    resolution: int = 512, n_x: int = 21, sweep_resolution: int = 4096
+    resolution: int = 512, n_x: int = 21, sweep_resolution: int = GATE_RESOLUTION
 ) -> CheckResult:
     """A4: exhaustive binary oracle against the curves (one-sided) and
     against the closed forms (two-sided, entropy case)."""
@@ -192,14 +200,14 @@ def check_oracle_cross(
     )
 
 
-def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4096) -> CheckResult:
+def check_matched(n_points: int = 10, resolution: int = GATE_RESOLUTION) -> CheckResult:
     """A5: matched channels transported to a perturbed marginal agree with a
     fresh support query at that marginal and keep the same atom set."""
     inst = BscInstance(q=0.1, delta=0.1)
     channel, q = inst.channel(), inst.marginal()
     curve = sweep(BoundarySlice(_ENTROPY, _ENTROPY, channel, q, resolution=resolution), "lower")
     q0 = float(curve.marginal.probs[1])
-    margin = perturb + 0.005
+    margin = MATCHED_PERTURBATION + 0.005
     candidates = [
         p
         for p in curve.points
@@ -218,7 +226,7 @@ def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4
     tol = 5e-3
     worst = 0.0
     atom_mismatch = 0
-    for dq in (perturb, -perturb):
+    for dq in (MATCHED_PERTURBATION, -MATCHED_PERTURBATION):
         q_new = np.array([1.0 - (q0 + dq), q0 + dq])
         # One slice per perturbed marginal serves every picked slope.
         bslice = BoundarySlice(_ENTROPY, _ENTROPY, channel, q_new, resolution=resolution)
@@ -236,15 +244,16 @@ def check_matched(n_points: int = 10, perturb: float = 0.01, resolution: int = 4
         passed,
         worst,
         tol,
-        f"{n_points} points, perturbation +/-{perturb}, atom mismatches {atom_mismatch}, bits",
+        f"{n_points} points, perturbation +/-{MATCHED_PERTURBATION}, "
+        f"atom mismatches {atom_mismatch}, bits",
     )
 
 
-def check_chi2_endpoints(resolution: int = 4000) -> CheckResult:
+def check_chi2_endpoints() -> CheckResult:
     """A6: chi-squared curves hit (0, 0) and the exact full-information
     endpoint, and never exceed the m-1 bound."""
     inst = BscInstance(q=0.1, delta=0.1)
-    lower, upper = _curve_pair(_CHI2, inst, resolution)
+    lower, upper = _curve_pair(_CHI2, inst, CHI2_RESOLUTION)
     m = 2
     joint = joint_from_marginal_channel(lower.marginal, lower.channel)
     chi_xy = f_information(_CHI2, joint)
@@ -291,7 +300,7 @@ def _slope_grid(x_values: np.ndarray, y_values: np.ndarray, steps: int) -> np.nd
     return np.unique(np.concatenate([[0.0], uniform, geometric]))
 
 
-def run_property_suite(n_seeds: int = 200) -> list[str]:
+def run_property_suite(n_seeds: int = PROPERTY_SEEDS) -> list[str]:
     """A7: randomized envelope/witness/DPI/cardinality/closed-form checks.
     Returns a list of violation descriptions (empty means a clean pass)."""
     violations: list[str] = []
@@ -374,15 +383,15 @@ def run_property_suite(n_seeds: int = 200) -> list[str]:
     return violations
 
 
-def check_properties(n_seeds: int = 200) -> CheckResult:
+def check_properties() -> CheckResult:
     """A7 as one result: the violation count is the deviation."""
-    violations = run_property_suite(n_seeds)
+    violations = run_property_suite()
     return CheckResult(
         "A7 property suites",
         not violations,
         float(len(violations)),
         0.0,
-        f"{n_seeds} seeds" + (f", first: {violations[0]}" if violations else ""),
+        f"{PROPERTY_SEEDS} seeds" + (f", first: {violations[0]}" if violations else ""),
     )
 
 

@@ -17,12 +17,12 @@ from . import __version__
 from .acceptance import SUITES
 from .closed_forms import (
     CLOSED_FORM_CSV_HEADER,
-    MAX_TABLE_POINTS,
+    CLOSED_FORM_LAWS,
     BscInstance,
     closed_form_table,
 )
 from .core import ConfigError, bsc_joint, decompose_joint, load_joint
-from .sweep import CURVE_CSV_HEADER, curve_csv_text, problem_curve
+from .sweep import CURVE_CSV_HEADER, PROBLEM_FRAMES, curve_csv_text, problem_curve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -136,10 +136,6 @@ def cmd_curve(args) -> int:
 def cmd_closed_form(args) -> int:
     q, delta = _parse_bsc(args.bsc)
     inst = BscInstance(q=q, delta=delta)
-    if args.beta is not None and not args.law.startswith("arimoto"):
-        raise ConfigError(f"--beta does not apply to law {args.law!r}")
-    if args.points > MAX_TABLE_POINTS:
-        raise ConfigError(f"--points {args.points}: at most {MAX_TABLE_POINTS} are supported")
     rows = closed_form_table(inst, args.law, beta=args.beta, points=args.points)
     digest = hashlib.sha256(f"bsc:{args.bsc}".encode()).hexdigest()
     params = {"law": args.law, "beta": args.beta, "points": args.points, "bsc": args.bsc}
@@ -173,23 +169,18 @@ def build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser("curve", help="compute a boundary curve and export CSV")
     curve.add_argument("--input", help="joint distribution JSON file")
     curve.add_argument("--bsc", help="binary symmetric shorthand: q,delta")
-    curve.add_argument(
-        "--problem",
-        choices=["ib", "pf", "eb", "epf", "arimoto"],
-        required=True,
-    )
+    curve.add_argument("--problem", choices=list(PROBLEM_FRAMES), required=True)
     curve.add_argument("--beta", type=float, default=None)
     curve.add_argument("--direction", choices=["lower", "upper", "both"], default="both")
     curve.add_argument("--resolution", type=int, default=None)
-    curve.add_argument("--frame", choices=["finfo", "entropy", "K"], default=None)
+    frames = dict.fromkeys(frame for table in PROBLEM_FRAMES.values() for frame in table)
+    curve.add_argument("--frame", choices=list(frames), default=None)
     curve.add_argument("--output", required=True)
     curve.set_defaults(func=cmd_curve)
 
     closed = sub.add_parser("closed-form", help="exact binary-symmetric tables")
     closed.add_argument("--bsc", required=True)
-    closed.add_argument(
-        "--law", choices=["mgl", "mrgl", "arimoto-mgl", "arimoto-mrgl"], required=True
-    )
+    closed.add_argument("--law", choices=CLOSED_FORM_LAWS, required=True)
     closed.add_argument("--beta", type=float, default=None)
     closed.add_argument("--points", type=int, default=101)
     closed.add_argument("--output", required=True)

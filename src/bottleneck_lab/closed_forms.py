@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     Channel,
+    ConfigError,
     Distribution,
     _check_beta,
     _check_unit_interval,
@@ -195,6 +196,9 @@ def k_frame_to_entropy(value: float, beta: float) -> float:
 
 
 CLOSED_FORM_CSV_HEADER = ["q", "delta", "beta", "x", "lower", "upper"]
+# The laws closed_form_table computes: the entropy-frame lower and upper
+# boundaries, and their K-frame (Arimoto) counterparts, which take a beta.
+CLOSED_FORM_LAWS = ("mgl", "mrgl", "arimoto-mgl", "arimoto-mrgl")
 # Most rows a closed-form table is computed for.  A table's peak RSS grows
 # by ~0.45 KiB per row (its rows and CSV text: 106 MiB at 65 536 rows, of
 # which ~78 MiB is the interpreter with numpy and scipy; x86-64 Linux), so
@@ -210,28 +214,38 @@ def closed_form_table(
     points: int = 101,
 ) -> list[list[str]]:
     """Rows for the closed-form export schema; the column not covered by the
-    requested law stays empty."""
+    requested law stays empty.
+
+    law is one of CLOSED_FORM_LAWS.  Refused before any row is built, in
+    this order: a beta for an entropy-frame law and more than
+    MAX_TABLE_POINTS points (ConfigError), then fewer than 2 points.
+    """
+    if law not in CLOSED_FORM_LAWS:
+        raise ValueError(f"unknown law {law!r}")
+    arimoto = law.startswith("arimoto")
+    if beta is not None and not arimoto:
+        raise ConfigError(f"beta does not apply to law {law!r}")
+    if points > MAX_TABLE_POINTS:
+        raise ConfigError(f"points {points}: at most {MAX_TABLE_POINTS} are supported")
     if points < 2:
         raise ValueError("points must be at least 2")
     rows: list[list[str]] = []
     q_str, d_str = repr(float(inst.q)), repr(float(inst.delta))
-    if law in ("mgl", "mrgl"):
+    if not arimoto:
         xs = np.linspace(0.0, binary_entropy(inst.q), points)
         for x in xs:
             lower = repr(mrs_gerber(inst, float(x))) if law == "mgl" else ""
             upper = repr(mr_gerber(inst, float(x))) if law == "mrgl" else ""
             rows.append([q_str, d_str, "", repr(float(x)), lower, upper])
         return rows
-    if law in ("arimoto-mgl", "arimoto-mrgl"):
-        b_str = repr(_check_beta(beta))
-        if law == "arimoto-mgl":
-            for p in np.linspace(0.0, inst.q, points):
-                x, y = arimoto_mrs_gerber(inst, beta, float(p))
-                rows.append([q_str, d_str, b_str, repr(x), repr(y), ""])
-        else:
-            for alpha in np.linspace(0.0, 1.0, points):
-                x, y = arimoto_mr_gerber(inst, beta, float(alpha))
-                rows.append([q_str, d_str, b_str, repr(x), "", repr(y)])
-        rows.sort(key=lambda r: float(r[3]))
-        return rows
-    raise ValueError(f"unknown law {law!r}")
+    b_str = repr(_check_beta(beta))
+    if law == "arimoto-mgl":
+        for p in np.linspace(0.0, inst.q, points):
+            x, y = arimoto_mrs_gerber(inst, beta, float(p))
+            rows.append([q_str, d_str, b_str, repr(x), repr(y), ""])
+    else:
+        for alpha in np.linspace(0.0, 1.0, points):
+            x, y = arimoto_mr_gerber(inst, beta, float(alpha))
+            rows.append([q_str, d_str, b_str, repr(x), "", repr(y)])
+    rows.sort(key=lambda r: float(r[3]))
+    return rows

@@ -436,19 +436,22 @@ def decompose_joint(joint: JointDistribution) -> tuple[Distribution, Channel]:
     """Split a joint pmf into the X-marginal and the forward channel.
 
     X-symbols with zero mass are dropped (support restriction), so the
-    returned channel is defined everywhere; so are zero-mass Y-symbols
-    while two remain, so that T q has full support.  Reassembling the joint
-    from the pieces reproduces the input on the restricted support.
+    returned channel is defined everywhere; so are zero-mass Y-symbols, so
+    that T q has full support.  A joint is refused unless X and Y each put
+    mass on at least 2 symbols.  Reassembling the joint from the pieces
+    reproduces the input on the restricted support.
     """
     px = joint.marginal_x()
     keep = px > 0.0
     if int(keep.sum()) < 2:
         raise ValueError("support of X must contain at least 2 symbols")
-    rows = joint.p_xy[keep]
     used = joint.marginal_y() > 0.0
+    if int(used.sum()) < 2:
+        raise ValueError("Y is constant: support of Y must contain at least 2 symbols")
+    rows = joint.p_xy[keep]
     # Only when a column goes: a column index copies in Fortran order, which
     # the channel keeps, and that moves the last bits of its products.
-    if 2 <= int(used.sum()) < used.size:
+    if not used.all():
         rows = rows[:, used]
     q = px[keep]
     cols = (rows / q[:, None]).T

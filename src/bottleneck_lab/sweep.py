@@ -391,22 +391,13 @@ def matched_channel_invariance_check(
     return BoundaryPoint(lam=point.lam, x=x, y=y, witness=witness, trivial=False)
 
 
-_PROBLEM_KERNELS = {
-    "ib": "kl",
-    "pf": "kl",
-    "eb": "chi2",
-    "epf": "chi2",
-    "arimoto": "norm",
-    "generic": "kl",
-}
-
+# Problem -> {frame: kernel kind}; a problem's first frame is its default.
 PROBLEM_FRAMES = {
-    "ib": ("finfo", "entropy"),
-    "pf": ("finfo", "entropy"),
-    "eb": ("finfo",),
-    "epf": ("finfo",),
-    "arimoto": ("K",),
-    "generic": ("finfo", "entropy", "K"),
+    "ib": {"finfo": "kl", "entropy": "entropy"},
+    "pf": {"finfo": "kl", "entropy": "entropy"},
+    "eb": {"finfo": "chi2"},
+    "epf": {"finfo": "chi2"},
+    "arimoto": {"K": "norm"},
 }
 
 
@@ -422,28 +413,28 @@ def problem_curve(
 ) -> BoundaryCurve | tuple[BoundaryCurve, BoundaryCurve]:
     """Boundary curve for one named problem instantiation.
 
-    ib/pf use mutual-information kernels (or the conditional-entropy frame),
-    eb/epf use chi-squared kernels, arimoto uses l^beta norm kernels in the
-    multiplicative K frame.  beta (default 2) is refused unless the kernel
-    is a norm kernel.  direction "both" returns (lower, upper), both read
-    off one BoundarySlice; "lower" or "upper" returns one curve.
+    The kernel is PROBLEM_FRAMES[problem][frame], the frame defaulting to
+    the problem's first: ib/pf use mutual-information kernels (or the
+    conditional-entropy frame), eb/epf use chi-squared kernels, arimoto
+    uses l^beta norm kernels in the multiplicative K frame.  beta (default
+    2) is refused unless the kernel is a norm kernel.  direction "both"
+    returns (lower, upper), both read off one BoundarySlice; "lower" or
+    "upper" returns one curve.
     """
     _check_direction(direction, ("lower", "upper", "both"))
-    if problem not in _PROBLEM_KERNELS:
+    if problem not in PROBLEM_FRAMES:
         raise ValueError(f"unknown problem {problem!r}")
     frames = PROBLEM_FRAMES[problem]
-    frame = frame or frames[0]
+    frame = frame or next(iter(frames))
     if frame not in frames:
         raise ConfigError(f"frame {frame!r} is not available for problem {problem!r}")
-    kind = _PROBLEM_KERNELS[problem]
-    if frame == "entropy":
-        kernel = DivergenceKernel.entropy_functional()
-    elif frame == "K" or kind == "norm":
+    kind = frames[frame]
+    if kind == "norm":
         kernel = DivergenceKernel.norm_beta(beta if beta is not None else 2.0)
+    elif beta is not None:
+        raise ConfigError(f"beta does not apply to problem {problem!r} in frame {frame!r}")
     else:
         kernel = DivergenceKernel(kind)
-    if beta is not None and kernel.kind != "norm":
-        raise ConfigError(f"beta does not apply to problem {problem!r} in frame {frame!r}")
     bslice = BoundarySlice(kernel, kernel, T, q, resolution=resolution)
     sides = ("lower", "upper") if direction == "both" else (direction,)
     curves = tuple(sweep(bslice, side) for side in sides)

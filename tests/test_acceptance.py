@@ -27,16 +27,16 @@ def report(result, elapsed=None, budget=None):
 
 def test_a1_lower_boundary_exactness():
     t0 = time.perf_counter()
-    result = check_mgl(resolution=4096, probes=101)
+    result = check_mgl()
     report(result, time.perf_counter() - t0, budget=10.0)
 
 
 def test_a2_upper_boundary_exactness():
-    report(check_mr_gerber(resolution=4096, probes=101))
+    report(check_mr_gerber())
 
 
 def test_a3_arimoto_k_frame():
-    result = check_arimoto(resolution=4096, probes=101)
+    result = check_arimoto()
     report(result)
     for beta in (2.0, 3.0, 4.0):
         assert f"beta={beta}: " in result.detail
@@ -44,12 +44,12 @@ def test_a3_arimoto_k_frame():
 
 def test_a4_oracle_cross_validation():
     t0 = time.perf_counter()
-    result = check_oracle_cross(resolution=512, n_x=21)
+    result = check_oracle_cross()
     report(result, time.perf_counter() - t0, budget=60.0)
 
 
 def test_a5_matched_channel_invariance():
-    report(check_matched(n_points=10, perturb=0.01))
+    report(check_matched())
 
 
 def test_a6_chi2_endpoints_and_bounds():
@@ -57,7 +57,7 @@ def test_a6_chi2_endpoints_and_bounds():
 
 
 def test_a7_property_suites():
-    report(check_properties(n_seeds=200))
+    report(check_properties())
 
 
 def test_a4_reads_both_chains_off_one_slice_per_kernel(hull_calls):

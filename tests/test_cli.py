@@ -22,9 +22,17 @@ from bottleneck_lab import (
 )
 from bottleneck_lab import cli, envelope
 from bottleneck_lab.acceptance import CheckResult
-from bottleneck_lab.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_INFEASIBLE, EXIT_OK, main
+from bottleneck_lab.cli import (
+    EXIT_BAD_INPUT,
+    EXIT_CHECK_FAILED,
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    build_parser,
+    main,
+)
+from bottleneck_lab.closed_forms import CLOSED_FORM_LAWS
 from bottleneck_lab.oracle import OracleConfig
-from bottleneck_lab.sweep import CURVE_CSV_HEADER, problem_curve
+from bottleneck_lab.sweep import CURVE_CSV_HEADER, PROBLEM_FRAMES, problem_curve
 from test_sweep import _rows_from_points
 
 # The package's `sweep` attribute is the function, not the module.
@@ -142,6 +150,18 @@ class TestCurveCommand:
             assert code == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("problem", list(PROBLEM_FRAMES))
+    def test_constant_y_is_bad_input(self, tmp_path, capsys, problem):
+        # Every f-information of a constant Y is 0; each problem refuses
+        # the source alike, by naming Y.
+        src, out = tmp_path / "const.json", tmp_path / "const.csv"
+        src.write_text(json.dumps({"p_xy": [[0.3, 0.0], [0.7, 0.0]]}))
+        code = main(["curve", "--input", str(src), "--problem", problem,
+                     "--resolution", "16", "--output", str(out)])
+        assert code == EXIT_BAD_INPUT
+        assert "Y is constant" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_source_is_bad_input(self, tmp_path):
         code = main(["curve", "--problem", "ib", "--output", str(tmp_path / "x.csv")])
@@ -420,6 +440,18 @@ class TestCurveCommand:
         assert {r[1] for r in rows} == {"lower", "upper"}
 
 
+def test_choices_are_the_library_tables():
+    def choices(command, option):
+        sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+        return list(next(a for a in sub._actions if option in a.option_strings).choices)
+
+    parser = build_parser()
+    frames = [frame for table in PROBLEM_FRAMES.values() for frame in table]
+    assert choices("curve", "--problem") == list(PROBLEM_FRAMES)
+    assert choices("curve", "--frame") == list(dict.fromkeys(frames))
+    assert choices("closed-form", "--law") == list(CLOSED_FORM_LAWS)
+
+
 class TestClosedFormCommand:
     def run(self, tmp_path, name, *extra):
         out = tmp_path / name
@@ -465,7 +497,7 @@ class TestClosedFormCommand:
     def test_beta_with_entropy_law_is_infeasible(self, tmp_path, capsys, law):
         code, out = self.run(tmp_path, "x.csv", "--law", law, "--beta", "3")
         assert code == EXIT_INFEASIBLE
-        assert f"--beta does not apply to law '{law}'" in capsys.readouterr().err
+        assert f"error: beta does not apply to law '{law}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oversized_table_is_refused_before_it_is_built(self, tmp_path, monkeypatch, capsys):
@@ -475,7 +507,7 @@ class TestClosedFormCommand:
         monkeypatch.setattr(np, "linspace", no_grid)
         code, out = self.run(tmp_path, "x.csv", "--law", "mrgl", "--points", "100000000000")
         assert code == EXIT_INFEASIBLE
-        assert "--points 100000000000" in capsys.readouterr().err
+        assert "error: points 100000000000:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_arimoto_rejects_small_beta(self, tmp_path):

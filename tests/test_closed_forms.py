@@ -19,7 +19,8 @@ from bottleneck_lab import (
     mrs_gerber,
     star,
 )
-from bottleneck_lab.core import LN2, resolve_functional, DivergenceKernel
+from bottleneck_lab.closed_forms import MAX_TABLE_POINTS, closed_form_table
+from bottleneck_lab.core import LN2, ConfigError, resolve_functional, DivergenceKernel
 
 INST = BscInstance(q=0.1, delta=0.1)
 # The default instance plus the degenerate corners of the parametrization.
@@ -327,3 +328,29 @@ class TestKFrameMap:
             k_frame_to_entropy(0.0, 2.0)
         with pytest.raises(ValueError):
             k_frame_to_entropy(0.5, 1.0)
+
+
+
+def no_grid(*args, **kwargs):
+    raise AssertionError("the table grid was built")
+
+
+class TestClosedFormTable:
+    # Each refusal comes before the grid, in this order: a beta for an
+    # entropy-frame law, then more than MAX_TABLE_POINTS rows, then fewer
+    # than 2.
+    @pytest.mark.parametrize("points", [101, 1, 10**11])
+    @pytest.mark.parametrize("law", ["mgl", "mrgl"])
+    def test_beta_with_entropy_law_is_infeasible(self, monkeypatch, law, points):
+        monkeypatch.setattr(np, "linspace", no_grid)
+        with pytest.raises(ConfigError, match=f"^beta does not apply to law '{law}'$"):
+            closed_form_table(INST, law, beta=3.0, points=points)
+
+    @pytest.mark.parametrize("law", ["mgl", "arimoto-mrgl"])
+    def test_oversized_table_is_refused_before_it_is_built(self, monkeypatch, law):
+        monkeypatch.setattr(np, "linspace", no_grid)
+        with pytest.raises(ConfigError, match=f"^points {MAX_TABLE_POINTS + 1}: at most "):
+            closed_form_table(INST, law, beta=3.0 if "arimoto" in law else None,
+                              points=MAX_TABLE_POINTS + 1)
+        with pytest.raises(ValueError, match="^points must be at least 2$"):
+            closed_form_table(INST, law, points=1)

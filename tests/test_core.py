@@ -447,9 +447,11 @@ class TestDecomposeJoint:
         want_q, want_T = decompose_joint(JointDistribution(p[:, [0, 2, 3]].copy()))
         assert T.matrix.tolist() == want_T.matrix.tolist()
         assert q.probs.tolist() == want_q.probs.tolist()
-        # With fewer than two used Y symbols left, no column is dropped.
-        _, T = decompose_joint(JointDistribution([[0.5, 0.0], [0.5, 0.0]]))
-        assert T.n == 2
+
+    @pytest.mark.parametrize("p", [[[0.3, 0.0], [0.7, 0.0]], [[0.0, 0.4, 0.0], [0.0, 0.6, 0.0]]])
+    def test_constant_y_rejected(self, p):
+        with pytest.raises(ValueError, match="^Y is constant"):
+            decompose_joint(JointDistribution(p))
 
     def test_single_support_rejected(self):
         with pytest.raises(ValueError):

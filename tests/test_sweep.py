@@ -549,6 +549,13 @@ class TestProblemCurve:
             problem_curve(INST.marginal(), INST.channel(), "rate", "upper",
                           resolution=64)
 
+    def test_generic_is_not_a_problem(self, slice_builds):
+        # The five problems are the paper's three instantiations; a kernel
+        # outside them is built with BoundarySlice directly.
+        with pytest.raises(ValueError, match="^unknown problem 'generic'$"):
+            problem_curve(INST.marginal(), INST.channel(), "generic", "both", resolution=64)
+        assert slice_builds == []
+
     def test_arimoto_uses_k_frame(self):
         curve = problem_curve(INST.marginal(), INST.channel(), "arimoto", "lower",
                               beta=2.0, resolution=256)
@@ -689,10 +696,10 @@ class TestCurveArrays:
             (2, 256, "arimoto", "K"),
             (3, 24, "eb", "finfo"),
             (3, 24, "ib", "entropy"),
-            (3, 24, "generic", "K"),
+            (3, 24, "arimoto", "K"),
             (4, 8, "pf", "finfo"),
-            (4, 8, "generic", "entropy"),
-            (4, 8, "generic", "K"),
+            (4, 8, "ib", "entropy"),
+            (4, 8, "arimoto", "K"),
         ],
     )
     def test_csv_rows_equal_rows_from_points(self, m, resolution, problem, frame):
