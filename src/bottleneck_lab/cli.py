@@ -105,8 +105,6 @@ def _resolve_source(args) -> tuple:
 
 def cmd_curve(args) -> int:
     marginal, channel, digest = _resolve_source(args)
-    if args.resolution is not None and args.resolution < 2:
-        raise ValueError("--resolution must be >= 2")
     curves = problem_curve(
         marginal,
         channel,

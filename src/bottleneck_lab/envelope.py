@@ -83,7 +83,10 @@ _BREAK_TOL = 1e-14
 # of arbitrary slope (test_rounded_lattice_marginal_gives_one_trivial_vertex).
 _SAME_TOL = 1e-12
 
+# Lattice N by alphabet size when none is given, and the least N (at N = 1
+# the lattice is the alphabet alone).
 DEFAULT_RESOLUTION = {2: 4096, 3: 128, 4: 32}
+MIN_RESOLUTION = 2
 # Largest lattice a curve is computed on.  Peak RSS of a binary
 # `curve --direction both` is set inside its qhull call: 166 MiB at
 # N = 65 536 and 771 MiB at N = 262 143, or ~2.75 KiB per lattice point
@@ -102,20 +105,30 @@ def lattice_size(m: int, resolution: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SimplexLattice:
-    """All compositions (k_1, ..., k_m) / N of the simplex, in lexicographic
-    order of the counts.  For m = 2 the first coordinate increases with the
-    point index, so the lattice is a sorted 1-D path."""
+    """All compositions (k_1, ..., k_m) of N, as read-only int64 counts and
+    as points counts / N of the simplex, in lexicographic order of the
+    counts.  For m = 2 the first coordinate increases with the point
+    index, so the lattice is a sorted 1-D path."""
 
     m: int
     resolution: int
+    counts: np.ndarray
     points: np.ndarray
 
     @classmethod
-    def build(cls, m: int, resolution: int) -> "SimplexLattice":
+    def build(cls, m: int, resolution: int | None = None) -> "SimplexLattice":
+        """The m-letter lattice at resolution N, by every lattice rule: N
+        defaults to DEFAULT_RESOLUTION[m] (ConfigError for an alphabet the
+        table lacks), is at least MIN_RESOLUTION (ValueError), and gives at
+        most MAX_LATTICE_POINTS points (ConfigError, before any is made)."""
         if m < 2:
             raise ValueError("lattice needs m >= 2")
-        if resolution < 1:
-            raise ValueError("lattice resolution must be >= 1")
+        if resolution is None:
+            if m not in DEFAULT_RESOLUTION:
+                raise ConfigError(f"no default lattice for m = {m}; pass a resolution")
+            resolution = DEFAULT_RESOLUTION[m]
+        if resolution < MIN_RESOLUTION:
+            raise ValueError(f"lattice resolution must be >= {MIN_RESOLUTION}, got {resolution}")
         size = lattice_size(m, resolution)
         if size > MAX_LATTICE_POINTS:
             raise ConfigError(
@@ -133,30 +146,35 @@ class SimplexLattice:
         ends = np.full((bars.shape[0], 1), -1)
         counts = np.diff(np.hstack([ends, bars, ends + slots + 1]), axis=1) - 1
         pts = counts / float(resolution)
-        pts.setflags(write=False)
-        return cls(m=m, resolution=resolution, points=pts)
+        for arr in (counts, pts):
+            arr.setflags(write=False)
+        return cls(m=m, resolution=resolution, counts=counts, points=pts)
 
     @property
     def size(self) -> int:
-        return int(self.points.shape[0])
+        return int(self.counts.shape[0])
 
     @property
     def vertices(self) -> np.ndarray:
         """Indices of the m alphabet vertices (all mass on one symbol), in
         lattice order."""
-        return np.flatnonzero(self.points.max(axis=1) == 1.0)
+        return np.flatnonzero(self.counts.max(axis=1) == self.resolution)
 
 
 @dataclass(frozen=True, eq=False)
 class LagrangianGraph:
-    """f(p) and g(Tp) at the K lattice points (rows 0..K-1) and at the
-    marginal q (row K); the Lagrangian g(Tp) - lam * f(p) at any slope lam
-    is y_values - lam * x_values."""
+    """f(p) and g(Tp) at the rows it evaluated: the K lattice points (rows
+    0..K-1) and the marginal q (row K); the Lagrangian g(Tp) - lam * f(p)
+    at any slope lam is y_values - lam * x_values."""
 
     lattice: SimplexLattice
-    q: np.ndarray
+    rows: np.ndarray
     x_values: np.ndarray
     y_values: np.ndarray
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.rows[-1]
 
 
 def build_lagrangian_graph(
@@ -188,9 +206,9 @@ def build_lagrangian_graph(
         if np.any(bad):
             idx = int(np.argmax(bad))
             raise ValueError(f"{name} is not finite at {rows[idx].tolist()}")
-    for arr in (q, x_vals, y_vals):
+    for arr in (rows, x_vals, y_vals):
         arr.setflags(write=False)
-    return LagrangianGraph(lattice=lattice, q=q, x_values=x_vals, y_values=y_vals)
+    return LagrangianGraph(lattice=lattice, rows=rows, x_values=x_vals, y_values=y_vals)
 
 
 def envelope_at(
@@ -226,7 +244,7 @@ class RegionSlice:
     graph, the Lagrangian graph it was cut from (lattice, q and values).
 
     Vertex k is x[k] = weights[k] @ X[atoms[k]] (likewise y), a mixture with
-    mean q of the rows atoms[k] (increasing) of vstack(lattice.points, q):
+    mean q of the rows atoms[k] (increasing) of graph.rows:
     lattice points, or q itself as row K = lattice.size.  Unused slots come
     last and hold atom -1 with weight 0.
     lower and upper list the vertices of the two boundary chains, x strictly
@@ -357,20 +375,17 @@ def _face_witnesses(
     return atoms, weights[first]
 
 
-def _hull_faces(
-    lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, counts: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Witnesses of the lifted hull's m-vertex faces that contain q: one
-    qhull call in dimension m + 1 (m when the lifted set is flat)."""
-    qc = q * lattice.resolution
+def _hull_faces(lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Atom sets of the lifted hull's m-vertex faces that box q: one qhull
+    call in dimension m + 1 (m when the lifted set is flat)."""
     rank, extra = _flat_rank(lattice.points, np.column_stack([X, Y]))
     if rank == 0:
         # (f, g) affine on the lattice: every mixture of lattice points with
         # mean q lands on one point, the alphabet vertices' mixture.
-        return _face_witnesses(lattice.vertices[None], counts, qc)
+        return lattice.vertices[None]
     lifted = np.column_stack([lattice.points[:, : lattice.m - 1], extra[:, :rank]])
     simplices = ConvexHull(lifted, qhull_options="Qt QbB").simplices
-    return _face_witnesses(_ridges_around(simplices, counts, qc), counts, qc)
+    return _ridges_around(simplices, lattice.counts, q * lattice.resolution)
 
 
 def _pivot_cap(points: int) -> int:
@@ -559,12 +574,10 @@ def _walk(
     raise lp.too_many_pivots()
 
 
-def _walk_faces(
-    lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, counts: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Witnesses of the vertex bases of two parametric simplex walks, one
-    for the lower chain (Y) and one for the upper chain (-Y), which go on
-    from one run of their common opening pivots (_x_phase)."""
+def _walk_faces(lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Atom sets of the distinct vertex bases of two parametric simplex
+    walks, one for the lower chain (Y) and one for the upper chain (-Y),
+    which go on from one run of their common opening pivots (_x_phase)."""
     # Every float is a dyadic rational, so scaling q by its largest
     # denominator gives integers proportional to q: the ratio test stays
     # exact.
@@ -572,19 +585,18 @@ def _walk_faces(
     den = max(v.denominator for v in exact)
     scale = max(float(np.abs(X).max()), float(np.abs(Y).max()), 1.0)
     lp = _SliceLP(
-        counts=counts,
-        CT=np.ascontiguousarray(counts.T, dtype=float),
+        counts=lattice.counts,
+        CT=np.ascontiguousarray(lattice.counts.T, dtype=float),
         rhs=[int(v * den) for v in exact],
         tol=_PRICE_TOL * scale,
         brk=_BREAK_TOL * scale,
-        cap=_pivot_cap(counts.shape[0]),
+        cap=_pivot_cap(lattice.size),
     )
     lower, upper = np.vstack([X, Y]), np.vstack([X, -Y])
     # The alphabet vertices are a basis feasible for every q (weights q).
     opening = _x_phase(lp, lower, lattice.vertices.tolist())
     bases = _walk(lp, lower, opening) + _walk(lp, upper, opening)
-    qc = q * lattice.resolution
-    return _face_witnesses(_unique_rows(np.sort(bases, axis=1))[0], counts, qc)
+    return _unique_rows(np.sort(bases, axis=1))[0]
 
 
 def region_slice(graph: LagrangianGraph) -> RegionSlice:
@@ -607,13 +619,13 @@ def region_slice(graph: LagrangianGraph) -> RegionSlice:
 
 def _slice(graph: LagrangianGraph, faces) -> RegionSlice:
     """region_slice with the lattice slice's candidate faces from
-    faces(lattice, X, Y, counts, q), which returns their atoms and weights
-    over the lattice rows."""
+    faces(lattice, X, Y, q), which returns their atom sets as rows of
+    lattice indices; each is weighed here (_face_witnesses)."""
     lattice, m, K = graph.lattice, graph.lattice.m, graph.lattice.size
     X = np.asarray(graph.x_values, dtype=float)
     Y = np.asarray(graph.y_values, dtype=float)
-    counts = np.rint(lattice.points * lattice.resolution).astype(np.int64)
-    atoms, weights = faces(lattice, X[:K], Y[:K], counts, graph.q)
+    ridges = faces(lattice, X[:K], Y[:K], graph.q)
+    atoms, weights = _face_witnesses(ridges, lattice.counts, graph.q * lattice.resolution)
     cx = np.einsum("ki,ki->k", weights, X[atoms])
     cy = np.einsum("ki,ki->k", weights, Y[atoms])
     # The single atom q (row K) replaces the candidates at its point.

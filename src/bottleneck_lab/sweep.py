@@ -37,13 +37,7 @@ from .core import (
     mixture_weights,
     resolve_functional,
 )
-from .envelope import (
-    DEFAULT_RESOLUTION,
-    RegionSlice,
-    SimplexLattice,
-    build_lagrangian_graph,
-    region_slice,
-)
+from .envelope import RegionSlice, SimplexLattice, build_lagrangian_graph, region_slice
 
 # Frame of a curve whose two kernels share a functional kind.
 _FRAMES = {"entropy": "entropy", "norm": "K"}
@@ -189,11 +183,11 @@ def _resolve_pair(
 @dataclass(frozen=True, eq=False)
 class BoundarySlice:
     """The achievable-region polygon of the source (channel, q) under a
-    pair of kernels, cut over the lattice of the given resolution (default:
-    DEFAULT_RESOLUTION for the alphabet), divergences taken from q.  Built
-    only from its source, so region (an envelope.RegionSlice, which keeps
-    its graph and q) cannot be paired with kernels or a channel it did not
-    come from; sweep and slice_point read every curve and point off one."""
+    pair of kernels, cut over SimplexLattice.build(m, resolution), with
+    divergences taken from q.  Built only from its source, so region (an
+    envelope.RegionSlice, which keeps its graph and q) cannot be paired with
+    kernels or a channel it did not come from; sweep and slice_point read
+    every curve and point off one."""
 
     f_kernel: DivergenceKernel
     g_kernel: DivergenceKernel
@@ -205,10 +199,6 @@ class BoundarySlice:
 
     def __post_init__(self, q, resolution) -> None:
         q, channel = _as_source(q, self.channel)
-        if resolution is None:
-            if channel.m not in DEFAULT_RESOLUTION:
-                raise ConfigError(f"no default lattice for m = {channel.m}; pass a resolution")
-            resolution = DEFAULT_RESOLUTION[channel.m]
         lattice = SimplexLattice.build(channel.m, resolution)
         f_fn, g_fn = _resolve_pair(self.f_kernel, self.g_kernel, q, channel)
         region = region_slice(build_lagrangian_graph(f_fn, g_fn, channel, lattice, q))
@@ -235,7 +225,7 @@ def _chain_arrays(
         "ys": region.y[vertices],
         "atoms": atoms,
         "weights": region.weights[vertices],
-        "rows": np.vstack([region.graph.lattice.points, region.graph.q])[ids],
+        "rows": region.graph.rows[ids],
     }
     _check_witnesses(arrays["weights"], atoms, arrays["rows"], marginal.probs)
     for arr in arrays.values():

@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
 from bottleneck_lab import Channel, DivergenceKernel, SimplexLattice, resolve_functional
+from bottleneck_lab.core import ConfigError
 from bottleneck_lab.envelope import (
+    DEFAULT_RESOLUTION,
     _unique_rows,
     build_lagrangian_graph,
     envelope_at,
@@ -69,9 +71,10 @@ class TestSimplexLattice:
 
     def test_compositions_are_lexicographic(self):
         # Every composition of N into m parts once, in lexicographic order.
-        for m, resolution in ((2, 5), (3, 3), (4, 4), (6, 3), (3, 1)):
+        for m, resolution in ((2, 5), (3, 3), (4, 4), (6, 3), (3, 2)):
             lattice = SimplexLattice.build(m, resolution)
             counts = np.rint(lattice.points * resolution).astype(int)
+            assert counts.tolist() == lattice.counts.tolist()
             counts = [tuple(row) for row in counts.tolist()]
             assert counts == sorted(set(counts)) and len(counts) == lattice_size(m, resolution)
             assert all(min(row) >= 0 and sum(row) == resolution for row in counts)
@@ -81,6 +84,33 @@ class TestSimplexLattice:
     def test_vertices_are_the_alphabet(self):
         lattice = SimplexLattice.build(3, 4)
         assert_allclose(lattice.points[lattice.vertices], np.eye(3)[::-1])
+
+    def test_counts_are_read_only_integers_behind_the_points(self):
+        lattice = SimplexLattice.build(4, 5)
+        assert lattice.counts.dtype == np.int64
+        assert not lattice.counts.flags.writeable and not lattice.points.flags.writeable
+        assert (lattice.points == lattice.counts / 5.0).all()
+
+    @pytest.mark.parametrize("m,resolution", [(2, None), (3, None), (4, None), (3, 7)])
+    def test_default_resolution_is_read_in_build(self, m, resolution):
+        lattice = SimplexLattice.build(m, resolution)
+        assert lattice.resolution == (resolution or DEFAULT_RESOLUTION[m])
+
+    def test_every_lattice_rule_is_applied_in_build(self, monkeypatch):
+        with pytest.raises(ConfigError, match="no default lattice for m = 5"):
+            SimplexLattice.build(5)
+        for resolution in (0, 1):
+            with pytest.raises(ValueError, match="resolution must be >= 2") as info:
+                SimplexLattice.build(2, resolution)
+            assert not isinstance(info.value, ConfigError)
+        monkeypatch.setattr(np, "fromiter", None)  # nothing may be built
+        with pytest.raises(ConfigError, match="at most 262144 are supported"):
+            SimplexLattice.build(3, 1024)
+
+    def test_library_slice_refuses_the_one_point_lattice(self):
+        # Only the CLI refused N = 1 before the rule moved into build.
+        with pytest.raises(ValueError, match="resolution must be >= 2"):
+            BoundarySlice(ENTROPY, ENTROPY, bsc(0.1), Q, resolution=1)
 
 
 class TestBuildGraph:
@@ -138,7 +168,10 @@ class TestLowerEnvelope1d:
         assert np.all(env[1:-1] < values[1:-1] - 1e-10)
 
     def test_two_point_lattice(self):
-        graph = entropy_graph(0.2, 1)
+        # The alphabet alone, built directly: build refuses N = 1.
+        counts = np.array([[0, 1], [1, 0]])
+        lattice = SimplexLattice(m=2, resolution=1, counts=counts, points=counts / 1.0)
+        graph = build_lagrangian_graph(H, H, bsc(0.2), lattice, Q)
         values = phi(graph, 0.5)
         assert_allclose(envelope(graph.lattice, values, "lower"), values, atol=0)
 

@@ -988,9 +988,8 @@ class TestHullSlice:
         # q (row K) in place of its lattice point.
         lattice = SimplexLattice.build(m, resolution)
 
-        def every_face(lattice, X, Y, counts, q):
-            faces = np.array(list(combinations(range(lattice.size), lattice.m)))
-            return envelope._face_witnesses(faces, counts, q * lattice.resolution)
+        def every_face(lattice, X, Y, q):
+            return np.array(list(combinations(range(lattice.size), lattice.m)))
 
         for seed in range(3):
             q, T = seeded_source(m, resolution, seed)

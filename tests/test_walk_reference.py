@@ -164,7 +164,7 @@ def test_slice_shares_the_reference_walks_opening_pivots(monkeypatch, m, resolut
     # at the alphabet basis no X reduced cost is negative and the two
     # walks share no pivot.
     lattice = SimplexLattice.build(m, resolution)
-    counts = np.rint(lattice.points * resolution).astype(np.int64)
+    counts = lattice.counts
     start = lattice.vertices.tolist()
     taken = []
     real = envelope._pivot
