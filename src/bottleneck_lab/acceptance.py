@@ -196,7 +196,7 @@ def check_oracle_cross(
         worst <= tol,
         worst,
         tol,
-        f"{n_x} x-points, oracle grid {resolution}; " + "; ".join(details),
+        f"{n_x} x-points, N={sweep_resolution}, oracle grid {resolution}; " + "; ".join(details),
     )
 
 
@@ -220,7 +220,7 @@ def check_matched(n_points: int = 10, resolution: int = GATE_RESOLUTION) -> Chec
     if len(candidates) < n_points:
         return CheckResult(
             "A5 matched-channel invariance", False, math.inf, 5e-3,
-            f"only {len(candidates)} usable non-trivial points",
+            f"only {len(candidates)} usable non-trivial points, N={resolution}",
         )
     picks = [candidates[i] for i in np.linspace(0, len(candidates) - 1, n_points).astype(int)]
     tol = 5e-3
@@ -244,7 +244,7 @@ def check_matched(n_points: int = 10, resolution: int = GATE_RESOLUTION) -> Chec
         passed,
         worst,
         tol,
-        f"{n_points} points, perturbation +/-{MATCHED_PERTURBATION}, "
+        f"{n_points} points, N={resolution}, perturbation +/-{MATCHED_PERTURBATION}, "
         f"atom mismatches {atom_mismatch}, bits",
     )
 

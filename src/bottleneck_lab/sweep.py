@@ -39,9 +39,6 @@ from .core import (
 )
 from .envelope import RegionSlice, SimplexLattice, build_lagrangian_graph, region_slice
 
-# Frame of a curve whose two kernels share a functional kind.
-_FRAMES = {"entropy": "entropy", "norm": "K"}
-
 
 def _check_witnesses(
     weights: np.ndarray, atoms: np.ndarray, rows: np.ndarray, marginal: np.ndarray
@@ -152,10 +149,11 @@ class BoundaryCurve:
 
     @property
     def frame(self) -> str:
-        """The curve's frame: "entropy" or "K" when both kernels are entropy
-        or both are norm functionals, else "finfo"."""
+        """The curve's frame: PROBLEM_FRAMES read backwards, from the kind
+        both kernels share; "finfo" for mixed kinds or a kind it lacks."""
+        frames = {kind: frame for table in PROBLEM_FRAMES.values() for frame, kind in table.items()}
         kind = self.f_kernel.kind
-        return _FRAMES.get(kind, "finfo") if kind == self.g_kernel.kind else "finfo"
+        return frames.get(kind, "finfo") if kind == self.g_kernel.kind else "finfo"
 
     @cached_property
     def points(self) -> tuple[BoundaryPoint, ...]:

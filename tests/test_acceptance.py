@@ -66,6 +66,15 @@ def test_a4_reads_both_chains_off_one_slice_per_kernel(hull_calls):
     assert len(hull_calls) == 2  # one entropy slice, one chi2 slice
 
 
+def test_reduced_size_lines_name_their_curve_lattice():
+    # A smaller curve lattice than the gate's shows in the line.
+    a4 = check_oracle_cross(resolution=64, n_x=5, sweep_resolution=1024).line()
+    assert "5 x-points, N=1024, oracle grid 64; " in a4
+    a5 = check_matched(n_points=3, resolution=1024).line()
+    assert "3 points, N=1024, perturbation +/-0.01, " in a5
+    assert "N=4096" not in a4 + a5
+
+
 def test_a7_reference_envelope_catches_a_lossy_slice(monkeypatch):
     # Dropping polygon vertices that turn by less than 3e-2 moves the
     # support value of two of the first 70 draws off the envelope at q.

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -111,9 +112,11 @@ class TestCurveCommand:
 
     def test_manifest_version_is_the_project_version(self):
         # The manifest records __version__ as tool_version.
-        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        # The [project] table's string keys, read without tomllib (3.11+).
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        text = pyproject.read_text(encoding="utf-8")
+        table = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        project = dict(re.findall(r'^(\w+) = "([^"]*)"$', table, flags=re.MULTILINE))
         assert project["name"] == "bottleneck-lab"
         assert bottleneck_lab.__version__ == project["version"]
 

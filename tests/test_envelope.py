@@ -234,7 +234,7 @@ class TestEnvelopeGeneral:
         interior = (lattice.points > 0).sum(axis=1) > 1
         assert np.all(env[interior] < values[interior] - 1e-10)
 
-    def test_binary_general_matches_1d_path(self):
+    def test_binary_envelope_is_the_best_chord(self):
         # Reference 1-D envelope: at each abscissa, the best chord between a
         # lattice point on its left and one on its right.
         graph = entropy_graph(0.1, 64)

@@ -45,7 +45,7 @@ MISMATCH = "channel input alphabet does not match the marginal"
         lambda: problem_curve(Q3, BSC, "ib", "lower", resolution=8),
         lambda: oracle_boundary(KL, KL, BSC, Q3, 0.1, "lower", OracleConfig()),
     ],
-    ids=["boundary_slice", "problem_curve", "oracle_boundary"],
+    ids=["BoundarySlice", "problem_curve", "oracle_boundary"],
 )
 def test_marginal_that_does_not_fit_the_channel_is_refused(call):
     with pytest.raises(ValueError, match=MISMATCH):
