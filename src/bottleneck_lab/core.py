@@ -455,7 +455,7 @@ def decompose_joint(joint: JointDistribution) -> tuple[Distribution, Channel]:
         rows = rows[:, used]
     q = px[keep]
     cols = (rows / q[:, None]).T
-    return Distribution(q / q.sum()), Channel(cols)
+    return Distribution(q), Channel(cols)
 
 
 def joint_from_marginal_channel(
