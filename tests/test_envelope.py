@@ -108,7 +108,7 @@ class TestSimplexLattice:
             SimplexLattice.build(3, 1024)
 
     def test_library_slice_refuses_the_one_point_lattice(self):
-        # Only the CLI refused N = 1 before the rule moved into build.
+        # A library caller meets the CLI's minimum.
         with pytest.raises(ValueError, match="resolution must be >= 2"):
             BoundarySlice(ENTROPY, ENTROPY, bsc(0.1), Q, resolution=1)
 

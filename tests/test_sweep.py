@@ -39,7 +39,7 @@ from bottleneck_lab.acceptance import _slope_grid
 from bottleneck_lab.core import LN2, resolve_functional
 from bottleneck_lab import envelope
 from bottleneck_lab.envelope import build_lagrangian_graph, envelope_at, region_slice
-from bottleneck_lab.sweep import PROBLEM_FRAMES, BoundarySlice, curve_csv_text, slice_point
+from bottleneck_lab.sweep import BoundarySlice, curve_csv_text, slice_point
 
 # The package's `sweep` attribute is the function, not the module.
 sweep_module = importlib.import_module("bottleneck_lab.sweep")
@@ -238,14 +238,6 @@ class TestSweep:
     def test_frame_follows_the_kernels(self, f_kernel, g_kernel, frame):
         bslice = BoundarySlice(f_kernel, g_kernel, INST.channel(), INST.marginal(), resolution=64)
         assert sweep(bslice, "lower").frame == frame
-
-    @pytest.mark.parametrize(
-        "problem, frame", [(p, f) for p, table in PROBLEM_FRAMES.items() for f in table]
-    )
-    def test_frame_is_the_problem_table_read_backwards(self, problem, frame):
-        curve = problem_curve(INST.marginal(), INST.channel(), problem, "lower",
-                              frame=frame, resolution=16)
-        assert curve.frame == frame
 
 
 class TestValueQueries:
