@@ -20,7 +20,8 @@ from .core import (
     Distribution,
     _check_beta,
     _check_unit_interval,
-    _h2,
+    _first_refused,
+    _least_reaching,
     binary_entropy,
     binary_entropy_inv,
     star,
@@ -31,16 +32,22 @@ from .sweep import WitnessChannel
 @dataclass(frozen=True)
 class BscInstance:
     """Binary source P(X=1) = q <= 1/2 observed through a symmetric channel
-    with crossover probability delta <= 1/2."""
+    with crossover probability delta <= 1/2.
 
-    q: float
-    delta: float
+    q and delta may be arrays, checked elementwise: the closed forms then
+    broadcast x against them, one instance per element.  marginal and
+    channel need floats."""
+
+    q: float | np.ndarray
+    delta: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.q <= 0.5:
-            raise ValueError(f"q must lie in [0, 1/2], got {self.q}")
-        if not 0.0 <= self.delta <= 0.5:
-            raise ValueError(f"delta must lie in [0, 1/2], got {self.delta}")
+        for name in ("q", "delta"):
+            value = getattr(self, name)
+            arr = np.asarray(value, dtype=float)
+            ok = (arr >= 0.0) & (arr <= 0.5)
+            if not ok.all():
+                raise ValueError(f"{name} must lie in [0, 1/2], got {_first_refused(value, ok)}")
 
     def marginal(self) -> Distribution:
         return Distribution([1.0 - self.q, self.q])
@@ -60,47 +67,59 @@ class GerberPoint:
     witness: WitnessChannel
 
 
-def _entropy_x(inst: BscInstance, x: float) -> tuple[float, float]:
-    """x clamped to [0, h(q)] (bits), refused when it is nan or further
-    outside than rounding; and h(q)."""
+def _up_to(value, top, name: str, slack: float, top_name: str = "") -> np.ndarray:
+    """value as an array, refused unless each entry lies in [-1e-12, top +
+    slack], broadcast: the error names the first entry that does not, and
+    its top."""
+    arr = np.asarray(value, dtype=float)
+    ok = (arr >= -1e-12) & (arr <= top + slack)
+    if not ok.all():
+        raise ValueError(
+            f"{name} = {_first_refused(value, ok)} outside [0, {top_name}{_first_refused(top, ok)}]"
+        )
+    return arr
+
+
+def _entropy_x(inst: BscInstance, x):
+    """x broadcast against inst and clamped to [0, h(q)] (bits), refused
+    when an entry is nan or further outside than rounding; and h(q)."""
     hq = binary_entropy(inst.q)
-    if not -1e-12 <= x <= hq + 1e-9:
-        raise ValueError(f"x = {x} outside [0, {hq}]")
-    return min(max(x, 0.0), hq), hq
+    return np.minimum(np.maximum(_up_to(x, hq, "x", 1e-9), 0.0), hq), hq
 
 
-def mrs_gerber(inst: BscInstance, x: float) -> float:
+def mrs_gerber(inst: BscInstance, x):
     """Lower boundary of the conditional-entropy region in bits:
-    h(delta star h^{-1}(x)) for x in [0, h(q)].  Convex and non-decreasing."""
+    h(delta star h^{-1}(x)) for x in [0, h(q)], elementwise over x and the
+    instance (a float or an array, the broadcast shape back).  Convex and
+    non-decreasing in x."""
     x, hq = _entropy_x(inst, x)
-    if x >= hq:
-        # h^-1(h(q)) differs from q in its last bits; the endpoint is known.
-        return binary_entropy(star(inst.delta, inst.q))
-    return binary_entropy(star(inst.delta, binary_entropy_inv(x)))
+    # h^-1(h(q)) differs from q in its last bits; the endpoint is known.
+    r = np.where(x >= hq, inst.q, binary_entropy_inv(x))
+    return binary_entropy(star(inst.delta, r))[()]
 
 
 def _binary(p1: float) -> Distribution:
     return Distribution([1.0 - p1, p1])
 
 
-def _ratio(q: float, alpha: float) -> float:
+def _ratio(q, alpha):
     """q/z with z = max(alpha, 2q), capped at 1; 1/2 when z = 0."""
-    z = max(alpha, 2.0 * q)
-    return 0.5 if z == 0.0 else min(q / z, 1.0)
+    z = np.maximum(alpha, 2.0 * q)
+    return np.minimum(np.divide(q, z, out=np.full(np.shape(z), 0.5), where=z > 0.0), 1.0)
 
 
-def _upper_xy(
-    F: Callable[[float], float], inst: BscInstance, alpha: float
-) -> tuple[float, float, float]:
+def _upper_xy(F: Callable, inst: BscInstance, alpha):
     """(r, x, y) of the upper-boundary point at mixture alpha, r = _ratio(q,
     alpha), under the binary functional F (h in bits, or K_beta): x = (1 -
     alpha) F(0) + alpha F(r), y = alpha F(delta star r) + (1 - alpha) F(delta).
-    F(0) is exactly 0 or 1.  Scalars only, no witness."""
-    delta = inst.delta
+    F(0) is exactly 0 or 1.  Elementwise, with one call of F; no witness."""
     ratio = _ratio(inst.q, alpha)
-    x = (1.0 - alpha) * F(0.0) + alpha * F(ratio)
-    y = alpha * F(star(delta, ratio)) + (1.0 - alpha) * F(delta)
-    return ratio, float(x), float(y)
+    f0, f_ratio, f_star, f_delta = F(
+        np.array(np.broadcast_arrays(0.0, ratio, star(inst.delta, ratio), inst.delta))
+    )
+    x = (1.0 - alpha) * f0 + alpha * f_ratio
+    y = alpha * f_star + (1.0 - alpha) * f_delta
+    return ratio, x, y
 
 
 def mr_gerber_point(inst: BscInstance, alpha: float) -> GerberPoint:
@@ -114,9 +133,9 @@ def mr_gerber_point(inst: BscInstance, alpha: float) -> GerberPoint:
     mixes both point masses with the uniform conditional, with weights
     (1 - q - alpha/2, q - alpha/2, alpha).
     """
-    alpha = _check_unit_interval(alpha, "alpha")
+    alpha = float(_check_unit_interval(alpha, "alpha"))
     q = inst.q
-    ratio, x, y = _upper_xy(binary_entropy, inst, alpha)
+    ratio, x, y = (float(v) for v in _upper_xy(binary_entropy, inst, alpha))
     marginal = inst.marginal()
     if alpha >= 2.0 * q:
         pairs = [(1.0 - alpha, _binary(0.0)), (alpha, _binary(ratio))]
@@ -128,62 +147,62 @@ def mr_gerber_point(inst: BscInstance, alpha: float) -> GerberPoint:
         ]
     atoms = tuple((w, p) for w, p in pairs if w > 1e-15)
     witness = WitnessChannel(atoms=atoms, marginal=marginal)
-    return GerberPoint(x=x, y=y, alpha=float(alpha), witness=witness)
+    return GerberPoint(x=x, y=y, alpha=alpha, witness=witness)
 
 
-def mr_gerber(inst: BscInstance, x: float) -> float:
-    """Upper boundary in bits as a function of x, by monotone inversion of
-    the alpha parametrization (x is continuous non-decreasing in alpha).
-    Concave on [0, h(q)].
+def _upper_x(alpha, q):
+    """x of _upper_xy under h, bit for bit, for alpha >= 2q: there (1 -
+    alpha) h(0) is exactly 0."""
+    return alpha * binary_entropy(q / alpha)
 
-    The inversion is scalar: brentq runs on the x-coordinate alone and no
-    witness is built; mr_gerber_point gives the point with its witness.
-    On alpha <= 2q the tilted conditional is q / (2q) = 1/2 exactly, whose
-    entropy is exactly 1 bit, so x(alpha) = alpha there and needs no root.
+
+def _upper_slope(alpha, q):
+    """Derivative of _upper_x in alpha, -log2(1 - q / alpha)."""
+    return 0.0 - np.log2(1.0 - q / alpha)
+
+
+def mr_gerber(inst: BscInstance, x):
+    """Upper boundary in bits as a function of x, elementwise over x and the
+    instance (a float or an array, the broadcast shape back).  Concave in x
+    on [0, h(q)].
+
+    x(alpha) is continuous and non-decreasing, and alpha is found by
+    _least_reaching on x alone, with no witness: the least alpha in [2q, 1]
+    whose x reaches the target (mr_gerber_point gives the point with its
+    witness).  On alpha <= 2q the tilted conditional is q / (2q) = 1/2
+    exactly, whose entropy is exactly 1 bit, so x(alpha) = alpha there and
+    alpha = x needs no root; x >= h(q) is read at alpha = 1.
     """
     x, hq = _entropy_x(inst, x)
     q = inst.q
-    if x <= 2.0 * q:
-        return _upper_xy(binary_entropy, inst, x)[2]
-    if x >= hq:
-        return _upper_xy(binary_entropy, inst, 1.0)[2]
-
-    def gap(alpha: float) -> float:
-        # x of _upper_xy alone, with the unchecked entropy: ratio is
-        # in [0, 1] by construction.
-        return alpha * _h2(_ratio(q, alpha)) - x
-
-    # Imported here, not at module level: `cli` imports this module, and a
-    # `curve` run should not load scipy.optimize (~11 MiB of RSS).
-    import scipy.optimize
-
-    alpha = scipy.optimize.brentq(gap, 0.0, 1.0, xtol=1e-13, rtol=9e-16)
-    return _upper_xy(binary_entropy, inst, float(alpha))[2]
+    linear = x <= 2.0 * q
+    lo = np.where(linear, x, np.where(x >= hq, 1.0, 2.0 * q))
+    hi = np.where(linear, x, 1.0)
+    alpha = _least_reaching(_upper_x, _upper_slope, x, lo, hi, x, q)
+    return _upper_xy(binary_entropy, inst, alpha)[2][()]
 
 
-def k_norm(p: float, beta: float) -> float:
-    """l^beta norm of the binary distribution (1-p, p)."""
+def k_norm(p, beta: float):
+    """l^beta norm of the binary distribution (1-p, p), elementwise over p."""
     _check_beta(beta)
     p = _check_unit_interval(p, "p")
-    return (p**beta + (1.0 - p) ** beta) ** (1.0 / beta)
+    return np.power(np.power(p, beta) + np.power(1.0 - p, beta), 1.0 / beta)
 
 
-def arimoto_mrs_gerber(inst: BscInstance, beta: float, p: float) -> tuple[float, float]:
+def arimoto_mrs_gerber(inst: BscInstance, beta: float, p):
     """Lower-boundary point of the K-frame region at parameter p in [0, q]:
-    (K(p), K(p star delta)).  x spans [K(q), 1]."""
-    if not -1e-12 <= p <= inst.q + 1e-12:
-        raise ValueError(f"p = {p} outside [0, q = {inst.q}]")
-    p = min(max(p, 0.0), inst.q)
-    return k_norm(p, beta), k_norm(star(p, inst.delta), beta)
+    (K(p), K(p star delta)), elementwise over p.  x spans [K(q), 1]."""
+    p = np.minimum(np.maximum(_up_to(p, inst.q, "p", 1e-12, "q = "), 0.0), inst.q)
+    return k_norm(p, beta)[()], k_norm(star(p, inst.delta), beta)[()]
 
 
-def arimoto_mr_gerber(inst: BscInstance, beta: float, alpha: float) -> tuple[float, float]:
-    """Upper-boundary point of the K-frame region at mixture alpha in [0, 1]:
-    with z = max(alpha, 2q),
+def arimoto_mr_gerber(inst: BscInstance, beta: float, alpha):
+    """Upper-boundary point of the K-frame region at mixture alpha in [0, 1],
+    elementwise over alpha: with z = max(alpha, 2q),
     (1 - alpha + alpha * K(q/z), alpha * K(q/z star delta) + (1 - alpha) * K(delta))."""
     alpha = _check_unit_interval(alpha, "alpha")
     _, x, y = _upper_xy(lambda p: k_norm(p, beta), inst, alpha)
-    return x, y
+    return x[()], y[()]
 
 
 def k_frame_to_entropy(value: float, beta: float) -> float:
@@ -200,10 +219,16 @@ CLOSED_FORM_CSV_HEADER = ["q", "delta", "beta", "x", "lower", "upper"]
 # boundaries, and their K-frame (Arimoto) counterparts, which take a beta.
 CLOSED_FORM_LAWS = ("mgl", "mrgl", "arimoto-mgl", "arimoto-mrgl")
 # Most rows a closed-form table is computed for.  A table's peak RSS grows
-# by ~0.45 KiB per row (its rows and CSV text: 106 MiB at 65 536 rows, of
-# which ~78 MiB is the interpreter with numpy and scipy; x86-64 Linux), so
-# this keeps a run near 0.5 GiB.
+# by ~0.44 KiB per row, its rows and CSV text, over the ~67 MiB of the
+# interpreter with numpy and scipy.spatial, so this keeps a run near 0.5
+# GiB: a 2^20-row `mgl` or `mrgl` table peaks at 526 MiB and takes 6.2-6.5
+# s (2-CPU x86-64 Linux, Python 3.11, numpy 2.4; 541 MiB and 25-34 s with
+# one scalar root search per row).
 MAX_TABLE_POINTS = 1 << 20
+# Rows per call of an entropy-frame law in closed_form_table: the inversion
+# holds a dozen candidates per row, so a chunk bounds its temporaries to a
+# few MiB each.
+_TABLE_CHUNK = 1 << 14
 
 
 def closed_form_table(
@@ -229,15 +254,26 @@ def closed_form_table(
         raise ConfigError(f"points {points}: at most {MAX_TABLE_POINTS} are supported")
     if points < 2:
         raise ValueError("points must be at least 2")
-    rows: list[list[str]] = []
-    q_str, d_str = repr(float(inst.q)), repr(float(inst.delta))
-    if not arimoto:
+    if arimoto:
+        b_str = repr(_check_beta(beta))
+        grid = np.linspace(0.0, inst.q if law == "arimoto-mgl" else 1.0, points)
+        law_fn = arimoto_mrs_gerber if law == "arimoto-mgl" else arimoto_mr_gerber
+        xs, ys = law_fn(inst, beta, grid)
+    else:
+        b_str = ""
         xs = np.linspace(0.0, binary_entropy(inst.q), points)
-        for x in xs:
-            lower = repr(mrs_gerber(inst, float(x))) if law == "mgl" else ""
-            upper = repr(mr_gerber(inst, float(x))) if law == "mrgl" else ""
-            rows.append([q_str, d_str, "", repr(float(x)), lower, upper])
-        return rows
+        law_fn = mrs_gerber if law == "mgl" else mr_gerber
+        ys = np.concatenate(
+            [law_fn(inst, xs[i : i + _TABLE_CHUNK]) for i in range(0, points, _TABLE_CHUNK)]
+        )
+    q_str, d_str = repr(float(inst.q)), repr(float(inst.delta))
+    lower = law.endswith("mgl")
+    order = np.argsort(xs, kind="stable")
+    rows: list[list[str]] = []
+    for x, y in zip(xs[order].tolist(), ys[order].tolist()):
+        y_str = repr(y)
+        rows.append([q_str, d_str, b_str, repr(x), y_str if lower else "", "" if lower else y_str])
+    return rows
     b_str = repr(_check_beta(beta))
     if law == "arimoto-mgl":
         for p in np.linspace(0.0, inst.q, points):

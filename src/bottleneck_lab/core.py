@@ -314,46 +314,159 @@ def entropy(p: Distribution | Sequence[float] | np.ndarray) -> float:
     return float(_evaluate(DivergenceKernel.entropy_functional(), _as_prob_vector(p)))
 
 
-def _check_unit_interval(value: float, name: str) -> float:
-    v = float(value)
-    if not math.isfinite(v) or v < -_NEG_TOL or v > 1.0 + _NEG_TOL:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return min(max(v, 0.0), 1.0)
+def _first_refused(value, ok: np.ndarray):
+    """What a refusal names: value itself when it is a scalar, else its
+    first entry, broadcast to ok's shape, that is not ok; so an array is
+    refused with the text its bad entry would get on its own."""
+    if ok.ndim == 0:
+        return value
+    return float(np.broadcast_to(np.asarray(value, dtype=float), ok.shape).flat[np.argmin(ok)])
 
 
-def binary_entropy(q: float) -> float:
-    """Binary entropy in bits; binary_entropy(0.5) = 1."""
-    return _h2(_check_unit_interval(q, "q"))
+def _check_unit_interval(value, name: str):
+    """value, a float or an array, with each entry clamped into [0, 1].  An
+    entry that is nan or further than _NEG_TOL outside is refused, and the
+    error names the first one.  A float comes back as a numpy float."""
+    arr = np.asarray(value, dtype=float)
+    # nan passes through both reductions and fails both tests.
+    low = np.minimum.reduce(arr, axis=None, initial=0.0)
+    high = np.maximum.reduce(arr, axis=None, initial=0.0)
+    if not (low >= -_NEG_TOL and high <= 1.0 + _NEG_TOL):
+        ok = (arr >= -_NEG_TOL) & (arr <= 1.0 + _NEG_TOL)
+        raise ValueError(f"{name} must lie in [0, 1], got {_first_refused(value, ok)}")
+    if low < 0.0 or high > 1.0:
+        arr = np.minimum(np.maximum(arr, 0.0), 1.0)
+    return arr[()]
 
 
-def _h2(t: float) -> float:
-    """binary_entropy of a float t already in [0, 1], unchecked: the
-    callback of root searches that stay in range."""
-    if t == 0.0 or t == 1.0:
-        return 0.0
-    return float(-(t * math.log2(t) + (1.0 - t) * math.log2(1.0 - t)))
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
-def binary_entropy_inv(y: float) -> float:
-    """Inverse of binary_entropy on [0, 1/2]: the unique r with h(r) = y.
+def binary_entropy(q):
+    """Binary entropy in bits of q, a float or an array of them, elementwise
+    (the same shape back); binary_entropy(0.5) = 1 and 0 log 0 = 0."""
+    t = _check_unit_interval(q, "q")
+    s = 1.0 - t
+    # A zero entry's log is taken at the least positive float, so its term
+    # is 0 * -1074 = 0 and nothing warns.
+    return 0.0 - (t * np.log2(np.maximum(t, _TINY)) + s * np.log2(np.maximum(s, _TINY)))
 
-    Input in bits.  The residual |h(result) - y| is at most 1e-12.
+
+# The candidates one step of _least_reaching evaluates around its Newton
+# point, as offsets in floats.
+_NEWTON_FAN = np.arange(-4, 5)[:, None]
+# Newton steps _least_reaching takes from its base before it narrows the
+# bracket: enough to reach the last bits from a start a few percent off.
+_FIRST_NEWTON_STEPS = 3
+
+
+def _least_reaching(F, slope, target, lo, hi, base, *params):
+    """Elementwise over the broadcast arguments: the right end r of the
+    bracket [lo, hi] narrowed to adjacent floats, keeping F(lo) < target <=
+    F(hi), so that F(r) >= target and F falls short at the float below r.
+    For F monotone in floats, r is the least float that reaches target.
+
+    F(r, *params) must be increasing and concave on [lo, hi], with slope(r,
+    *params) its derivative; a bracket with lo == hi is returned as it is.
+    By concavity the tangent at any point lies above F, so a Newton step
+    never passes the root in exact arithmetic.  The search takes
+    _FIRST_NEWTON_STEPS Newton steps from base, clipped into the bracket.
+    Then each step evaluates, in one call of F, the floats around the
+    Newton point of the candidate nearest target so far and the bracket's
+    midpoint in float-bit order.  The least candidate that reaches target
+    becomes the right end and the candidate below it the left end, so the
+    bracket at least halves per step: where F is too flat for Newton (h
+    near 1/2, whose root is nearly double), the halving converges alone.
+    """
+    # Rows: target, lo, hi, the Newton base and F there, then params.
+    values = (target, lo, hi, base, base, *params)
+    shape = np.broadcast(*values).shape
+    state = np.empty((len(values), *shape))
+    for i, value in enumerate(values):
+        state[i] = value
+    state = state.reshape(len(values), -1)
+    out = state[2].copy()
+    idx = (state[2].view(np.int64) - state[1].view(np.int64) > 1).nonzero()[0]
+    if not idx.size:
+        return out.reshape(shape)[()]
+    state = state.take(idx, axis=1)
+    t, lo, hi, base, f_base, *params = state
+    # A zero or infinite slope makes a Newton point infinite or nan; the
+    # clips into the bracket take it in all the same.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f_base[:] = F(base, *params)
+        for _ in range(_FIRST_NEWTON_STEPS):
+            np.fmin(np.fmax(base + (t - f_base) / slope(base, *params), lo), hi, out=base)
+            f_base[:] = F(base, *params)
+        while True:
+            t, lo, hi, base, f_base, *params = state
+            lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
+            newton = base + (t - f_base) / slope(base, *params)
+            # Rows, ascending once sorted: lo, the fan, the midpoint, hi.
+            bits = np.empty((_NEWTON_FAN.shape[0] + 3, idx.size), dtype=np.int64)
+            bits[0], bits[-1] = lo_bits, hi_bits
+            # Floats in [0, 1] have bits below 2^62, so the sum cannot wrap.
+            bits[-2] = (lo_bits + hi_bits) >> 1
+            np.minimum(
+                np.maximum(newton.view(np.int64) + _NEWTON_FAN, lo_bits + 1), hi_bits - 1,
+                out=bits[1:-2],
+            )
+            bits.sort(axis=0)
+            c = bits.view(np.float64)
+            f_c = F(c, *params)
+            # lo falls short and hi reaches, so the first row that reaches
+            # is past the first row.
+            first = (f_c >= t).argmax(axis=0)
+            nearest = np.abs(f_c - t).argmin(axis=0)
+            # The new lo, hi and base, and F at the base, as flat indices
+            # into c stacked on f_c.
+            rows = np.array((first - 1, first, nearest, nearest + c.shape[0]))
+            state[1:5] = np.concatenate((c, f_c)).take(rows * idx.size + np.arange(idx.size))
+            done = state[2].view(np.int64) - state[1].view(np.int64) <= 1
+            if done.all():
+                out[idx] = state[2]
+                break
+            if done.any():
+                out[idx[done]] = state[2, done]
+                keep = (~done).nonzero()[0]
+                idx, state = idx.take(keep), state.take(keep, axis=1)
+    return out.reshape(shape)[()]
+
+
+def _entropy_slope(r):
+    """Derivative of binary_entropy, log2((1 - r) / r)."""
+    return np.log2((1.0 - r) / r)
+
+
+def binary_entropy_inv(y):
+    """Inverse of binary_entropy on [0, 1/2], elementwise over y, a float or
+    an array of them (in bits; the same shape back).
+
+    Each root is _least_reaching's on the bracket [lo, 1/2]: its entropy
+    reaches y, and the float below it falls short.  h(r) <= r log2(e / r)
+    gives h(lo) <= y for lo = y / (2 log2(2e / y)).  The Newton steps start
+    from the larger of two tighter bounds below the root: y / log2(e / lo),
+    below the root of r log2(e / r) = y, and Topsoe's r with (4r(1 - r))^(1 /
+    ln 4) = y.  y = 0 gives 0 and y = 1 gives 1/2, the exact inverses.
     """
     y = _check_unit_interval(y, "y")
-    if y == 0.0:
-        return 0.0
-    if y == 1.0:
-        return 0.5
-    # Imported here, not at module level: a `curve` run never inverts h,
-    # and loading scipy.optimize costs every process ~11 MiB of RSS.
-    import scipy.optimize
-
-    r = scipy.optimize.brentq(lambda t: _h2(t) - y, 0.0, 0.5, xtol=1e-16, rtol=9e-16)
-    return float(r)
+    lo = np.where(y < 1.0, y / (2.0 * (_LOG2_2E - np.log2(np.maximum(y, _TINY)))), 0.5)
+    hi = np.where(y > 0.0, 0.5, 0.0)
+    base = np.maximum(
+        y / (_LOG2_E - np.log2(np.maximum(lo, _TINY))),
+        0.5 - 0.5 * np.sqrt(1.0 - np.power(y, _LN4)),
+    )
+    return _least_reaching(binary_entropy, _entropy_slope, y, lo, hi, base)
 
 
-def star(a: float, b: float) -> float:
-    """Binary convolution (1-a)b + (1-b)a; symmetric, star(a, 1/2) = 1/2."""
+_LN4 = math.log(4.0)
+_LOG2_E = math.log2(math.e)
+_LOG2_2E = math.log2(2.0 * math.e)
+
+
+def star(a, b):
+    """Binary convolution (1-a)b + (1-b)a, elementwise over floats or arrays;
+    symmetric, star(a, 1/2) = 1/2."""
     a = _check_unit_interval(a, "a")
     b = _check_unit_interval(b, "b")
     return (1.0 - a) * b + (1.0 - b) * a

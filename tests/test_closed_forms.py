@@ -32,19 +32,68 @@ EDGE_INSTS = [
 ]
 
 
-def point_inversion(inst, x):
-    """mr_gerber as an inversion of mr_gerber_point: the same clamping,
-    bracket and tolerances, one witnessed point per evaluation."""
-    hq = binary_entropy(inst.q)
-    x = min(max(x, 0.0), hq)
-    if x == 0.0:
-        return mr_gerber_point(inst, 0.0).y
-    if x >= hq:
-        return mr_gerber_point(inst, 1.0).y
-    alpha = brentq(
-        lambda a: mr_gerber_point(inst, a).x - x, 0.0, 1.0, xtol=1e-13, rtol=9e-16
-    )
-    return mr_gerber_point(inst, float(alpha)).y
+def _bits(r):
+    return int(np.float64(r).view(np.int64))
+
+
+def _float(b):
+    return float(np.int64(b).view(np.float64))
+
+
+def float_bisection(reaches, lo, hi):
+    """The right end of [lo, hi] halved in float-bit order until its ends are
+    adjacent floats, with reaches(lo) false and reaches(hi) true throughout."""
+    a, b = _bits(lo), _bits(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if reaches(_float(mid)):
+            b = mid
+        else:
+            a = mid
+    return _float(b)
+
+
+def turning_floats(reaches, lo, hi, width=16):
+    """The floats r in [lo, hi] where reaches turns true (it holds at r and
+    fails at the float below), around the test's own float-bit bisection.
+    A rounded entropy is not monotone in its last bit, so it can straddle a
+    target at a few neighbouring floats; `width` floats on either side must
+    have settled, falling short below and reaching above.  reaches takes a
+    float or an array of them."""
+    c = _bits(float_bisection(reaches, lo, hi))
+    window = np.arange(max(c - width, _bits(lo)), min(c + width, _bits(hi)) + 1).view(np.float64)
+    flags = reaches(window)
+    assert not flags[0] and flags[-1]
+    return window[1:][flags[1:] & ~flags[:-1]].tolist()
+
+
+def entropy_turns(x):
+    """turning_floats of binary_entropy(r) >= x on [0, 1/2]."""
+    return turning_floats(lambda r: binary_entropy(r) >= x, 0.0, 0.5)
+
+
+def alpha_turns(inst, x):
+    """turning_floats of mr_gerber_point(inst, alpha).x >= x on [2q, 1],
+    with that x read where mr_gerber_point reads it, off _upper_xy."""
+    def reaches(alpha):
+        return closed_forms._upper_xy(binary_entropy, inst, alpha)[1] >= x
+
+    return turning_floats(reaches, 2.0 * inst.q, 1.0)
+
+
+def brentq_tolerance(root, slope, y):
+    """brentq's xtol + rtol |root| at the old settings, one ulp, and the
+    width in the root of 4 ulps of y: the rounding of the function, seen
+    through its slope there, which no float inversion can resolve."""
+    return 1e-16 + 9e-16 * abs(root) + float(np.spacing(root)) + 4.0 * float(np.spacing(y)) / slope
+
+
+def bsc_draws(seed, n=50):
+    rng = np.random.default_rng(seed)
+    return [
+        BscInstance(q=float(rng.uniform(0.05, 0.5)), delta=float(rng.uniform(0.0, 0.5)))
+        for _ in range(n)
+    ]
 
 
 class TestBscInstance:
@@ -85,28 +134,67 @@ class TestMrsGerber:
         assert mrs_gerber(INST, x) <= mr_gerber(INST, x) + 1e-12
 
     def test_bit_identical_to_checked_inversion(self):
-        # binary_entropy_inv, and mrs_gerber through it, invert with an
-        # unchecked entropy; the roots equal brentq on the checked one.
-        def inverse(y):
-            if y == 0.0:
-                return 0.0
-            if y == 1.0:
-                return 0.5
-            return float(brentq(lambda t: binary_entropy(t) - y, 0.0, 0.5, xtol=1e-16, rtol=9e-16))
-
-        rng = np.random.default_rng(2025)
-        draws = [
-            BscInstance(q=float(rng.uniform(0.05, 0.5)), delta=float(rng.uniform(0.0, 0.5)))
-            for _ in range(50)
-        ]
-        for inst in draws:
+        # mrs_gerber is binary_entropy(star(delta, r)) bit for bit, with r =
+        # binary_entropy_inv(x) a float where the checked entropy turns to
+        # reach x, as the test's own float-bit bisection finds them.  On
+        # these draws the rounding makes it turn at floats at most 4 apart;
+        # where it turns once, r is the least float that reaches x.
+        for inst in bsc_draws(2025):
             hq = binary_entropy(inst.q)
-            for x in np.linspace(0.0, hq, 17):
-                r = inverse(float(x))
-                assert binary_entropy_inv(float(x)) == r
-                # The endpoint h(q) is read at q itself, not at h^-1(h(q)).
-                p = inst.q if x == hq else r
-                assert mrs_gerber(inst, float(x)) == binary_entropy(star(inst.delta, p))
+            for x in np.linspace(0.0, hq, 17).tolist():
+                if x == hq:
+                    # The endpoint is read at q itself, not at h^-1(h(q)).
+                    assert mrs_gerber(inst, x) == binary_entropy(star(inst.delta, inst.q))
+                    continue
+                r = binary_entropy_inv(x)
+                if x == 0.0:
+                    assert r == 0.0
+                else:
+                    turns = entropy_turns(x)
+                    assert r in turns
+                    assert _bits(turns[-1]) - _bits(turns[0]) <= 4
+                assert mrs_gerber(inst, x) == binary_entropy(star(inst.delta, r))
+
+    def test_roots_agree_with_brentq(self):
+        # Each root is within brentq's own tolerance of a test-local brentq
+        # root, plus the rounding of h seen through its slope: near y = 1, h
+        # is flat, and both land anywhere on the floats where h rounds to y
+        # (3.7e-9 apart at 1 - 2^-52, where dr/dy is about 2e7).
+        ys = [x for inst in bsc_draws(2025) for x in np.linspace(0.0, binary_entropy(inst.q), 17)]
+        for y in [*map(float, ys), 5e-324, 1e-300, 1.0 - 2.0**-52, 1.0]:
+            r = binary_entropy_inv(y)
+            if y in (0.0, 1.0):
+                assert r == y / 2.0
+                continue
+            want = brentq(lambda t: binary_entropy(t) - y, 0.0, 0.5, xtol=1e-16, rtol=9e-16)
+            slope = math.log2((1.0 - want) / want) if want > 0.0 else math.inf
+            assert abs(r - want) <= brentq_tolerance(want, slope, y), y
+
+    def test_array_call_equals_scalar_calls(self):
+        insts = bsc_draws(2025, n=20) + EDGE_INSTS
+        q = np.array([inst.q for inst in insts])[:, None]
+        delta = np.array([inst.delta for inst in insts])[:, None]
+        xs = np.linspace(0.0, binary_entropy(q[:, 0]), 17, axis=-1)
+        batch = BscInstance(q=q, delta=delta)
+        for fn in (mrs_gerber, mr_gerber):
+            got = fn(batch, xs)
+            assert got.shape == xs.shape
+            want = [[fn(inst, x) for x in row] for inst, row in zip(insts, xs.tolist())]
+            assert got.tobytes() == np.array(want).tobytes()
+        # Near y = 1 the search runs long and h straddles y at many floats.
+        rng = np.random.default_rng(7)
+        ys = np.concatenate([xs.ravel(), rng.uniform(0.0, 1.0, 300), 1.0 - rng.uniform(0.0, 1e-9, 50)])
+        for fn in (binary_entropy, binary_entropy_inv):
+            assert fn(ys).tobytes() == np.array([fn(y) for y in ys.tolist()]).tobytes()
+        p_grid = np.linspace(0.0, q[:, 0], 17, axis=-1)
+        alpha_grid = np.broadcast_to(np.linspace(0.0, 1.0, 17), xs.shape)
+        for fn, grid in ((arimoto_mrs_gerber, p_grid), (arimoto_mr_gerber, alpha_grid)):
+            got = np.array(fn(batch, 3.0, grid))
+            want = [[fn(inst, 3.0, v) for v in row] for inst, row in zip(insts, grid.tolist())]
+            assert got.tobytes() == np.array(want).transpose(2, 0, 1).tobytes()
+        # A float is the 0-d case: a numpy float back.
+        assert type(mrs_gerber(INST, 0.3)) is np.float64
+        assert type(binary_entropy_inv(0.3)) is np.float64
 
     def test_endpoint_equals_mr_gerber(self):
         # Both closed forms are h(delta star q) at x = h(q); read through
@@ -227,27 +315,41 @@ class TestMrGerber:
     def test_linear_branch_needs_no_root(self, monkeypatch):
         # On alpha <= 2q the conditional is uniform and x(alpha) = alpha
         # exactly, so mr_gerber reads the point at alpha = x directly.
-        import scipy.optimize
-
         def refuse(*args, **kwargs):
             raise AssertionError("mr_gerber ran a root search")
 
-        monkeypatch.setattr(scipy.optimize, "brentq", refuse)
+        monkeypatch.setattr(closed_forms, "_upper_x", refuse)
+        monkeypatch.setattr(closed_forms, "_upper_slope", refuse)
         for inst in EDGE_INSTS + [BscInstance(q=0.25, delta=0.05), BscInstance(q=0.4, delta=0.2)]:
-            for x in np.linspace(0.0, 2.0 * inst.q, 17):
-                assert mr_gerber(inst, float(x)) == mr_gerber_point(inst, float(x)).y
+            for x in np.linspace(0.0, 2.0 * inst.q, 17).tolist():
+                assert mr_gerber(inst, x) == mr_gerber_point(inst, x).y
         with pytest.raises(AssertionError, match="root search"):
             mr_gerber(INST, 2.0 * INST.q + 0.05)
 
     def test_bit_identical_to_point_inversion(self):
-        rng = np.random.default_rng(2024)
-        draws = [
-            BscInstance(q=float(rng.uniform(0.05, 0.5)), delta=float(rng.uniform(0.0, 0.5)))
-            for _ in range(50)
-        ]
-        for inst in EDGE_INSTS + draws:
-            for x in np.linspace(0.0, binary_entropy(inst.q), 17):
-                assert mr_gerber(inst, float(x)) == point_inversion(inst, float(x))
+        # mr_gerber is mr_gerber_point(inst, alpha).y bit for bit, with alpha
+        # a float of [2q, 1] where the point's x turns to reach x, as the
+        # test's own float-bit bisection finds them (at floats at most 8
+        # apart on these draws); x <= 2q reads alpha = x and x = h(q) reads
+        # alpha = 1.  Those alphas are within brentq's old tolerance (xtol
+        # 1e-13) of a test-local brentq root.
+        for inst in EDGE_INSTS + bsc_draws(2024):
+            hq = binary_entropy(inst.q)
+            for x in np.linspace(0.0, hq, 17).tolist():
+                got = mr_gerber(inst, x)
+                if x <= 2.0 * inst.q or x == hq:
+                    assert got == mr_gerber_point(inst, x if x <= 2.0 * inst.q else 1.0).y
+                    continue
+                turns = alpha_turns(inst, x)
+                assert _bits(turns[-1]) - _bits(turns[0]) <= 8
+                points = [mr_gerber_point(inst, a) for a in turns]
+                assert all(pt.x >= x for pt in points)
+                alphas = [pt.alpha for pt in points if pt.y == got]
+                assert alphas, (inst, x)
+                want = brentq(lambda a: mr_gerber_point(inst, a).x - x, 0.0, 1.0,
+                              xtol=1e-13, rtol=9e-16)
+                slope = -math.log2(1.0 - inst.q / want)
+                assert abs(alphas[0] - want) <= 1e-13 + brentq_tolerance(want, slope, x)
 
 
 class TestArimotoClosedForms:

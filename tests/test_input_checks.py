@@ -4,6 +4,7 @@ a bad value with a ValueError that names it, and the CLI exits 2 on it
 where the CLI can reach it."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from bottleneck_lab import (
     Channel,
     DivergenceKernel,
     arimoto_conditional_entropy,
+    arimoto_mr_gerber,
     arimoto_mrs_gerber,
+    binary_entropy,
+    binary_entropy_inv,
     conditional_f_information,
     matched_channel_invariance_check,
     mr_gerber,
@@ -205,3 +209,51 @@ def test_cli_beta_refusal_is_bad_input(tmp_path, capsys, args, got):
 def test_closed_forms_refuse_a_nan_argument(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+ARIMOTO_INST = BscInstance(0.4, 0.2)
+# Each array function with one argument left open, so that a float and an
+# array containing it can be passed in the same place.
+ARRAY_FUNCTIONS = {
+    "binary_entropy": binary_entropy,
+    "binary_entropy_inv": binary_entropy_inv,
+    "mrs_gerber": lambda x: mrs_gerber(INST, x),
+    "mr_gerber": lambda x: mr_gerber(INST, x),
+    "arimoto_mrs_gerber": lambda p: arimoto_mrs_gerber(ARIMOTO_INST, 3.0, p),
+    "arimoto_mr_gerber": lambda alpha: arimoto_mr_gerber(ARIMOTO_INST, 3.0, alpha),
+    "BscInstance.q": lambda q: BscInstance(q=q, delta=0.1),
+    "BscInstance.delta": lambda delta: BscInstance(q=0.1, delta=delta),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -0.25])
+@pytest.mark.parametrize("name", list(ARRAY_FUNCTIONS))
+def test_an_array_is_refused_like_its_bad_entry(name, bad):
+    fn = ARRAY_FUNCTIONS[name]
+    with pytest.raises(ValueError) as alone:
+        fn(bad)
+    with pytest.raises(ValueError) as within:
+        fn(np.array([[0.05, 0.1], [bad, 0.2]]))
+    assert str(within.value) == str(alone.value)
+
+
+def test_array_functions_warn_nothing():
+    # The ends of every domain: x = 0 and x = h(q), q = 1/2, delta = 0 and
+    # 1/2, and y = 0 and 1, where a log or a division meets a zero.
+    insts = [BscInstance(q, delta) for q in (0.0, 0.1, 0.5) for delta in (0.0, 0.1, 0.5)]
+    q = np.array([inst.q for inst in insts])[:, None]
+    delta = np.array([inst.delta for inst in insts])[:, None]
+    batch = BscInstance(q=q, delta=delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs = np.linspace(0.0, binary_entropy(q[:, 0]), 9, axis=-1)
+        ys = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-52, 1.0])
+        assert np.isfinite(binary_entropy(np.array([0.0, 5e-324, 0.5, 1.0]))).all()
+        assert np.isfinite(binary_entropy_inv(ys)).all()
+        assert np.isfinite(mrs_gerber(batch, xs)).all()
+        assert np.isfinite(mr_gerber(batch, xs)).all()
+        for inst in insts:
+            p = np.linspace(0.0, inst.q, 9)
+            alpha = np.linspace(0.0, 1.0, 9)
+            assert np.isfinite(arimoto_mrs_gerber(inst, 2.0, p)).all()
+            assert np.isfinite(arimoto_mr_gerber(inst, 3.0, alpha)).all()

@@ -54,7 +54,7 @@ def test_module_level_third_party_imports_are_pinned():
 
 # Run in a fresh interpreter: pytest's own process has scipy.optimize loaded.
 CURVE_RUNS_WITHOUT_OPTIMIZE = """
-import json, sys
+import contextlib, io, json, sys
 from pathlib import Path
 
 import numpy as np
@@ -67,25 +67,20 @@ counts = 1 + rng.multinomial(12 - 4, np.full(4, 0.25))
 rows = rng.dirichlet(np.ones(4), size=4)
 (out / "joint.json").write_text(json.dumps({"p_xy": (counts[:, None] * rows / 12).tolist()}))
 runs = [
-    ["--bsc", "0.1,0.1", "--problem", "ib"],
-    ["--input", str(out / "joint.json"), "--problem", "eb", "--resolution", "12"],
+    ["curve", "--bsc", "0.1,0.1", "--problem", "ib"],
+    ["curve", "--input", str(out / "joint.json"), "--problem", "eb", "--resolution", "12"],
+    *(["closed-form", "--bsc", "0.1,0.1", "--law", law] for law in ("mgl", "mrgl")),
+    *(["closed-form", "--bsc", "0.1,0.1", "--law", law, "--beta", "3"]
+      for law in ("arimoto-mgl", "arimoto-mrgl")),
 ]
 for i, args in enumerate(runs):
-    assert cli.main(["curve", *args, "--output", str(out / f"curve{i}.csv")]) == 0
-assert "scipy.optimize" not in sys.modules, "a curve run loaded scipy.optimize"
+    assert cli.main([*args, "--output", str(out / f"out{i}.csv")]) == 0, args
+with contextlib.redirect_stdout(io.StringIO()):
+    for suite in ("mgl", "mrgl", "oracle-cross", "properties"):
+        assert cli.main(["verify", "--suite", suite]) == 0, suite
+assert "scipy.optimize" not in sys.modules, "a curve, closed-form or verify run loaded scipy.optimize"
 
-from scipy.optimize import brentq, nnls
-
-for y in (1e-9, 0.3, 0.5, 0.999):
-    want = brentq(lambda t: core._h2(t) - y, 0.0, 0.5, xtol=1e-16, rtol=9e-16)
-    assert core.binary_entropy_inv(y) == want, y
-
-inst = closed_forms.BscInstance(0.2, 0.1)
-for x in (0.1, 0.4, 0.7):
-    gap = lambda a: a * core._h2(closed_forms._ratio(inst.q, a)) - x
-    alpha = brentq(gap, 0.0, 1.0, xtol=1e-13, rtol=9e-16)
-    want = closed_forms._upper_xy(core.binary_entropy, inst, alpha)[2]
-    assert closed_forms.mr_gerber(inst, x) == want, x
+from scipy.optimize import nnls
 
 P = np.random.default_rng(5).dirichlet(np.ones(3), size=6)
 marginal = np.array([0.2, 0.3, 0.5])
