@@ -31,6 +31,7 @@ from .core import (
     binary_entropy,
     binary_entropy_inv,
     bsc_joint,
+    bsc_source,
     conditional_f_information,
     decompose_joint,
     entropy,
@@ -38,7 +39,9 @@ from .core import (
     f_information,
     joint_from_marginal_channel,
     load_joint,
+    load_source,
     resolve_functional,
+    restrict_source,
     star,
 )
 from .envelope import SimplexLattice
@@ -77,6 +80,7 @@ __all__ = [
     "binary_entropy_inv",
     "bottleneck_value",
     "bsc_joint",
+    "bsc_source",
     "conditional_f_information",
     "decompose_joint",
     "entropy",
@@ -87,6 +91,7 @@ __all__ = [
     "k_frame_to_entropy",
     "k_norm",
     "load_joint",
+    "load_source",
     "matched_channel_invariance_check",
     "mr_gerber",
     "mr_gerber_point",
@@ -95,6 +100,7 @@ __all__ = [
     "oracle_exhaustive_binary",
     "problem_curve",
     "resolve_functional",
+    "restrict_source",
     "slice_point",
     "star",
     "sweep",

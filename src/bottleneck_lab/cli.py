@@ -21,7 +21,7 @@ from .closed_forms import (
     BscInstance,
     closed_form_table,
 )
-from .core import ConfigError, bsc_joint, decompose_joint, load_joint
+from .core import ConfigError, bsc_source, load_source, restrict_source
 from .sweep import CURVE_CSV_HEADER, PROBLEM_FRAMES, curve_csv_text, problem_curve
 
 EXIT_OK = 0
@@ -93,13 +93,11 @@ def _resolve_source(args) -> tuple:
     if args.input is not None:
         # Parse the bytes that are hashed, so the digest describes them.
         data = Path(args.input).read_bytes()
-        joint = load_joint(json.loads(data.decode("utf-8")))
+        marginal, channel = load_source(json.loads(data.decode("utf-8")))
         digest = hashlib.sha256(data).hexdigest()
     else:
-        q, delta = _parse_bsc(args.bsc)
-        joint = bsc_joint(q, delta)
+        marginal, channel = restrict_source(*bsc_source(*_parse_bsc(args.bsc)))
         digest = hashlib.sha256(f"bsc:{args.bsc}".encode()).hexdigest()
-    marginal, channel = decompose_joint(joint)
     return marginal, channel, digest
 
 

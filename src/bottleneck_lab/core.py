@@ -571,6 +571,34 @@ def decompose_joint(joint: JointDistribution) -> tuple[Distribution, Channel]:
     return Distribution(q), Channel(cols)
 
 
+def restrict_source(q, T) -> tuple[Distribution, Channel]:
+    """A marginal and a channel, checked and normalized once as they enter,
+    then restricted to their support as decompose_joint restricts a joint:
+    X symbols with zero mass are dropped, and so are Y symbols that no
+    remaining X symbol reaches.  A source is refused unless X and Y each
+    keep at least 2 symbols.  Unlike a round trip through the joint, it
+    keeps the given bits: a binary symmetric channel stays symmetric."""
+    qv, channel = _as_source(q, T)
+    keep = qv > 0.0
+    if int(keep.sum()) < 2:
+        raise ValueError("support of X must contain at least 2 symbols")
+    matrix = channel.matrix
+    used = (matrix[:, keep] > 0.0).any(axis=1)
+    if int(used.sum()) < 2:
+        raise ValueError("Y is constant: support of Y must contain at least 2 symbols")
+    if not keep.all():
+        qv, matrix = qv[keep], matrix[:, keep]
+    if not used.all():
+        matrix = matrix[used]
+    if matrix is not channel.matrix:
+        # The kept columns lose only zero entries, so they stay normalized;
+        # the Channel constructor would divide them again.
+        channel = object.__new__(Channel)
+        matrix.setflags(write=False)
+        object.__setattr__(channel, "matrix", matrix)
+    return _row_distributions(qv[None])[0], channel
+
+
 def joint_from_marginal_channel(
     q: Distribution | np.ndarray, T: Channel | np.ndarray
 ) -> JointDistribution:
@@ -579,14 +607,18 @@ def joint_from_marginal_channel(
     return JointDistribution((ch.matrix * qv[None, :]).T)
 
 
+def bsc_source(q: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The marginal (1 - q, q) of a binary source and the binary symmetric
+    channel with crossover probability delta, as arrays."""
+    q = _check_unit_interval(q, "q")
+    delta = _check_unit_interval(delta, "delta")
+    return np.array([1.0 - q, q]), np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
+
+
 def bsc_joint(q: float, delta: float) -> JointDistribution:
     """Joint pmf of a binary source P(X=1) = q through a binary symmetric
     channel with crossover probability delta."""
-    q = _check_unit_interval(q, "q")
-    delta = _check_unit_interval(delta, "delta")
-    marginal = np.array([1.0 - q, q])
-    channel = np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
-    return joint_from_marginal_channel(marginal, channel)
+    return joint_from_marginal_channel(*bsc_source(q, delta))
 
 
 def resolve_functional(
@@ -631,13 +663,7 @@ def mixture_weights(P: np.ndarray, marginal: np.ndarray) -> tuple[np.ndarray, fl
     return weights, float(residual)
 
 
-def load_joint(source: str | Path | dict) -> JointDistribution:
-    """Load a joint distribution from JSON.
-
-    Accepted forms: {"p_xy": [[...]]} with a row-major m x n pmf, or
-    {"q": [...], "T": [[...]]} with a length-m marginal and a column-
-    stochastic n x m channel matrix.
-    """
+def _read_payload(source: str | Path | dict) -> dict:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -645,8 +671,29 @@ def load_joint(source: str | Path | dict) -> JointDistribution:
         payload = source
     if not isinstance(payload, dict):
         raise ValueError("joint distribution file must hold a JSON object")
+    if "p_xy" not in payload and not ("q" in payload and "T" in payload):
+        raise ValueError('expected fields "p_xy" or "q" and "T"')
+    return payload
+
+
+def load_joint(source: str | Path | dict) -> JointDistribution:
+    """Load a joint distribution from JSON.
+
+    Accepted forms: {"p_xy": [[...]]} with a row-major m x n pmf, or
+    {"q": [...], "T": [[...]]} with a length-m marginal and a column-
+    stochastic n x m channel matrix.
+    """
+    payload = _read_payload(source)
     if "p_xy" in payload:
         return JointDistribution(payload["p_xy"])
-    if "q" in payload and "T" in payload:
-        return joint_from_marginal_channel(payload["q"], payload["T"])
-    raise ValueError('expected fields "p_xy" or "q" and "T"')
+    return joint_from_marginal_channel(payload["q"], payload["T"])
+
+
+def load_source(source: str | Path | dict) -> tuple[Distribution, Channel]:
+    """The marginal and channel of a JSON source, in load_joint's forms,
+    restricted to their support: a "p_xy" joint through decompose_joint, a
+    "q" and "T" pair through restrict_source, so it keeps its bits."""
+    payload = _read_payload(source)
+    if "p_xy" in payload:
+        return decompose_joint(JointDistribution(payload["p_xy"]))
+    return restrict_source(payload["q"], payload["T"])

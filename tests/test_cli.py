@@ -15,8 +15,7 @@ import bottleneck_lab
 from bottleneck_lab import (
     DivergenceKernel,
     binary_entropy,
-    bsc_joint,
-    decompose_joint,
+    bsc_source,
     k_norm,
     oracle_boundary,
     star,
@@ -62,6 +61,15 @@ def witness_marginal_error(rows, q):
         mix = sum(a["alpha"] * np.array(a["p"]) for a in atoms)
         worst = max(worst, float(np.abs(mix - np.asarray(q)).max()))
     return worst
+
+
+def source_args(tmp_path, source, name="src"):
+    """CLI arguments for a --bsc string or a JSON source written to a file."""
+    if isinstance(source, str):
+        return ["--bsc", source]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(source))
+    return ["--input", str(path)]
 
 
 def run_curve(tmp_path, name, *extra):
@@ -164,6 +172,69 @@ class TestCurveCommand:
                      "--resolution", "16", "--output", str(out)])
         assert code == EXIT_BAD_INPUT
         assert "Y is constant" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, q, T",
+        [
+            ("0.1,0.1", [0.9, 0.1], [[0.9, 0.1], [0.1, 0.9]]),
+            ("0.4,0.2", [0.6, 0.4], [[0.8, 0.2], [0.2, 0.8]]),
+            (
+                {"q": [0.2, 0.3, 0.5], "T": [[0.9, 0.2, 0.1], [0.1, 0.8, 0.9]]},
+                [0.2, 0.3, 0.5],
+                [[0.9, 0.2, 0.1], [0.1, 0.8, 0.9]],
+            ),
+        ],
+        ids=["bsc-0.1", "bsc-0.4", "q-and-T"],
+    )
+    def test_given_source_keeps_its_bits(self, tmp_path, monkeypatch, source, q, T):
+        # A --bsc or {"q","T"} source is not rebuilt from its joint, whose
+        # round trip moved T[0][1] of BSC(0.1) to 0.10000000000000002.
+        curves = []
+
+        def capture(*args, **kwargs):
+            curves.extend(problem_curve(*args, **kwargs))
+            return tuple(curves)
+
+        monkeypatch.setattr(cli, "problem_curve", capture)
+        code = main(["curve", *source_args(tmp_path, source), "--problem", "ib",
+                     "--resolution", "24", "--output", str(tmp_path / "x.csv")])
+        assert code == EXIT_OK
+        assert len(curves) == 2
+        for curve in curves:
+            assert curve.marginal.probs.tobytes() == np.array(q).tobytes()
+            assert curve.channel.matrix.tobytes() == np.array(T).tobytes()
+
+    @pytest.mark.parametrize("problem", ["ib", "eb", "pf"])
+    def test_marginal_and_channel_are_restricted_to_their_support(self, tmp_path, problem):
+        # A {"q","T"} source drops its zero-mass X symbols and the Y symbols
+        # only they reach, as a joint does.
+        full = {"q": [0.3, 0.0, 0.7], "T": [[0.6, 0.0, 0.2], [0.0, 1.0, 0.0], [0.4, 0.0, 0.8]]}
+        kept = {"q": [0.3, 0.7], "T": [[0.6, 0.2], [0.4, 0.8]]}
+        outputs = []
+        for name, payload in (("full", full), ("kept", kept)):
+            out = tmp_path / f"{name}.csv"
+            code = main(["curve", *source_args(tmp_path, payload, name), "--problem", problem,
+                         "--resolution", "24", "--output", str(out)])
+            assert code == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "source, match",
+        [
+            ({"q": [0.3, 0.7], "T": [[1.0, 1.0], [0.0, 0.0]]}, "Y is constant"),
+            ({"q": [1.0, 0.0], "T": [[0.5, 0.2], [0.5, 0.8]]}, "support of X"),
+            ("0.0,0.1", "support of X"),
+        ],
+        ids=["constant-y", "constant-x", "bsc-constant-x"],
+    )
+    def test_given_source_is_refused_like_a_joint(self, tmp_path, capsys, source, match):
+        out = tmp_path / "x.csv"
+        code = main(["curve", *source_args(tmp_path, source), "--problem", "ib",
+                     "--resolution", "16", "--output", str(out)])
+        assert code == EXIT_BAD_INPUT
+        assert match in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_source_is_bad_input(self, tmp_path):
@@ -378,7 +449,7 @@ class TestCurveCommand:
         code = main(["curve", "--bsc", bsc, "--problem", problem, "--direction", "both",
                      "--resolution", "128", "--output", str(out)])
         assert code == EXIT_OK
-        q, channel = decompose_joint(bsc_joint(*map(float, bsc.split(","))))
+        q, channel = bsc_source(*map(float, bsc.split(",")))
         curves = problem_curve(q, channel, problem, "both", resolution=128)
         rows = [row for curve in curves for row in _rows_from_points(curve, problem)]
         want = io.StringIO()
