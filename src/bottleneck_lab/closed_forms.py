@@ -166,12 +166,13 @@ def mr_gerber(inst: BscInstance, x):
     instance (a float or an array, the broadcast shape back).  Concave in x
     on [0, h(q)].
 
-    x(alpha) is continuous and non-decreasing, and alpha is found by
-    _least_reaching on x alone, with no witness: the least alpha in [2q, 1]
-    whose x reaches the target (mr_gerber_point gives the point with its
-    witness).  On alpha <= 2q the tilted conditional is q / (2q) = 1/2
-    exactly, whose entropy is exactly 1 bit, so x(alpha) = alpha there and
-    alpha = x needs no root; x >= h(q) is read at alpha = 1.
+    x(alpha) = alpha h(q / alpha) is increasing and concave on [2q, 1], and
+    _least_reaching finds alpha on x alone, with no witness: an alpha where
+    mr_gerber_point's x reaches the target and falls short at the float
+    below (mr_gerber_point gives the point with its witness).  On alpha <=
+    2q the tilted conditional is q / (2q) = 1/2 exactly, whose entropy is
+    exactly 1 bit, so x(alpha) = alpha there and alpha = x needs no root;
+    x >= h(q) is read at alpha = 1.
     """
     x, hq = _entropy_x(inst, x)
     q = inst.q
@@ -273,15 +274,4 @@ def closed_form_table(
     for x, y in zip(xs[order].tolist(), ys[order].tolist()):
         y_str = repr(y)
         rows.append([q_str, d_str, b_str, repr(x), y_str if lower else "", "" if lower else y_str])
-    return rows
-    b_str = repr(_check_beta(beta))
-    if law == "arimoto-mgl":
-        for p in np.linspace(0.0, inst.q, points):
-            x, y = arimoto_mrs_gerber(inst, beta, float(p))
-            rows.append([q_str, d_str, b_str, repr(x), repr(y), ""])
-    else:
-        for alpha in np.linspace(0.0, 1.0, points):
-            x, y = arimoto_mr_gerber(inst, beta, float(alpha))
-            rows.append([q_str, d_str, b_str, repr(x), "", repr(y)])
-    rows.sort(key=lambda r: float(r[3]))
     return rows
