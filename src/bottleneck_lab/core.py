@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -654,13 +655,108 @@ def mixture_weights(P: np.ndarray, marginal: np.ndarray) -> tuple[np.ndarray, fl
     """Nonnegative weights w for the rows of P that best satisfy w @ P =
     marginal and sum(w) = 1 in least squares (nnls), with the residual norm.
     Callers decide what residual still counts as a mixture."""
-    # Imported here, not at module level: only the oracle and matched
-    # transport weigh mixtures, so a `curve` run never loads scipy.optimize.
-    import scipy.optimize
+    P = np.asarray(P, dtype=float)
+    marginal = np.asarray(marginal, dtype=float)
+    if P.ndim != 2 or marginal.ndim != 1 or P.shape[1] != marginal.size:
+        raise ValueError(
+            f"rows of P must match the marginal: P has shape {P.shape}, "
+            f"the marginal {marginal.shape}"
+        )
+    for arr, name in ((P, "P"), (marginal, "marginal")):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite entries")
+    weights, residual = _nnls([row + [1.0] for row in P.tolist()], marginal.tolist() + [1.0])
+    return np.array(weights), residual
 
-    A = np.vstack([P.T, np.ones(P.shape[0])])
-    weights, residual = scipy.optimize.nnls(A, np.append(marginal, 1.0))
-    return weights, float(residual)
+
+# A column whose part off the span of the free columns is at most this
+# fraction of its norm is dependent on them and may not enter.
+_NNLS_DEPENDENT = 1e-12
+_EPS = float(np.finfo(float).eps)
+
+
+def _dot(u, v) -> float:
+    return sum(map(operator.mul, u, v))
+
+
+def _nnls(columns: list[list[float]], b: list[float]) -> tuple[list[float], float]:
+    """Lawson & Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23) on plain floats, for the few short columns of a mixture:
+    w >= 0 minimizing |sum_j w_j columns[j] - b|, and that norm.  The free
+    columns are kept as a QR factorization by Gram-Schmidt, orthogonalized
+    twice, and rebuilt whenever a column leaves.  A column enters only if
+    its gradient is above rounding, it is independent of the free ones and
+    its weight comes out positive.  Raises RuntimeError after 3k entries,
+    as scipy's nnls does."""
+    k = len(columns)
+    # Rounding in a gradient of these O(1) entries (scipy 1.12's tolerance);
+    # without it an exact fit can cycle on gradients of 1e-16.
+    tol = 10 * max(k, len(b)) * _EPS
+    rows = list(zip(*columns))
+    w = [0.0] * k
+    free: list[int] = []
+    basis: list[list[float]] = []  # orthonormal, one per free column
+    coords: list[list[float]] = []  # free column t on basis[: t + 1]
+    along: list[float] = []  # b on each basis vector
+
+    def residual() -> list[float]:
+        return [bi - _dot(row, w) for bi, row in zip(b, rows)] if k else b
+
+    def orthogonalize(a: list[float]) -> tuple[list[float], list[float], float]:
+        v, c = a, [0.0] * len(basis)
+        for _ in range(2):
+            for t, q in enumerate(basis):
+                h = _dot(q, v)
+                c[t] += h
+                v = [vi - h * qi for vi, qi in zip(v, q)]
+        return v, c, math.hypot(*v)
+
+    def append(v: list[float], c: list[float], norm: float) -> None:
+        basis.append([vi / norm for vi in v])
+        coords.append(c + [norm])
+        # b on the new direction as v . b / norm, so that the new column's
+        # weight, along[-1] / norm, has the sign its entry test saw.
+        along.append(_dot(v, b) / norm)
+
+    def solve() -> list[float]:
+        z = along[:]
+        for t in range(len(z) - 1, -1, -1):
+            z[t] /= coords[t][t]
+            for s in range(t):
+                z[s] -= coords[t][s] * z[t]
+        return z
+
+    for _ in range(3 * k + 1):
+        r = residual()
+        gradient = {j: _dot(columns[j], r) for j in range(k) if j not in free}
+        for j in sorted(gradient, key=gradient.get, reverse=True):
+            if gradient[j] <= tol:
+                return w, math.hypot(*r)
+            v, c, norm = orthogonalize(columns[j])
+            if norm > _NNLS_DEPENDENT * math.hypot(*columns[j]) and _dot(v, b) > 0.0:
+                break
+        else:
+            return w, math.hypot(*r)
+        free.append(j)
+        append(v, c, norm)
+        while True:
+            z = solve()
+            if min(z) > 0.0:
+                break
+            # Step from w toward z until the first weight reaches zero; the
+            # columns whose weight is then not positive leave.
+            step, first = min((w[j] / (w[j] - zj), j) for j, zj in zip(free, z) if zj <= 0.0)
+            for j, zj in zip(free, z):
+                w[j] += step * (zj - w[j])
+            w[first] = 0.0
+            free = [j for j in free if w[j] > 0.0]
+            w[:] = [max(wj, 0.0) for wj in w]
+            del basis[:], coords[:], along[:]
+            for j in free:
+                append(*orthogonalize(columns[j]))
+        for j, zj in zip(free, z):
+            w[j] = zj
+    raise RuntimeError(f"nnls did not converge in {3 * k} iterations")
 
 
 def _read_payload(source: str | Path | dict) -> dict:

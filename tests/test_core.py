@@ -24,7 +24,7 @@ from bottleneck_lab import (
     resolve_functional,
     star,
 )
-from bottleneck_lab.core import LN2
+from bottleneck_lab.core import LN2, mixture_weights
 
 # Frozen from a 60-digit Decimal.ln() evaluation.
 ENTROPY_01_09_NATS = 0.32508297339144824
@@ -375,6 +375,57 @@ class TestConditionalFInformation:
             )
             got = conditional_f_information(kernel, weights, conditionals, marginal)
             assert math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-10)
+
+
+def _mixture_cases(m: int):
+    """Seeded (P, marginal) pairs on the m-letter simplex with 1..m + 2 rows
+    (m + 1 or more rows are always dependent as columns [p; 1]): marginals
+    inside the hull, on an edge, at a row and outside it (a vertex of the
+    simplex, which rows with full support miss), for random rows, rows on a
+    grid of eighths (exactly collinear sets) and rows with a duplicate."""
+    rng = np.random.default_rng([7, m])
+    for k in range(1, m + 3):
+        for _ in range(4):
+            rows = rng.dirichlet(np.ones(m), size=k)
+            grid_rows = rng.multinomial(8, np.full(m, 1.0 / m), size=k) / 8.0
+            for P in (rows, grid_rows, np.vstack([rows, rows[:1]])):
+                i, j = rng.integers(len(P), size=2)
+                t = rng.random()
+                yield P, rng.dirichlet(np.ones(len(P))) @ P
+                yield P, t * P[i] + (1.0 - t) * P[j]
+                yield P, P[i].copy()
+                yield P, np.eye(m)[rng.integers(m)]
+
+
+class TestMixtureWeights:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_kkt_and_residual_of_scipy_nnls(self, m):
+        from scipy.optimize import nnls
+
+        tol = 1e-12
+        for P, marginal in _mixture_cases(m):
+            weights, residual = mixture_weights(P, marginal)
+            A = np.vstack([P.T, np.ones(len(P))])
+            b = np.append(marginal, 1.0)
+            assert weights.shape == (len(P),) and isinstance(residual, float)
+            assert np.all(weights >= 0.0)
+            gradient = A.T @ (b - A @ weights)
+            free = weights > 0.0
+            assert np.all(np.abs(gradient[free]) <= tol), (P, marginal)
+            assert np.all(gradient[~free] <= tol), (P, marginal)
+            assert residual == pytest.approx(np.linalg.norm(b - A @ weights), abs=1e-15)
+            want_weights, want_residual = nnls(A, b)
+            assert abs(residual - want_residual) <= 1e-12, (P, marginal)
+            if np.linalg.matrix_rank(A) == len(P):  # the weights are unique
+                assert np.abs(weights - want_weights).max() <= 1e-9, (P, marginal)
+
+    def test_a_marginal_at_a_row_or_inside_the_hull_is_met(self):
+        P = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])
+        for marginal in (P[1], np.array([0.4, 0.4, 0.2]), np.array([1.0, 1.0, 1.0]) / 3):
+            weights, residual = mixture_weights(P, marginal)
+            assert residual <= 1e-15
+            assert_allclose(weights @ P, marginal, atol=1e-15)
+            assert math.isclose(weights.sum(), 1.0, abs_tol=1e-15)
 
 
 class TestArimoto:

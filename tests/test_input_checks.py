@@ -28,6 +28,7 @@ from bottleneck_lab import (
 )
 from bottleneck_lab.cli import EXIT_BAD_INPUT, main
 from bottleneck_lab.closed_forms import closed_form_table
+from bottleneck_lab.core import mixture_weights
 from bottleneck_lab.envelope import SimplexLattice, build_lagrangian_graph, envelope_at
 from bottleneck_lab.oracle import OracleConfig
 from bottleneck_lab.sweep import BoundarySlice, slice_point
@@ -159,6 +160,25 @@ def test_envelope_refuses_a_malformed_marginal():
 def test_mixture_refuses_nan_weights(call):
     with pytest.raises(ValueError, match="mixture weights contains non-finite entries"):
         call()
+
+
+P3 = np.array([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["P", "marginal"])
+def test_mixture_weights_refuse_a_non_finite_entry(name, bad):
+    P, marginal = P3.copy(), Q3.copy()
+    (P[1] if name == "P" else marginal)[2] = bad
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+        mixture_weights(P, marginal)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_mixture_weights_refuse_rows_of_another_width(width):
+    P = np.full((2, width), 1.0 / width)
+    with pytest.raises(ValueError, match=r"rows of P must match the marginal: P has shape \(2, "):
+        mixture_weights(P, Q3)
 
 
 def test_push_forward_refuses_a_non_distribution():

@@ -4,13 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import bottleneck_lab
+from bottleneck_lab import core
 
 PACKAGE_DIR = Path(bottleneck_lab.__file__).parent
 
 # Third-party modules a submodule may import when it is itself imported.
-# Everything else (scipy.optimize above all) is imported where it is called,
-# so a `curve` run loads numpy and scipy.spatial only.
+# scipy.spatial (qhull) is the package's only scipy import; nothing imports
+# scipy.optimize, so every run loads numpy and scipy.spatial only.
 TOP_LEVEL_IMPORTS = {"envelope": {"scipy.spatial"}}
 
 
@@ -60,6 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from bottleneck_lab import acceptance, cli, closed_forms, core, envelope, oracle, sweep
+from bottleneck_lab.sweep import BoundarySlice, matched_channel_invariance_check, slice_point
 
 out = Path(sys.argv[1])
 rng = np.random.default_rng([3, 4, 12])
@@ -76,17 +80,18 @@ runs = [
 for i, args in enumerate(runs):
     assert cli.main([*args, "--output", str(out / f"out{i}.csv")]) == 0, args
 with contextlib.redirect_stdout(io.StringIO()):
-    for suite in ("mgl", "mrgl", "oracle-cross", "properties"):
-        assert cli.main(["verify", "--suite", suite]) == 0, suite
-assert "scipy.optimize" not in sys.modules, "a curve, closed-form or verify run loaded scipy.optimize"
-
-from scipy.optimize import nnls
-
-P = np.random.default_rng(5).dirichlet(np.ones(3), size=6)
-marginal = np.array([0.2, 0.3, 0.5])
-weights, residual = core.mixture_weights(P, marginal)
-want_weights, want_residual = nnls(np.vstack([P.T, np.ones(6)]), np.append(marginal, 1.0))
-assert weights.tobytes() == want_weights.tobytes() and residual == want_residual
+    assert cli.main(["verify", "--suite", "all"]) == 0
+kl = core.DivergenceKernel.kl()
+T3 = np.full((3, 3), 0.1) + 0.7 * np.eye(3)
+point = oracle.oracle_boundary(kl, kl, T3, [0.5, 0.3, 0.2], 0.3, "upper", oracle.OracleConfig(16))
+assert point.feasible
+ent = core.DivergenceKernel.entropy_functional()
+bsc = closed_forms.BscInstance(q=0.1, delta=0.1)
+bslice = BoundarySlice(ent, ent, bsc.channel(), bsc.marginal(), resolution=512)
+matched_channel_invariance_check(
+    slice_point(bslice, 0.3, "lower"), [0.89, 0.11], ent, ent, bsc.channel()
+)
+assert "scipy.optimize" not in sys.modules, "a run of the package loaded scipy.optimize"
 """
 
 
@@ -100,3 +105,19 @@ def test_curve_runs_do_not_load_scipy_optimize(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_mixture_weights_agree_with_scipy_nnls():
+    # scipy's nnls is the reference; the weights are unique when the
+    # columns [p; 1] are independent, here for the first three rows.
+    from scipy.optimize import nnls
+
+    P = np.random.default_rng(5).dirichlet(np.ones(3), size=6)
+    marginal = np.array([0.2, 0.3, 0.5])
+    for rows in (P[:3], P):
+        weights, residual = core.mixture_weights(rows, marginal)
+        A = np.vstack([rows.T, np.ones(len(rows))])
+        want_weights, want_residual = nnls(A, np.append(marginal, 1.0))
+        assert abs(residual - want_residual) <= 1e-12
+        if np.linalg.matrix_rank(A) == len(rows):
+            assert np.abs(weights - want_weights).max() <= 1e-9
