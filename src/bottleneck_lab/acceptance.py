@@ -17,10 +17,10 @@ import numpy as np
 
 from .closed_forms import (
     BscInstance,
+    _upper_xy,
     arimoto_mr_gerber,
     arimoto_mrs_gerber,
     mr_gerber,
-    mr_gerber_point,
     mrs_gerber,
 )
 from .core import (
@@ -79,6 +79,16 @@ def _quiet(fn, *args):
         return fn(*args)
 
 
+def _worst_gap(
+    value, curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray, unit: float = 1.0
+) -> float:
+    """Largest |value(curve, x) - y| over the probes xs and their exact
+    values ys, all read in units of `unit` nats (LN2 for bits)."""
+    return max(
+        abs(_quiet(value, curve, x * unit) / unit - y) for x, y in zip(xs.tolist(), ys.tolist())
+    )
+
+
 def _curve_pair(
     kernel: DivergenceKernel, inst: BscInstance, resolution: int
 ) -> tuple[BoundaryCurve, BoundaryCurve]:
@@ -92,10 +102,7 @@ def check_mgl() -> CheckResult:
     inst = BscInstance(q=0.1, delta=0.1)
     curve, _ = _curve_pair(_ENTROPY, inst, GATE_RESOLUTION)
     xs = np.linspace(0.0, binary_entropy(inst.q), GATE_PROBES)
-    dev = max(
-        abs(_quiet(funnel_value, curve, float(x) * LN2) / LN2 - exact)
-        for x, exact in zip(xs, mrs_gerber(inst, xs).tolist())
-    )
+    dev = _worst_gap(funnel_value, curve, xs, mrs_gerber(inst, xs), LN2)
     tol = 2e-3
     return CheckResult(
         "A1 lower-boundary exactness (entropy, BSC 0.1/0.1)",
@@ -111,11 +118,8 @@ def check_mr_gerber() -> CheckResult:
     vertical distance after x-interpolation."""
     inst = BscInstance(q=0.1, delta=0.1)
     _, curve = _curve_pair(_ENTROPY, inst, GATE_RESOLUTION)
-    dev = 0.0
-    for alpha in np.linspace(0.0, 1.0, GATE_PROBES):
-        point = mr_gerber_point(inst, float(alpha))
-        got = _quiet(bottleneck_value, curve, point.x * LN2) / LN2
-        dev = max(dev, abs(got - point.y))
+    _, xs, ys = _upper_xy(binary_entropy, inst, np.linspace(0.0, 1.0, GATE_PROBES))
+    dev = _worst_gap(bottleneck_value, curve, xs, ys, LN2)
     tol = 2e-3
     return CheckResult(
         "A2 upper-boundary exactness (entropy, BSC 0.1/0.1)",
@@ -131,18 +135,18 @@ def check_arimoto() -> CheckResult:
     """A3: norm-kernel curves against the exact K-frame boundaries, at each
     beta; the deviation is the largest over them."""
     inst = BscInstance(q=0.4, delta=0.2)
+    ps = np.linspace(0.0, inst.q, GATE_PROBES)
+    alphas = np.linspace(0.0, 1.0, GATE_PROBES)
     devs = []
     for beta in ARIMOTO_BETAS:
         kern = DivergenceKernel.norm_beta(beta)
         lower, upper = _curve_pair(kern, inst, GATE_RESOLUTION)
-        dev = 0.0
-        for p in np.linspace(0.0, inst.q, GATE_PROBES):
-            x, y = arimoto_mrs_gerber(inst, beta, float(p))
-            dev = max(dev, abs(_quiet(funnel_value, lower, x) - y))
-        for alpha in np.linspace(0.0, 1.0, GATE_PROBES):
-            x, y = arimoto_mr_gerber(inst, beta, float(alpha))
-            dev = max(dev, abs(_quiet(bottleneck_value, upper, x) - y))
-        devs.append(dev)
+        devs.append(
+            max(
+                _worst_gap(funnel_value, lower, *arimoto_mrs_gerber(inst, beta, ps)),
+                _worst_gap(bottleneck_value, upper, *arimoto_mr_gerber(inst, beta, alphas)),
+            )
+        )
     dev = max(devs)
     tol = 2e-3
     per_beta = ", ".join(f"beta={beta}: {d:.3e}" for beta, d in zip(ARIMOTO_BETAS, devs))
