@@ -19,6 +19,7 @@ reference has none is a hard error in the public functions, never ``inf``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -662,10 +663,13 @@ def mixture_weights(P: np.ndarray, marginal: np.ndarray) -> tuple[np.ndarray, fl
             f"rows of P must match the marginal: P has shape {P.shape}, "
             f"the marginal {marginal.shape}"
         )
-    for arr, name in ((P, "P"), (marginal, "marginal")):
-        if not np.isfinite(arr).all():
+    rows, target = P.tolist(), marginal.tolist()
+    # Checked on the lists: on a few entries math.isfinite is several times
+    # faster than np.isfinite, and a ternary oracle query makes ~1000 calls.
+    for values, name in ((itertools.chain.from_iterable(rows), "P"), (target, "marginal")):
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"{name} contains non-finite entries")
-    weights, residual = _nnls([row + [1.0] for row in P.tolist()], marginal.tolist() + [1.0])
+    weights, residual = _nnls([row + [1.0] for row in rows], target + [1.0])
     return np.array(weights), residual
 
 
@@ -692,15 +696,12 @@ def _nnls(columns: list[list[float]], b: list[float]) -> tuple[list[float], floa
     # Rounding in a gradient of these O(1) entries (scipy 1.12's tolerance);
     # without it an exact fit can cycle on gradients of 1e-16.
     tol = 10 * max(k, len(b)) * _EPS
-    rows = list(zip(*columns))
     w = [0.0] * k
+    r = b  # b less its projection on the free columns
     free: list[int] = []
     basis: list[list[float]] = []  # orthonormal, one per free column
     coords: list[list[float]] = []  # free column t on basis[: t + 1]
     along: list[float] = []  # b on each basis vector
-
-    def residual() -> list[float]:
-        return [bi - _dot(row, w) for bi, row in zip(b, rows)] if k else b
 
     def orthogonalize(a: list[float]) -> tuple[list[float], list[float], float]:
         v, c = a, [0.0] * len(basis)
@@ -727,7 +728,6 @@ def _nnls(columns: list[list[float]], b: list[float]) -> tuple[list[float], floa
         return z
 
     for _ in range(3 * k + 1):
-        r = residual()
         gradient = {j: _dot(columns[j], r) for j in range(k) if j not in free}
         for j in sorted(gradient, key=gradient.get, reverse=True):
             if gradient[j] <= tol:
@@ -756,6 +756,9 @@ def _nnls(columns: list[list[float]], b: list[float]) -> tuple[list[float], floa
                 append(*orthogonalize(columns[j]))
         for j, zj in zip(free, z):
             w[j] = zj
+        r = b
+        for q, h in zip(basis, along):
+            r = [ri - h * qi for ri, qi in zip(r, q)]
     raise RuntimeError(f"nnls did not converge in {3 * k} iterations")
 
 

@@ -24,6 +24,7 @@ from bottleneck_lab import (
     resolve_functional,
     star,
 )
+from bottleneck_lab import core
 from bottleneck_lab.core import LN2, mixture_weights
 
 # Frozen from a 60-digit Decimal.ln() evaluation.
@@ -378,11 +379,12 @@ class TestConditionalFInformation:
 
 
 def _mixture_cases(m: int):
-    """Seeded (P, marginal) pairs on the m-letter simplex with 1..m + 2 rows
-    (m + 1 or more rows are always dependent as columns [p; 1]): marginals
-    inside the hull, on an edge, at a row and outside it (a vertex of the
-    simplex, which rows with full support miss), for random rows, rows on a
-    grid of eighths (exactly collinear sets) and rows with a duplicate."""
+    """Seeded (P, marginal, in_hull) on the m-letter simplex with 1..m + 2
+    rows (m + 1 or more rows are always dependent as columns [p; 1]):
+    marginals inside the hull, on an edge, at a row and at a vertex of the
+    simplex (outside the hull unless a row is that vertex), for random rows,
+    rows on a grid of eighths (exactly collinear sets) and rows with a
+    duplicate."""
     rng = np.random.default_rng([7, m])
     for k in range(1, m + 3):
         for _ in range(4):
@@ -391,10 +393,10 @@ def _mixture_cases(m: int):
             for P in (rows, grid_rows, np.vstack([rows, rows[:1]])):
                 i, j = rng.integers(len(P), size=2)
                 t = rng.random()
-                yield P, rng.dirichlet(np.ones(len(P))) @ P
-                yield P, t * P[i] + (1.0 - t) * P[j]
-                yield P, P[i].copy()
-                yield P, np.eye(m)[rng.integers(m)]
+                yield P, rng.dirichlet(np.ones(len(P))) @ P, True
+                yield P, t * P[i] + (1.0 - t) * P[j], True
+                yield P, P[i].copy(), True
+                yield P, np.eye(m)[rng.integers(m)], False
 
 
 class TestMixtureWeights:
@@ -403,8 +405,9 @@ class TestMixtureWeights:
         from scipy.optimize import nnls
 
         tol = 1e-12
-        for P, marginal in _mixture_cases(m):
+        for P, marginal, in_hull in _mixture_cases(m):
             weights, residual = mixture_weights(P, marginal)
+            assert residual <= 1e-14 or not in_hull, (P, marginal)
             A = np.vstack([P.T, np.ones(len(P))])
             b = np.append(marginal, 1.0)
             assert weights.shape == (len(P),) and isinstance(residual, float)
@@ -419,13 +422,25 @@ class TestMixtureWeights:
             if np.linalg.matrix_rank(A) == len(P):  # the weights are unique
                 assert np.abs(weights - want_weights).max() <= 1e-9, (P, marginal)
 
-    def test_a_marginal_at_a_row_or_inside_the_hull_is_met(self):
-        P = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])
-        for marginal in (P[1], np.array([0.4, 0.4, 0.2]), np.array([1.0, 1.0, 1.0]) / 3):
-            weights, residual = mixture_weights(P, marginal)
-            assert residual <= 1e-15
-            assert_allclose(weights @ P, marginal, atol=1e-15)
-            assert math.isclose(weights.sum(), 1.0, abs_tol=1e-15)
+    def test_gradients_at_rounding_end_an_exact_fit(self, monkeypatch):
+        # Seven rows on a grid of eighths, the marginal at one of them: at the
+        # fit every gradient is rounding.  Without the tolerance, columns
+        # enter and leave on those gradients until the 3k cap.
+        P = np.array(
+            [
+                [0.25, 0.125, 0.125, 0.375, 0.125],
+                [0.5, 0.0, 0.25, 0.125, 0.125],
+                [0.25, 0.0, 0.5, 0.25, 0.0],
+                [0.0, 0.25, 0.125, 0.25, 0.375],
+                [0.375, 0.25, 0.125, 0.125, 0.125],
+                [0.375, 0.125, 0.125, 0.125, 0.25],
+                [0.125, 0.125, 0.125, 0.375, 0.25],
+            ]
+        )
+        assert mixture_weights(P, P[3])[1] <= 1e-15
+        monkeypatch.setattr(core, "_EPS", 0.0)
+        with pytest.raises(RuntimeError, match="did not converge in 21 iterations"):
+            mixture_weights(P, P[3])
 
 
 class TestArimoto:
