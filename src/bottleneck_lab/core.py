@@ -655,7 +655,8 @@ def resolve_functional(
 def mixture_weights(P: np.ndarray, marginal: np.ndarray) -> tuple[np.ndarray, float]:
     """Nonnegative weights w for the rows of P that best satisfy w @ P =
     marginal and sum(w) = 1 in least squares (nnls), with the residual norm.
-    Callers decide what residual still counts as a mixture."""
+    Callers decide what residual still counts as a mixture.  Refuses rows
+    that do not match the marginal and non-finite entries (ValueError)."""
     P = np.asarray(P, dtype=float)
     marginal = np.asarray(marginal, dtype=float)
     if P.ndim != 2 or marginal.ndim != 1 or P.shape[1] != marginal.size:
