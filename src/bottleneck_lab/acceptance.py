@@ -10,7 +10,6 @@ reference envelope off the graph its slice was cut from.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ from .sweep import (
     BoundaryCurve,
     BoundarySlice,
     _resolve_pair,
-    bottleneck_value,
-    funnel_value,
     matched_channel_invariance_check,
     slice_point,
     sweep,
@@ -73,20 +70,11 @@ class CheckResult:
         )
 
 
-def _quiet(fn, *args):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return fn(*args)
-
-
-def _worst_gap(
-    value, curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray, unit: float = 1.0
-) -> float:
-    """Largest |value(curve, x) - y| over the probes xs and their exact
-    values ys, all read in units of `unit` nats (LN2 for bits)."""
-    return max(
-        abs(_quiet(value, curve, x * unit) / unit - y) for x, y in zip(xs.tolist(), ys.tolist())
-    )
+def _worst_gap(curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray, unit: float = 1.0) -> float:
+    """Largest gap between the curve, read by linear interpolation and held
+    at its end values past its x range, and the exact values ys at the
+    probes xs, all in units of `unit` nats (LN2 for bits)."""
+    return float(np.abs(np.interp(xs * unit, curve.xs, curve.ys) / unit - ys).max())
 
 
 def _curve_pair(
@@ -102,7 +90,7 @@ def check_mgl() -> CheckResult:
     inst = BscInstance(q=0.1, delta=0.1)
     curve, _ = _curve_pair(_ENTROPY, inst, GATE_RESOLUTION)
     xs = np.linspace(0.0, binary_entropy(inst.q), GATE_PROBES)
-    dev = _worst_gap(funnel_value, curve, xs, mrs_gerber(inst, xs), LN2)
+    dev = _worst_gap(curve, xs, mrs_gerber(inst, xs), LN2)
     tol = 2e-3
     return CheckResult(
         "A1 lower-boundary exactness (entropy, BSC 0.1/0.1)",
@@ -119,7 +107,7 @@ def check_mr_gerber() -> CheckResult:
     inst = BscInstance(q=0.1, delta=0.1)
     _, curve = _curve_pair(_ENTROPY, inst, GATE_RESOLUTION)
     _, xs, ys = _upper_xy(binary_entropy, inst, np.linspace(0.0, 1.0, GATE_PROBES))
-    dev = _worst_gap(bottleneck_value, curve, xs, ys, LN2)
+    dev = _worst_gap(curve, xs, ys, LN2)
     tol = 2e-3
     return CheckResult(
         "A2 upper-boundary exactness (entropy, BSC 0.1/0.1)",
@@ -143,8 +131,8 @@ def check_arimoto() -> CheckResult:
         lower, upper = _curve_pair(kern, inst, GATE_RESOLUTION)
         devs.append(
             max(
-                _worst_gap(funnel_value, lower, *arimoto_mrs_gerber(inst, beta, ps)),
-                _worst_gap(bottleneck_value, upper, *arimoto_mr_gerber(inst, beta, alphas)),
+                _worst_gap(lower, *arimoto_mrs_gerber(inst, beta, ps)),
+                _worst_gap(upper, *arimoto_mr_gerber(inst, beta, alphas)),
             )
         )
     dev = max(devs)
@@ -166,43 +154,40 @@ def check_oracle_cross(
     against the closed forms (two-sided, entropy case)."""
     inst = BscInstance(q=0.1, delta=0.1)
     tol = 5e-3
-    worst = 0.0
-    details = []
+
+    def oracle_ys(kernel: DivergenceKernel, xs: np.ndarray) -> list[np.ndarray]:
+        """The oracle's best y at each x, lower then upper."""
+        args = (kernel, kernel, inst.delta, inst.q, xs)
+        return [
+            np.array([pt.best_y for pt in oracle_exhaustive_binary(*args, side, resolution)])
+            for side in ("lower", "upper")
+        ]
 
     lower_h, upper_h = _curve_pair(_ENTROPY, inst, sweep_resolution)
-    xs_nats = np.linspace(0.0, binary_entropy(inst.q) * LN2, n_x)
-    funnel = oracle_exhaustive_binary(
-        _ENTROPY, _ENTROPY, inst.delta, inst.q, xs_nats, "lower", resolution
-    )
-    bottleneck = oracle_exhaustive_binary(
-        _ENTROPY, _ENTROPY, inst.delta, inst.q, xs_nats, "upper", resolution
-    )
-    lower_exact = mrs_gerber(inst, np.array([pt.x_target for pt in funnel]) / LN2).tolist()
-    upper_exact = mr_gerber(inst, np.array([pt.x_target for pt in bottleneck]) / LN2).tolist()
-    for pt, exact in zip(funnel, lower_exact):
-        sweep_y = _quiet(funnel_value, lower_h, pt.x_target)
-        worst = max(worst, (sweep_y - pt.best_y) / LN2)  # oracle must not undercut
-        worst = max(worst, abs(pt.best_y / LN2 - exact))
-    for pt, exact in zip(bottleneck, upper_exact):
-        sweep_y = _quiet(bottleneck_value, upper_h, pt.x_target)
-        worst = max(worst, (pt.best_y - sweep_y) / LN2)  # oracle must not overshoot
-        worst = max(worst, abs(pt.best_y / LN2 - exact))
-    details.append("entropy vs curves and closed forms")
-
+    xs_h = np.linspace(0.0, binary_entropy(inst.q) * LN2, n_x)
+    funnel_h, bottleneck_h = oracle_ys(_ENTROPY, xs_h)
     lower_c, upper_c = _curve_pair(_CHI2, inst, sweep_resolution)
-    xs_chi = np.linspace(0.0, 1.0, n_x)
-    for pt in oracle_exhaustive_binary(_CHI2, _CHI2, inst.delta, inst.q, xs_chi, "lower", resolution):
-        worst = max(worst, _quiet(funnel_value, lower_c, pt.x_target) - pt.best_y)
-    for pt in oracle_exhaustive_binary(_CHI2, _CHI2, inst.delta, inst.q, xs_chi, "upper", resolution):
-        worst = max(worst, pt.best_y - _quiet(bottleneck_value, upper_c, pt.x_target))
-    details.append("chi2 vs curves")
-
+    xs_c = np.linspace(0.0, 1.0, n_x)
+    funnel_c, bottleneck_c = oracle_ys(_CHI2, xs_c)
+    gaps = (
+        # The oracle searches inside the region, so it must not undercut the
+        # lower curve nor overshoot the upper one ...
+        (np.interp(xs_h, lower_h.xs, lower_h.ys) - funnel_h) / LN2,
+        (bottleneck_h - np.interp(xs_h, upper_h.xs, upper_h.ys)) / LN2,
+        np.interp(xs_c, lower_c.xs, lower_c.ys) - funnel_c,
+        bottleneck_c - np.interp(xs_c, upper_c.xs, upper_c.ys),
+        # ... and in the entropy case it meets the closed forms.
+        np.abs(funnel_h / LN2 - mrs_gerber(inst, xs_h / LN2)),
+        np.abs(bottleneck_h / LN2 - mr_gerber(inst, xs_h / LN2)),
+    )
+    worst = float(np.concatenate([[0.0], *gaps]).max())
     return CheckResult(
         "A4 oracle cross-validation (BSC 0.1/0.1)",
         worst <= tol,
         worst,
         tol,
-        f"{n_x} x-points, N={sweep_resolution}, oracle grid {resolution}; " + "; ".join(details),
+        f"{n_x} x-points, N={sweep_resolution}, oracle grid {resolution}; "
+        "entropy vs curves and closed forms; chi2 vs curves",
     )
 
 
@@ -260,17 +245,12 @@ def check_chi2_endpoints() -> CheckResult:
     endpoint, and never exceed the m-1 bound."""
     inst = BscInstance(q=0.1, delta=0.1)
     lower, upper = _curve_pair(_CHI2, inst, CHI2_RESOLUTION)
-    m = 2
     joint = joint_from_marginal_channel(lower.marginal, lower.channel)
     chi_xy = f_information(_CHI2, joint)
-    worst = 0.0
-    worst = max(worst, abs(_quiet(funnel_value, lower, float(m - 1)) - chi_xy))
-    worst = max(worst, abs(_quiet(bottleneck_value, upper, float(m - 1)) - chi_xy))
-    endpoint_dev = worst
-    bound_excess = max(
-        max(lower.xs.max(), upper.xs.max()) - (m - 1),
-        0.0,
-    )
+    # For a binary X, x is at most m - 1 = 1, reached by W = X, whose y is
+    # the chi-squared information of X and Y.
+    endpoint_dev = max(abs(float(np.interp(1.0, c.xs, c.ys)) - chi_xy) for c in (lower, upper))
+    bound_excess = max(max(lower.xs.max(), upper.xs.max()) - 1.0, 0.0)
     origin_dev = max(
         abs(lower.xs[0]) + abs(lower.ys[0]),
         abs(upper.xs[0]) + abs(upper.ys[0]),

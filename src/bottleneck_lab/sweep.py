@@ -161,9 +161,6 @@ class BoundaryCurve:
             self.lams, self.xs, self.ys, self.atoms, self.weights, self.rows, self.marginal
         )
 
-    def interpolate(self, x: float) -> float:
-        return float(np.interp(x, self.xs, self.ys))
-
 
 def _resolve_pair(
     f_kernel: DivergenceKernel,
@@ -319,7 +316,7 @@ def _interp_on(curve: BoundaryCurve, x: float, expected_direction: str) -> float
         warnings.warn(
             f"x = {x} outside curve domain [{lo}, {hi}]; clamping", RuntimeWarning
         )
-    return curve.interpolate(min(max(x, lo), hi))
+    return float(np.interp(min(max(x, lo), hi), xs, curve.ys))
 
 
 def bottleneck_value(curve: BoundaryCurve, x: float) -> float:

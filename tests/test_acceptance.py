@@ -3,9 +3,14 @@ pass/fail line each.  Run with -s to see the lines."""
 
 import importlib
 import time
+import warnings
+
+import numpy as np
+import pytest
 
 from bottleneck_lab import envelope
 from bottleneck_lab.acceptance import (
+    _worst_gap,
     check_arimoto,
     check_chi2_endpoints,
     check_matched,
@@ -15,6 +20,9 @@ from bottleneck_lab.acceptance import (
     check_properties,
     run_property_suite,
 )
+from bottleneck_lab.closed_forms import BscInstance
+from bottleneck_lab.core import LN2, DivergenceKernel
+from bottleneck_lab.sweep import BoundarySlice, bottleneck_value, funnel_value, sweep
 
 
 def report(result, elapsed=None, budget=None):
@@ -58,6 +66,45 @@ def test_a6_chi2_endpoints_and_bounds():
 
 def test_a7_property_suites():
     report(check_properties())
+
+
+@pytest.mark.parametrize(
+    "kernel, q, delta, resolution",
+    [
+        (DivergenceKernel.entropy_functional(), 0.1, 0.1, 256),
+        (DivergenceKernel.chi_squared(), 0.1, 0.1, 256),
+        (DivergenceKernel.norm_beta(3.0), 0.4, 0.2, 256),
+        (DivergenceKernel.kl(), [0.5, 0.3, 0.2], [[0.8, 0.1, 0.3], [0.2, 0.9, 0.7]], 12),
+    ],
+    ids=["entropy", "chi2", "norm", "ternary-kl"],
+)
+def test_worst_gap_equals_the_value_queries_probe_by_probe(kernel, q, delta, resolution):
+    # The gates read a curve with np.interp over all probes at once; each
+    # probe's gap is the one the public value query gives, bit for bit,
+    # also past both ends, where the query clamps with a warning.
+    if isinstance(q, float):
+        inst = BscInstance(q=q, delta=delta)
+        channel, marginal = inst.channel(), inst.marginal()
+    else:
+        channel, marginal = np.array(delta), np.array(q)
+    bslice = BoundarySlice(kernel, kernel, channel, marginal, resolution=resolution)
+    rng = np.random.default_rng(0)
+    for direction, value in (("lower", funnel_value), ("upper", bottleneck_value)):
+        curve = sweep(bslice, direction)
+        lo, hi = curve.xs[0], curve.xs[-1]
+        for unit in (1.0, LN2):
+            xs = np.concatenate(
+                [[lo - 1.0, lo - 1e-9, hi + 1e-9, hi + 1.0], np.linspace(lo, hi, 41), curve.xs]
+            ) / unit
+            ys = rng.uniform(0.0, 2.0, xs.size) * curve.ys.max() / unit
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = [abs(value(curve, x * unit) / unit - y) for x, y in zip(xs, ys)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = [_worst_gap(curve, x, y, unit) for x, y in zip(xs[:, None], ys[:, None])]
+                assert _worst_gap(curve, xs, ys, unit) == max(want)
+            assert got == want
 
 
 def test_a4_reads_both_chains_off_one_slice_per_kernel(hull_calls):
