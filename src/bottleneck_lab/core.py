@@ -273,9 +273,19 @@ class DivergenceKernel:
         return self.kind in _FUNCTIONAL_KINDS
 
 
+def _kl_term(p: np.ndarray, r: np.ndarray, beta: None) -> np.ndarray:
+    ratio = p / r
+    over = np.isinf(ratio)
+    if over.any():
+        # p / r overflows against a reference entry near the least float,
+        # where log p - log r is still finite.
+        return p * np.where(over, np.log(p) - np.log(r), np.log(ratio))
+    return p * np.log(ratio)
+
+
 # kind -> (elementwise term t(p, r, beta), map of the row sum or None).
 _KERNEL_TABLE = {
-    "kl": (lambda p, r, beta: p * np.log(p / r), None),
+    "kl": (_kl_term, None),
     "chi2": (lambda p, r, beta: np.square(p - r) / r, None),
     "tv": (lambda p, r, beta: np.abs(p - r), lambda s, beta: 0.5 * s),
     "entropy": (lambda p, r, beta: p * np.log(p), lambda s, beta: -s),
@@ -289,7 +299,7 @@ def _evaluate(
     """The kernel's functional of each row of P (alphabet on the last axis),
     against the reference r for divergence kinds."""
     term, finish = _KERNEL_TABLE[kernel.kind]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         terms = term(P, r, kernel.beta)
     # 0 log 0 = 0 and 0 * f(0/0) = 0: a p = 0 term of 0 * inf or 0 / 0 is 0.
     total = np.where((P == 0.0) & np.isnan(terms), 0.0, terms).sum(axis=-1)
@@ -680,7 +690,8 @@ _NNLS_DEPENDENT = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
-def _dot(u, v) -> float:
+def _dot(u, v):
+    """Sum of products; exact on Python ints, as the envelope's walk needs."""
     return sum(map(operator.mul, u, v))
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import stat
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,40 @@ class TestCurveCommand:
         assert witness_marginal_error(rows, q) <= 1e-9
         trivial = [json.loads(r[6])["atoms"] for r in rows if r[5] == "True"]
         assert trivial and all(atoms[0]["p"] == pytest.approx(q, abs=1e-15) for atoms in trivial)
+
+    @pytest.mark.parametrize(
+        "source, args",
+        [
+            (None, ["--bsc", "1e-320,0.1"]),
+            (
+                {"q": [0.5, 0.5, 5e-324], "T": [[0.9, 0.1, 0.3], [0.1, 0.9, 0.7]]},
+                ["--resolution", "24"],
+            ),
+        ],
+        ids=["bsc-subnormal-q", "ternary-least-float"],
+    )
+    def test_subnormal_marginal_entry_gets_a_kl_curve(self, tmp_path, source, args):
+        # The KL reference has an entry near the least float: p / r
+        # overflows there, but the curve is finite and nothing warns.
+        if source is not None:
+            src = tmp_path / "joint.json"
+            src.write_text(json.dumps(source))
+            args = ["--input", str(src), *args]
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["curve", *args, "--problem", "ib", "--output", str(out)])
+        assert code == EXIT_OK
+        rows = read_csv(out)[1:]
+        xs = [float(r[3]) for r in rows if r[1] == "upper"]
+        assert all(math.isfinite(float(r[3])) and math.isfinite(float(r[4])) for r in rows)
+        if source is None:
+            # H(X) is about 7e-318 nats: both chains are the trivial point.
+            assert [(r[3], r[4], r[5]) for r in rows] == [("0.0", "0.0", "True")] * 2
+        else:
+            # X is binary within rounding, so the upper chain ends at H(X) = ln 2.
+            assert len(xs) > 10 and xs == sorted(xs) and xs[-1] == pytest.approx(math.log(2))
+            assert witness_marginal_error(rows, source["q"]) <= 1e-9
 
     @pytest.mark.parametrize("resolution", ["0", "1"])
     def test_tiny_resolution_is_bad_input(self, tmp_path, resolution):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,20 @@ class TestFDivergence:
     def test_tv_half_l1(self):
         got = f_divergence(DivergenceKernel.total_variation(), [1.0, 0.0], [0.5, 0.5])
         assert got == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("tiny", [1e-320, 5e-324])
+    @pytest.mark.parametrize("p1", [1.0, 0.5])
+    def test_kl_from_a_subnormal_reference_entry_is_finite(self, tiny, p1):
+        # p / r overflows there, but the term p (log p - log r) does not,
+        # and nothing warns.
+        r = [1.0 - tiny, tiny]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f_divergence(DivergenceKernel.kl(), [1.0 - p1, p1], r)
+        want = p1 * (math.log(p1) - math.log(tiny))
+        if p1 < 1.0:
+            want += (1.0 - p1) * math.log((1.0 - p1) / r[0])
+        assert math.isclose(got, want, rel_tol=1e-15)
 
     def test_absolute_continuity_error_names_index(self):
         with pytest.raises(ValueError, match=r"\[1\]"):
