@@ -15,9 +15,10 @@ of two routes, chosen by m:
   A hull in dimension 3 is cheaper than the walk, which takes one pivot
   per vertex and has one vertex per few lattice points here: at the
   default N = 4096 (BSC 0.1/0.1, KL and entropy kernels, 2 050 vertices)
-  the qhull call takes 30-41 ms and the whole slice 41-47 ms, while the
-  same slice from the walk takes 85-98 ms (fastest of 5 runs in one
-  process, 2-CPU x86-64 Linux, numpy 2.4, scipy 1.17).
+  the qhull call takes 27-48 ms and the whole slice 37-63 ms, while the
+  same slice from the walk takes 80-128 ms, 1.8-2.8 times the slice
+  (fastest of 5 runs in each of 7 processes, 2-CPU x86-64 Linux, numpy
+  2.4.6, scipy 1.17.1).
 - m >= 3: two parametric simplex walks, one per boundary chain, over the
   LP min (lower) or max (upper) of sum a_i (g_i - lambda f_i) s.t.
   sum a_i p_i = q, a >= 0; each vertex is its optimal basis over a range
@@ -42,13 +43,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from operator import mul
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .core import Channel, ConfigError, Distribution, _as_channel, _as_prob_vector, _check_direction
+from .core import (
+    Channel,
+    ConfigError,
+    Distribution,
+    _as_channel,
+    _as_prob_vector,
+    _check_direction,
+    _dot,
+)
 
 # Barycentric weights down to -_BARY_TOL count as a ridge containing q;
 # weights at or below _ATOM_TOL are dropped from the witness.
@@ -395,10 +403,6 @@ def _pivot_cap(points: int) -> int:
     point on the smallest lattices (m = 3, N = 3) and under 0.05 at the
     default ones (see test_walk_pivots_stay_under_cap)."""
     return 4 * points + 64
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
 
 
 def _pivot(

@@ -33,8 +33,8 @@ from .core import (
     DivergenceKernel,
     _as_source,
     _check_direction,
-    _check_unit_interval,
     _row_distributions,
+    bsc_source,
     mixture_weights,
 )
 from .sweep import WitnessChannel, _resolve_pair
@@ -66,13 +66,6 @@ class OraclePoint:
     witness: WitnessChannel
     feasible: bool
     x_achieved: float
-
-
-def _is_better(y: float, best: tuple | None, direction: str) -> bool:
-    """Whether y beats the incumbent (y, P, w, x), if there is one."""
-    if best is None:
-        return True
-    return y > best[0] if direction == "upper" else y < best[0]
 
 
 def _feasible(x: float, x_target: float, direction: str) -> bool:
@@ -264,10 +257,10 @@ def oracle_exhaustive_binary(
     two-atom witnesses straddling the marginal on a scalar grid (a mixture
     of two of them, pruned back to at most three atoms)."""
     _check_direction(direction)
-    q, delta = _check_unit_interval(q, "q"), _check_unit_interval(delta, "delta")
+    source = bsc_source(q, delta)
     x_targets = _x_targets(x_grid)
     grid = OracleConfig(resolution).grid_resolution
-    marginal, channel = _as_source([1.0 - q, q], [[1.0 - delta, delta], [delta, 1.0 - delta]])
+    marginal, channel = _as_source(*source)
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, marginal, channel)
     return _binary_points(f_fn, g_fn, channel, marginal, x_targets, direction, grid)
 
@@ -325,7 +318,9 @@ def oracle_boundary(
 
     def consider(found: tuple) -> None:
         nonlocal best
-        if _feasible(found[3], x_target, direction) and _is_better(found[0], best, direction):
+        y = found[0]
+        better = best is None or (y > best[0] if direction == "upper" else y < best[0])
+        if better and _feasible(found[3], x_target, direction):
             best = found
 
     trivial = evaluate(qv[None, :], np.array([1.0]))
@@ -342,11 +337,9 @@ def oracle_boundary(
         for size in range(1, m + 2):
             P = np.vstack(atoms[:size])
             w, residual = mixture_weights(P, qv)
-            if residual > _MIX_TOL or w.sum() <= 0.0:
+            if residual > _MIX_TOL:
                 continue
             w = w / w.sum()
             keep = w > 1e-13
-            if not np.any(keep):
-                continue
             consider(evaluate(P[keep], w[keep] / w[keep].sum()))
     return _point(x_target, direction, best, trivial, qv)
