@@ -20,8 +20,7 @@ from bottleneck_lab.acceptance import (
     check_properties,
     run_property_suite,
 )
-from bottleneck_lab.closed_forms import BscInstance
-from bottleneck_lab.core import LN2, DivergenceKernel
+from bottleneck_lab.core import LN2, DivergenceKernel, bsc_source
 from bottleneck_lab.sweep import BoundarySlice, bottleneck_value, funnel_value, sweep
 
 
@@ -69,25 +68,21 @@ def test_a7_property_suites():
 
 
 @pytest.mark.parametrize(
-    "kernel, q, delta, resolution",
+    "kernel, source, resolution",
     [
-        (DivergenceKernel.entropy_functional(), 0.1, 0.1, 256),
-        (DivergenceKernel.chi_squared(), 0.1, 0.1, 256),
-        (DivergenceKernel.norm_beta(3.0), 0.4, 0.2, 256),
-        (DivergenceKernel.kl(), [0.5, 0.3, 0.2], [[0.8, 0.1, 0.3], [0.2, 0.9, 0.7]], 12),
+        (DivergenceKernel.entropy_functional(), bsc_source(0.1, 0.1), 256),
+        (DivergenceKernel.chi_squared(), bsc_source(0.1, 0.1), 256),
+        (DivergenceKernel.norm_beta(3.0), bsc_source(0.4, 0.2), 256),
+        (DivergenceKernel.kl(), ([0.5, 0.3, 0.2], [[0.8, 0.1, 0.3], [0.2, 0.9, 0.7]]), 12),
     ],
     ids=["entropy", "chi2", "norm", "ternary-kl"],
 )
-def test_worst_gap_equals_the_value_queries_probe_by_probe(kernel, q, delta, resolution):
+def test_worst_gap_equals_the_value_queries_probe_by_probe(kernel, source, resolution):
     # The gates read a curve with np.interp over all probes at once; each
     # probe's gap is the one the public value query gives, bit for bit,
     # also past both ends, where the query clamps with a warning.
-    if isinstance(q, float):
-        inst = BscInstance(q=q, delta=delta)
-        channel, marginal = inst.channel(), inst.marginal()
-    else:
-        channel, marginal = np.array(delta), np.array(q)
-    bslice = BoundarySlice(kernel, kernel, channel, marginal, resolution=resolution)
+    q, T = source
+    bslice = BoundarySlice(kernel, kernel, T, q, resolution=resolution)
     rng = np.random.default_rng(0)
     for direction, value in (("lower", funnel_value), ("upper", bottleneck_value)):
         curve = sweep(bslice, direction)
