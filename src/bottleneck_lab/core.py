@@ -19,7 +19,6 @@ reference has none is a hard error in the public functions, never ``inf``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -35,8 +34,8 @@ LN2 = math.log(2.0)
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
 # A mixture meets its marginal, and a witness's weights their sum of 1,
-# within this: the witness checks, the nnls residuals of the ternary oracle
-# and of matched transport, and conditional_f_information.
+# within this: the witness checks, the mixture_weights residuals of the
+# ternary oracle and of matched transport, and conditional_f_information.
 _MIX_TOL = 1e-9
 
 
@@ -652,6 +651,16 @@ def resolve_functional(
         ref = _as_prob_vector(reference, "divergence reference", rescale=False)
         if np.any(ref <= 0.0):
             raise ValueError("divergence reference must have full support")
+        if kernel.kind == "chi2":
+            # A point mass at entry i is 1/r_i - 1 from the reference.
+            with np.errstate(over="ignore"):
+                over = np.isinf(1.0 / ref)
+            if over.any():
+                i = int(np.argmax(over))
+                raise ValueError(
+                    f"chi2 kernel: divergence reference entry [{i}] = {float(ref[i])!r} is too "
+                    "small; a point mass's value 1/r - 1 there exceeds the largest float"
+                )
 
     def functional(P: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(P)
@@ -663,10 +672,15 @@ def resolve_functional(
 
 
 def mixture_weights(P: np.ndarray, marginal: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nonnegative weights w for the rows of P that best satisfy w @ P =
-    marginal and sum(w) = 1 in least squares (nnls), with the residual norm.
-    Callers decide what residual still counts as a mixture.  Refuses rows
-    that do not match the marginal and non-finite entries (ValueError)."""
+    """Weights w for the rows of P with w @ P = marginal and sum(w) = 1,
+    from one least-squares solve of [P^T; 1^T] w = [marginal; 1], with the
+    residual norm.  Weights below 0 are clipped to 0 and the residual is
+    taken at the clipped weights: its sum row is then at least as large as
+    any clipped weight was negative, so a marginal outside the rows' hull
+    leaves a residual.  Callers decide what residual still counts as a
+    mixture.  The rows must be affinely independent (so no more of them
+    than P has columns), which makes the weights unique.  Refuses dependent rows, rows that do
+    not match the marginal and non-finite entries (ValueError)."""
     P = np.asarray(P, dtype=float)
     marginal = np.asarray(marginal, dtype=float)
     if P.ndim != 2 or marginal.ndim != 1 or P.shape[1] != marginal.size:
@@ -674,104 +688,23 @@ def mixture_weights(P: np.ndarray, marginal: np.ndarray) -> tuple[np.ndarray, fl
             f"rows of P must match the marginal: P has shape {P.shape}, "
             f"the marginal {marginal.shape}"
         )
-    rows, target = P.tolist(), marginal.tolist()
-    # Checked on the lists: on a few entries math.isfinite is several times
-    # faster than np.isfinite, and a ternary oracle query makes ~1000 calls.
-    for values, name in ((itertools.chain.from_iterable(rows), "P"), (target, "marginal")):
-        if not all(map(math.isfinite, values)):
+    for values, name in ((P, "P"), (marginal, "marginal")):
+        if not np.isfinite(values).all():
             raise ValueError(f"{name} contains non-finite entries")
-    weights, residual = _nnls([row + [1.0] for row in rows], target + [1.0])
-    return np.array(weights), residual
-
-
-# A column whose part off the span of the free columns is at most this
-# fraction of its norm is dependent on them and may not enter.
-_NNLS_DEPENDENT = 1e-12
-_EPS = float(np.finfo(float).eps)
+    A = np.vstack([P.T, np.ones(len(P))])
+    b = np.append(marginal, 1.0)
+    weights, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    # For stochastic rows the rows of P^T sum to the ones row, so A has
+    # rank at most P.shape[1]: more rows than that are always dependent.
+    if len(P) > P.shape[1] or rank < len(P):
+        raise ValueError(f"rows of P are affinely dependent: {P.tolist()}")
+    weights = np.maximum(weights, 0.0)
+    return weights, float(np.linalg.norm(A @ weights - b))
 
 
 def _dot(u, v):
     """Sum of products; exact on Python ints, as the envelope's walk needs."""
     return sum(map(operator.mul, u, v))
-
-
-def _nnls(columns: list[list[float]], b: list[float]) -> tuple[list[float], float]:
-    """Lawson & Hanson's active-set method (Solving Least Squares Problems,
-    1974, ch. 23) on plain floats, for the few short columns of a mixture:
-    w >= 0 minimizing |sum_j w_j columns[j] - b|, and that norm.  The free
-    columns are kept as a QR factorization by Gram-Schmidt, orthogonalized
-    twice, and rebuilt whenever a column leaves.  A column enters only if
-    its gradient is above rounding, it is independent of the free ones and
-    its weight comes out positive.  Raises RuntimeError after 3k entries,
-    as scipy's nnls does."""
-    k = len(columns)
-    # Rounding in a gradient of these O(1) entries (scipy 1.12's tolerance);
-    # without it an exact fit can cycle on gradients of 1e-16.
-    tol = 10 * max(k, len(b)) * _EPS
-    w = [0.0] * k
-    r = b  # b less its projection on the free columns
-    free: list[int] = []
-    basis: list[list[float]] = []  # orthonormal, one per free column
-    coords: list[list[float]] = []  # free column t on basis[: t + 1]
-    along: list[float] = []  # b on each basis vector
-
-    def orthogonalize(a: list[float]) -> tuple[list[float], list[float], float]:
-        v, c = a, [0.0] * len(basis)
-        for _ in range(2):
-            for t, q in enumerate(basis):
-                h = _dot(q, v)
-                c[t] += h
-                v = [vi - h * qi for vi, qi in zip(v, q)]
-        return v, c, math.hypot(*v)
-
-    def append(v: list[float], c: list[float], norm: float) -> None:
-        basis.append([vi / norm for vi in v])
-        coords.append(c + [norm])
-        # b on the new direction as v . b / norm, so that the new column's
-        # weight, along[-1] / norm, has the sign its entry test saw.
-        along.append(_dot(v, b) / norm)
-
-    def solve() -> list[float]:
-        z = along[:]
-        for t in range(len(z) - 1, -1, -1):
-            z[t] /= coords[t][t]
-            for s in range(t):
-                z[s] -= coords[t][s] * z[t]
-        return z
-
-    for _ in range(3 * k + 1):
-        gradient = {j: _dot(columns[j], r) for j in range(k) if j not in free}
-        for j in sorted(gradient, key=gradient.get, reverse=True):
-            if gradient[j] <= tol:
-                return w, math.hypot(*r)
-            v, c, norm = orthogonalize(columns[j])
-            if norm > _NNLS_DEPENDENT * math.hypot(*columns[j]) and _dot(v, b) > 0.0:
-                break
-        else:
-            return w, math.hypot(*r)
-        free.append(j)
-        append(v, c, norm)
-        while True:
-            z = solve()
-            if min(z) > 0.0:
-                break
-            # Step from w toward z until the first weight reaches zero; the
-            # columns whose weight is then not positive leave.
-            step, first = min((w[j] / (w[j] - zj), j) for j, zj in zip(free, z) if zj <= 0.0)
-            for j, zj in zip(free, z):
-                w[j] += step * (zj - w[j])
-            w[first] = 0.0
-            free = [j for j in free if w[j] > 0.0]
-            w[:] = [max(wj, 0.0) for wj in w]
-            del basis[:], coords[:], along[:]
-            for j in free:
-                append(*orthogonalize(columns[j]))
-        for j, zj in zip(free, z):
-            w[j] = zj
-        r = b
-        for q, h in zip(basis, along):
-            r = [ri - h * qi for ri, qi in zip(r, q)]
-    raise RuntimeError(f"nnls did not converge in {3 * k} iterations")
 
 
 def _read_payload(source: str | Path | dict) -> dict:

@@ -11,8 +11,10 @@ alphabet alone (|W| <= |X| + 1, Witsenhausen & Wyner):
   over the grid: the hull chain's extreme vertex, or its value at the
   target;
 - ternary: _RESTARTS fixed seeded sets of m + 1 random grid atoms, every
-  prefix of each set tried, plus the single atom q and the alphabet
-  vertices weighted by q.
+  m-atom subset of each set weighed, plus the single atom q and the
+  alphabet vertices weighted by q.  A mixture at q of m + 1 atoms is also a
+  mixture of m of them (Caratheodory), and m affinely independent atoms
+  have unique weights.
 
 Restricted search can only land inside the achievable region, so oracle
 minima upper-bound the true funnel values and oracle maxima lower-bound the
@@ -23,6 +25,7 @@ where a closed form exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -291,11 +294,11 @@ def oracle_boundary(
     A binary alphabet gets the best point of the straddling-pair cloud's
     hull, as oracle_exhaustive_binary does.  A ternary one gets the single
     atom q, the alphabet vertices weighted by q, and _RESTARTS seeded sets
-    of m + 1 random grid atoms, each prefix of a set weighted by
-    nonnegative least squares on the marginal constraint (sets that cannot
-    reproduce the marginal within tolerance are skipped).  When nothing
-    satisfies the x constraint the single-atom witness is reported with
-    feasible=False.
+    of m + 1 random grid atoms, each m-atom subset of a set weighted by
+    mixture_weights on the marginal constraint (subsets that are affinely
+    dependent or cannot reproduce the marginal within tolerance are
+    skipped).  When nothing satisfies the x constraint the single-atom
+    witness is reported with feasible=False.
     """
     _check_direction(direction)
     qv, channel = _as_source(q, T)
@@ -333,13 +336,15 @@ def oracle_boundary(
         _random_grid_atom(rng, m, cfg.grid_resolution) for _ in range(_RESTARTS * (m + 1))
     ]
     for trial in range(_RESTARTS):
-        atoms = pool[trial * (m + 1) : (trial + 1) * (m + 1)]
-        for size in range(1, m + 2):
-            P = np.vstack(atoms[:size])
-            w, residual = mixture_weights(P, qv)
+        atoms = np.vstack(pool[trial * (m + 1) : (trial + 1) * (m + 1)])
+        for subset in combinations(range(m + 1), m):
+            P = atoms[list(subset)]
+            try:
+                w, residual = mixture_weights(P, qv)
+            except ValueError:  # affinely dependent atoms
+                continue
             if residual > _MIX_TOL:
                 continue
-            w = w / w.sum()
             keep = w > 1e-13
             consider(evaluate(P[keep], w[keep] / w[keep].sum()))
     return _point(x_target, direction, best, trivial, qv)

@@ -345,8 +345,10 @@ def matched_channel_invariance_check(
     caller to check, for example against slice_point on a BoundarySlice
     at q_prime.
 
-    Raises when q_prime lies outside the convex hull of the atoms or when the
-    witness has a single atom.
+    The witness's atoms must be affinely independent (a slice vertex's
+    witness is), so the weights at q_prime are unique.  Raises when the
+    atoms are affinely dependent, when q_prime lies outside their convex
+    hull or when the witness has a single atom.
     """
     if not (f_kernel.marginal_free and g_kernel.marginal_free):
         raise ValueError("matched-channel transport needs marginal-free functionals")

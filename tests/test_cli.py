@@ -416,6 +416,29 @@ class TestCurveCommand:
             assert len(xs) > 10 and xs == sorted(xs) and xs[-1] == pytest.approx(math.log(2))
             assert witness_marginal_error(rows, source["q"]) <= 1e-9
 
+    @pytest.mark.parametrize("problem", ["eb", "epf"])
+    @pytest.mark.parametrize(
+        "source, entry",
+        [
+            ("1e-320,0.1", "[1] = 1e-320"),
+            ({"q": [0.5, 0.5, 5e-324], "T": [[0.9, 0.1, 0.3], [0.1, 0.9, 0.7]]}, "[2] = 5e-324"),
+        ],
+        ids=["bsc-subnormal-q", "ternary-least-float"],
+    )
+    def test_chi2_refuses_a_reference_entry_past_the_largest_float(
+        self, tmp_path, capsys, source, entry, problem
+    ):
+        # A point mass is 1/r - 1 from the reference in chi-squared, about
+        # 1e320 here: the refusal names the kernel and the entry.
+        out = tmp_path / "x.csv"
+        code = main(["curve", *source_args(tmp_path, source), "--problem", problem,
+                     "--resolution", "24", "--output", str(out)])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert f"chi2 kernel: divergence reference entry {entry} is too small" in err
+        assert "exceeds the largest float" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("resolution", ["0", "1"])
     def test_tiny_resolution_is_bad_input(self, tmp_path, resolution):
         out = tmp_path / "x.csv"

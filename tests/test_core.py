@@ -393,69 +393,76 @@ class TestConditionalFInformation:
             assert math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-10)
 
 
-def _mixture_cases(m: int):
-    """Seeded (P, marginal, in_hull) on the m-letter simplex with 1..m + 2
-    rows (m + 1 or more rows are always dependent as columns [p; 1]):
-    marginals inside the hull, on an edge, at a row and at a vertex of the
-    simplex (outside the hull unless a row is that vertex), for random rows,
-    rows on a grid of eighths (exactly collinear sets) and rows with a
-    duplicate."""
+def _independent_rows(m: int):
+    """Seeded sets of 1..m affinely independent rows on the m-letter
+    simplex: random rows, and rows on a grid of eighths (a grid set that
+    comes out dependent is drawn again)."""
     rng = np.random.default_rng([7, m])
-    for k in range(1, m + 3):
+    for k in range(1, m + 1):
         for _ in range(4):
-            rows = rng.dirichlet(np.ones(m), size=k)
-            grid_rows = rng.multinomial(8, np.full(m, 1.0 / m), size=k) / 8.0
-            for P in (rows, grid_rows, np.vstack([rows, rows[:1]])):
-                i, j = rng.integers(len(P), size=2)
-                t = rng.random()
-                yield P, rng.dirichlet(np.ones(len(P))) @ P, True
-                yield P, t * P[i] + (1.0 - t) * P[j], True
-                yield P, P[i].copy(), True
-                yield P, np.eye(m)[rng.integers(m)], False
+            yield rng.dirichlet(np.ones(m), size=k)
+            while True:
+                grid_rows = rng.multinomial(8, np.full(m, 1.0 / m), size=k) / 8.0
+                if np.linalg.matrix_rank(np.vstack([grid_rows.T, np.ones(k)])) == k:
+                    yield grid_rows
+                    break
 
 
 class TestMixtureWeights:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    def test_kkt_and_residual_of_scipy_nnls(self, m):
+    def test_weights_in_the_hull_are_those_of_scipy_nnls(self, m):
         from scipy.optimize import nnls
 
-        tol = 1e-12
-        for P, marginal, in_hull in _mixture_cases(m):
-            weights, residual = mixture_weights(P, marginal)
-            assert residual <= 1e-14 or not in_hull, (P, marginal)
+        rng = np.random.default_rng([8, m])
+        for P in _independent_rows(m):
+            i, j = rng.integers(len(P), size=2)
+            t = rng.random()
             A = np.vstack([P.T, np.ones(len(P))])
-            b = np.append(marginal, 1.0)
-            assert weights.shape == (len(P),) and isinstance(residual, float)
-            assert np.all(weights >= 0.0)
-            gradient = A.T @ (b - A @ weights)
-            free = weights > 0.0
-            assert np.all(np.abs(gradient[free]) <= tol), (P, marginal)
-            assert np.all(gradient[~free] <= tol), (P, marginal)
-            assert residual == pytest.approx(np.linalg.norm(b - A @ weights), abs=1e-15)
-            want_weights, want_residual = nnls(A, b)
-            assert abs(residual - want_residual) <= 1e-12, (P, marginal)
-            if np.linalg.matrix_rank(A) == len(P):  # the weights are unique
-                assert np.abs(weights - want_weights).max() <= 1e-9, (P, marginal)
+            for marginal in (
+                rng.dirichlet(np.ones(len(P))) @ P,
+                t * P[i] + (1.0 - t) * P[j],
+                P[i].copy(),
+            ):
+                weights, residual = mixture_weights(P, marginal)
+                want, _ = nnls(A, np.append(marginal, 1.0))
+                assert weights.shape == (len(P),) and isinstance(residual, float)
+                assert np.abs(weights - want).max() <= 1e-12, (P, marginal)
+                # A weight of 0 comes out within about eps * cond(A) of it,
+                # and a miss below 0 that is clipped stays in the residual.
+                assert residual <= 1e-14 + 1e-16 * np.linalg.cond(A), (P, marginal)
 
-    def test_gradients_at_rounding_end_an_exact_fit(self, monkeypatch):
-        # Seven rows on a grid of eighths, the marginal at one of them: at the
-        # fit every gradient is rounding.  Without the tolerance, columns
-        # enter and leave on those gradients until the 3k cap.
-        P = np.array(
-            [
-                [0.25, 0.125, 0.125, 0.375, 0.125],
-                [0.5, 0.0, 0.25, 0.125, 0.125],
-                [0.25, 0.0, 0.5, 0.25, 0.0],
-                [0.0, 0.25, 0.125, 0.25, 0.375],
-                [0.375, 0.25, 0.125, 0.125, 0.125],
-                [0.375, 0.125, 0.125, 0.125, 0.25],
-                [0.125, 0.125, 0.125, 0.375, 0.25],
-            ]
-        )
-        assert mixture_weights(P, P[3])[1] <= 1e-15
-        monkeypatch.setattr(core, "_EPS", 0.0)
-        with pytest.raises(RuntimeError, match="did not converge in 21 iterations"):
-            mixture_weights(P, P[3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_a_marginal_outside_the_hull_leaves_its_clipped_weight(self, m):
+        # Marginals in the rows' affine hull with a negative weight, and a
+        # vertex of the simplex that no row is.
+        rng = np.random.default_rng([9, m])
+        for P in _independent_rows(m):
+            marginals = []
+            if P.max(axis=0).min() < 1.0:
+                marginals.append(np.eye(m)[np.argmin(P.max(axis=0))])
+            if len(P) > 1:
+                c = np.append(-0.25, 1.25 * rng.dirichlet(np.ones(len(P) - 1)))
+                marginals.append(c @ P)
+            for marginal in marginals:
+                weights, residual = mixture_weights(P, marginal)
+                A = np.vstack([P.T, np.ones(len(P))])
+                unclipped = np.linalg.lstsq(A, np.append(marginal, 1.0), rcond=None)[0]
+                assert np.all(weights >= 0.0)
+                assert residual > core._MIX_TOL, (P, marginal)
+                assert residual >= -unclipped.min(), (P, marginal)
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            [[0.6, 0.3, 0.1], [0.6, 0.3, 0.1]],
+            [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.0, 0.75, 0.25]],
+            [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5], [0.4, 0.3, 0.3]],
+        ],
+        ids=["duplicated", "collinear", "m-plus-one"],
+    )
+    def test_dependent_rows_are_refused(self, P):
+        with pytest.raises(ValueError, match=r"^rows of P are affinely dependent: \[\["):
+            mixture_weights(np.array(P), np.array([0.4, 0.35, 0.25]))
 
 
 class TestArimoto:

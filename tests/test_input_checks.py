@@ -27,11 +27,11 @@ from bottleneck_lab import (
     problem_curve,
 )
 from bottleneck_lab.cli import EXIT_BAD_INPUT, main
-from bottleneck_lab.closed_forms import closed_form_table
+from bottleneck_lab.closed_forms import closed_form_table, mr_gerber_point
 from bottleneck_lab.core import mixture_weights
 from bottleneck_lab.envelope import SimplexLattice, build_lagrangian_graph, envelope_at
 from bottleneck_lab.oracle import OracleConfig
-from bottleneck_lab.sweep import BoundarySlice, slice_point
+from bottleneck_lab.sweep import BoundaryPoint, BoundarySlice, slice_point
 
 ENTROPY = DivergenceKernel.entropy_functional()
 KL = DivergenceKernel.kl()
@@ -78,6 +78,18 @@ def two_atom_point():
 def test_matched_transport_refuses_a_malformed_marginal(two_atom_point, q_prime, match):
     with pytest.raises(ValueError, match=match):
         matched_channel_invariance_check(two_atom_point, q_prime, ENTROPY, ENTROPY, BSC)
+
+
+def test_matched_transport_refuses_a_witness_with_dependent_atoms():
+    # Mr. Gerber's witness below alpha = 2q mixes both point masses with the
+    # uniform conditional: three atoms on a line, so the weights at a new
+    # marginal are not unique.
+    gerber = mr_gerber_point(INST, 0.1)
+    assert len(gerber.witness.atoms) == 3
+    point = BoundaryPoint(lam=math.nan, x=gerber.x, y=gerber.y, witness=gerber.witness,
+                          trivial=False)
+    with pytest.raises(ValueError, match=r"^rows of P are affinely dependent: "):
+        matched_channel_invariance_check(point, [0.89, 0.11], ENTROPY, ENTROPY, BSC)
 
 
 @pytest.mark.parametrize(

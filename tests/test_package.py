@@ -4,10 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import bottleneck_lab
-from bottleneck_lab import core
 
 PACKAGE_DIR = Path(bottleneck_lab.__file__).parent
 
@@ -106,18 +103,3 @@ def test_curve_runs_do_not_load_scipy_optimize(tmp_path):
     )
     assert done.returncode == 0, done.stderr
 
-
-def test_mixture_weights_agree_with_scipy_nnls():
-    # scipy's nnls is the reference; the weights are unique when the
-    # columns [p; 1] are independent, here for the first three rows.
-    from scipy.optimize import nnls
-
-    P = np.random.default_rng(5).dirichlet(np.ones(3), size=6)
-    marginal = np.array([0.2, 0.3, 0.5])
-    for rows in (P[:3], P):
-        weights, residual = core.mixture_weights(rows, marginal)
-        A = np.vstack([rows.T, np.ones(len(rows))])
-        want_weights, want_residual = nnls(A, np.append(marginal, 1.0))
-        assert abs(residual - want_residual) <= 1e-12
-        if np.linalg.matrix_rank(A) == len(rows):
-            assert np.abs(weights - want_weights).max() <= 1e-9
