@@ -193,10 +193,14 @@ def check_oracle_cross(
 
 def check_matched(n_points: int = 10, resolution: int = GATE_RESOLUTION) -> CheckResult:
     """A5: matched channels transported to a perturbed marginal agree with a
-    fresh support query at that marginal and keep the same atom set."""
+    support query on the slice at that marginal and keep the same atom set.
+    The entropy kernel is marginal-free, so each perturbed slice is re-cut
+    from the base slice's lifted hull (BoundarySlice.at), bit for bit the
+    slice a fresh build gives."""
     inst = BscInstance(q=0.1, delta=0.1)
     channel, q = inst.channel(), inst.marginal()
-    curve = sweep(BoundarySlice(_ENTROPY, _ENTROPY, channel, q, resolution=resolution), "lower")
+    base = BoundarySlice(_ENTROPY, _ENTROPY, channel, q, resolution=resolution)
+    curve = sweep(base, "lower")
     q0 = float(curve.marginal.probs[1])
     margin = MATCHED_PERTURBATION + 0.005
     candidates = [
@@ -220,7 +224,7 @@ def check_matched(n_points: int = 10, resolution: int = GATE_RESOLUTION) -> Chec
     for dq in (MATCHED_PERTURBATION, -MATCHED_PERTURBATION):
         q_new = np.array([1.0 - (q0 + dq), q0 + dq])
         # One slice per perturbed marginal serves every picked slope.
-        bslice = BoundarySlice(_ENTROPY, _ENTROPY, channel, q_new, resolution=resolution)
+        bslice = base.at(q_new)
         for point in picks:
             moved = matched_channel_invariance_check(point, q_new, _ENTROPY, _ENTROPY, channel)
             fresh = slice_point(bslice, point.lam, "lower")

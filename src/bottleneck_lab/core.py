@@ -268,7 +268,10 @@ class DivergenceKernel:
     @property
     def marginal_free(self) -> bool:
         """True when the resolved functional does not depend on the input
-        marginal (a prerequisite for matched channels to exist)."""
+        marginal (a prerequisite for matched channels to exist).  Its
+        values over a lattice are then the same at every marginal, so
+        BoundarySlice.at re-cuts an m = 2 slice from the lifted hull it
+        already holds."""
         return self.kind in _FUNCTIONAL_KINDS
 
 

@@ -18,7 +18,10 @@ of two routes, chosen by m:
   the qhull call takes 27-48 ms and the whole slice 37-63 ms, while the
   same slice from the walk takes 80-128 ms, 1.8-2.8 times the slice
   (fastest of 5 runs in each of 7 processes, 2-CPU x86-64 Linux, numpy
-  2.4.6, scipy 1.17.1).
+  2.4.6, scipy 1.17.1).  The hull reads the lattice values alone, not q:
+  for marginal-free kernels (entropy, l^beta norms) those are the same at
+  every marginal, so the slice keeps the hull's simplices, and
+  RegionSlice.at cuts the slice at another q from them without qhull.
 - m >= 3: two parametric simplex walks, one per boundary chain, over the
   LP min (lower) or max (upper) of sum a_i (g_i - lambda f_i) s.t.
   sum a_i p_i = q, a >= 0; each vertex is its optimal basis over a range
@@ -257,6 +260,9 @@ class RegionSlice:
     last and hold atom -1 with weight 0.
     lower and upper list the vertices of the two boundary chains, x strictly
     increasing, each running between the x-extremes of the polygon.
+    simplices holds the lifted hull's facets (rows of lattice indices) an
+    m = 2 slice was cut from, or the alphabet-vertex face of an affine
+    graph; it is None for a slice from the walk.
     """
 
     graph: LagrangianGraph
@@ -266,6 +272,7 @@ class RegionSlice:
     weights: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    simplices: np.ndarray | None = None
 
     def chain(self, direction: str) -> np.ndarray:
         return self.lower if _check_direction(direction) == "lower" else self.upper
@@ -278,6 +285,21 @@ class RegionSlice:
         chain = self.chain(direction)
         vals = self.y[chain] - lam * self.x[chain]
         return int(chain[np.argmin(vals) if direction == "lower" else np.argmax(vals)])
+
+    def at(self, graph: LagrangianGraph) -> "RegionSlice":
+        """region_slice(graph), bit for bit, for a graph over this slice's
+        lattice (at another marginal, say).  When graph's lattice values
+        equal this slice's bit for bit, as they do for marginal-free
+        kernels, its lifted hull is the one this slice kept, and the
+        polygon is cut from those simplices with no qhull call."""
+        K = graph.lattice.size
+        same = (
+            self.simplices is not None
+            and graph.lattice is self.graph.lattice
+            and graph.x_values[:K].tobytes() == self.graph.x_values[:K].tobytes()
+            and graph.y_values[:K].tobytes() == self.graph.y_values[:K].tobytes()
+        )
+        return _cut_hull(graph, self.simplices) if same else region_slice(graph)
 
 
 def _half_hull(xs: list[float], ys: list[float], order) -> list[int]:
@@ -383,17 +405,22 @@ def _face_witnesses(
     return atoms, weights[first]
 
 
-def _hull_faces(lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Atom sets of the lifted hull's m-vertex faces that box q: one qhull
-    call in dimension m + 1 (m when the lifted set is flat)."""
+def _hull_simplices(lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Facets of the lifted lattice points' hull, as rows of lattice
+    indices: one qhull call in dimension m + 1 (m when the lifted set is
+    flat).  It reads no marginal."""
     rank, extra = _flat_rank(lattice.points, np.column_stack([X, Y]))
     if rank == 0:
         # (f, g) affine on the lattice: every mixture of lattice points with
         # mean q lands on one point, the alphabet vertices' mixture.
         return lattice.vertices[None]
     lifted = np.column_stack([lattice.points[:, : lattice.m - 1], extra[:, :rank]])
-    simplices = ConvexHull(lifted, qhull_options="Qt QbB").simplices
-    return _ridges_around(simplices, lattice.counts, q * lattice.resolution)
+    return ConvexHull(lifted, qhull_options="Qt QbB").simplices
+
+
+def _hull_faces(lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Atom sets of the lifted hull's m-vertex faces that box q."""
+    return _ridges_around(_hull_simplices(lattice, X, Y), lattice.counts, q * lattice.resolution)
 
 
 def _pivot_cap(points: int) -> int:
@@ -615,20 +642,40 @@ def region_slice(graph: LagrangianGraph) -> RegionSlice:
     simplex walks (see _walk), which share their opening pivots
     (_x_phase): a hull in dimension m + 1 grows far faster than the walks.
     Each candidate's barycentric weights are its witness, and a 2-D hull
-    of the candidates and (f(q), g(Tq)) keeps the vertices.
+    of the candidates and (f(q), g(Tq)) keeps the vertices.  An m = 2
+    slice keeps the hull's simplices (see RegionSlice.at).
     """
-    faces = _hull_faces if graph.lattice.m == 2 else _walk_faces
-    return _slice(graph, faces)
+    lattice, K = graph.lattice, graph.lattice.size
+    if lattice.m > 2:
+        return _slice(graph, _walk_faces)
+    return _cut_hull(graph, _hull_simplices(lattice, graph.x_values[:K], graph.y_values[:K]))
+
+
+def _cut_hull(graph: LagrangianGraph, simplices: np.ndarray) -> RegionSlice:
+    """The slice at the graph's q cut from the faces of simplices, the
+    lifted hull of its lattice values, which it keeps."""
+    lattice = graph.lattice
+    ridges = _ridges_around(simplices, lattice.counts, graph.q * lattice.resolution)
+    return _polygon(graph, ridges, simplices)
 
 
 def _slice(graph: LagrangianGraph, faces) -> RegionSlice:
     """region_slice with the lattice slice's candidate faces from
     faces(lattice, X, Y, q), which returns their atom sets as rows of
-    lattice indices; each is weighed here (_face_witnesses)."""
+    lattice indices."""
+    K = graph.lattice.size
+    return _polygon(graph, faces(graph.lattice, graph.x_values[:K], graph.y_values[:K], graph.q))
+
+
+def _polygon(
+    graph: LagrangianGraph, ridges: np.ndarray, simplices: np.ndarray | None = None
+) -> RegionSlice:
+    """The slice whose lattice candidates are the faces ridges (rows of
+    lattice indices), each weighed here (_face_witnesses); simplices is
+    kept on it."""
     lattice, m, K = graph.lattice, graph.lattice.m, graph.lattice.size
     X = np.asarray(graph.x_values, dtype=float)
     Y = np.asarray(graph.y_values, dtype=float)
-    ridges = faces(lattice, X[:K], Y[:K], graph.q)
     atoms, weights = _face_witnesses(ridges, lattice.counts, graph.q * lattice.resolution)
     cx = np.einsum("ki,ki->k", weights, X[atoms])
     cy = np.einsum("ki,ki->k", weights, Y[atoms])
@@ -651,4 +698,5 @@ def _slice(graph: LagrangianGraph, faces) -> RegionSlice:
         *arrays,
         lower=inverse[: lower.size],
         upper=inverse[lower.size :],
+        simplices=simplices,
     )

@@ -16,6 +16,7 @@ off a BoundarySlice, so they carry the kernels, channel and q it holds.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import warnings
@@ -37,7 +38,13 @@ from .core import (
     mixture_weights,
     resolve_functional,
 )
-from .envelope import RegionSlice, SimplexLattice, build_lagrangian_graph, region_slice
+from .envelope import (
+    LagrangianGraph,
+    RegionSlice,
+    SimplexLattice,
+    build_lagrangian_graph,
+    region_slice,
+)
 
 
 def _check_witnesses(
@@ -182,7 +189,9 @@ class BoundarySlice:
     divergences taken from q.  Built only from its source, so region (an
     envelope.RegionSlice, which keeps its graph and q) cannot be paired with
     kernels or a channel it did not come from; sweep and slice_point read
-    every curve and point off one."""
+    every curve and point off one.  at gives the slice of the same kernels,
+    channel and lattice at another marginal; for marginal-free kernels at
+    m = 2 it is re-cut from this slice's lifted hull."""
 
     f_kernel: DivergenceKernel
     g_kernel: DivergenceKernel
@@ -195,10 +204,27 @@ class BoundarySlice:
     def __post_init__(self, q, resolution) -> None:
         q, channel = _as_source(q, self.channel)
         lattice = SimplexLattice.build(channel.m, resolution)
-        f_fn, g_fn = _resolve_pair(self.f_kernel, self.g_kernel, q, channel)
-        region = region_slice(build_lagrangian_graph(f_fn, g_fn, channel, lattice, q))
+        region = region_slice(self._graph(channel, lattice, q))
         object.__setattr__(self, "channel", channel)
         object.__setattr__(self, "region", region)
+
+    def _graph(self, channel: Channel, lattice: SimplexLattice, q: np.ndarray) -> LagrangianGraph:
+        f_fn, g_fn = _resolve_pair(self.f_kernel, self.g_kernel, q, channel)
+        return build_lagrangian_graph(f_fn, g_fn, channel, lattice, q)
+
+    def at(self, q: Distribution | np.ndarray) -> "BoundarySlice":
+        """The slice of the same kernels, channel and lattice at the
+        marginal q, checked as the constructor checks it: bit for bit what
+        the constructor builds there.  Its graph is built as the
+        constructor builds it; when the graph's lattice values are this
+        slice's (always, for marginal-free kernels), an m = 2 polygon is
+        cut from this slice's lifted hull with no qhull call
+        (RegionSlice.at), and otherwise it is cut afresh."""
+        q, channel = _as_source(q, self.channel)
+        region = self.region.at(self._graph(channel, self.region.graph.lattice, q))
+        moved = copy.copy(self)
+        object.__setattr__(moved, "region", region)
+        return moved
 
 
 def _chain_arrays(

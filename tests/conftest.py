@@ -25,14 +25,21 @@ def hull_calls(monkeypatch):
 
 @pytest.fixture
 def slice_builds(monkeypatch):
-    """List that gets one entry (the marginal) per region_slice that the
-    BoundarySlice constructor cuts, whatever route the slice takes."""
+    """List that gets one entry (the marginal) per polygon a BoundarySlice
+    cuts, whatever route the slice takes: each region_slice its constructor
+    calls, and each slice BoundarySlice.at takes at another marginal
+    (RegionSlice.at, a re-cut from the kept hull or a fresh cut)."""
     calls = []
-    real = sweep_module.region_slice
+    real_slice, real_at = sweep_module.region_slice, envelope.RegionSlice.at
 
     def counting(graph):
         calls.append(graph.q)
-        return real(graph)
+        return real_slice(graph)
+
+    def counting_at(region, graph):
+        calls.append(graph.q)
+        return real_at(region, graph)
 
     monkeypatch.setattr(sweep_module, "region_slice", counting)
+    monkeypatch.setattr(envelope.RegionSlice, "at", counting_at)
     return calls

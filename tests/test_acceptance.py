@@ -108,6 +108,15 @@ def test_a4_reads_both_chains_off_one_slice_per_kernel(hull_calls):
     assert len(hull_calls) == 2  # one entropy slice, one chi2 slice
 
 
+def test_a5_cuts_its_perturbed_slices_from_one_hull(hull_calls, slice_builds):
+    # The entropy kernel is marginal-free, so both perturbed slices are
+    # re-cut from the base slice's lifted hull.
+    result = check_matched(n_points=3, resolution=1024)
+    assert result.passed, result.line()
+    assert len(hull_calls) == 1
+    assert len(slice_builds) == 3  # the base slice and two re-cuts
+
+
 def test_reduced_size_lines_name_their_curve_lattice():
     # A smaller curve lattice than the gate's shows in the line.
     a4 = check_oracle_cross(resolution=64, n_x=5, sweep_resolution=1024).line()

@@ -503,6 +503,98 @@ class TestSliceCarriesItsSource:
         assert len(slice_builds) == 2
 
 
+def moved_marginal(q, dq):
+    """The binary marginal q with its second entry moved by dq."""
+    return np.array([1.0 - (q[1] + dq), q[1] + dq])
+
+
+def assert_same_slice(got, want):
+    """Two slices hold the same kernels, channel, graph and polygon, bit
+    for bit."""
+    assert (got.f_kernel, got.g_kernel) == (want.f_kernel, want.g_kernel)
+    assert got.channel.matrix.tobytes() == want.channel.matrix.tobytes()
+    pairs = [(got.region.graph, want.region.graph, ("rows", "x_values", "y_values"))]
+    pairs.append((got.region, want.region, ("x", "y", "atoms", "weights", "lower", "upper")))
+    for a, b, names in pairs:
+        for name in names:
+            u, v = getattr(a, name), getattr(b, name)
+            assert (u.shape, u.dtype, u.tobytes()) == (v.shape, v.dtype, v.tobytes()), name
+
+
+class TestSliceAt:
+    @pytest.mark.parametrize("resolution", [64, 1024])
+    @pytest.mark.parametrize("inst", [INST, BscInstance(q=0.4, delta=0.2)], ids=["bsc-0.1", "bsc-0.4"])
+    @pytest.mark.parametrize(
+        "kernel",
+        [ENTROPY, DivergenceKernel.norm_beta(2.0), DivergenceKernel.norm_beta(3.5)],
+        ids=["entropy", "norm-2", "norm-3.5"],
+    )
+    def test_recut_equals_a_fresh_slice(self, kernel, inst, resolution, hull_calls):
+        # A marginal-free kernel's lattice values are the same at every
+        # marginal, so the perturbed slices are cut from the base slice's
+        # hull, and are bit for bit the slices a fresh build gives.
+        base = bsc_slice(kernel, inst, resolution=resolution)
+        for dq in (0.01, -0.01):
+            q = moved_marginal(base.region.graph.q, dq)
+            del hull_calls[:]
+            got = base.at(q)
+            assert hull_calls == []
+            assert got.region.simplices is base.region.simplices
+            fresh = BoundarySlice(kernel, kernel, inst.channel(), q, resolution=resolution)
+            assert_same_slice(got, fresh)
+
+    def test_base_and_two_recuts_build_one_hull(self, hull_calls, slice_builds):
+        base = bsc_slice(ENTROPY, resolution=1024)
+        for dq in (0.01, -0.01):
+            base.at(moved_marginal(base.region.graph.q, dq))
+        assert len(hull_calls) == 1
+        assert len(slice_builds) == 3  # a re-cut is a polygon too
+
+    @pytest.mark.parametrize("kernel", [KL, CHI2], ids=["kl", "chi2"])
+    def test_divergence_kernels_cut_afresh(self, kernel, hull_calls):
+        # Divergences are taken from q, so the lattice values move with it
+        # and at builds the hull of its own graph.
+        base = bsc_slice(kernel, resolution=1024)
+        for dq in (0.01, -0.01):
+            q = moved_marginal(base.region.graph.q, dq)
+            got = base.at(q)
+            assert got.region.simplices is not base.region.simplices
+            assert_same_slice(got, BoundarySlice(kernel, kernel, INST.channel(), q, resolution=1024))
+        assert len(hull_calls) == 5  # the base, and one per at and per fresh slice
+
+    @pytest.mark.parametrize("kernel", [ENTROPY, KL, CHI2], ids=["entropy", "kl", "chi2"])
+    def test_the_walk_cuts_afresh(self, kernel, monkeypatch, hull_calls):
+        # An m >= 3 slice comes from the walk, which keeps no hull.
+        walks = []
+        real = envelope._walk_faces
+
+        def counting(*args):
+            walks.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(envelope, "_walk_faces", counting)
+        q, T = seeded_source(3, 24, 1)
+        base = BoundarySlice(kernel, kernel, T, q, resolution=24)
+        assert base.region.simplices is None
+        moved = q + np.array([0.01, -0.01, 0.0])
+        got = base.at(moved)
+        assert len(walks) == 2 and walks[-1].tolist() == got.region.graph.q.tolist()
+        assert_same_slice(got, BoundarySlice(kernel, kernel, T, moved, resolution=24))
+        assert hull_calls == []
+
+    @pytest.mark.parametrize(
+        "q",
+        [[0.2, 0.3, 0.5], [[0.9, 0.1]], [0.5, 0.6], [1.2, -0.2], [math.nan, 1.0]],
+        ids=["size", "2-d", "sum", "negative", "nan"],
+    )
+    def test_refuses_what_the_constructor_refuses(self, q):
+        with pytest.raises(ValueError) as want:
+            BoundarySlice(ENTROPY, ENTROPY, INST.channel(), q, resolution=64)
+        with pytest.raises(ValueError) as got:
+            bsc_slice(ENTROPY, resolution=64).at(q)
+        assert str(got.value) == str(want.value)
+
+
 class TestProblemCurve:
     def test_both_equals_one_call_per_direction(self, slice_builds):
         q, T = seeded_source(3, 24, 4)
@@ -947,6 +1039,28 @@ class TestHullSlice:
             assert_allclose(walk.x[a], hull.x[b], rtol=0, atol=1e-12)
             assert_allclose(walk.y[a], hull.y[b], rtol=0, atol=1e-12)
             assert_allclose(walk.weights[a], hull.weights[b], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m,resolution", [(3, 24), (4, 8), (5, 5)])
+    @pytest.mark.parametrize("kernel", [KL, CHI2, ENTROPY], ids=["kl", "chi2", "entropy"])
+    def test_relabeling_keeps_the_chains(self, m, resolution, kernel):
+        # Permuting the X and Y symbols maps the lattice onto itself and
+        # each f and g value onto its own up to rounding, so both chains
+        # keep their vertices.  The walk breaks exact reduced-cost ties by
+        # the last bit of a BLAS product, and a relabeling reorders its
+        # columns: a path that such a tie moves shows here.
+        shift, reverse = np.roll(np.arange(m), 1), np.arange(m)[::-1]
+        for seed in range(3):
+            q, T = seeded_source(m, resolution, seed)
+            want = BoundarySlice(kernel, kernel, T, q, resolution=resolution).region
+            for px, py in ((shift, reverse), (reverse, shift)):
+                got = BoundarySlice(kernel, kernel, T[py][:, px], q[px], resolution=resolution)
+                for direction in ("lower", "upper"):
+                    a, b = got.region.chain(direction), want.chain(direction)
+                    assert a.size == b.size
+                    x, y = want.x[b], want.y[b]
+                    scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
+                    assert np.all(np.abs(got.region.x[a] - x) <= 1e-12 * scale)
+                    assert np.all(np.abs(got.region.y[a] - y) <= 1e-12 * scale)
 
     def test_walk_matches_hull_off_the_lattice(self):
         # 30 seeded sources at a generic marginal, 6 of them with a zero
