@@ -19,11 +19,12 @@ from .core import (
     ConfigError,
     Distribution,
     _check_beta,
-    _check_unit_interval,
-    _first_refused,
+    _check_range,
+    _entropy_bits,
     _least_reaching,
     binary_entropy,
     binary_entropy_inv,
+    bsc_source,
     star,
 )
 from .sweep import WitnessChannel
@@ -34,27 +35,23 @@ class BscInstance:
     """Binary source P(X=1) = q <= 1/2 observed through a symmetric channel
     with crossover probability delta <= 1/2.
 
-    q and delta may be arrays, checked elementwise: the closed forms then
-    broadcast x against them, one instance per element.  marginal and
-    channel need floats."""
+    q and delta may be arrays, checked elementwise by core's range rule
+    with no slack: the closed forms then broadcast x against them, one
+    instance per element.  marginal and channel need floats, and take
+    their arrays from core.bsc_source."""
 
     q: float | np.ndarray
     delta: float | np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("q", "delta"):
-            value = getattr(self, name)
-            arr = np.asarray(value, dtype=float)
-            ok = (arr >= 0.0) & (arr <= 0.5)
-            if not ok.all():
-                raise ValueError(f"{name} must lie in [0, 1/2], got {_first_refused(value, ok)}")
+        _check_range(self.q, "q", 0.5, 0.0)
+        _check_range(self.delta, "delta", 0.5, 0.0)
 
     def marginal(self) -> Distribution:
-        return Distribution([1.0 - self.q, self.q])
+        return Distribution(bsc_source(self.q, self.delta)[0])
 
     def channel(self) -> Channel:
-        d = self.delta
-        return Channel([[1.0 - d, d], [d, 1.0 - d]])
+        return Channel(bsc_source(self.q, self.delta)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,24 +64,11 @@ class GerberPoint:
     witness: WitnessChannel
 
 
-def _up_to(value, top, name: str, slack: float, top_name: str = "") -> np.ndarray:
-    """value as an array, refused unless each entry lies in [-1e-12, top +
-    slack], broadcast: the error names the first entry that does not, and
-    its top."""
-    arr = np.asarray(value, dtype=float)
-    ok = (arr >= -1e-12) & (arr <= top + slack)
-    if not ok.all():
-        raise ValueError(
-            f"{name} = {_first_refused(value, ok)} outside [0, {top_name}{_first_refused(top, ok)}]"
-        )
-    return arr
-
-
 def _entropy_x(inst: BscInstance, x):
-    """x broadcast against inst and clamped to [0, h(q)] (bits), refused
-    when an entry is nan or further outside than rounding; and h(q)."""
+    """x clamped to [0, h(q)] (bits) by core's range rule, refused when an
+    entry is nan or further outside than rounding; and h(q)."""
     hq = binary_entropy(inst.q)
-    return np.minimum(np.maximum(_up_to(x, hq, "x", 1e-9), 0.0), hq), hq
+    return _check_range(x, "x", hq, 1e-9), hq
 
 
 def mrs_gerber(inst: BscInstance, x):
@@ -133,7 +117,7 @@ def mr_gerber_point(inst: BscInstance, alpha: float) -> GerberPoint:
     mixes both point masses with the uniform conditional, with weights
     (1 - q - alpha/2, q - alpha/2, alpha).
     """
-    alpha = float(_check_unit_interval(alpha, "alpha"))
+    alpha = float(_check_range(alpha, "alpha"))
     q = inst.q
     ratio, x, y = (float(v) for v in _upper_xy(binary_entropy, inst, alpha))
     marginal = inst.marginal()
@@ -153,7 +137,7 @@ def mr_gerber_point(inst: BscInstance, alpha: float) -> GerberPoint:
 def _upper_x(alpha, q):
     """x of _upper_xy under h, bit for bit, for alpha >= 2q: there (1 -
     alpha) h(0) is exactly 0."""
-    return alpha * binary_entropy(q / alpha)
+    return alpha * _entropy_bits(q / alpha)
 
 
 def _upper_slope(alpha, q):
@@ -186,14 +170,14 @@ def mr_gerber(inst: BscInstance, x):
 def k_norm(p, beta: float):
     """l^beta norm of the binary distribution (1-p, p), elementwise over p."""
     _check_beta(beta)
-    p = _check_unit_interval(p, "p")
+    p = _check_range(p, "p")
     return np.power(np.power(p, beta) + np.power(1.0 - p, beta), 1.0 / beta)
 
 
 def arimoto_mrs_gerber(inst: BscInstance, beta: float, p):
     """Lower-boundary point of the K-frame region at parameter p in [0, q]:
     (K(p), K(p star delta)), elementwise over p.  x spans [K(q), 1]."""
-    p = np.minimum(np.maximum(_up_to(p, inst.q, "p", 1e-12, "q = "), 0.0), inst.q)
+    p = _check_range(p, "p", inst.q)
     return k_norm(p, beta)[()], k_norm(star(p, inst.delta), beta)[()]
 
 
@@ -201,7 +185,7 @@ def arimoto_mr_gerber(inst: BscInstance, beta: float, alpha):
     """Upper-boundary point of the K-frame region at mixture alpha in [0, 1],
     elementwise over alpha: with z = max(alpha, 2q),
     (1 - alpha + alpha * K(q/z), alpha * K(q/z star delta) + (1 - alpha) * K(delta))."""
-    alpha = _check_unit_interval(alpha, "alpha")
+    alpha = _check_range(alpha, "alpha")
     _, x, y = _upper_xy(lambda p: k_norm(p, beta), inst, alpha)
     return x[()], y[()]
 

@@ -337,19 +337,30 @@ def _first_refused(value, ok: np.ndarray):
     return float(np.broadcast_to(np.asarray(value, dtype=float), ok.shape).flat[np.argmin(ok)])
 
 
-def _check_unit_interval(value, name: str):
-    """value, a float or an array, with each entry clamped into [0, 1].  An
-    entry that is nan or further than _NEG_TOL outside is refused, and the
-    error names the first one.  A float comes back as a numpy float."""
+def _check_range(value, name: str, top=1, slack: float = _NEG_TOL):
+    """value, a float or an array, with each entry clamped into [0, top],
+    top a float or an array that broadcasts against value (the broadcast
+    shape back).  The one range rule of the package: an entry that is nan
+    or further than slack outside is refused with "name must lie in [0,
+    top], got value", naming the first such entry and its top, so an array
+    is refused with the text its bad entry would get on its own.  A float
+    comes back as a numpy float."""
     arr = np.asarray(value, dtype=float)
-    # nan passes through both reductions and fails both tests.
-    low = np.minimum.reduce(arr, axis=None, initial=0.0)
-    high = np.maximum.reduce(arr, axis=None, initial=0.0)
-    if not (low >= -_NEG_TOL and high <= 1.0 + _NEG_TOL):
-        ok = (arr >= -_NEG_TOL) & (arr <= 1.0 + _NEG_TOL)
-        raise ValueError(f"{name} must lie in [0, 1], got {_first_refused(value, ok)}")
-    if low < 0.0 or high > 1.0:
-        arr = np.minimum(np.maximum(arr, 0.0), 1.0)
+    batch = isinstance(top, np.ndarray)
+    if batch:
+        fine = ((arr >= -slack) & (arr <= top + slack)).all()
+    else:
+        # A scalar top takes two reductions; nan passes through both and
+        # fails both tests.
+        low = np.minimum.reduce(arr, axis=None, initial=0.0)
+        high = np.maximum.reduce(arr, axis=None, initial=0.0)
+        fine = low >= -slack and high <= top + slack
+    if not fine:
+        ok = (arr >= -slack) & (arr <= top + slack)
+        top_text = _first_refused(top, ok) if batch else top
+        raise ValueError(f"{name} must lie in [0, {top_text}], got {_first_refused(value, ok)}")
+    if batch or low < 0.0 or high > top:
+        arr = np.minimum(np.maximum(arr, 0.0), top)
     return arr[()]
 
 
@@ -359,7 +370,12 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 def binary_entropy(q):
     """Binary entropy in bits of q, a float or an array of them, elementwise
     (the same shape back); binary_entropy(0.5) = 1 and 0 log 0 = 0."""
-    t = _check_unit_interval(q, "q")
+    return _entropy_bits(_check_range(q, "q"))
+
+
+def _entropy_bits(t):
+    """binary_entropy of t, an array in [0, 1], with no range check: the F
+    of a root search, whose candidates lie in its bracket already."""
     s = 1.0 - t
     # A zero entry's log is taken at the least positive float, so its term
     # is 0 * -1074 = 0 and nothing warns.
@@ -463,14 +479,14 @@ def binary_entropy_inv(y):
     below the root of r log2(e / r) = y, and Topsoe's r with (4r(1 - r))^(1 /
     ln 4) = y.  y = 0 gives 0 and y = 1 gives 1/2, the exact inverses.
     """
-    y = _check_unit_interval(y, "y")
+    y = _check_range(y, "y")
     lo = np.where(y < 1.0, y / (2.0 * (_LOG2_2E - np.log2(np.maximum(y, _TINY)))), 0.5)
     hi = np.where(y > 0.0, 0.5, 0.0)
     base = np.maximum(
         y / (_LOG2_E - np.log2(np.maximum(lo, _TINY))),
         0.5 - 0.5 * np.sqrt(1.0 - np.power(y, _LN4)),
     )
-    return _least_reaching(binary_entropy, _entropy_slope, y, lo, hi, base)
+    return _least_reaching(_entropy_bits, _entropy_slope, y, lo, hi, base)
 
 
 _LN4 = math.log(4.0)
@@ -481,8 +497,8 @@ _LOG2_2E = math.log2(2.0 * math.e)
 def star(a, b):
     """Binary convolution (1-a)b + (1-b)a, elementwise over floats or arrays;
     symmetric, star(a, 1/2) = 1/2."""
-    a = _check_unit_interval(a, "a")
-    b = _check_unit_interval(b, "b")
+    a = _check_range(a, "a")
+    b = _check_range(b, "b")
     return (1.0 - a) * b + (1.0 - b) * a
 
 
@@ -560,38 +576,29 @@ def arimoto_conditional_entropy(
 
 
 def decompose_joint(joint: JointDistribution) -> tuple[Distribution, Channel]:
-    """Split a joint pmf into the X-marginal and the forward channel.
+    """Split a joint pmf into the X-marginal and the forward channel,
+    restricted to their support by restrict_source.
 
-    X-symbols with zero mass are dropped (support restriction), so the
-    returned channel is defined everywhere; so are zero-mass Y-symbols, so
-    that T q has full support.  A joint is refused unless X and Y each put
-    mass on at least 2 symbols.  Reassembling the joint from the pieces
-    reproduces the input on the restricted support.
+    Only the X-symbols with mass are divided out, P(Y|X=x) = p_xy[x] / p(x);
+    restrict_source then drops the Y-symbols with no mass, so that T q has
+    full support, and refuses a joint unless X and Y each put mass on at
+    least 2 symbols.  Reassembling the joint from the pieces reproduces the
+    input on the restricted support.
     """
     px = joint.marginal_x()
     keep = px > 0.0
-    if int(keep.sum()) < 2:
-        raise ValueError("support of X must contain at least 2 symbols")
-    used = joint.marginal_y() > 0.0
-    if int(used.sum()) < 2:
-        raise ValueError("Y is constant: support of Y must contain at least 2 symbols")
-    rows = joint.p_xy[keep]
-    # Only when a column goes: a column index copies in Fortran order, which
-    # the channel keeps, and that moves the last bits of its products.
-    if not used.all():
-        rows = rows[:, used]
     q = px[keep]
-    cols = (rows / q[:, None]).T
-    return Distribution(q), Channel(cols)
+    return restrict_source(q, (joint.p_xy[keep] / q[:, None]).T)
 
 
 def restrict_source(q, T) -> tuple[Distribution, Channel]:
     """A marginal and a channel, checked and normalized once as they enter,
-    then restricted to their support as decompose_joint restricts a joint:
-    X symbols with zero mass are dropped, and so are Y symbols that no
-    remaining X symbol reaches.  A source is refused unless X and Y each
-    keep at least 2 symbols.  Unlike a round trip through the joint, it
-    keeps the given bits: a binary symmetric channel stays symmetric."""
+    then restricted to their support: X symbols with zero mass are dropped,
+    and so are Y symbols that no remaining X symbol reaches.  The one place
+    a source is restricted, for a joint too (decompose_joint), and the one
+    place it is refused unless X and Y each keep at least 2 symbols.  Unlike
+    a round trip through the joint, it keeps the given bits: a binary
+    symmetric channel stays symmetric."""
     qv, channel = _as_source(q, T)
     keep = qv > 0.0
     if int(keep.sum()) < 2:
@@ -624,8 +631,8 @@ def joint_from_marginal_channel(
 def bsc_source(q: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """The marginal (1 - q, q) of a binary source and the binary symmetric
     channel with crossover probability delta, as arrays."""
-    q = _check_unit_interval(q, "q")
-    delta = _check_unit_interval(delta, "delta")
+    q = _check_range(q, "q")
+    delta = _check_range(delta, "delta")
     return np.array([1.0 - q, q]), np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
 
 

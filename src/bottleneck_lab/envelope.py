@@ -418,11 +418,6 @@ def _hull_simplices(lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray) -> np
     return ConvexHull(lifted, qhull_options="Qt QbB").simplices
 
 
-def _hull_faces(lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Atom sets of the lifted hull's m-vertex faces that box q."""
-    return _ridges_around(_hull_simplices(lattice, X, Y), lattice.counts, q * lattice.resolution)
-
-
 def _pivot_cap(points: int) -> int:
     """Most pivots one walk may take over a lattice of this many points,
     the opening pivots both chains share counted in each.  A walk visits
@@ -646,9 +641,10 @@ def region_slice(graph: LagrangianGraph) -> RegionSlice:
     slice keeps the hull's simplices (see RegionSlice.at).
     """
     lattice, K = graph.lattice, graph.lattice.size
+    X, Y = graph.x_values[:K], graph.y_values[:K]
     if lattice.m > 2:
-        return _slice(graph, _walk_faces)
-    return _cut_hull(graph, _hull_simplices(lattice, graph.x_values[:K], graph.y_values[:K]))
+        return _polygon(graph, _walk_faces(lattice, X, Y, graph.q))
+    return _cut_hull(graph, _hull_simplices(lattice, X, Y))
 
 
 def _cut_hull(graph: LagrangianGraph, simplices: np.ndarray) -> RegionSlice:
@@ -657,14 +653,6 @@ def _cut_hull(graph: LagrangianGraph, simplices: np.ndarray) -> RegionSlice:
     lattice = graph.lattice
     ridges = _ridges_around(simplices, lattice.counts, graph.q * lattice.resolution)
     return _polygon(graph, ridges, simplices)
-
-
-def _slice(graph: LagrangianGraph, faces) -> RegionSlice:
-    """region_slice with the lattice slice's candidate faces from
-    faces(lattice, X, Y, q), which returns their atom sets as rows of
-    lattice indices."""
-    K = graph.lattice.size
-    return _polygon(graph, faces(graph.lattice, graph.x_values[:K], graph.y_values[:K], graph.q))
 
 
 def _polygon(

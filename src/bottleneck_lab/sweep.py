@@ -126,7 +126,11 @@ class BoundaryPoint:
     x: float
     y: float
     witness: WitnessChannel
-    trivial: bool
+
+    @property
+    def trivial(self) -> bool:
+        """Whether the witness is a single atom, the marginal itself."""
+        return len(self.witness.atoms) == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,9 +278,7 @@ def _points(
         witness = WitnessChannel._prechecked(
             tuple((a, dists[j]) for a, j in zip(alphas, slots) if j >= 0), marginal
         )
-        out.append(
-            BoundaryPoint(lam=lam, x=x, y=y, witness=witness, trivial=len(witness.atoms) == 1)
-        )
+        out.append(BoundaryPoint(lam=lam, x=x, y=y, witness=witness))
     return tuple(out)
 
 
@@ -401,7 +403,7 @@ def matched_channel_invariance_check(
         ),
         marginal=_row_distributions(qv[None])[0],
     )
-    return BoundaryPoint(lam=point.lam, x=x, y=y, witness=witness, trivial=False)
+    return BoundaryPoint(lam=point.lam, x=x, y=y, witness=witness)
 
 
 # Problem -> {frame: kernel kind}; a problem's first frame is its default.

@@ -555,6 +555,58 @@ class TestDecomposeJoint:
         with pytest.raises(ValueError):
             decompose_joint(JointDistribution([[0.5, 0.5], [0.0, 0.0]]))
 
+    def test_restricts_through_restrict_source(self):
+        # Seeded joints with zero-mass X rows and all-zero Y columns, in C
+        # and F order: the joint door is the pair door on the conditionals,
+        # bit for bit in q, in T and in T's memory layout.
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(400):
+            m, n = (int(v) for v in rng.integers(2, 11, size=2))
+            p = rng.random((m, n)) ** 3
+            p[rng.random(m) < 0.3] = 0.0
+            p[:, rng.random(n) < 0.3] = 0.0
+            if rng.random() < 0.5:
+                p = np.asfortranarray(p)
+            if (p.sum(axis=1) > 0).sum() < 2 or (p.sum(axis=0) > 0).sum() < 2:
+                continue
+            joint = JointDistribution(p / p.sum())
+            px = joint.marginal_x()
+            keep = px > 0.0
+            q, T = decompose_joint(joint)
+            want_q, want_T = core.restrict_source(
+                px[keep], (joint.p_xy[keep] / px[keep][:, None]).T
+            )
+            assert q.probs.tobytes() == want_q.probs.tobytes()
+            assert T.matrix.shape == want_T.matrix.shape
+            assert T.matrix.strides == want_T.matrix.strides
+            assert T.matrix.tobytes("A") == want_T.matrix.tobytes("A")
+            checked += 1
+        assert checked > 300
+
+
+@pytest.mark.parametrize(
+    "joint, pair, match",
+    [
+        (
+            [[0.5, 0.5], [0.0, 0.0]],
+            ([1.0, 0.0], [[0.5, 0.2], [0.5, 0.8]]),
+            "^support of X must contain at least 2 symbols$",
+        ),
+        (
+            [[0.3, 0.0], [0.7, 0.0]],
+            ([0.3, 0.7], [[1.0, 1.0], [0.0, 0.0]]),
+            "^Y is constant: support of Y must contain at least 2 symbols$",
+        ),
+    ],
+    ids=["one-symbol-x", "constant-y"],
+)
+def test_both_doors_refuse_a_degenerate_source_alike(joint, pair, match):
+    with pytest.raises(ValueError, match=match):
+        decompose_joint(JointDistribution(joint))
+    with pytest.raises(ValueError, match=match):
+        core.restrict_source(*pair)
+
 
 class TestLoadJoint:
     def test_p_xy_form(self, tmp_path):

@@ -302,7 +302,7 @@ class TestEnvelopeGeneral:
                 assert abs(sign * lp.fun - env) <= 1e-9
 
 
-class TestEnvelopeGapAt:
+class TestSupportGapAtQ:
     """The gap between the objective and its envelope at q, read off the
     support point at slope lam: phi(q) - (y - lam * x)."""
 

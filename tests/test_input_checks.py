@@ -1,7 +1,7 @@
-"""Refusals of malformed input.  Marginals, channels, mixture weights and
-beta are checked by one helper each in core, so every entry point refuses
-a bad value with a ValueError that names it, and the CLI exits 2 on it
-where the CLI can reach it."""
+"""Refusals of malformed input.  Marginals, channels, mixture weights,
+beta and ranges are checked by one helper each in core, so every entry
+point refuses a bad value with a ValueError that names it, and the CLI
+exits 2 on it where the CLI can reach it."""
 
 import math
 import warnings
@@ -18,6 +18,7 @@ from bottleneck_lab import (
     arimoto_mrs_gerber,
     binary_entropy,
     binary_entropy_inv,
+    bsc_source,
     conditional_f_information,
     matched_channel_invariance_check,
     mr_gerber,
@@ -25,9 +26,10 @@ from bottleneck_lab import (
     oracle_boundary,
     oracle_exhaustive_binary,
     problem_curve,
+    star,
 )
 from bottleneck_lab.cli import EXIT_BAD_INPUT, main
-from bottleneck_lab.closed_forms import closed_form_table, mr_gerber_point
+from bottleneck_lab.closed_forms import closed_form_table, k_norm, mr_gerber_point
 from bottleneck_lab.core import mixture_weights
 from bottleneck_lab.envelope import SimplexLattice, build_lagrangian_graph, envelope_at
 from bottleneck_lab.oracle import OracleConfig
@@ -86,8 +88,7 @@ def test_matched_transport_refuses_a_witness_with_dependent_atoms():
     # marginal are not unique.
     gerber = mr_gerber_point(INST, 0.1)
     assert len(gerber.witness.atoms) == 3
-    point = BoundaryPoint(lam=math.nan, x=gerber.x, y=gerber.y, witness=gerber.witness,
-                          trivial=False)
+    point = BoundaryPoint(lam=math.nan, x=gerber.x, y=gerber.y, witness=gerber.witness)
     with pytest.raises(ValueError, match=r"^rows of P are affinely dependent: "):
         matched_channel_invariance_check(point, [0.89, 0.11], ENTROPY, ENTROPY, BSC)
 
@@ -232,9 +233,12 @@ def test_cli_beta_refusal_is_bad_input(tmp_path, capsys, args, got):
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda: mrs_gerber(INST, math.nan), "x = nan outside"),
-        (lambda: mr_gerber(INST, math.nan), "x = nan outside"),
-        (lambda: arimoto_mrs_gerber(BscInstance(0.4, 0.2), 2.0, math.nan), "p = nan outside"),
+        (lambda: mrs_gerber(INST, math.nan), r"^x must lie in \[0, 0\.46899\d*\], got nan$"),
+        (lambda: mr_gerber(INST, math.nan), r"^x must lie in \[0, 0\.46899\d*\], got nan$"),
+        (
+            lambda: arimoto_mrs_gerber(BscInstance(0.4, 0.2), 2.0, math.nan),
+            r"^p must lie in \[0, 0\.4\], got nan$",
+        ),
     ],
     ids=["mrs_gerber", "mr_gerber", "arimoto_mrs_gerber"],
 )
@@ -267,6 +271,37 @@ def test_an_array_is_refused_like_its_bad_entry(name, bad):
     with pytest.raises(ValueError) as within:
         fn(np.array([[0.05, 0.1], [bad, 0.2]]))
     assert str(within.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    "call, refused",
+    [
+        (lambda: mrs_gerber(INST, 1.5), "x must lie in [0, 0.4689955935892812], got 1.5"),
+        (lambda: mr_gerber(INST, -0.25), "x must lie in [0, 0.4689955935892812], got -0.25"),
+        # A batch names its bad entry's own top, h(0.4).
+        (
+            lambda: mrs_gerber(BscInstance(np.array([0.1, 0.4]), 0.1), np.array([0.2, 1.0])),
+            "x must lie in [0, 0.9709505944546686], got 1.0",
+        ),
+        (lambda: arimoto_mrs_gerber(ARIMOTO_INST, 3.0, 0.5), "p must lie in [0, 0.4], got 0.5"),
+        (lambda: k_norm(1.5, 2.0), "p must lie in [0, 1], got 1.5"),
+        (lambda: arimoto_mr_gerber(ARIMOTO_INST, 3.0, 1.5), "alpha must lie in [0, 1], got 1.5"),
+        (lambda: mr_gerber_point(INST, math.nan), "alpha must lie in [0, 1], got nan"),
+        (lambda: BscInstance(q=0.75, delta=0.1), "q must lie in [0, 0.5], got 0.75"),
+        (lambda: BscInstance(q=0.1, delta=-0.1), "delta must lie in [0, 0.5], got -0.1"),
+        (lambda: bsc_source(1.5, 0.1), "q must lie in [0, 1], got 1.5"),
+        (lambda: star(0.1, 2.0), "b must lie in [0, 1], got 2.0"),
+    ],
+    ids=[
+        "mrs_gerber", "mr_gerber", "mrs_gerber-batch", "arimoto_mrs_gerber", "k_norm",
+        "arimoto_mr_gerber", "mr_gerber_point", "BscInstance.q", "BscInstance.delta",
+        "bsc_source", "star",
+    ],
+)
+def test_range_refusals_share_one_message(call, refused):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == refused
 
 
 def test_array_functions_warn_nothing():

@@ -365,6 +365,17 @@ class TestMatchedChannels:
         matched_channel_invariance_check(point, [0.89, 0.11], ENTROPY, ENTROPY, INST.channel())
         assert slice_builds == []
 
+    def test_transported_point_is_trivial_when_its_witness_is_one_atom(self):
+        # At the vertex (0, 1) only the atom at that vertex keeps weight:
+        # the witness is the marginal itself, so the point is trivial.
+        point = bsc_point(ENTROPY, 0.3, "lower", resolution=64)
+        assert not point.trivial
+        moved = matched_channel_invariance_check(
+            point, [0.0, 1.0], ENTROPY, ENTROPY, INST.channel()
+        )
+        assert len(moved.witness.atoms) == 1 and moved.trivial
+        assert moved.witness.atoms[0][1].probs.tolist() == [0.0, 1.0]
+
     def test_same_marginal_recovers_point(self):
         point = bsc_point(ENTROPY, 0.3, "lower", resolution=512)
         moved = matched_channel_invariance_check(
@@ -853,10 +864,13 @@ def kernel_graph(kernel, q, T, lattice):
 
 def walk_and_hull(kernel, q, T, resolution):
     """The slice of one source from the simplex walk and from qhull."""
-    graph = kernel_graph(kernel, q, T, SimplexLattice.build(len(q), resolution))
+    lattice = SimplexLattice.build(len(q), resolution)
+    graph = kernel_graph(kernel, q, T, lattice)
+    K = lattice.size
+    X, Y = graph.x_values[:K], graph.y_values[:K]
     return (
-        envelope._slice(graph, envelope._walk_faces),
-        envelope._slice(graph, envelope._hull_faces),
+        envelope._polygon(graph, envelope._walk_faces(lattice, X, Y, graph.q)),
+        envelope._cut_hull(graph, envelope._hull_simplices(lattice, X, Y)),
     )
 
 
@@ -1102,13 +1116,11 @@ class TestHullSlice:
         # q (row K) in place of its lattice point.
         lattice = SimplexLattice.build(m, resolution)
 
-        def every_face(lattice, X, Y, q):
-            return np.array(list(combinations(range(lattice.size), lattice.m)))
-
+        every_face = np.array(list(combinations(range(lattice.size), lattice.m)))
         for seed in range(3):
             q, T = seeded_source(m, resolution, seed)
             graph = kernel_graph(kernel, q, T, lattice)
-            got, want = region_slice(graph), envelope._slice(graph, every_face)
+            got, want = region_slice(graph), envelope._polygon(graph, every_face)
             q_row = np.flatnonzero((lattice.points == q).all(axis=1))
             for direction in ("lower", "upper"):
                 a, b = got.chain(direction), want.chain(direction)
