@@ -180,7 +180,14 @@ class JointDistribution:
         # The pmf is checked as one probability vector of its m * n cells in
         # memory order, so the total and the layout are those of the input.
         order = "F" if mat.flags.f_contiguous else "C"
-        flat = _as_prob_rows(mat.reshape(1, -1, order=order), "p_xy")
+        cells = mat.reshape(1, -1, order=order)
+        flat = _as_prob_rows(cells, "p_xy")
+        if not flat.all():
+            # Its total skips the zero cells: numpy sums 8 or more entries
+            # pairwise, grouped by position, so zeros could move a last bit.
+            cells = np.clip(cells, 0.0, None)
+            flat = cells / cells[cells != 0.0].sum()
+            flat.setflags(write=False)
         object.__setattr__(self, "p_xy", flat.reshape(mat.shape, order=order))
 
     @property
@@ -192,7 +199,10 @@ class JointDistribution:
         return int(self.p_xy.shape[1])
 
     def marginal_x(self) -> np.ndarray:
-        return self.p_xy.sum(axis=1)
+        """P(X = x), summed over the Y symbols with mass, in the pmf's
+        layout: an all-zero column's zeros could move a last bit."""
+        reached = self.p_xy[:, self.p_xy.any(axis=0)]
+        return np.array(reached, order="F" if self.p_xy.flags.f_contiguous else "C").sum(axis=1)
 
     def marginal_y(self) -> np.ndarray:
         return self.p_xy.sum(axis=0)
@@ -598,20 +608,28 @@ def restrict_source(q, T) -> tuple[Distribution, Channel]:
     a source is restricted, for a joint too (decompose_joint), and the one
     place it is refused unless X and Y each keep at least 2 symbols.  Unlike
     a round trip through the joint, it keeps the given bits: a binary
-    symmetric channel stays symmetric."""
+    symmetric channel stays symmetric.  The input is checked whole, before
+    anything is dropped."""
     qv, channel = _as_source(q, T)
     keep = qv > 0.0
     if int(keep.sum()) < 2:
         raise ValueError("support of X must contain at least 2 symbols")
-    matrix = channel.matrix
-    used = (matrix[:, keep] > 0.0).any(axis=1)
+    used = (channel.matrix[:, keep] > 0.0).any(axis=1)
     if int(used.sum()) < 2:
         raise ValueError("Y is constant: support of Y must contain at least 2 symbols")
+    # A channel given as an array is normalized over the Y symbols it keeps,
+    # in its own layout: numpy sums 8 or more entries pairwise, grouped by
+    # position, so the zeros of a dropped symbol could move a last bit.
+    renormalize = not used.all() and not isinstance(T, Channel)
+    matrix = np.array(T, dtype=float) if renormalize else channel.matrix
+    order = "F" if matrix.flags.f_contiguous else "C"
     if not keep.all():
         qv, matrix = qv[keep], matrix[:, keep]
     if not used.all():
         matrix = matrix[used]
-    if matrix is not channel.matrix:
+    if renormalize:
+        channel = Channel(np.array(matrix, order=order))
+    elif matrix is not channel.matrix:
         # The kept columns lose only zero entries, so they stay normalized;
         # the Channel constructor would divide them again.
         channel = object.__new__(Channel)

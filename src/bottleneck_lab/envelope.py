@@ -440,7 +440,10 @@ def _pivot(
     elimination; every later one comes from this update."""
     ur, top = u[r], adj[r]
     new = []
-    for row, ui in zip(adj, u):
+    for i, (row, ui) in enumerate(zip(adj, u)):
+        if i == r:
+            new.append(top)
+            continue
         out = []
         for a, b in zip(row, top):
             quot, rem = divmod(ur * a - ui * b, det)
@@ -448,27 +451,30 @@ def _pivot(
                 raise RuntimeError(f"basis adjugate is not exact (determinant {det})")
             out.append(quot)
         new.append(out)
-    new[r] = top
     return new, ur
 
 
 def _lex_leaving(adj: list[list[int]], rhs: list[int], u: list[int]) -> int:
     """Lexicographic ratio test: the row r with u[r] > 0 whose row of
-    [weights, B^-1 B_0] / u[r] is smallest, compared exactly in integers
-    (each key scaled by prod(u) / u[r]).  Rows of B^-1 B_0 are independent,
-    so the minimum is unique, and degenerate pivots cannot cycle.  B_0 is
-    the start basis N J (see _x_phase), so row i of adj B_0 is N times adj[i]
-    reversed; the keys drop that common factor, and are built only when
-    the weight ratios tie exactly."""
+    [weights, B^-1 B_0] / u[r] is smallest, compared exactly in integers.
+    Rows of B^-1 B_0 are independent, so the minimum is unique, and
+    degenerate pivots cannot cycle.  The weight ratios w[i] / u[i] compare
+    by cross-multiplication.  B_0 is the start basis N J (see _x_phase), so
+    row i of adj B_0 is N times adj[i] reversed; the rest of the key drops
+    that common factor, and is built (scaled by the tied rows' prod(u) /
+    u[i]) only for rows whose weight ratios tie exactly."""
     rows = [i for i, ui in enumerate(u) if ui > 0]
     if len(rows) == 1:
         return rows[0]
-    scale = math.prod(u[i] for i in rows)
-    first = {i: _dot(adj[i], rhs) * (scale // u[i]) for i in rows}
-    least = min(first.values())
-    tied = [i for i in rows if first[i] == least]
+    w = {i: _dot(adj[i], rhs) for i in rows}
+    best = rows[0]
+    for i in rows[1:]:
+        if w[i] * u[best] < w[best] * u[i]:
+            best = i
+    tied = [i for i in rows if w[i] * u[best] == w[best] * u[i]]
     if len(tied) == 1:
         return tied[0]
+    scale = math.prod(u[i] for i in tied)
     return min(tied, key=lambda i: [a * (scale // u[i]) for a in reversed(adj[i])])
 
 
@@ -493,26 +499,26 @@ class _SliceLP:
 
 
 def _price(
-    lp: _SliceLP, XY: np.ndarray, basis: list[int], adj: list[list[int]], det: int, out: np.ndarray
+    lp: _SliceLP, XY: np.ndarray, XYB: np.ndarray, adj: list[list[int]], det: int, out: np.ndarray
 ) -> None:
     """Reduced costs of the rows of XY at the basis, written to out: XY
-    less one product of the 2 x m multipliers XY_B adj / det with lp.CT.
-    Each row is rounded alike whatever the other row holds."""
-    np.dot(XY[:, basis] @ (np.array(adj, dtype=float) / det), lp.CT, out=out)
+    less one product of the 2 x m multipliers XYB adj / det with lp.CT,
+    XYB being XY's basis columns.  Each row is rounded alike whatever the
+    other row holds."""
+    np.dot(XYB @ (np.array(adj, dtype=float) / det), lp.CT, out=out)
     np.subtract(XY, out, out=out)
 
 
 def _enter(
-    lp: _SliceLP, basis: list[int], adj: list[list[int]], det: int, j: int
-) -> tuple[list[list[int]], int]:
-    """Pivot column j into the basis, in place, with the lexicographic
-    ratio test choosing the row it replaces; returns the new adjugate and
-    determinant."""
+    lp: _SliceLP, adj: list[list[int]], det: int, j: int
+) -> tuple[list[list[int]], int, int]:
+    """Pivot column j into the basis, with the lexicographic ratio test
+    choosing the row r it replaces; returns the new adjugate and
+    determinant, and r."""
     entering = lp.counts[j].tolist()
     u = [_dot(row, entering) for row in adj]
     r = _lex_leaving(adj, lp.rhs, u)
-    basis[r] = j
-    return _pivot(adj, det, u, r)
+    return *_pivot(adj, det, u, r), r
 
 
 def _x_phase(
@@ -528,17 +534,18 @@ def _x_phase(
     its determinant N^m in closed form.  Returns the basis, its adjugate
     and determinant, and the number of pivots taken."""
     m, N = len(start), int(lp.counts[start[0]].sum())
-    basis = list(start)
+    basis, XYB = list(start), XY[:, start]
     adj = [[N ** (m - 1) if i + k == m - 1 else 0 for k in range(m)] for i in range(m)]
     det = N**m
     reduced = np.empty_like(XY)
     dX = reduced[0]
     for pivots in range(lp.cap + 1):
-        _price(lp, XY, basis, adj, det, reduced)
+        _price(lp, XY, XYB, adj, det, reduced)
         j = int(dX.argmin())
-        if dX[j] >= -lp.tol:
+        if dX.item(j) >= -lp.tol:
             return basis, adj, det, pivots
-        adj, det = _enter(lp, basis, adj, det, j)
+        adj, det, r = _enter(lp, adj, det, j)
+        basis[r], XYB[:, r] = j, XY[:, j]
     raise lp.too_many_pivots()
 
 
@@ -564,39 +571,44 @@ def _walk(
     Python integers, so there is no int64 ceiling on them; each pivot
     updates them in O(m^2) integer operations (_pivot).  Pricing reads
     the adjugate as floats: one product over the lattice per pivot
-    (_price).  The opening pivots count against the cap as if this walk
-    had taken them itself.
+    (_price), with XY's basis columns in a 2 x m block that each pivot
+    updates in place.  The opening pivots count against the cap as if this
+    walk had taken them itself.
     """
     basis, adj, det, pivots = opening
-    basis = list(basis)
+    basis, XYB = list(basis), XY[:, basis]
     tol, brk = lp.tol, lp.brk
     reduced, ratios = np.empty_like(XY), np.empty(XY.shape[1])
+    rising = np.empty(XY.shape[1], dtype=bool)
     dX, dY = reduced
     lam = -math.inf
     vertices = []
     for _ in range(lp.cap + 1 - pivots):
-        _price(lp, XY, basis, adj, det, reduced)
+        _price(lp, XY, XYB, adj, det, reduced)
         j = -1
         if lam == -math.inf:
             # Lexicographic (X, Y) pricing until the basis is optimal.
             j = int(dX.argmin())
-            if dX[j] >= -tol:
+            if dX.item(j) >= -tol:
                 flat = (dX <= tol) & (dY < -tol)
                 j = int(np.where(flat, dY, np.inf).argmin()) if flat.any() else -1
         if j < 0:
             # Breakpoints of the columns with dX > tol, inf elsewhere: an
             # infinite least one means no column rises and lam ends here.
             ratios.fill(np.inf)
-            np.divide(dY, dX, out=ratios, where=dX > tol)
+            np.greater(dX, tol, out=rising)
+            np.divide(dY, dX, out=ratios, where=rising)
             j = int(ratios.argmin())
-            if ratios[j] == np.inf:
+            ratio = ratios.item(j)
+            if ratio == math.inf:
                 vertices.append(list(basis))
                 return vertices
             # Optimal from lam up to a later breakpoint: a vertex.
-            if lam == -math.inf or dY[j] - lam * dX[j] > brk:
+            if lam == -math.inf or dY.item(j) - lam * dX.item(j) > brk:
                 vertices.append(list(basis))
-            lam = max(lam, float(ratios[j]))
-        adj, det = _enter(lp, basis, adj, det, j)
+            lam = max(lam, ratio)
+        adj, det, r = _enter(lp, adj, det, j)
+        basis[r], XYB[:, r] = j, XY[:, j]
     raise lp.too_many_pivots()
 
 

@@ -9,7 +9,9 @@ alphabet alone (|W| <= |X| + 1, Witsenhausen & Wyner):
   combination of two-atom witnesses straddling it, so both entry points
   read the best point of the hull of that pair cloud, which is exhaustive
   over the grid: the hull chain's extreme vertex, or its value at the
-  target;
+  target.  The chain reads a large cloud in two passes: a coarse chain
+  through cloud points first, then only the points not above it, which
+  cannot be vertices as they lie above a chord (see _hull_indices);
 - ternary: _RESTARTS fixed seeded sets of m + 1 random grid atoms, every
   m-atom subset of each set weighed, plus the single atom q and the
   alphabet vertices weighted by q.  A mixture at q of m + 1 atoms is also a
@@ -24,6 +26,7 @@ where a closed form exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -77,14 +80,12 @@ def _feasible(x: float, x_target: float, direction: str) -> bool:
     return x >= x_target - _FEAS_EPS
 
 
-def _hull_indices(xs: np.ndarray, ys: np.ndarray, direction: str) -> list[int]:
-    order = np.lexsort((ys if direction == "lower" else -ys, xs))
-    sign = 1.0 if direction == "lower" else -1.0
-    # Zero-copy views: an item is a Python float (int), so the chain does
-    # the same double arithmetic as on numpy scalars without their cost.
-    xv, yv = memoryview(xs), memoryview(ys)
+def _chain(xv, yv, order, sign: float) -> list[int]:
+    """Andrew's monotone chain over the cloud points in order, sorted by x
+    and then by sign * y: the lower chain of (x, sign * y).  A point within
+    1e-15 of the last kept point's x is skipped."""
     hull: list[int] = []
-    for i in memoryview(order):
+    for i in order:
         xi, yi = xv[i], yv[i]
         if hull and abs(xi - xv[hull[-1]]) <= 1e-15:
             continue
@@ -98,6 +99,40 @@ def _hull_indices(xs: np.ndarray, ys: np.ndarray, direction: str) -> list[int]:
                 break
         hull.append(i)
     return hull
+
+
+def _hull_indices(xs: np.ndarray, ys: np.ndarray, direction: str) -> list[int]:
+    """The cloud's lower (upper) hull chain as _chain gives it over every
+    point, read in two passes from 64 points on.  Sorted points within the
+    skip width of a neighbour form tie runs.  The first pass chains the
+    first point and, of the points outside tie runs, the last and the
+    lowest (by sign * y) of each block of isqrt(n): points the skip rule
+    never drops.  A point above that chain lies above a chord of two points
+    the full chain reads, so it is no vertex.  The second pass reads the
+    points at most 1e-9 max|y| above it and every tie-run point: what the
+    skip rule drops in a run depends on the run alone."""
+    sign = 1.0 if direction == "lower" else -1.0
+    sy = sign * ys
+    order = np.lexsort((sy, xs))
+    # Zero-copy views: an item is a Python float (int), so the chain does
+    # the same double arithmetic as on numpy scalars without their cost.
+    xv, yv = memoryview(xs), memoryview(ys)
+    n, fp = order.size, np.finfo(float)
+    ymax = float(np.abs(ys).max()) if n else 0.0
+    # The margin needs cross products (x by y differences) that neither
+    # overflow nor underflow for differences down to one ulp.
+    if n < 64 or not fp.tiny / fp.eps**2 < float(np.abs(xs).max()) * ymax < fp.max / 8:
+        return _chain(xv, yv, memoryview(order), sign)
+    sx, sy = xs[order], sy[order]
+    near = np.diff(sx) <= 1e-15
+    run = np.append(near, False) | np.insert(near, 0, False)
+    free, b = np.flatnonzero(~run), math.isqrt(n)
+    key = np.full(-(-free.size // b) * b, np.inf)
+    key[: free.size] = sy[free]
+    low = free[key.reshape(-1, b).argmin(axis=1) + np.arange(0, key.size, b)]
+    coarse = _chain(xv, yv, memoryview(order[np.unique(np.r_[0, low, free[-1:]])]), sign)
+    bound = np.interp(sx, xs[coarse], sign * ys[coarse]) + 1e-9 * ymax
+    return _chain(xv, yv, memoryview(order[run | ~(sy > bound)]), sign)
 
 
 def _reduce_mixture(

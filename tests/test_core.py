@@ -546,6 +546,35 @@ class TestDecomposeJoint:
         assert T.matrix.tolist() == want_T.matrix.tolist()
         assert q.probs.tolist() == want_q.probs.tolist()
 
+    @pytest.mark.parametrize("form", ["p_xy", "q-T"])
+    def test_zero_column_moves_no_bit(self, form):
+        # n = 8 to 10: numpy sums 8 or more entries pairwise, grouped by
+        # position, so an all-zero Y symbol would move last bits if its
+        # zeros entered a sum.  Dropping it gives the q and T of the source
+        # without it, in value and in layout.
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            m, n = int(rng.integers(3, 6)), int(rng.integers(8, 11))
+            col = int(rng.integers(0, n + 1))
+            if form == "p_xy":
+                p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+                p[rng.random(m) < 0.2] = 0.0
+                p /= p.sum()
+                without = {"p_xy": p.tolist()}
+                with_zero = {"p_xy": np.insert(p, col, 0.0, axis=1).tolist()}
+            else:
+                q, T = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n), size=m).T
+                without = {"q": q.tolist(), "T": T.tolist()}
+                with_zero = {"q": q.tolist(), "T": np.insert(T, col, 0.0, axis=0).tolist()}
+            try:
+                q0, T0 = core.load_source(without)
+            except ValueError:  # fewer than 2 X symbols with mass
+                continue
+            q1, T1 = core.load_source(with_zero)
+            assert q1.probs.tobytes() == q0.probs.tobytes()
+            assert T1.matrix.strides == T0.matrix.strides
+            assert T1.matrix.tobytes("A") == T0.matrix.tobytes("A")
+
     @pytest.mark.parametrize("p", [[[0.3, 0.0], [0.7, 0.0]], [[0.0, 0.4, 0.0], [0.0, 0.6, 0.0]]])
     def test_constant_y_rejected(self, p):
         with pytest.raises(ValueError, match="^Y is constant"):

@@ -17,6 +17,7 @@ from bottleneck_lab import (
     oracle_boundary,
     oracle_exhaustive_binary,
 )
+from bottleneck_lab import oracle
 from bottleneck_lab.core import LN2, Channel
 from bottleneck_lab.oracle import (
     OracleConfig,
@@ -171,6 +172,34 @@ def adversarial_clouds():
     yield np.array([0.25]), np.array([-1.0])
 
 
+def large_clouds():
+    """Clouds of at least 10 000 points, so that the chain takes two passes
+    wherever its arithmetic allows: each a name and its (xs, ys)."""
+    rng = np.random.default_rng(29)
+    xs = np.sort(rng.random(10_000))
+    ys = (xs - 0.5) ** 2 + 0.1 * rng.random(xs.size)
+    # Pairs 5e-16 apart in x, one point of each 0.05 below the hull: the
+    # chain skips the second point of a pair, whichever is lower.
+    pick = np.sort(rng.choice(xs.size, 300, replace=False))
+    pair_x = np.concatenate([xs, xs[pick] + 5e-16])
+    high, low = ys[pick] + 0.05, (xs[pick] - 0.5) ** 2 - 0.05
+    yield "pair-high-first", (pair_x, np.concatenate([_with(ys, pick, high), low]))
+    yield "pair-low-first", (pair_x, np.concatenate([_with(ys, pick, low), high]))
+    yield "collinear-runs", (xs, np.abs(xs - 0.5) + np.where(rng.random(xs.size) < 0.5, 0.0, 0.2))
+    yield "repeated", (np.tile(xs[::4], 4), np.tile(ys[::4], 4))
+    yield "constant-y", (xs, np.full(xs.size, 0.25))
+    # Near the least float: y of 2**-900 still takes two passes, a
+    # subnormal y (a few significant bits) takes one.
+    yield "y-2^-900", (xs, ys * 2.0**-900)
+    yield "subnormal-y", (xs, ys * 2.0**-1064)
+
+
+def _with(ys, pick, values):
+    out = ys.copy()
+    out[pick] = values
+    return out
+
+
 class TestHullIndices:
     @pytest.mark.parametrize("direction", ["lower", "upper"])
     @pytest.mark.parametrize("kernel", [ENTROPY, CHI2], ids=["entropy", "chi2"])
@@ -187,6 +216,30 @@ class TestHullIndices:
     def test_adversarial_clouds_match_scalar_loop(self, direction):
         for xs, ys in adversarial_clouds():
             assert _hull_indices(xs, ys, direction) == scalar_hull_indices(xs, ys, direction)
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("cloud", [pytest.param(c, id=name) for name, c in large_clouds()])
+    def test_large_clouds_match_scalar_loop(self, cloud, direction):
+        xs, ys = cloud
+        assert xs.size >= 10_000
+        assert _hull_indices(xs, ys, direction) == scalar_hull_indices(xs, ys, direction)
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_second_pass_reads_few_of_a4_entropy_clouds(self, direction, monkeypatch):
+        reads = []
+        real = oracle._chain
+
+        def counting(xv, yv, order, sign):
+            reads.append(len(order))
+            return real(xv, yv, order, sign)
+
+        monkeypatch.setattr(oracle, "_chain", counting)
+        channel = INST.channel()
+        f_fn, g_fn = _resolve_pair(ENTROPY, ENTROPY, INST.marginal().probs, channel)
+        cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, INST.q, 512)
+        _hull_indices(cloud.xs, cloud.ys, direction)
+        assert len(reads) == 2
+        assert reads[1] < 0.05 * cloud.xs.size
 
 
 each_source = pytest.mark.parametrize(

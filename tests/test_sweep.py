@@ -3,9 +3,10 @@ import dataclasses
 import io
 import importlib
 import math
+import random
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -1261,6 +1262,38 @@ class TestHullSlice:
             for row, c in zip(B, column):
                 row[r] = c
             assert (adj, det) == fraction_adjugate(B)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_lex_leaving_equals_fraction_reference(self, m):
+        # Random integer adjugates, half with first keys forced to tie and
+        # half with entries past 2**63: the row chosen is the one whose key
+        # [w_i, reversed adj[i]] / u[i] is least in fractions.
+        rnd = random.Random(m)
+        ties = big = 0
+        for case in range(600):
+            top = 2**80 if case % 2 else 50
+            draw = lambda size: [rnd.randrange(-top, top) for _ in range(size)]
+            adj = [draw(m) for _ in range(m)]
+            rhs = [rnd.randrange(1, top) for _ in range(m)]
+            u = draw(m)
+            u[0] = abs(u[0]) + 1
+            if case % 4 < 2:
+                # Row k = t row 0 + v with v . rhs = 0: the same weight ratio.
+                k, t, c = rnd.randrange(1, m), rnd.randrange(1, 4), rnd.randrange(-top, top)
+                v = [rhs[1] * c, -rhs[0] * c] + [0] * (m - 2)
+                adj[k] = [t * a + b for a, b in zip(adj[0], v)]
+                u[k] = t * u[0]
+            rows = [i for i in range(m) if u[i] > 0]
+            keys = {
+                i: [Fraction(sum(a * b for a, b in zip(adj[i], rhs)), u[i])]
+                + [Fraction(a, u[i]) for a in reversed(adj[i])]
+                for i in rows
+            }
+            want = min(rows, key=keys.get)
+            assert envelope._lex_leaving(adj, rhs, u) == want
+            ties += sum(keys[i][0] == keys[want][0] for i in rows) > 1
+            big += max(abs(a) for a in chain(*adj)) > 2**63
+        assert ties >= 100 and big >= 250
 
     def test_walk_pivots_stay_under_cap(self, monkeypatch):
         # The smallest lattices need the most pivots per point; every chain
