@@ -35,6 +35,7 @@ from .oracle import oracle_exhaustive_binary
 from .sweep import (
     BoundaryCurve,
     BoundarySlice,
+    _points,
     _resolve_pair,
     matched_channel_invariance_check,
     slice_point,
@@ -203,21 +204,28 @@ def check_matched(n_points: int = 10, resolution: int = GATE_RESOLUTION) -> Chec
     curve = sweep(base, "lower")
     q0 = float(curve.marginal.probs[1])
     margin = MATCHED_PERTURBATION + 0.005
-    candidates = [
-        p
-        for p in curve.points
-        if not p.trivial
-        and math.isfinite(p.lam)
-        and len(p.witness.atoms) == 2
-        and min(a.probs[1] for _, a in p.witness.atoms) < q0 - margin
-        and max(a.probs[1] for _, a in p.witness.atoms) > q0 + margin
-    ]
+    # Two-atom points at a finite slope whose atoms straddle q0 by more
+    # than the margin, read off the curve's arrays (-1 slots are masked).
+    used = curve.atoms >= 0
+    p1 = curve.rows[curve.atoms, 1]
+    lo = np.where(used, p1, np.inf).min(axis=1)
+    hi = np.where(used, p1, -np.inf).max(axis=1)
+    candidates = np.flatnonzero(
+        (used.sum(axis=1) == 2) & np.isfinite(curve.lams) & (lo < q0 - margin) & (hi > q0 + margin)
+    )
     if len(candidates) < n_points:
         return CheckResult(
             "A5 matched-channel invariance", False, math.inf, 5e-3,
             f"only {len(candidates)} usable non-trivial points, N={resolution}",
         )
-    picks = [candidates[i] for i in np.linspace(0, len(candidates) - 1, n_points).astype(int)]
+    # Only the picked points are built.  Each fills both slots of a binary
+    # witness, so its atoms index the rows they use.
+    index = candidates[np.linspace(0, len(candidates) - 1, n_points).astype(int)]
+    ids, slots = np.unique(curve.atoms[index], return_inverse=True)
+    picks = _points(
+        curve.lams[index], curve.xs[index], curve.ys[index], slots.reshape(-1, 2),
+        curve.weights[index], curve.rows[ids], curve.marginal,
+    )
     tol = 5e-3
     worst = 0.0
     atom_mismatch = 0
@@ -340,8 +348,10 @@ def run_property_suite(n_seeds: int = PROPERTY_SEEDS) -> list[str]:
         if len(point.witness.atoms) > m + 1:
             violations.append(f"seed {seed}: witness has {len(point.witness.atoms)} atoms")
         f_fn, g_fn = _resolve_pair(kernel, kernel, graph.q, channel)
-        x_re = point.witness.expectation(f_fn)
-        y_re = point.witness.expectation(lambda P: g_fn(P @ channel.matrix.T))
+        # WitnessChannel.expectation's arithmetic, its atoms read once.
+        P, w = point.witness.conditionals(), point.witness.weights()
+        x_re = float(w @ np.asarray(f_fn(P), dtype=float))
+        y_re = float(w @ np.asarray(g_fn(P @ channel.matrix.T), dtype=float))
         if abs(x_re - point.x) > 1e-9 or abs(y_re - point.y) > 1e-9:
             violations.append(f"seed {seed}: witness does not reproduce its point")
         support_line = point.y - lam * point.x

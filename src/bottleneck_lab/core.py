@@ -624,15 +624,22 @@ def restrict_source(q, T) -> tuple[Distribution, Channel]:
     matrix = np.array(T, dtype=float) if renormalize else channel.matrix
     order = "F" if matrix.flags.f_contiguous else "C"
     if not keep.all():
-        qv, matrix = qv[keep], matrix[:, keep]
+        # So is q over the X symbols it keeps, unless it came normalized.
+        if isinstance(q, Distribution):
+            qv = qv[keep]
+        else:
+            qv = _as_prob_vector(np.asarray(q, dtype=float)[keep], "q")
+        matrix = matrix[:, keep]
     if not used.all():
         matrix = matrix[used]
     if renormalize:
         channel = Channel(np.array(matrix, order=order))
     elif matrix is not channel.matrix:
         # The kept columns lose only zero entries, so they stay normalized;
-        # the Channel constructor would divide them again.
+        # the Channel constructor would divide them again.  Indexing can
+        # change the layout, and the layout can move curve bits.
         channel = object.__new__(Channel)
+        matrix = np.array(matrix, order=order)
         matrix.setflags(write=False)
         object.__setattr__(channel, "matrix", matrix)
     return _row_distributions(qv[None])[0], channel

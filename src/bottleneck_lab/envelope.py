@@ -37,7 +37,8 @@ envelope_at keeps the per-slope view: the lower convex (upper concave)
 envelope of g(Tp) - lambda * f(p) over the lattice, read at q only and
 clipped by its value at q.  Its value is each chain's support function at
 lambda, so the property suite checks the slice against it as an
-independent reference.
+independent reference: for m = 2 the least chord over the lattice pairs
+straddling q, by brute force, and for m >= 3 one qhull hull.
 """
 
 from __future__ import annotations
@@ -226,17 +227,30 @@ def envelope_at(
     lattice: SimplexLattice, values: np.ndarray, q: np.ndarray, q_value: float, direction: str
 ) -> float:
     """Lower convex (upper concave) envelope at q of values over the
-    lattice and of q_value at q itself.
+    lattice and of q_value at q itself; the single atom q caps it at
+    q_value.
 
-    One hull of the lifted points (p_1..p_{m-1}, ±values): the lattice
-    envelope at q is the highest of its downward-facing facet planes there,
-    and the single atom q caps it at q_value.  A degenerate (affine) graph
-    is its own envelope, read at q through the alphabet vertices.
+    m = 2: two atoms straddling q suffice (Caratheodory in one dimension),
+    so the lattice envelope is the least chord at q N over the count pairs
+    t_i <= q N <= t_j, a pair with t_i = t_j weighing its point alone.  The
+    scan is quadratic in the lattice, which suits its callers: A7 (N = 64,
+    about a thousand pairs) and the tests.
+    m >= 3: one hull of the lifted points (p_1..p_{m-1}, ±values): the
+    lattice envelope at q is the highest of its downward-facing facet
+    planes there.  A degenerate (affine) graph is its own envelope, read at
+    q through the alphabet vertices.
     """
     sign = 1.0 if _check_direction(direction) == "lower" else -1.0
-    coords = lattice.points[:, : lattice.m - 1]
     signed = sign * np.asarray(values, dtype=float)
     q = _as_prob_vector(q, "q", rescale=False)
+    if lattice.m == 2:
+        t, qn = lattice.counts[:, 0], float(q[0]) * lattice.resolution
+        lo, hi = np.flatnonzero(t <= qn), np.flatnonzero(t >= qn)
+        span = (t[hi] - t[lo][:, None]).astype(float)
+        w = np.divide(t[hi] - qn, span, out=np.ones_like(span), where=span > 0)
+        best = float((w * signed[lo][:, None] + (1.0 - w) * signed[hi]).min())
+        return sign * min(best, sign * float(q_value))
+    coords = lattice.points[:, : lattice.m - 1]
     try:
         planes = ConvexHull(np.column_stack([coords, signed]), qhull_options="Qt").equations
     except QhullError:
@@ -462,16 +476,16 @@ def _lex_leaving(adj: list[list[int]], rhs: list[int], u: list[int]) -> int:
     by cross-multiplication.  B_0 is the start basis N J (see _x_phase), so
     row i of adj B_0 is N times adj[i] reversed; the rest of the key drops
     that common factor, and is built (scaled by the tied rows' prod(u) /
-    u[i]) only for rows whose weight ratios tie exactly."""
-    rows = [i for i, ui in enumerate(u) if ui > 0]
-    if len(rows) == 1:
-        return rows[0]
-    w = {i: _dot(adj[i], rhs) for i in rows}
-    best = rows[0]
-    for i in rows[1:]:
-        if w[i] * u[best] < w[best] * u[i]:
-            best = i
-    tied = [i for i in rows if w[i] * u[best] == w[best] * u[i]]
+    u[i]) only for rows whose weight ratios tie exactly.  One pass weighs
+    each eligible row and keeps the rows tied at the least ratio so far."""
+    tied: list[int] = []
+    for i, ui in enumerate(u):
+        if ui > 0:
+            wi = _dot(adj[i], rhs)
+            if not tied or wi * ub < wb * ui:
+                tied, wb, ub = [i], wi, ui
+            elif wi * ub == wb * ui:
+                tied.append(i)
     if len(tied) == 1:
         return tied[0]
     scale = math.prod(u[i] for i in tied)

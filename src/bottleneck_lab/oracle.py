@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -64,14 +65,26 @@ class OracleConfig:
 
 @dataclass(frozen=True, eq=False)
 class OraclePoint:
-    """Best feasible objective found at one x target."""
+    """Best feasible objective found at one x target.  It keeps the atoms
+    P, weights w and marginal found; witness, the checked WitnessChannel of
+    them, is built on first read (A4 reads best_y alone)."""
 
     x_target: float
     direction: str
     best_y: float
-    witness: WitnessChannel
     feasible: bool
     x_achieved: float
+    P: np.ndarray
+    w: np.ndarray
+    marginal: np.ndarray
+
+    @cached_property
+    def witness(self) -> WitnessChannel:
+        """The witness of weights w on the rows of P at the marginal."""
+        atoms = tuple(
+            (float(a), Distribution(row)) for a, row in zip(self.w, self.P) if a > 1e-13
+        )
+        return WitnessChannel(atoms=atoms, marginal=_row_distributions(self.marginal[None])[0])
 
 
 def _feasible(x: float, x_target: float, direction: str) -> bool:
@@ -83,21 +96,27 @@ def _feasible(x: float, x_target: float, direction: str) -> bool:
 def _chain(xv, yv, order, sign: float) -> list[int]:
     """Andrew's monotone chain over the cloud points in order, sorted by x
     and then by sign * y: the lower chain of (x, sign * y).  A point within
-    1e-15 of the last kept point's x is skipped."""
+    1e-15 of the last kept point's x is skipped.  The kept points' x and y
+    stay in lists beside their indices, so a turn test reads no index."""
     hull: list[int] = []
+    hx: list[float] = []
+    hy: list[float] = []
     for i in order:
         xi, yi = xv[i], yv[i]
-        if hull and abs(xi - xv[hull[-1]]) <= 1e-15:
+        if hull and abs(xi - hx[-1]) <= 1e-15:
             continue
         while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            xa, ya = xv[a], yv[a]
-            cross = (xv[b] - xa) * sign * (yi - ya) - sign * (yv[b] - ya) * (xi - xa)
+            xa, ya = hx[-2], hy[-2]
+            cross = (hx[-1] - xa) * sign * (yi - ya) - sign * (hy[-1] - ya) * (xi - xa)
             if cross <= 0.0:
                 hull.pop()
+                hx.pop()
+                hy.pop()
             else:
                 break
         hull.append(i)
+        hx.append(xi)
+        hy.append(yi)
     return hull
 
 
@@ -177,14 +196,6 @@ def _reduce_mixture(
     return P, w, fvals, gvals
 
 
-def _witness_from(P: np.ndarray, w: np.ndarray, marginal: np.ndarray) -> WitnessChannel:
-    """The witness of weights w on the rows of P at the checked marginal."""
-    atoms = tuple(
-        (float(a), Distribution(row)) for a, row in zip(w, P) if a > 1e-13
-    )
-    return WitnessChannel(atoms=atoms, marginal=_row_distributions(marginal[None])[0])
-
-
 class _BinaryCloud:
     """The achievable set of every mixture of scalar grid atoms with mean q,
     for a binary source: the convex hull of the cloud of two-atom witnesses
@@ -255,9 +266,11 @@ def _point(
         x_target=x_target,
         direction=direction,
         best_y=float(y),
-        witness=_witness_from(P, w, marginal),
         feasible=best is not None,
         x_achieved=x,
+        P=P,
+        w=w,
+        marginal=marginal,
     )
 
 

@@ -221,6 +221,25 @@ class TestCurveCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_zero_mass_x_symbol_keeps_the_curve_bits(self, tmp_path):
+        # Nine X symbols, one with no mass: the curve CSV is the one of the
+        # eight-symbol source without it, byte for byte (as in CI).
+        full = {
+            "q": [0.119, 0.096, 0.092, 0.1, 0.106, 0.112, 0.136, 0.0, 0.239],
+            "T": [[0.3, 0.26, 0.36, 0.37, 0.25, 0.32, 0.39, 0.26, 0.34],
+                  [0.35, 0.39, 0.34, 0.32, 0.35, 0.34, 0.24, 0.34, 0.3],
+                  [0.35, 0.35, 0.3, 0.31, 0.4, 0.34, 0.37, 0.4, 0.36]],
+        }
+        kept = {"q": full["q"][:7] + full["q"][8:], "T": [row[:7] + row[8:] for row in full["T"]]}
+        outputs = []
+        for name, payload in (("full", full), ("kept", kept)):
+            out = tmp_path / f"{name}.csv"
+            code = main(["curve", *source_args(tmp_path, payload, name), "--problem", "ib",
+                         "--resolution", "4", "--output", str(out)])
+            assert code == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize(
         "source, match",
         [

@@ -575,6 +575,25 @@ class TestDecomposeJoint:
             assert T1.matrix.strides == T0.matrix.strides
             assert T1.matrix.tobytes("A") == T0.matrix.tobytes("A")
 
+    def test_zero_mass_x_symbol_moves_no_bit(self):
+        # m = 8 to 10 with one zero-mass X symbol: q is normalized over the
+        # symbols it keeps, and T keeps its layout when that symbol's column
+        # goes, so the pair gives the q and T of the pair without it.
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            m, n = int(rng.integers(8, 11)), int(rng.integers(2, 6))
+            col = int(rng.integers(0, m))
+            q, T = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n), size=m).T
+            q[col] = 0.0
+            q /= q.sum()
+            q1, T1 = core.load_source({"q": q.tolist(), "T": T.tolist()})
+            q0, T0 = core.load_source(
+                {"q": np.delete(q, col).tolist(), "T": np.delete(T, col, axis=1).tolist()}
+            )
+            assert q1.probs.tobytes() == q0.probs.tobytes()
+            assert T1.matrix.strides == T0.matrix.strides
+            assert T1.matrix.tobytes("A") == T0.matrix.tobytes("A")
+
     @pytest.mark.parametrize("p", [[[0.3, 0.0], [0.7, 0.0]], [[0.0, 0.4, 0.0], [0.0, 0.6, 0.0]]])
     def test_constant_y_rejected(self, p):
         with pytest.raises(ValueError, match="^Y is constant"):

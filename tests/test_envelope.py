@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from bottleneck_lab import Channel, DivergenceKernel, SimplexLattice, resolve_functional
+from bottleneck_lab.acceptance import _slope_grid
 from bottleneck_lab.core import ConfigError
 from bottleneck_lab.envelope import (
     DEFAULT_RESOLUTION,
@@ -208,7 +210,25 @@ class TestUpperEnvelope1d:
         assert_allclose(up, -lo, atol=1e-14)
 
 
-class TestEnvelopeGeneral:
+def qhull_envelope_at(lattice, values, q, q_value, direction):
+    """envelope_at by one hull of the lifted points at any m: the highest
+    downward-facing facet plane at q, or the alphabet vertices' plane for
+    an affine graph, capped at q_value."""
+    sign = 1.0 if direction == "lower" else -1.0
+    signed = sign * np.asarray(values, dtype=float)
+    lifted = np.column_stack([lattice.points[:, : lattice.m - 1], signed])
+    try:
+        planes = ConvexHull(lifted, qhull_options="Qt").equations
+    except QhullError:
+        vertices = lattice.vertices
+        best = float((lattice.points[vertices] @ q) @ signed[vertices])
+    else:
+        planes = planes[planes[:, -2] < -1e-12]
+        best = float((-(planes[:, :-2] @ q[:-1] + planes[:, -1]) / planes[:, -2]).max())
+    return sign * min(best, sign * float(q_value))
+
+
+class TestEnvelopeAt:
     """envelope_at for any alphabet size."""
 
     def test_affine_graph_is_its_own_envelope(self):
@@ -249,6 +269,41 @@ class TestEnvelopeGeneral:
                 share = np.where(b > a, (t[i] - t[a]) / span, 0.0)
                 ref[i] = pick((1.0 - share) * v[a] + share * v[b])
             assert_allclose(envelope(graph.lattice, v, direction), ref, atol=1e-12)
+
+    def test_binary_chords_equal_the_hull(self):
+        # m = 2 reads the least chord over the straddling pairs; a hull
+        # gives the same value at A7's binary seeds (q off the lattice, at
+        # A7's own slope), at every point of a lattice whose q N is not
+        # always an exact integer, and on an affine graph.
+        kernels = [ENTROPY, KL, DivergenceKernel.chi_squared()]
+        cases = []
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            T = rng.exponential(size=(n, m)) + 0.05
+            q = rng.exponential(size=m)
+            q = 0.6 * q / q.sum() + 0.4 / m
+            kernel = kernels[int(rng.integers(0, 3))]
+            rng.integers(0, 2)  # A7's direction draw: the slope draw follows it
+            if m != 2:
+                continue
+            graph = BoundarySlice(
+                kernel, kernel, Channel(T / T.sum(axis=0, keepdims=True)), q, resolution=64
+            ).region.graph
+            grid = _slope_grid(graph.x_values, graph.y_values, steps=16)
+            lam = float(grid[int(rng.integers(0, grid.size))])
+            cases.append((graph.lattice, phi(graph, lam), graph.q, phi_at_q(graph, lam)))
+        assert len(cases) == 89
+        graph = entropy_graph(0.1, 200)
+        values = phi(graph, 0.4)
+        cases += [(graph.lattice, values, p, v) for p, v in zip(graph.lattice.points, values)]
+        affine = 0.3 - 1.7 * graph.lattice.points[:, 0]
+        cases += [(graph.lattice, affine, Q, 0.3 - 1.7 * Q[0] + 0.05)]
+        for lattice, values, q, q_value in cases:
+            for direction in ("lower", "upper"):
+                want = qhull_envelope_at(lattice, values, q, q_value, direction)
+                got = envelope_at(lattice, values, q, q_value, direction)
+                assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
     def test_degenerate_hull_falls_back_to_values(self):
         lattice = SimplexLattice.build(3, 3)

@@ -18,6 +18,7 @@ from bottleneck_lab import (
     oracle_exhaustive_binary,
 )
 from bottleneck_lab import oracle
+from bottleneck_lab.acceptance import check_oracle_cross
 from bottleneck_lab.core import LN2, Channel
 from bottleneck_lab.oracle import (
     OracleConfig,
@@ -26,7 +27,7 @@ from bottleneck_lab.oracle import (
     _hull_indices,
     _reduce_mixture,
 )
-from bottleneck_lab.sweep import _resolve_pair
+from bottleneck_lab.sweep import WitnessChannel, _resolve_pair
 
 ENTROPY = DivergenceKernel.entropy_functional()
 KL = DivergenceKernel.kl()
@@ -409,3 +410,49 @@ class TestOracleBoundary:
         )
         assert not pt.feasible
 
+
+
+class TestOraclePointWitness:
+    """An OraclePoint keeps its atoms and weights and builds its witness
+    when read."""
+
+    def test_a4_builds_no_witness(self, monkeypatch):
+        # A4 reads best_y alone, so at smoke sizes no WitnessChannel is
+        # made: the curves' witnesses are checked in batches, not one by one.
+        built = []
+        real = WitnessChannel.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(WitnessChannel, "__post_init__", counting)
+        assert check_oracle_cross(resolution=64, n_x=5, sweep_resolution=1024).passed
+        assert built == []
+        pt = oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.2], "lower", 64)[0]
+        assert built == []
+        witness = pt.witness
+        assert built == [witness]
+
+    def test_witness_is_built_once_with_the_same_bits(self):
+        binary = oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.05, 0.2], "lower", 64)
+        binary += oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.2], "upper", 64)
+        T, q = seeded_ternary(0)
+        ternary = oracle_boundary(KL, KL, T, q, 0.15, "lower", OracleConfig(grid_resolution=64))
+        want = [
+            '{"atoms":[{"alpha":0.3787649721182667,"p":[1.0,0.0]},'
+            '{"alpha":0.5280291412346645,"p":[0.984375,0.015625]},'
+            '{"alpha":0.09320588664706878,"p":[0.015625,0.984375]}]}',
+            '{"atoms":[{"alpha":0.7035073870360875,"p":[0.953125,0.046875]},'
+            '{"alpha":0.24204511494573547,"p":[0.9375,0.0625]},'
+            '{"alpha":0.054447498018176985,"p":[0.046875,0.953125]}]}',
+            '{"atoms":[{"alpha":0.6765520887680246,"p":[1.0,0.0]},'
+            '{"alpha":0.0689582246395062,"p":[0.703125,0.296875]},'
+            '{"alpha":0.2544896865924692,"p":[0.6875,0.3125]}]}',
+            '{"atoms":[{"alpha":0.22567164179104465,"p":[0.09375,0.703125,0.203125]},'
+            '{"alpha":0.36716417910447796,"p":[0.59375,0.125,0.28125]},'
+            '{"alpha":0.40716417910447744,"p":[0.640625,0.234375,0.125]}]}',
+        ]
+        for pt, text in zip([*binary, ternary], want, strict=True):
+            assert pt.witness is pt.witness
+            assert pt.witness.to_json() == text
