@@ -26,6 +26,7 @@ from .core import (
     Distribution,
     DivergenceKernel,
     JointDistribution,
+    WitnessChannel,
     arimoto_conditional_entropy,
     beta_norm,
     binary_entropy,
@@ -50,7 +51,6 @@ from .sweep import (
     BoundaryCurve,
     BoundaryPoint,
     BoundarySlice,
-    WitnessChannel,
     bottleneck_value,
     funnel_value,
     matched_channel_invariance_check,

@@ -26,6 +26,7 @@ from .core import (
     LN2,
     Channel,
     DivergenceKernel,
+    _pair_values,
     binary_entropy,
     f_information,
     joint_from_marginal_channel,
@@ -36,7 +37,6 @@ from .sweep import (
     BoundaryCurve,
     BoundarySlice,
     _points,
-    _resolve_pair,
     matched_channel_invariance_check,
     slice_point,
     sweep,
@@ -347,11 +347,10 @@ def run_property_suite(n_seeds: int = PROPERTY_SEEDS) -> list[str]:
             continue
         if len(point.witness.atoms) > m + 1:
             violations.append(f"seed {seed}: witness has {len(point.witness.atoms)} atoms")
-        f_fn, g_fn = _resolve_pair(kernel, kernel, graph.q, channel)
-        # WitnessChannel.expectation's arithmetic, its atoms read once.
+        # The witness re-evaluated through the functionals the graph kept.
         P, w = point.witness.conditionals(), point.witness.weights()
-        x_re = float(w @ np.asarray(f_fn(P), dtype=float))
-        y_re = float(w @ np.asarray(g_fn(P @ channel.matrix.T), dtype=float))
+        fv, gv = _pair_values(graph.f, graph.g, channel.matrix, P)
+        x_re, y_re = float(w @ fv), float(w @ gv)
         if abs(x_re - point.x) > 1e-9 or abs(y_re - point.y) > 1e-9:
             violations.append(f"seed {seed}: witness does not reproduce its point")
         support_line = point.y - lam * point.x

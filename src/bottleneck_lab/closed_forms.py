@@ -18,6 +18,7 @@ from .core import (
     Channel,
     ConfigError,
     Distribution,
+    WitnessChannel,
     _check_beta,
     _check_range,
     _entropy_bits,
@@ -27,7 +28,6 @@ from .core import (
     bsc_source,
     star,
 )
-from .sweep import WitnessChannel
 
 
 @dataclass(frozen=True)

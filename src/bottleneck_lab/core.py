@@ -15,13 +15,15 @@ map of that sum.  ``_evaluate`` applies the zero convention once, for every
 kind: a term that comes out as 0 * inf or 0 / 0 where p = 0 counts as 0,
 which is 0 log 0 = 0 and, for divergences, 0 * f(0/0) = 0.  Mass where the
 reference has none is a hard error in the public functions, never ``inf``.
+
+What the three routes share is written here once: ``WitnessChannel`` and
+its check, ``_resolve_pair`` and ``_pair_values``, the map p -> (f(p), g(Tp)).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -107,16 +109,69 @@ class Distribution:
         return f"Distribution({self.probs.tolist()})"
 
 
-def _row_distributions(rows: np.ndarray) -> list[Distribution]:
-    """One Distribution per row of an _as_prob_rows result, sharing its
-    values.  The rows are checked and normalized already, and normalizing
-    them a second time could move their last bits."""
-    out = []
-    for row in rows:
-        dist = object.__new__(Distribution)
-        object.__setattr__(dist, "probs", row)
-        out.append(dist)
-    return out
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given,
+    without its checks: for values that are checked and normalized
+    already, which a second pass could change in their last bits."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_witnesses(
+    weights: np.ndarray, atoms: np.ndarray, rows: np.ndarray, marginal: np.ndarray
+) -> None:
+    """Refuse a batch of witnesses unless each mixes at least one and at
+    most m + 1 atoms, with positive weights summing to 1, into the
+    marginal.  Witness k mixes rows[atoms[k, j]] with weight weights[k, j]
+    over its slots with atoms[k, j] >= 0.  The error is the first refusal
+    in that order that any witness of the batch meets."""
+    used = atoms >= 0
+    sizes = used.sum(axis=1)
+    m = marginal.size
+    if not sizes.all():
+        raise ValueError("witness needs at least one atom")
+    if (sizes > m + 1).any():
+        raise ValueError(f"witness has {int(sizes.max())} atoms; at most {m + 1} allowed")
+    if not ((weights > 0.0) | ~used).all():
+        raise ValueError("witness weights must be strictly positive")
+    weights = np.where(used, weights, 0.0)
+    totals = weights.sum(axis=1)
+    near = np.abs(totals - 1.0) <= _MIX_TOL
+    if not near.all():
+        raise ValueError(f"witness weights sum to {totals[np.argmin(near)]}")
+    mix = (weights[:, None, :] @ rows[np.where(used, atoms, 0)])[:, 0]
+    err = np.abs(mix - marginal).max(axis=1)
+    near = err <= _MIX_TOL
+    if not near.all():
+        raise ValueError(f"witness mixture misses its marginal by {err[np.argmin(near)]:.3e}")
+
+
+@dataclass(frozen=True, eq=False)
+class WitnessChannel:
+    """Finite mixture {(alpha_i, p_i)} with sum alpha_i p_i = marginal,
+    realizing one boundary point as an explicit conditional P(X|W)."""
+
+    atoms: tuple[tuple[float, Distribution], ...]
+    marginal: Distribution
+
+    def __post_init__(self) -> None:
+        n = len(self.atoms)
+        rows = self.conditionals() if n else np.empty((0, self.marginal.m))
+        _check_witnesses(self.weights()[None], np.arange(n)[None], rows, self.marginal.probs)
+
+    def weights(self) -> np.ndarray:
+        return np.array([a for a, _ in self.atoms], dtype=float)
+
+    def conditionals(self) -> np.ndarray:
+        return np.vstack([p.probs for _, p in self.atoms])
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {"atoms": [{"alpha": float(a), "p": p.probs.tolist()} for a, p in self.atoms]},
+            separators=(",", ":"),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -638,11 +693,10 @@ def restrict_source(q, T) -> tuple[Distribution, Channel]:
         # The kept columns lose only zero entries, so they stay normalized;
         # the Channel constructor would divide them again.  Indexing can
         # change the layout, and the layout can move curve bits.
-        channel = object.__new__(Channel)
         matrix = np.array(matrix, order=order)
         matrix.setflags(write=False)
-        object.__setattr__(channel, "matrix", matrix)
-    return _row_distributions(qv[None])[0], channel
+        channel = _trusted(Channel, matrix=matrix)
+    return _trusted(Distribution, probs=qv), channel
 
 
 def joint_from_marginal_channel(
@@ -706,6 +760,27 @@ def resolve_functional(
     return functional
 
 
+def _resolve_pair(
+    f_kernel: DivergenceKernel,
+    g_kernel: DivergenceKernel,
+    q: np.ndarray,
+    T: Channel,
+) -> tuple[Callable, Callable]:
+    """f and g as vectorized functionals, divergences taken from q and T q.
+    Every caller that turns kernels into functionals goes through here."""
+    f_ref = q if f_kernel.is_divergence else None
+    g_ref = T.matrix @ q if g_kernel.is_divergence else None
+    return resolve_functional(f_kernel, f_ref), resolve_functional(g_kernel, g_ref)
+
+
+def _pair_values(
+    f: Callable, g: Callable, matrix: np.ndarray, P: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """f(P) and g(P T^T) as float arrays: the map p -> (f(p), g(Tp)) over
+    the rows of P, for the channel matrix T; the one place it is written."""
+    return np.asarray(f(P), dtype=float), np.asarray(g(P @ matrix.T), dtype=float)
+
+
 def mixture_weights(P: np.ndarray, marginal: np.ndarray) -> tuple[np.ndarray, float]:
     """Weights w for the rows of P with w @ P = marginal and sum(w) = 1,
     from one least-squares solve of [P^T; 1^T] w = [marginal; 1], with the
@@ -735,11 +810,6 @@ def mixture_weights(P: np.ndarray, marginal: np.ndarray) -> tuple[np.ndarray, fl
         raise ValueError(f"rows of P are affinely dependent: {P.tolist()}")
     weights = np.maximum(weights, 0.0)
     return weights, float(np.linalg.norm(A @ weights - b))
-
-
-def _dot(u, v):
-    """Sum of products; exact on Python ints, as the envelope's walk needs."""
-    return sum(map(operator.mul, u, v))
 
 
 def _read_payload(source: str | Path | dict) -> dict:

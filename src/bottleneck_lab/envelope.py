@@ -44,6 +44,7 @@ straddling q, by brute force, and for m >= 3 one qhull hull.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -59,7 +60,7 @@ from .core import (
     _as_channel,
     _as_prob_vector,
     _check_direction,
-    _dot,
+    _pair_values,
 )
 
 # Barycentric weights down to -_BARY_TOL count as a ridge containing q;
@@ -177,12 +178,15 @@ class SimplexLattice:
 class LagrangianGraph:
     """f(p) and g(Tp) at the rows it evaluated: the K lattice points (rows
     0..K-1) and the marginal q (row K); the Lagrangian g(Tp) - lam * f(p)
-    at any slope lam is y_values - lam * x_values."""
+    at any slope lam is y_values - lam * x_values.  f and g, the functionals
+    the values came from, are kept to re-evaluate witnesses with."""
 
     lattice: SimplexLattice
     rows: np.ndarray
     x_values: np.ndarray
     y_values: np.ndarray
+    f: Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray], np.ndarray]
 
     @property
     def q(self) -> np.ndarray:
@@ -211,8 +215,7 @@ def build_lagrangian_graph(
     if q.shape != (lattice.m,):
         raise ValueError("q does not live on this lattice's simplex")
     rows = np.vstack([lattice.points, q])
-    x_vals = np.asarray(f(rows), dtype=float)
-    y_vals = np.asarray(g(rows @ matrix.T), dtype=float)
+    x_vals, y_vals = _pair_values(f, g, matrix, rows)
     for name, vals in (("f", x_vals), ("g", y_vals)):
         bad = ~np.isfinite(vals)
         if np.any(bad):
@@ -220,7 +223,7 @@ def build_lagrangian_graph(
             raise ValueError(f"{name} is not finite at {rows[idx].tolist()}")
     for arr in (rows, x_vals, y_vals):
         arr.setflags(write=False)
-    return LagrangianGraph(lattice=lattice, rows=rows, x_values=x_vals, y_values=y_vals)
+    return LagrangianGraph(lattice=lattice, rows=rows, x_values=x_vals, y_values=y_vals, f=f, g=g)
 
 
 def envelope_at(
@@ -430,6 +433,11 @@ def _hull_simplices(lattice: SimplexLattice, X: np.ndarray, Y: np.ndarray) -> np
         return lattice.vertices[None]
     lifted = np.column_stack([lattice.points[:, : lattice.m - 1], extra[:, :rank]])
     return ConvexHull(lifted, qhull_options="Qt QbB").simplices
+
+
+def _dot(u, v):
+    """Sum of products; exact on Python ints, as the walk needs."""
+    return sum(map(operator.mul, u, v))
 
 
 def _pivot_cap(points: int) -> int:

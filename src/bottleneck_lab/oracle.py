@@ -1,9 +1,10 @@
 """Brute-force boundary verification by direct search over witness channels.
 
-Independent of the envelope machinery: witnesses are enumerated explicitly,
-their weights solved from the marginal constraint, and the extremal
-objective taken subject to the x constraint.  The search follows from the
-alphabet alone (|W| <= |X| + 1, Witsenhausen & Wyner):
+Independent of the envelope machinery (it imports core alone): witnesses
+are enumerated explicitly, their weights solved from the marginal
+constraint, and the extremal objective taken subject to the x constraint.
+The search follows from the alphabet alone (|W| <= |X| + 1, Witsenhausen &
+Wyner):
 
 - binary: every mixture of grid atoms at the marginal is a convex
   combination of two-atom witnesses straddling it, so both entry points
@@ -38,13 +39,15 @@ from .core import (
     Channel,
     Distribution,
     DivergenceKernel,
+    WitnessChannel,
     _as_source,
     _check_direction,
-    _row_distributions,
+    _pair_values,
+    _resolve_pair,
+    _trusted,
     bsc_source,
     mixture_weights,
 )
-from .sweep import WitnessChannel, _resolve_pair
 
 _FEAS_EPS = 1e-12
 # The ternary search: this many seeded sets of m + 1 random grid atoms.
@@ -84,7 +87,7 @@ class OraclePoint:
         atoms = tuple(
             (float(a), Distribution(row)) for a, row in zip(self.w, self.P) if a > 1e-13
         )
-        return WitnessChannel(atoms=atoms, marginal=_row_distributions(self.marginal[None])[0])
+        return WitnessChannel(atoms=atoms, marginal=_trusted(Distribution, probs=self.marginal))
 
 
 def _feasible(x: float, x_target: float, direction: str) -> bool:
@@ -208,8 +211,7 @@ class _BinaryCloud:
     def __init__(self, f_fn, g_fn, Tmat: np.ndarray, q: float, resolution: int):
         ps = np.linspace(0.0, 1.0, resolution + 1)
         self.P = np.vstack([np.column_stack([1.0 - ps, ps]), [1.0 - q, q]])
-        self.F = np.asarray(f_fn(self.P), dtype=float)
-        self.G = np.asarray(g_fn(self.P @ Tmat.T), dtype=float)
+        self.F, self.G = _pair_values(f_fn, g_fn, Tmat, self.P)
         lo, hi = np.meshgrid(np.flatnonzero(ps < q), np.flatnonzero(ps > q), indexing="ij")
         wlo = (ps[hi] - q) / (ps[hi] - ps[lo])
         self.ilo = np.append(lo.ravel(), ps.size)
@@ -361,9 +363,8 @@ def oracle_boundary(
         )[0]
 
     def evaluate(P: np.ndarray, w: np.ndarray) -> tuple:
-        fv = float(w @ np.asarray(f_fn(P), dtype=float))
-        gv = float(w @ np.asarray(g_fn(P @ channel.matrix.T), dtype=float))
-        return gv, P, w, fv
+        fv, gv = _pair_values(f_fn, g_fn, channel.matrix, P)
+        return float(w @ gv), P, w, float(w @ fv)
 
     best: tuple | None = None  # (y, P, w, x) of the best feasible witness
 

@@ -12,17 +12,16 @@ vertices whose supporting slopes include some lam >= 0.  Every vertex comes
 with an explicit witness channel of at most m atoms, and the point at a
 given slope is a support-function query on the same polygon.  Both are read
 off a BoundarySlice, so they carry the kernels, channel and q it holds.
+Witnesses, their check, the resolver and the (f, g) map come from core.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import math
 import warnings
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -32,11 +31,14 @@ from .core import (
     ConfigError,
     Distribution,
     DivergenceKernel,
+    WitnessChannel,
     _as_source,
     _check_direction,
-    _row_distributions,
+    _check_witnesses,
+    _pair_values,
+    _resolve_pair,
+    _trusted,
     mixture_weights,
-    resolve_functional,
 )
 from .envelope import (
     LagrangianGraph,
@@ -45,76 +47,6 @@ from .envelope import (
     build_lagrangian_graph,
     region_slice,
 )
-
-
-def _check_witnesses(
-    weights: np.ndarray, atoms: np.ndarray, rows: np.ndarray, marginal: np.ndarray
-) -> None:
-    """Refuse a batch of witnesses unless each mixes at least one and at
-    most m + 1 atoms, with positive weights summing to 1, into the
-    marginal.  Witness k mixes rows[atoms[k, j]] with weight weights[k, j]
-    over its slots with atoms[k, j] >= 0.  The error is the first refusal
-    in that order that any witness of the batch meets."""
-    used = atoms >= 0
-    sizes = used.sum(axis=1)
-    m = marginal.size
-    if not sizes.all():
-        raise ValueError("witness needs at least one atom")
-    if (sizes > m + 1).any():
-        raise ValueError(f"witness has {int(sizes.max())} atoms; at most {m + 1} allowed")
-    if not ((weights > 0.0) | ~used).all():
-        raise ValueError("witness weights must be strictly positive")
-    weights = np.where(used, weights, 0.0)
-    totals = weights.sum(axis=1)
-    near = np.abs(totals - 1.0) <= _MIX_TOL
-    if not near.all():
-        raise ValueError(f"witness weights sum to {totals[np.argmin(near)]}")
-    mix = (weights[:, None, :] @ rows[np.where(used, atoms, 0)])[:, 0]
-    err = np.abs(mix - marginal).max(axis=1)
-    near = err <= _MIX_TOL
-    if not near.all():
-        raise ValueError(f"witness mixture misses its marginal by {err[np.argmin(near)]:.3e}")
-
-
-@dataclass(frozen=True, eq=False)
-class WitnessChannel:
-    """Finite mixture {(alpha_i, p_i)} with sum alpha_i p_i = marginal,
-    realizing one boundary point as an explicit conditional P(X|W)."""
-
-    atoms: tuple[tuple[float, Distribution], ...]
-    marginal: Distribution
-
-    def __post_init__(self) -> None:
-        n = len(self.atoms)
-        rows = self.conditionals() if n else np.empty((0, self.marginal.m))
-        _check_witnesses(self.weights()[None], np.arange(n)[None], rows, self.marginal.probs)
-
-    @classmethod
-    def _prechecked(
-        cls, atoms: tuple[tuple[float, Distribution], ...], marginal: Distribution
-    ) -> "WitnessChannel":
-        """A witness whose atoms a batched _check_witnesses call has already
-        passed: built without checking them again."""
-        witness = object.__new__(cls)
-        object.__setattr__(witness, "atoms", atoms)
-        object.__setattr__(witness, "marginal", marginal)
-        return witness
-
-    def weights(self) -> np.ndarray:
-        return np.array([a for a, _ in self.atoms], dtype=float)
-
-    def conditionals(self) -> np.ndarray:
-        return np.vstack([p.probs for _, p in self.atoms])
-
-    def expectation(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        vals = np.asarray(fn(self.conditionals()), dtype=float)
-        return float(self.weights() @ vals)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"atoms": [{"alpha": float(a), "p": p.probs.tolist()} for a, p in self.atoms]},
-            separators=(",", ":"),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,19 +105,6 @@ class BoundaryCurve:
         )
 
 
-def _resolve_pair(
-    f_kernel: DivergenceKernel,
-    g_kernel: DivergenceKernel,
-    q: np.ndarray,
-    T: Channel,
-) -> tuple[Callable, Callable]:
-    """f and g as vectorized functionals, divergences taken from q and T q.
-    Every caller that turns kernels into functionals goes through here."""
-    f_ref = q if f_kernel.is_divergence else None
-    g_ref = T.matrix @ q if g_kernel.is_divergence else None
-    return resolve_functional(f_kernel, f_ref), resolve_functional(g_kernel, g_ref)
-
-
 @dataclass(frozen=True, eq=False)
 class BoundarySlice:
     """The achievable-region polygon of the source (channel, q) under a
@@ -238,7 +157,7 @@ def _chain_arrays(
     the given polygon vertices and slopes.  The lattice points (and q) the
     witnesses use are taken as the slice holds them, not normalized again,
     and every witness is checked in one batched call."""
-    marginal = _row_distributions(region.graph.q[None])[0]
+    marginal = _trusted(Distribution, probs=region.graph.q)
     row_ids = region.atoms[vertices]
     used = row_ids >= 0
     ids, inverse = np.unique(row_ids[used], return_inverse=True)
@@ -270,13 +189,15 @@ def _points(
     """BoundaryPoint objects for the arrays of a chain (see BoundaryCurve);
     the witnesses share one Distribution per row.  _chain_arrays checked
     them all, so they are not checked again one at a time."""
-    dists = _row_distributions(rows)
+    dists = [_trusted(Distribution, probs=row) for row in rows]
     out = []
     for lam, x, y, slots, alphas in zip(
         lams.tolist(), xs.tolist(), ys.tolist(), atoms.tolist(), weights.tolist()
     ):
-        witness = WitnessChannel._prechecked(
-            tuple((a, dists[j]) for a, j in zip(alphas, slots) if j >= 0), marginal
+        witness = _trusted(
+            WitnessChannel,
+            atoms=tuple((a, dists[j]) for a, j in zip(alphas, slots) if j >= 0),
+            marginal=marginal,
         )
         out.append(BoundaryPoint(lam=lam, x=x, y=y, witness=witness))
     return tuple(out)
@@ -391,9 +312,7 @@ def matched_channel_invariance_check(
             f"q_prime is outside the convex hull of the matched channel "
             f"(residual {residual:.3e})"
         )
-    f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, qv, channel)
-    fv = np.asarray(f_fn(P), dtype=float)
-    gv = np.asarray(g_fn(P @ channel.matrix.T), dtype=float)
+    fv, gv = _pair_values(*_resolve_pair(f_kernel, g_kernel, qv, channel), channel.matrix, P)
     x = float(weights @ fv)
     y = float(weights @ gv)
     keep = weights > 1e-12
@@ -401,7 +320,7 @@ def matched_channel_invariance_check(
         atoms=tuple(
             (float(w), p) for w, (_, p), k in zip(weights, atoms, keep) if k
         ),
-        marginal=_row_distributions(qv[None])[0],
+        marginal=_trusted(Distribution, probs=qv),
     )
     return BoundaryPoint(lam=point.lam, x=x, y=y, witness=witness)
 

@@ -149,3 +149,22 @@ def test_a7_builds_one_graph_per_seed(monkeypatch):
     monkeypatch.setattr(module, "build_lagrangian_graph", counting)
     assert run_property_suite(10) == []
     assert len(built) == 10
+
+
+def test_a7_resolves_each_seed_once(monkeypatch):
+    # A7 re-evaluates a witness through the functionals its slice's graph
+    # kept, so the slice's own resolution is the seed's only one.  Every
+    # module binding of the resolver is counted.
+    resolved = []
+    for name in ("core", "envelope", "sweep", "oracle", "closed_forms", "acceptance", "cli"):
+        module = importlib.import_module(f"bottleneck_lab.{name}")
+        if "_resolve_pair" not in vars(module):
+            continue
+
+        def counting(*args, real=vars(module)["_resolve_pair"]):
+            resolved.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "_resolve_pair", counting)
+    assert run_property_suite(10) == []
+    assert len(resolved) == 10

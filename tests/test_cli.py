@@ -15,6 +15,7 @@ import pytest
 import bottleneck_lab
 from bottleneck_lab import (
     DivergenceKernel,
+    WitnessChannel,
     binary_entropy,
     bsc_source,
     k_norm,
@@ -104,12 +105,20 @@ class TestCurveCommand:
 
     def test_builds_no_witness(self, tmp_path, monkeypatch):
         # The CSV rows come from the curve's arrays, so a curve run builds
-        # no witness object; the patch does reach the lazily built points.
+        # no witness object; the patch does reach the lazily built points,
+        # which are built unchecked through sweep's _trusted.
         def refuse(*args, **kwargs):
             raise AssertionError("curve built a witness object")
 
-        refuse._prechecked = refuse  # the path the lazy points build through
-        monkeypatch.setattr(sweep_module, "WitnessChannel", refuse)
+        trusted = sweep_module._trusted
+
+        def trusted_but_no_witness(cls, **fields):
+            if cls is WitnessChannel:
+                refuse()
+            return trusted(cls, **fields)
+
+        monkeypatch.setattr(sweep_module, "_trusted", trusted_but_no_witness)
+        monkeypatch.setattr(WitnessChannel, "__post_init__", refuse)
         with pytest.raises(AssertionError):
             sweep_module.problem_curve([0.9, 0.1], np.eye(2), "ib", "lower", resolution=16).points
         code, out = run_curve(tmp_path, "ib.csv", "--problem", "ib", "--direction", "both")
@@ -246,8 +255,14 @@ class TestCurveCommand:
             ({"q": [0.3, 0.7], "T": [[1.0, 1.0], [0.0, 0.0]]}, "Y is constant"),
             ({"q": [1.0, 0.0], "T": [[0.5, 0.2], [0.5, 0.8]]}, "support of X"),
             ("0.0,0.1", "support of X"),
+            ([1, 2], "must hold a JSON object"),
+            ({"q": [0.5, 0.5], "T": [0.5, 0.5]}, "channel matrix must be 2-D"),
+            ({"q": [0.5, 0.5], "T": [[1.0, 1.0]]}, "output alphabet size must be at least 2"),
+            ({"p_xy": [0.5, 0.5]}, "p_xy must be 2-D"),
+            ({"p_xy": [[0.5, 0.5]]}, "both alphabets must have at least 2 symbols"),
         ],
-        ids=["constant-y", "constant-x", "bsc-constant-x"],
+        ids=["constant-y", "constant-x", "bsc-constant-x", "not-an-object", "T-not-2d",
+             "T-one-output", "p_xy-not-2d", "p_xy-one-row"],
     )
     def test_given_source_is_refused_like_a_joint(self, tmp_path, capsys, source, match):
         out = tmp_path / "x.csv"
@@ -371,6 +386,26 @@ class TestCurveCommand:
         with pytest.raises(RuntimeError, match="pivots"):
             main(["curve", "--input", src, "--problem", "ib", "--resolution", "12",
                   "--output", str(out)])
+        assert not out.exists()
+
+    def test_chain_walk_past_its_pivot_cap_is_an_internal_fault(self, tmp_path, monkeypatch):
+        # The cap lets the shared opening pivots (11 here) finish, and a
+        # chain walk runs out: the walk's own raise, not the opening's.
+        monkeypatch.setattr(envelope, "_pivot_cap", lambda points: 20)
+        opened = []
+        real_x_phase = envelope._x_phase
+
+        def x_phase(*args):
+            opened.append(real_x_phase(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(envelope, "_x_phase", x_phase)
+        src = write_seeded_joint(tmp_path / "joint.json", 3, 12)
+        out = tmp_path / "x.csv"
+        with pytest.raises(RuntimeError, match="more than 20 pivots"):
+            main(["curve", "--input", src, "--problem", "ib", "--resolution", "12",
+                  "--output", str(out)])
+        assert [pivots for *_, pivots in opened] == [11]
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -20,7 +20,13 @@ from bottleneck_lab import (
     star,
 )
 from bottleneck_lab.closed_forms import MAX_TABLE_POINTS, closed_form_table
-from bottleneck_lab.core import LN2, ConfigError, resolve_functional, DivergenceKernel
+from bottleneck_lab.core import (
+    LN2,
+    ConfigError,
+    DivergenceKernel,
+    _pair_values,
+    resolve_functional,
+)
 
 INST = BscInstance(q=0.1, delta=0.1)
 # The default instance plus the degenerate corners of the parametrization.
@@ -241,8 +247,9 @@ class TestMrGerberPoint:
         channel = INST.channel()
         for alpha in np.linspace(0.0, 1.0, 41):
             pt = mr_gerber_point(INST, float(alpha))
-            x_re = pt.witness.expectation(h_fn) / LN2
-            y_re = pt.witness.expectation(lambda P: h_fn(P @ channel.matrix.T)) / LN2
+            xs, ys = _pair_values(h_fn, h_fn, channel.matrix, pt.witness.conditionals())
+            x_re = float(pt.witness.weights() @ xs) / LN2
+            y_re = float(pt.witness.weights() @ ys) / LN2
             assert abs(x_re - pt.x) <= 1e-10
             assert abs(y_re - pt.y) <= 1e-10
             mix = pt.witness.weights() @ pt.witness.conditionals()

@@ -594,6 +594,18 @@ class TestDecomposeJoint:
             assert T1.matrix.strides == T0.matrix.strides
             assert T1.matrix.tobytes("A") == T0.matrix.tobytes("A")
 
+    def test_zero_mass_symbol_of_a_distribution_keeps_its_bits(self):
+        # A Distribution comes normalized, so restrict_source keeps its other
+        # entries as they are.  The same values as an array are normalized
+        # over the symbols kept, which moves their last bits here.
+        q = Distribution([0.032544378698224845, 0.0, 0.7366863905325444, 0.23076923076923075])
+        T = [[0.9, 0.5, 0.2, 0.4], [0.1, 0.5, 0.8, 0.6]]
+        kept, channel = core.restrict_source(q, T)
+        assert kept.probs.tobytes() == q.probs[[0, 2, 3]].tobytes()
+        assert channel.matrix.tolist() == [[0.9, 0.2, 0.4], [0.1, 0.8, 0.6]]
+        as_array, _ = core.restrict_source(q.probs, T)
+        assert as_array.probs.tobytes() != kept.probs.tobytes()
+
     @pytest.mark.parametrize("p", [[[0.3, 0.0], [0.7, 0.0]], [[0.0, 0.4, 0.0], [0.0, 0.6, 0.0]]])
     def test_constant_y_rejected(self, p):
         with pytest.raises(ValueError, match="^Y is constant"):

@@ -11,10 +11,12 @@ from bottleneck_lab.acceptance import _slope_grid
 from bottleneck_lab.core import ConfigError
 from bottleneck_lab.envelope import (
     DEFAULT_RESOLUTION,
+    _boundary_chains,
     _unique_rows,
     build_lagrangian_graph,
     envelope_at,
     lattice_size,
+    region_slice,
 )
 from bottleneck_lab.sweep import BoundarySlice, slice_point
 from test_sweep import seeded_source
@@ -149,6 +151,33 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="not finite"):
             with np.errstate(divide="ignore"):
                 build_lagrangian_graph(lambda P: np.log(P[:, 0]), H, bsc(0.1), lattice, Q)
+
+
+class TestRegionSlice:
+    def test_affine_graph_gives_one_point(self):
+        # Linear f and g: every mixture with mean q lands on (f(q), g(Tq)).
+        # The lifted hull is the alphabet face alone, and the polygon is
+        # the single atom q.
+        lattice = SimplexLattice.build(2, 16)
+        graph = build_lagrangian_graph(
+            lambda P: P @ [1.0, 3.0], lambda P: P @ [2.0, -1.0], bsc(0.2), lattice, Q
+        )
+        region = region_slice(graph)
+        assert region.simplices.tolist() == [lattice.vertices.tolist()]
+        assert region.lower.tolist() == region.upper.tolist() == [0]
+        assert region.atoms.tolist() == [[lattice.size, -1]]
+        assert (region.x.tolist(), region.y.tolist()) == (
+            graph.x_values[-1:].tolist(), graph.y_values[-1:].tolist()
+        )
+
+    def test_vertical_edges_belong_to_no_chain(self):
+        # Each chain runs from the lowest (highest) of the leftmost points
+        # to the lowest (highest) of the rightmost: on a unit square, its
+        # bottom and its top edge.
+        x, y = np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0, 1.0])
+        lower, upper = _boundary_chains(x, y)
+        assert lower.tolist() == [0, 2]
+        assert upper.tolist() == [1, 3]
 
 
 class TestLowerEnvelope1d:

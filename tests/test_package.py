@@ -52,6 +52,35 @@ def test_module_level_third_party_imports_are_pinned():
         assert TOP_LEVEL_IMPORTS.get(path.stem, set()) <= third_party, path.name
 
 
+def package_imports(tree):
+    """The package's own modules a module imports, at module level or
+    inside a function, by their names within the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            names = [f"bottleneck_lab.{name}" for name in names]
+        else:
+            continue
+        found.update(
+            name.split(".", 1)[1] for name in names if name.startswith("bottleneck_lab.")
+        )
+    return found
+
+
+def test_reference_routes_import_no_slice_route():
+    # The closed forms and the oracle cross-check the slice route, so a
+    # change to sweep or envelope must not reach them.
+    for stem in ("closed_forms", "oracle"):
+        tree = ast.parse((PACKAGE_DIR / f"{stem}.py").read_text(encoding="utf-8"))
+        imports = package_imports(tree)
+        assert imports and not imports & {"sweep", "envelope"}, (stem, sorted(imports))
+
+
 # Run in a fresh interpreter: pytest's own process has scipy.optimize loaded.
 CURVE_RUNS_WITHOUT_OPTIMIZE = """
 import contextlib, io, json, sys
