@@ -46,7 +46,7 @@ from .core import (
     star,
 )
 from .envelope import SimplexLattice
-from .oracle import OraclePoint, oracle_boundary, oracle_exhaustive_binary
+from .oracle import OraclePoint, oracle_boundary
 from .sweep import (
     BoundaryCurve,
     BoundaryPoint,
@@ -97,7 +97,6 @@ __all__ = [
     "mr_gerber_point",
     "mrs_gerber",
     "oracle_boundary",
-    "oracle_exhaustive_binary",
     "problem_curve",
     "resolve_functional",
     "restrict_source",

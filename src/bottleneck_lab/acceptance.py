@@ -32,11 +32,10 @@ from .core import (
     joint_from_marginal_channel,
 )
 from .envelope import envelope_at
-from .oracle import oracle_exhaustive_binary
+from .oracle import OracleConfig, oracle_boundary
 from .sweep import (
     BoundaryCurve,
     BoundarySlice,
-    _points,
     matched_channel_invariance_check,
     slice_point,
     sweep,
@@ -151,16 +150,17 @@ def check_arimoto() -> CheckResult:
 def check_oracle_cross(
     resolution: int = 512, n_x: int = 21, sweep_resolution: int = GATE_RESOLUTION
 ) -> CheckResult:
-    """A4: exhaustive binary oracle against the curves (one-sided) and
-    against the closed forms (two-sided, entropy case)."""
+    """A4: the binary oracle, exhaustive over its grid, against the curves
+    (one-sided) and against the closed forms (two-sided, entropy case)."""
     inst = BscInstance(q=0.1, delta=0.1)
+    cfg = OracleConfig(resolution)
     tol = 5e-3
 
     def oracle_ys(kernel: DivergenceKernel, xs: np.ndarray) -> list[np.ndarray]:
         """The oracle's best y at each x, lower then upper."""
-        args = (kernel, kernel, inst.delta, inst.q, xs)
+        args = (kernel, kernel, inst.channel(), inst.marginal(), xs)
         return [
-            np.array([pt.best_y for pt in oracle_exhaustive_binary(*args, side, resolution)])
+            np.array([pt.best_y for pt in oracle_boundary(*args, side, cfg)])
             for side in ("lower", "upper")
         ]
 
@@ -218,14 +218,10 @@ def check_matched(n_points: int = 10, resolution: int = GATE_RESOLUTION) -> Chec
             "A5 matched-channel invariance", False, math.inf, 5e-3,
             f"only {len(candidates)} usable non-trivial points, N={resolution}",
         )
-    # Only the picked points are built.  Each fills both slots of a binary
-    # witness, so its atoms index the rows they use.
+    # Only the picked points are built, each as the slice's point at its
+    # curve slope: the curve's own vertex there.
     index = candidates[np.linspace(0, len(candidates) - 1, n_points).astype(int)]
-    ids, slots = np.unique(curve.atoms[index], return_inverse=True)
-    picks = _points(
-        curve.lams[index], curve.xs[index], curve.ys[index], slots.reshape(-1, 2),
-        curve.weights[index], curve.rows[ids], curve.marginal,
-    )
+    picks = [slice_point(base, lam, "lower") for lam in curve.lams[index].tolist()]
     tol = 5e-3
     worst = 0.0
     atom_mismatch = 0

@@ -62,7 +62,6 @@ def _write_outputs(
     command: str,
     input_digest: str,
     parameters: dict,
-    seed: int,
 ) -> None:
     out = Path(output)
     _atomic_write(out, text)
@@ -71,7 +70,7 @@ def _write_outputs(
         "input_digest": input_digest,
         "parameters": parameters,
         "tool_version": __version__,
-        "seed": seed,
+        "seed": 0,
     }
     _atomic_write(
         out.with_suffix(out.suffix + ".manifest.json"),
@@ -125,7 +124,7 @@ def cmd_curve(args) -> int:
         "input": args.input,
         "bsc": args.bsc,
     }
-    _write_outputs(args.output, text, "curve", digest, params, seed=0)
+    _write_outputs(args.output, text, "curve", digest, params)
     return EXIT_OK
 
 
@@ -137,7 +136,7 @@ def cmd_closed_form(args) -> int:
     params = {"law": args.law, "beta": args.beta, "points": args.points, "bsc": args.bsc}
     # Every field is a float repr or empty, so no field needs CSV quoting.
     text = "".join(",".join(fields) + "\n" for fields in [CLOSED_FORM_CSV_HEADER, *rows])
-    _write_outputs(args.output, text, "closed-form", digest, params, seed=0)
+    _write_outputs(args.output, text, "closed-form", digest, params)
     return EXIT_OK
 
 

@@ -7,12 +7,13 @@ The search follows from the alphabet alone (|W| <= |X| + 1, Witsenhausen &
 Wyner):
 
 - binary: every mixture of grid atoms at the marginal is a convex
-  combination of two-atom witnesses straddling it, so both entry points
-  read the best point of the hull of that pair cloud, which is exhaustive
-  over the grid: the hull chain's extreme vertex, or its value at the
-  target.  The chain reads a large cloud in two passes: a coarse chain
-  through cloud points first, then only the points not above it, which
-  cannot be vertices as they lie above a chord (see _hull_indices);
+  combination of two-atom witnesses straddling it, so a query reads the
+  best point of the hull of that pair cloud, which is exhaustive over the
+  grid: the hull chain's extreme vertex, or its value at the target.  One
+  cloud answers an array of targets.  The chain reads a large cloud in two
+  passes: a coarse chain through cloud points first, then only the points
+  not above it, which cannot be vertices as they lie above a chord (see
+  _hull_indices);
 - ternary: _RESTARTS fixed seeded sets of m + 1 random grid atoms, every
   m-atom subset of each set weighed, plus the single atom q and the
   alphabet vertices weighted by q.  A mixture at q of m + 1 atoms is also a
@@ -45,7 +46,6 @@ from .core import (
     _pair_values,
     _resolve_pair,
     _trusted,
-    bsc_source,
     mixture_weights,
 )
 
@@ -276,48 +276,6 @@ def _point(
     )
 
 
-def _x_targets(x) -> list[float]:
-    """The x targets as floats, refused when one is nan."""
-    xs = np.asarray(x, dtype=float).ravel()
-    if np.isnan(xs).any():
-        raise ValueError("x target is nan")
-    return xs.tolist()
-
-
-def _binary_points(
-    f_fn, g_fn, channel: Channel, marginal: np.ndarray, x_targets, direction: str, resolution: int
-) -> list[OraclePoint]:
-    """The best point of the pair cloud's hull at each x target."""
-    cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, float(marginal[1]), resolution)
-    trivial = (float(cloud.G[-1]), cloud.P[-1:], np.array([1.0]), float(cloud.F[-1]))
-    return [
-        _point(x_t, direction, cloud.best(x_t, direction), trivial, marginal)
-        for x_t in x_targets
-    ]
-
-
-def oracle_exhaustive_binary(
-    f_kernel: DivergenceKernel,
-    g_kernel: DivergenceKernel,
-    delta: float,
-    q: float,
-    x_grid,
-    direction: str,
-    resolution: int = 512,
-) -> list[OraclePoint]:
-    """Complete-to-grid-granularity search for a binary source through a
-    symmetric channel: at each x target, the best point of the hull of the
-    two-atom witnesses straddling the marginal on a scalar grid (a mixture
-    of two of them, pruned back to at most three atoms)."""
-    _check_direction(direction)
-    source = bsc_source(q, delta)
-    x_targets = _x_targets(x_grid)
-    grid = OracleConfig(resolution).grid_resolution
-    marginal, channel = _as_source(*source)
-    f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, marginal, channel)
-    return _binary_points(f_fn, g_fn, channel, marginal, x_targets, direction, grid)
-
-
 def _random_grid_atom(rng: np.random.Generator, m: int, resolution: int) -> np.ndarray:
     raw = rng.exponential(size=m)
     p = raw / raw.sum()
@@ -335,32 +293,44 @@ def oracle_boundary(
     g_kernel: DivergenceKernel,
     T: Channel | np.ndarray,
     q: Distribution | np.ndarray,
-    x_target: float,
+    x_target: float | np.ndarray,
     direction: str,
     cfg: OracleConfig,
-) -> OraclePoint:
-    """Best feasible objective over enumerated witnesses on the grid of cfg.
+) -> OraclePoint | list[OraclePoint]:
+    """Best feasible objective over enumerated witnesses on the grid of cfg,
+    at a scalar x_target, or a list of them in target order at an array of
+    targets.
 
     A binary alphabet gets the best point of the straddling-pair cloud's
-    hull, as oracle_exhaustive_binary does.  A ternary one gets the single
-    atom q, the alphabet vertices weighted by q, and _RESTARTS seeded sets
-    of m + 1 random grid atoms, each m-atom subset of a set weighted by
-    mixture_weights on the marginal constraint (subsets that are affinely
-    dependent or cannot reproduce the marginal within tolerance are
-    skipped).  When nothing satisfies the x constraint the single-atom
-    witness is reported with feasible=False.
+    hull, exhaustive over the grid; one cloud answers every target.  A
+    ternary one takes one target and gets the single atom q, the alphabet
+    vertices weighted by q, and _RESTARTS seeded sets of m + 1 random grid
+    atoms, each m-atom subset of a set weighted by mixture_weights on the
+    marginal constraint (subsets that are affinely dependent or cannot
+    reproduce the marginal within tolerance are skipped).  When nothing
+    satisfies the x constraint the single-atom witness is reported with
+    feasible=False.
     """
     _check_direction(direction)
     qv, channel = _as_source(q, T)
     m = qv.size
     if m > 3:
         raise ValueError("oracle_boundary supports m <= 3")
-    (x_target,) = _x_targets(x_target)
+    xs = np.asarray(x_target, dtype=float).ravel()
+    if np.isnan(xs).any():
+        raise ValueError("x target is nan")
+    targets = xs.tolist()
+    if m == 3 and len(targets) != 1:
+        raise ValueError(f"a ternary oracle query takes one x target, got {len(targets)}")
     f_fn, g_fn = _resolve_pair(f_kernel, g_kernel, qv, channel)
     if m == 2:
-        return _binary_points(
-            f_fn, g_fn, channel, qv, [x_target], direction, cfg.grid_resolution
-        )[0]
+        cloud = _BinaryCloud(f_fn, g_fn, channel.matrix, float(qv[1]), cfg.grid_resolution)
+        trivial = (float(cloud.G[-1]), cloud.P[-1:], np.array([1.0]), float(cloud.F[-1]))
+        points = [
+            _point(x_t, direction, cloud.best(x_t, direction), trivial, qv) for x_t in targets
+        ]
+        return points if np.ndim(x_target) else points[0]
+    (x_t,) = targets
 
     def evaluate(P: np.ndarray, w: np.ndarray) -> tuple:
         fv, gv = _pair_values(f_fn, g_fn, channel.matrix, P)
@@ -372,7 +342,7 @@ def oracle_boundary(
         nonlocal best
         y = found[0]
         better = best is None or (y > best[0] if direction == "upper" else y < best[0])
-        if better and _feasible(found[3], x_target, direction):
+        if better and _feasible(found[3], x_t, direction):
             best = found
 
     trivial = evaluate(qv[None, :], np.array([1.0]))
@@ -396,4 +366,5 @@ def oracle_boundary(
                 continue
             keep = w > 1e-13
             consider(evaluate(P[keep], w[keep] / w[keep].sum()))
-    return _point(x_target, direction, best, trivial, qv)
+    point = _point(x_t, direction, best, trivial, qv)
+    return [point] if np.ndim(x_target) else point

@@ -1,14 +1,18 @@
 """Acceptance gate: every criterion at its stated tolerance, one printed
 pass/fail line each.  Run with -s to see the lines."""
 
+import dataclasses
+import functools
 import importlib
+import math
+import re
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from bottleneck_lab import envelope
+from bottleneck_lab import acceptance, envelope
 from bottleneck_lab.acceptance import (
     _worst_gap,
     check_arimoto,
@@ -20,7 +24,14 @@ from bottleneck_lab.acceptance import (
     check_properties,
     run_property_suite,
 )
-from bottleneck_lab.core import LN2, DivergenceKernel, bsc_source
+from bottleneck_lab.core import (
+    LN2,
+    Distribution,
+    DivergenceKernel,
+    WitnessChannel,
+    _trusted,
+    bsc_source,
+)
 from bottleneck_lab.sweep import BoundarySlice, bottleneck_value, funnel_value, sweep
 
 
@@ -168,3 +179,118 @@ def test_a7_resolves_each_seed_once(monkeypatch):
         monkeypatch.setattr(module, "_resolve_pair", counting)
     assert run_property_suite(10) == []
     assert len(resolved) == 10
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def _split_atoms(slice_point):
+    """slice_point with each witness atom split into five equal ones: the
+    same mixture, with more atoms than A7's m + 1 <= 4 allows (so the
+    witness is built past WitnessChannel's own atom-count check)."""
+
+    def split(*args):
+        point = slice_point(*args)
+        atoms = tuple((a / 5, p) for a, p in point.witness.atoms for _ in range(5))
+        witness = _trusted(WitnessChannel, atoms=atoms, marginal=point.witness.marginal)
+        return dataclasses.replace(point, witness=witness)
+
+    return split
+
+
+def _past_phi(slice_point):
+    """slice_point with y moved by 1e3 the way a support value may not go:
+    up for the lower side, down for the upper."""
+
+    def moved(bslice, lam, direction):
+        point = slice_point(bslice, lam, direction)
+        return dataclasses.replace(point, y=point.y + (1e3 if direction == "lower" else -1e3))
+
+    return moved
+
+
+def _x_moved(pair_values):
+    """_pair_values with every f value moved by 1e-6."""
+
+    def moved(*args):
+        fv, gv = pair_values(*args)
+        return fv + 1e-6, gv
+
+    return moved
+
+
+A7_SEEDS = 6
+
+
+@pytest.mark.parametrize(
+    "name, fault, text, seeds",
+    [
+        ("BoundarySlice", lambda real: _boom, "slice or envelope construction failed: boom", None),
+        ("slice_point", lambda real: _boom, "boundary point failed: boom", None),
+        ("slice_point", _split_atoms, r"witness has \d+ atoms", None),
+        ("_pair_values", _x_moved, "witness does not reproduce its point", None),
+        ("slice_point", _past_phi, r"support value passes phi_lam\(q\) by \S+", None),
+        (
+            "f_information",
+            lambda real: lambda *args: -1.0,
+            r"data-processing bound broken \(\S+ > -1\.0\)",
+            (0, 1, 3, 5),
+        ),
+        (
+            "mrs_gerber",
+            lambda real: lambda inst, xs: real(inst, xs) + 1.0,
+            r"closed-form sandwich broken at x=0\.0",
+            None,
+        ),
+        (
+            "mrs_gerber",
+            lambda real: lambda inst, xs: real(inst, xs) - 1.0,
+            "closed forms differ at an endpoint",
+            None,
+        ),
+    ],
+    ids=["slice", "point", "atom-count", "reproduce", "phi", "dpi", "sandwich", "endpoints"],
+)
+def test_a7_names_each_violation_and_its_seed(monkeypatch, name, fault, text, seeds):
+    # Each A7 check, forced to fail through a name the suite calls, names
+    # the seeds it failed on (every seed, or the seeds with a divergence
+    # kernel for the data-processing bound) and fails the suite's result.
+    monkeypatch.setattr(acceptance, name, fault(getattr(acceptance, name)))
+    violations = run_property_suite(A7_SEEDS)
+    named = [int(re.match(r"seed (\d+): ", v).group(1)) for v in violations]
+    assert named == sorted(named)
+    hits = [seed for seed, v in zip(named, violations) if re.fullmatch(rf"seed \d+: {text}", v)]
+    assert hits == list(range(A7_SEEDS) if seeds is None else seeds)
+    monkeypatch.setattr(
+        acceptance, "run_property_suite", functools.partial(run_property_suite, A7_SEEDS)
+    )
+    result = check_properties()
+    assert not result.passed
+    assert result.max_deviation == len(violations)
+    assert result.detail.endswith(f", first: {violations[0]}")
+
+
+def test_a5_fails_with_too_few_usable_points():
+    result = check_matched(n_points=10**6, resolution=64)
+    assert not result.passed
+    assert result.max_deviation == math.inf
+    assert re.fullmatch(r"only \d+ usable non-trivial points, N=64", result.detail)
+
+
+def test_a5_counts_atom_mismatches(monkeypatch):
+    # A transported witness with other atoms than the slice's point is a
+    # mismatch even where x and y agree: 3 points at 2 marginals.
+    real = acceptance.matched_channel_invariance_check
+
+    def single_atom(point, q_prime, *args):
+        moved = real(point, q_prime, *args)
+        marginal = Distribution(q_prime)
+        witness = WitnessChannel(atoms=((1.0, marginal),), marginal=marginal)
+        return dataclasses.replace(moved, witness=witness)
+
+    monkeypatch.setattr(acceptance, "matched_channel_invariance_check", single_atom)
+    result = check_matched(n_points=3, resolution=1024)
+    assert not result.passed
+    assert result.max_deviation <= result.tolerance
+    assert "atom mismatches 6, bits" in result.detail

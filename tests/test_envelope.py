@@ -180,7 +180,7 @@ class TestRegionSlice:
         assert upper.tolist() == [1, 3]
 
 
-class TestLowerEnvelope1d:
+class TestBinaryLowerEnvelope:
     def test_convex_regime_touches_everywhere(self):
         # For a symmetric channel the objective is convex once the slope
         # reaches (1 - 2 delta)^2, so the envelope coincides with it.
@@ -212,7 +212,7 @@ class TestLowerEnvelope1d:
         assert np.all(envelope(graph.lattice, values, "lower") <= values + 1e-12)
 
 
-class TestUpperEnvelope1d:
+class TestBinaryUpperEnvelope:
     def test_concave_values_touch_everywhere(self):
         graph = entropy_graph(0.1, 128)
         values = phi(graph, 0.0)  # pure h(delta star p), concave

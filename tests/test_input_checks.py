@@ -24,13 +24,12 @@ from bottleneck_lab import (
     mr_gerber,
     mrs_gerber,
     oracle_boundary,
-    oracle_exhaustive_binary,
     problem_curve,
     star,
 )
 from bottleneck_lab.cli import EXIT_BAD_INPUT, main
 from bottleneck_lab.closed_forms import closed_form_table, k_norm, mr_gerber_point
-from bottleneck_lab.core import mixture_weights
+from bottleneck_lab.core import f_divergence, mixture_weights, resolve_functional
 from bottleneck_lab.envelope import SimplexLattice, build_lagrangian_graph, envelope_at
 from bottleneck_lab.oracle import OracleConfig
 from bottleneck_lab.sweep import BoundaryPoint, BoundarySlice, slice_point
@@ -103,14 +102,18 @@ def test_matched_transport_refuses_a_witness_with_dependent_atoms():
     ids=["q-above-one", "q-nan", "delta-above-one"],
 )
 def test_exhaustive_oracle_refuses_a_scalar_outside_the_unit_interval(delta, q, match):
+    # A binary symmetric source reaches the oracle through bsc_source, which
+    # is where the scalars are refused.
     with pytest.raises(ValueError, match=match):
-        oracle_exhaustive_binary(ENTROPY, ENTROPY, delta, q, [0.1], "lower", 64)
+        bsc_source(q, delta)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.1, math.nan], "upper", 64),
+        lambda: oracle_boundary(
+            ENTROPY, ENTROPY, BSC, INST.marginal(), [0.1, math.nan], "upper", OracleConfig(64)
+        ),
         lambda: oracle_boundary(
             ENTROPY, ENTROPY, BSC, INST.marginal(), math.nan, "lower", OracleConfig(64)
         ),
@@ -127,7 +130,7 @@ def test_oracle_refuses_a_nan_target(call):
 
 def test_exhaustive_oracle_refuses_a_grid_of_fewer_than_two_steps():
     with pytest.raises(ValueError, match="grid_resolution must be >= 2"):
-        oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.1], "lower", 0)
+        OracleConfig(grid_resolution=0)
 
 
 def test_oracle_refuses_a_negative_marginal():
@@ -146,13 +149,35 @@ def _entropy(P):
         (BSC, [0.5, 0.6], r"q sums to 1\.1"),
         (BSC, [math.nan, 0.5], "q contains non-finite entries"),
         (np.array([[0.9, 0.2], [0.2, 0.8]]), [0.9, 0.1], r"column\[0\] sums to 1\.1"),
+        (np.full((2, 3), 0.5), [0.5, 0.5], "channel input alphabet does not match the lattice"),
+        (BSC, Q3, "q does not live on this lattice's simplex"),
     ],
-    ids=["q-unnormalized", "q-nan", "channel-not-stochastic"],
+    ids=["q-unnormalized", "q-nan", "channel-not-stochastic", "channel-width", "q-size"],
 )
 def test_graph_refuses_a_malformed_source(T, q, match):
     lattice = SimplexLattice.build(2, 8)
     with pytest.raises(ValueError, match=match):
         build_lagrangian_graph(_entropy, _entropy, T, lattice, q)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: DivergenceKernel("renyi"), "unknown kernel kind 'renyi'"),
+        (lambda: DivergenceKernel("kl", beta=2.0), "kernel kind 'kl' takes no beta"),
+        (lambda: closed_form_table(INST, "gerber"), "unknown law 'gerber'"),
+        (lambda: f_divergence(KL, [0.5, 0.5], Q3), "p and r must share an alphabet"),
+        (lambda: resolve_functional(KL), "kl kernel needs a reference distribution"),
+        (lambda: SimplexLattice.build(1), r"lattice needs m >= 2"),
+    ],
+    ids=[
+        "kernel-kind", "kernel-beta", "closed_form_table-law", "f_divergence-sizes",
+        "resolve_functional-reference", "lattice-m",
+    ],
+)
+def test_a_name_or_size_out_of_its_domain_is_refused(call, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        call()
 
 
 def test_envelope_refuses_a_malformed_marginal():

@@ -15,15 +15,14 @@ from bottleneck_lab import (
     mr_gerber,
     mrs_gerber,
     oracle_boundary,
-    oracle_exhaustive_binary,
 )
 from bottleneck_lab import oracle
 from bottleneck_lab.acceptance import check_oracle_cross
 from bottleneck_lab.core import LN2, Channel
 from bottleneck_lab.oracle import (
     OracleConfig,
+    OraclePoint,
     _BinaryCloud,
-    _binary_points,
     _hull_indices,
     _reduce_mixture,
 )
@@ -34,6 +33,13 @@ KL = DivergenceKernel.kl()
 CHI2 = DivergenceKernel.chi_squared()
 
 INST = BscInstance(q=0.1, delta=0.1)
+
+
+def bsc_oracle(kernel, x, direction, resolution):
+    """oracle_boundary on INST's channel and marginal, on a grid of
+    resolution steps."""
+    cfg = OracleConfig(grid_resolution=resolution)
+    return oracle_boundary(kernel, kernel, INST.channel(), INST.marginal(), x, direction, cfg)
 
 
 def witness_constraint_holds(point):
@@ -47,15 +53,13 @@ def witness_constraint_holds(point):
 class TestExhaustiveBinary:
     def test_zero_target_divergence_frame(self):
         for direction in ("lower", "upper"):
-            pt = oracle_exhaustive_binary(KL, KL, 0.1, 0.1, [0.0], direction, 128)[0]
+            pt = bsc_oracle(KL, 0.0, direction, 128)
             assert pt.feasible
             assert pt.best_y == pytest.approx(0.0, abs=1e-12)
 
     def test_recovers_symmetric_witness(self):
         x_bits = 0.2
-        pt = oracle_exhaustive_binary(
-            ENTROPY, ENTROPY, 0.1, 0.1, [x_bits * LN2], "lower", 512
-        )[0]
+        pt = bsc_oracle(ENTROPY, x_bits * LN2, "lower", 512)
         r = binary_entropy_inv(x_bits)
         step = 2.0 / 512
         for _, atom in pt.witness.atoms:
@@ -73,18 +77,18 @@ class TestExhaustiveBinary:
 
     def test_endpoint_has_unique_trivial_witness(self):
         hq = binary_entropy(INST.q) * LN2
-        pt = oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [hq], "lower", 512)[0]
+        pt = bsc_oracle(ENTROPY, hq, "lower", 512)
         assert len(pt.witness.atoms) == 1
         assert_allclose(pt.witness.atoms[0][1].probs, [0.9, 0.1], atol=1e-12)
 
     def test_tracks_closed_forms(self):
         xs = np.linspace(0.0, binary_entropy(INST.q) * LN2, 15)
-        funnel = oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, xs, "lower", 512)
+        funnel = bsc_oracle(ENTROPY, xs, "lower", 512)
         for pt in funnel:
             exact = mrs_gerber(INST, pt.x_target / LN2)
             assert pt.best_y / LN2 >= exact - 1e-9  # never below the true minimum
             assert pt.best_y / LN2 <= exact + 2e-3
-        bottleneck = oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, xs, "upper", 512)
+        bottleneck = bsc_oracle(ENTROPY, xs, "upper", 512)
         for pt in bottleneck:
             exact = mr_gerber(INST, pt.x_target / LN2)
             assert pt.best_y / LN2 <= exact + 1e-9  # never above the true maximum
@@ -95,13 +99,13 @@ class TestExhaustiveBinary:
         for kernel in (CHI2, KL):
             for direction in ("lower", "upper"):
                 grid = xs if kernel is CHI2 else xs * binary_entropy(INST.q) * LN2
-                for pt in oracle_exhaustive_binary(kernel, kernel, 0.1, 0.1, grid, direction, 128):
+                for pt in bsc_oracle(kernel, grid, direction, 128):
                     assert witness_constraint_holds(pt)
                     assert len(pt.witness.atoms) <= 3
 
     def test_infeasible_target_reports_trivial(self):
         big = binary_entropy(INST.q) * LN2 + 0.5
-        pt = oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [big], "lower", 64)[0]
+        pt = bsc_oracle(ENTROPY, big, "lower", 64)
         assert not pt.feasible
         assert len(pt.witness.atoms) == 1
 
@@ -109,7 +113,7 @@ class TestExhaustiveBinary:
         joint = joint_from_marginal_channel(INST.marginal(), INST.channel())
         kappa = f_information(CHI2, joint)
         for direction in ("lower", "upper"):
-            pts = oracle_exhaustive_binary(CHI2, CHI2, 0.1, 0.1, np.linspace(0, 1, 9), direction, 256)
+            pts = bsc_oracle(CHI2, np.linspace(0, 1, 9), direction, 256)
             for pt in pts:
                 assert math.isclose(pt.best_y, kappa * pt.x_target, abs_tol=1e-9)
 
@@ -327,25 +331,18 @@ class TestOracleBoundary:
     @binary_sources
     @each_kernel
     def test_binary_query_is_the_exhaustive_search(self, kernel, T, q):
-        # A binary oracle_boundary query reads the pair-cloud hull alone: it
-        # equals the exhaustive search at the same grid, bit for bit (for a
-        # non-symmetric channel, the batched search over the same targets).
+        # One pair cloud answers an array of targets: the list it gives, in
+        # target order, equals one float query per target, bit for bit.
         resolution = 64
-        channel = Channel(T)
-        f_fn, g_fn = _resolve_pair(kernel, kernel, q, channel)
-        cloud = _BinaryCloud(f_fn, g_fn, T, float(q[1]), resolution)
-        xs = cloud_targets(cloud)
+        f_fn, g_fn = _resolve_pair(kernel, kernel, q, Channel(T))
+        xs = cloud_targets(_BinaryCloud(f_fn, g_fn, T, float(q[1]), resolution))
         cfg = OracleConfig(grid_resolution=resolution)
         for direction in ("lower", "upper"):
-            if T[0, 1] == T[1, 0] and T[0, 0] == T[1, 1]:
-                want = oracle_exhaustive_binary(
-                    kernel, kernel, float(T[1, 0]), float(q[1]), xs, direction, resolution
-                )
-            else:
-                want = _binary_points(f_fn, g_fn, channel, q, xs, direction, resolution)
+            want = oracle_boundary(kernel, kernel, T, q, xs, direction, cfg)
             assert any(pt.feasible for pt in want) and not all(pt.feasible for pt in want)
-            for x, pt in zip(xs, want):
+            for x, pt in zip(xs.tolist(), want, strict=True):
                 got = oracle_boundary(kernel, kernel, T, q, x, direction, cfg)
+                assert isinstance(got, OraclePoint)
                 assert got.x_target == pt.x_target
                 assert got.best_y == pt.best_y
                 assert got.x_achieved == pt.x_achieved
@@ -403,6 +400,19 @@ class TestOracleBoundary:
         with pytest.raises(ValueError):
             oracle_boundary(KL, KL, T, q, 0.1, "lower", cfg)
 
+    def test_ternary_query_takes_one_target(self):
+        # A one-element array gets a list of the float query's point; two
+        # targets are refused by name, not unpacked.
+        T, q = seeded_ternary(0)
+        cfg = OracleConfig(grid_resolution=16)
+        one = oracle_boundary(KL, KL, T, q, 0.15, "lower", cfg)
+        (listed,) = oracle_boundary(KL, KL, T, q, [0.15], "lower", cfg)
+        assert isinstance(one, OraclePoint)
+        assert listed.best_y == one.best_y
+        assert listed.witness.to_json() == one.witness.to_json()
+        with pytest.raises(ValueError, match="a ternary oracle query takes one x target, got 2"):
+            oracle_boundary(KL, KL, T, q, np.array([0.1, 0.2]), "lower", cfg)
+
     def test_infeasible_funnel_flagged(self):
         cfg = OracleConfig(grid_resolution=64)
         pt = oracle_boundary(
@@ -429,14 +439,14 @@ class TestOraclePointWitness:
         monkeypatch.setattr(WitnessChannel, "__post_init__", counting)
         assert check_oracle_cross(resolution=64, n_x=5, sweep_resolution=1024).passed
         assert built == []
-        pt = oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.2], "lower", 64)[0]
+        pt = bsc_oracle(ENTROPY, 0.2, "lower", 64)
         assert built == []
         witness = pt.witness
         assert built == [witness]
 
     def test_witness_is_built_once_with_the_same_bits(self):
-        binary = oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.05, 0.2], "lower", 64)
-        binary += oracle_exhaustive_binary(ENTROPY, ENTROPY, 0.1, 0.1, [0.2], "upper", 64)
+        binary = bsc_oracle(ENTROPY, [0.05, 0.2], "lower", 64)
+        binary += bsc_oracle(ENTROPY, [0.2], "upper", 64)
         T, q = seeded_ternary(0)
         ternary = oracle_boundary(KL, KL, T, q, 0.15, "lower", OracleConfig(grid_resolution=64))
         want = [

@@ -256,12 +256,13 @@ class TestValueQueries:
     def test_funnel_small_budget_reported_against_oracle(self, kl_curves):
         # Whether leakage can stay at zero for a small disclosure budget is
         # instance-dependent; assert only agreement with the oracle.
-        from bottleneck_lab import oracle_exhaustive_binary
+        from bottleneck_lab.oracle import OracleConfig, oracle_boundary
 
         lower, _ = kl_curves
         x = 0.05 * float(lower.xs[-1])
         got = funnel_value(lower, x)
-        pt = oracle_exhaustive_binary(KL, KL, INST.delta, INST.q, [x], "lower", 256)[0]
+        cfg = OracleConfig(grid_resolution=256)
+        pt = oracle_boundary(KL, KL, INST.channel(), INST.marginal(), x, "lower", cfg)
         assert abs(got - pt.best_y) <= 5e-3
 
     def test_monotone_nondecreasing(self, kl_curves):
